@@ -52,14 +52,21 @@ def _require_valid(C: Complex) -> None:
         raise SystemExit(EXIT_INVALID)
 
 
-def _pick_iota(entry: cfk.CfkFile, index: int | None) -> IotaData:
-    if entry.iota is not None and index is None:
-        return entry.iota
-    cands = enumerate_almost_iotas(entry.complex)
+def _select_iota(cands: list[IotaData], index: int) -> IotaData:
     if not cands:
         print("no almost involution exists for this complex", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-    return cands[index or 0]
+    if not 0 <= index < len(cands):
+        print(f"involution index {index} out of range: this complex has "
+              f"{len(cands)} completions", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return cands[index]
+
+
+def _pick_iota(entry: cfk.CfkFile, index: int | None) -> IotaData:
+    if entry.iota is not None and index is None:
+        return entry.iota
+    return _select_iota(enumerate_almost_iotas(entry.complex), index or 0)
 
 
 def cmd_build(args) -> int:
@@ -68,7 +75,12 @@ def cmd_build(args) -> int:
     elif args.knot == "fig8":
         C = build_figure_eight()
     elif args.knot.startswith("cable:"):
-        C = build_cable(int(args.knot.split(":", 1)[1]))
+        try:
+            C = build_cable(int(args.knot.split(":", 1)[1]))
+        except ValueError:
+            print(f"bad knot {args.knot!r}: cable:<n> needs an integer "
+                  f"n >= 2", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(f"unknown knot {args.knot!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -163,7 +175,7 @@ def cmd_iota_enum(args) -> int:
     _require_valid(entry.complex)
     cands = enumerate_almost_iotas(entry.complex)
     if args.output is not None:
-        iota = _pick_iota(entry, args.index if args.index is not None else 0)
+        iota = _select_iota(cands, args.index or 0)
         _write_or_print(cfk.render_cfk(entry.complex, iota), args.output)
         return EXIT_OK
     if args.format == "records":

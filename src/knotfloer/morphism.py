@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .complexes import Complex, Element, _ideal_leq, add_term
 from .errors import ResourceError, StructuralError
@@ -463,35 +463,32 @@ def validate_iota(C: Complex, iota: IotaData) -> IotaReport:
 # -- exhaustive enumeration of almost involutions ---------------------------
 
 MAX_ENUM_GENERATORS = 64
+# Bound on the vertex cover of the cross-term graph: enumeration runs one
+# linear solve for each of the 2^|cover| assignments of the cover.
 MAX_ENUM_CLASSES_LOG2 = 26
 
 
-def _compose_bits(space_out: MapSpace, f: LinMap, g: LinMap) -> int:
-    return space_out.bits_from_map(f.compose(g))
+@dataclass(frozen=True)
+class _SquareSystem:
+    """The squared condition over homotopy classes of skew chain maps.
 
-
-def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
-    """All almost involutions of C, i.e. every mod-(U,V) action realized
-    by a skew-equivariant skew-graded chain map whose square is
-    equivariantly homotopic to 1 + Psi Phi.
-
-    The search walks homotopy classes of skew chain maps (the class
-    space is finite because monomials are grading-determined), tests the
-    squared condition per class, and reduces survivors mod (U,V).  The
-    reduction is a homotopy invariant on reduced complexes, so the
-    returned list is exactly the set of almost-involution actions that
-    lift; forced values like the ones on cable complexes emerge from the
-    enumeration rather than being assumed.
+    Class t in F2^q is the map with bits base_bits + sum of class_dirs[k]
+    over the k set in t.  Its square is homotopic to 1 + Psi Phi exactly
+    when z(t) = z0 + sum t_k lin[k] + sum_{k<l} t_k t_l cross[k, l] is zero,
+    a vector in the equivariant (0,0) slot reduced modulo boundaries.
     """
-    if len(C.basis) > MAX_ENUM_GENERATORS:
-        raise ResourceError(
-            f"basis of size {len(C.basis)} exceeds the enumeration limit "
-            f"{MAX_ENUM_GENERATORS}", len(C.basis))
-    if C.ring.kind != "zero":
-        raise StructuralError("enumeration needs the full coefficient ring")
-    if not C.is_reduced:
-        raise StructuralError("enumeration is defined for reduced complexes")
 
+    iota_space: MapSpace
+    base_bits: int
+    class_dirs: tuple[int, ...]
+    z0: int
+    lin: tuple[int, ...]
+    cross: Mapping[tuple[int, int], int]  # keys k < l, nonzero terms only
+
+
+def _square_system(C: Complex) -> _SquareSystem | None:
+    """The quadratic system of C, or None when no skew chain map meets
+    the forced unit coordinates."""
     cap = auto_cap(C)
     iota_space = MapSpace.build(C, C, "skew", (0, 0), C.ring, cap)
     u = iota_space.dim
@@ -529,7 +526,7 @@ def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
         system.add_equation(1 << ks[0], 1)
         system.add_equation(1 << back[0], 1)
     if not system.feasible:
-        return []
+        return None
     base_bits = system.particular_solution()
     null_basis = system.nullspace_basis()
 
@@ -542,9 +539,6 @@ def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
     b_rows, b_pivots = rref_basis(boundary_vecs)
     class_dirs = complement_basis(b_rows, b_pivots, null_basis)
     q = len(class_dirs)
-    if q > MAX_ENUM_CLASSES_LOG2:
-        raise ResourceError(
-            f"2^{q} homotopy classes exceed the enumeration budget", q)
 
     # equivariant homotopy images, for the squared-condition membership test
     eq_slot = MapSpace.build(C, C, "eq", (0, 0), C.ring, cap)
@@ -566,39 +560,149 @@ def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
         eq_slot.bits_from_map(one_plus_psi_phi(C)), eqb_rows, eqb_pivots)
 
     z0 = reduced_square_vec(base_map, base_map) ^ target
-    lin = [reduced_square_vec(base_map, dirs[k])
-           ^ reduced_square_vec(dirs[k], dirs[k]) for k in range(q)]
-    cross_nonzero: list[list[tuple[int, int]]] = [[] for _ in range(q)]
+    lin = tuple(reduced_square_vec(base_map, dirs[k])
+                ^ reduced_square_vec(dirs[k], dirs[k]) for k in range(q))
+    cross: dict[tuple[int, int], int] = {}
     for k in range(q):
         for l in range(k + 1, q):
             v = reduced_square_vec(dirs[k], dirs[l])
             if v:
-                cross_nonzero[l].append((k, v))
-                cross_nonzero[k].append((l, v))
+                cross[(k, l)] = v
+    return _SquareSystem(iota_space, base_bits, tuple(class_dirs), z0, lin,
+                         cross)
 
-    # Gray-code walk over all 2^q classes, with incremental cross terms
-    found_bits: list[int] = []
-    z = z0
-    W = [0] * q
-    t_bits = 0
-    if z == 0:
-        found_bits.append(0)
-    for step in range(1, 1 << q):
-        j = (step & -step).bit_length() - 1
-        z ^= lin[j] ^ W[j]
-        t_bits ^= 1 << j
-        for k, v in cross_nonzero[j]:
-            W[k] ^= v
-        if z == 0:
-            found_bits.append(t_bits)
 
-    seen: dict[str, IotaData] = {}
-    for tb in found_bits:
-        bits = base_bits
-        for k in bits_of(tb):
-            bits ^= class_dirs[k]
-        full = iota_space.map_from_bits(bits)
-        reduced = full.reduce_to(Ideal.max_ideal())
-        data = IotaData(reduced, "almost")
-        seen.setdefault(data.render(), data)
-    return [seen[k] for k in sorted(seen)]
+def _vertex_cover(q: int, edges) -> list[int]:
+    """Greedy vertex cover of a graph on 0..q-1, in ascending order.
+
+    Repeatedly takes a vertex of highest remaining degree, the lowest
+    index on ties, so the cover does not depend on iteration order.
+    """
+    left = set(edges)
+    cover = []
+    while left:
+        degree = [0] * q
+        for k, l in left:
+            degree[k] += 1
+            degree[l] += 1
+        v = max(range(q), key=lambda k: (degree[k], -k))
+        cover.append(v)
+        left = {e for e in left if v not in e}
+    return sorted(cover)
+
+
+def _spread(x: int, positions: list[int]) -> int:
+    """Move bit i of x to bit positions[i]."""
+    out = 0
+    for i in bits_of(x):
+        out |= 1 << positions[i]
+    return out
+
+
+def _square_solutions(
+        system: _SquareSystem) -> Iterator[tuple[int, list[int]]]:
+    """Every class t with z(t) = 0, as affine spaces (t0, null basis).
+
+    No cross term joins two variables outside a vertex cover S, so fixing
+    t on S leaves z linear in the rest: each of the 2^|S| assignments is
+    one GF2System solve.
+    """
+    q = len(system.lin)
+    cover = _vertex_cover(q, system.cross)
+    if len(cover) > MAX_ENUM_CLASSES_LOG2:
+        raise ResourceError(
+            f"cross terms need a vertex cover of {len(cover)} of the {q} "
+            f"class variables; 2^{len(cover)} linear solves exceed the "
+            f"enumeration budget", len(cover))
+    in_cover = set(cover)
+    free = [k for k in range(q) if k not in in_cover]
+    touching: dict[int, list[tuple[int, int]]] = {k: [] for k in free}
+    inner: list[tuple[int, int, int]] = []
+    for (k, l), v in system.cross.items():
+        if k in in_cover and l in in_cover:
+            inner.append((k, l, v))
+        elif k in in_cover:
+            touching[l].append((k, v))
+        else:
+            touching[k].append((l, v))
+
+    for assignment in range(1 << len(cover)):
+        fixed = _spread(assignment, cover)
+        const = system.z0
+        for k in bits_of(fixed):
+            const ^= system.lin[k]
+        for k, l, v in inner:
+            if (fixed >> k) & (fixed >> l) & 1:
+                const ^= v
+        rows: dict[int, int] = dict.fromkeys(bits_of(const), 0)
+        for i, k in enumerate(free):
+            col = system.lin[k]
+            for l, v in touching[k]:
+                if (fixed >> l) & 1:
+                    col ^= v
+            for t in bits_of(col):
+                rows[t] = rows.get(t, 0) | (1 << i)
+        solver = GF2System(len(free))
+        for t, row in rows.items():
+            if not solver.add_equation(row, (const >> t) & 1):
+                break
+        else:
+            x0, null = solver.solution_space()
+            yield fixed | _spread(x0, free), [_spread(v, free) for v in null]
+
+
+def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
+    """All almost involutions of C, i.e. every mod-(U,V) action realized
+    by a skew-equivariant skew-graded chain map whose square is
+    equivariantly homotopic to 1 + Psi Phi.
+
+    Homotopy classes of skew chain maps form a finite F2 space (monomials
+    are grading-determined), and the squared condition is a quadratic
+    system over it.  Its cross terms all touch a small greedy vertex
+    cover; for each assignment of the cover the system is linear in the
+    other class variables and is solved exactly, giving an affine space
+    of solutions or none.  Each space is mapped to iota coordinates and
+    projected onto the unit monomials, which is the reduction mod (U,V);
+    every point of the projected span is collected.  The reduction is a
+    homotopy invariant on reduced complexes, so the returned list, sorted
+    by rendering, is exactly the set of almost-involution actions that
+    lift; forced values like the ones on cable complexes emerge from the
+    enumeration rather than being assumed.
+    """
+    if len(C.basis) > MAX_ENUM_GENERATORS:
+        raise ResourceError(
+            f"basis of size {len(C.basis)} exceeds the enumeration limit "
+            f"{MAX_ENUM_GENERATORS}", len(C.basis))
+    if C.ring.kind != "zero":
+        raise StructuralError("enumeration needs the full coefficient ring")
+    if not C.is_reduced:
+        raise StructuralError("enumeration is defined for reduced complexes")
+
+    system = _square_system(C)
+    if system is None:
+        return []
+    space = system.iota_space
+    mask = 0
+    for k, (_, _, m) in enumerate(space.pairs):
+        if m.i == 0 and m.j == 0:
+            mask |= 1 << k
+    unit_dirs = [d & mask for d in system.class_dirs]
+
+    def project(t: int) -> int:
+        bits = 0
+        for k in bits_of(t):
+            bits ^= unit_dirs[k]
+        return bits
+
+    found: set[int] = set()
+    for t0, null in _square_solutions(system):
+        points = {(system.base_bits & mask) ^ project(t0)}
+        for v in null:
+            step = project(v)
+            points |= {p ^ step for p in points}
+        found |= points
+    max_ideal = Ideal.max_ideal()
+    out = [IotaData(space.map_from_bits(bits).reduce_to(max_ideal), "almost")
+           for bits in found]
+    out.sort(key=IotaData.render)
+    return out

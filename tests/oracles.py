@@ -6,11 +6,14 @@ plain F2 Gaussian elimination and recovers the summand multiset from
 ranks of powers of U acting on homology.  The localization-rank oracle
 row-reduces over the fraction field F2(U) with fraction-free
 cross-multiplication, representing F2[U] polynomials as int bitmasks.
+The almost-involution oracle walks every homotopy class of the squared
+condition instead of solving it over a vertex cover.
 """
 
 from __future__ import annotations
 
 from knotfloer.complexes import Complex
+from knotfloer.morphism import IotaData
 from knotfloer.ring import Ideal
 
 
@@ -215,3 +218,50 @@ def fraction_field_rank(C: Complex) -> int:
 def locality_rank_oracle(C: Complex) -> int:
     """Tower count via rank over the fraction field: n - 2 rank."""
     return len(C.basis) - 2 * fraction_field_rank(C)
+
+
+# -- almost involutions by a Gray-code walk over every class ---------------
+
+def gray_walk_solutions(z0, lin, cross):
+    """Every class t in F2^q with z(t) = 0, walking all 2^q classes.
+
+    z(t) = z0 + sum t_k lin[k] + sum_{k<l} t_k t_l cross[k, l]; a Gray
+    code flips one t_j per step, and W[j] keeps the cross terms that the
+    next flip of t_j adds, so each step costs one vector XOR per
+    neighbour of j.  The exhaustive search of Bouillaguet et al., "Fast
+    exhaustive search for polynomial systems in F2".
+    """
+    q = len(lin)
+    neighbours = [[] for _ in range(q)]
+    for (k, l), v in cross.items():
+        neighbours[k].append((l, v))
+        neighbours[l].append((k, v))
+    found = []
+    z = z0
+    W = [0] * q
+    t = 0
+    if z == 0:
+        found.append(0)
+    for step in range(1, 1 << q):
+        j = (step & -step).bit_length() - 1
+        z ^= lin[j] ^ W[j]
+        t ^= 1 << j
+        for k, v in neighbours[j]:
+            W[k] ^= v
+        if z == 0:
+            found.append(t)
+    return found
+
+
+def gray_walk_almost_iotas(system, solutions):
+    """The sorted almost involutions of the given solution classes."""
+    seen = {}
+    for t in solutions:
+        bits = system.base_bits
+        for k, d in enumerate(system.class_dirs):
+            if (t >> k) & 1:
+                bits ^= d
+        full = system.iota_space.map_from_bits(bits)
+        data = IotaData(full.reduce_to(Ideal.max_ideal()), "almost")
+        seen.setdefault(data.render(), data)
+    return [seen[k] for k in sorted(seen)]

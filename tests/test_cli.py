@@ -163,3 +163,45 @@ def test_output_byte_identical_across_runs(tmp_path, capsys):
     _, out1, _ = run(capsys, "homology", str(a))
     _, out2, _ = run(capsys, "homology", str(b))
     assert out1 == out2
+
+
+@pytest.mark.parametrize("knot", ["cable:x", "cable:1"])
+def test_bad_cable_parameter_exit_2(tmp_path, capsys, knot):
+    out = tmp_path / "k.cfk"
+    code, _, err = run(capsys, "build", "--knot", knot, "-o", str(out))
+    assert code == 2
+    assert err.count("\n") == 1 and "n >= 2" in err
+    assert not out.exists()
+
+
+def test_iota_index_out_of_range_exit_2(tmp_path, capsys):
+    k2 = tmp_path / "k2.cfk"
+    out = tmp_path / "k2i.cfk"
+    run(capsys, "build", "--knot", "cable:2", "-o", str(k2))
+    code, _, err = run(capsys, "iota-enum", str(k2), "--index", "7",
+                       "-o", str(out))
+    assert code == 2
+    assert err == ("involution index 7 out of range: this complex has "
+                   "2 completions\n")
+    assert not out.exists()
+    code, _, err = run(capsys, "connected", str(k2), "--iota-index", "7")
+    assert code == 2 and "out of range" in err
+
+
+def test_iota_enum_output_enumerates_once(tmp_path, capsys, monkeypatch):
+    import knotfloer.cli as cli
+    calls = []
+    real = cli.enumerate_almost_iotas
+
+    def counting(C):
+        calls.append(C)
+        return real(C)
+
+    monkeypatch.setattr(cli, "enumerate_almost_iotas", counting)
+    k2 = tmp_path / "k2.cfk"
+    out = tmp_path / "k2i.cfk"
+    run(capsys, "build", "--knot", "cable:2", "-o", str(k2))
+    code, _, _ = run(capsys, "iota-enum", str(k2), "--index", "1",
+                     "-o", str(out))
+    assert code == 0 and len(calls) == 1
+    assert "iota" in out.read_text()

@@ -1,19 +1,25 @@
 """Chain maps, derivative maps, homotopies, and involution enumeration."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from conftest import random_reduced_complex
-from knotfloer.complexes import Complex, quotient
+from knotfloer.complexes import Complex, dualize, quotient
 from knotfloer.errors import ResourceError, StructuralError
-from knotfloer.knotlib import build_cable, forced_iota_constraints
-from knotfloer.morphism import (IotaData, LinMap, MapSpace, auto_cap,
-                                chain_defect, derivative_maps,
-                                enumerate_almost_iotas, identity_map,
-                                is_chain_map, solve_homotopy, validate_iota,
-                                zero_map)
+from knotfloer.knotlib import (build_cable, build_figure_eight, build_unknot,
+                               forced_iota_constraints)
+from knotfloer.morphism import (IotaData, LinMap, MapSpace, _square_solutions,
+                                _square_system, auto_cap, chain_defect,
+                                derivative_maps, enumerate_almost_iotas,
+                                identity_map, is_chain_map, solve_homotopy,
+                                validate_iota, zero_map)
 from knotfloer.ring import Ideal, Mono, RingElt
+from knotfloer.tensorsum import tensor
+from oracles import gray_walk_almost_iotas, gray_walk_solutions
 
 U, V = RingElt.mono(1, 0), RingElt.mono(0, 1)
 ONE = RingElt.one()
@@ -249,6 +255,66 @@ def test_enumeration_size_guard():
     big = Complex([Generator(f"x{k}", 0, 0) for k in range(65)], {})
     with pytest.raises(ResourceError):
         enumerate_almost_iotas(big)
+
+
+ORACLE_COMPLEXES = {
+    "unknot": build_unknot,
+    "fig8": build_figure_eight,
+    "fig8*": lambda: dualize(build_figure_eight()),
+    "cable2": lambda: build_cable(2),
+    "cable3": lambda: build_cable(3),
+    "cable4": lambda: build_cable(4),
+    "cable2*": lambda: dualize(build_cable(2)),
+    "cable3*": lambda: dualize(build_cable(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_COMPLEXES))
+def test_cover_solve_matches_gray_walk(name):
+    C = ORACLE_COMPLEXES[name]()
+    system = _square_system(C)
+    walk = set(gray_walk_solutions(system.z0, system.lin, system.cross))
+    solved = set()
+    for t0, null in _square_solutions(system):
+        points = {t0}
+        for v in null:
+            points |= {p ^ v for p in points}
+        solved |= points
+    assert solved == walk
+    assert enumerate_almost_iotas(C) == gray_walk_almost_iotas(system, walk)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cable_completion_count(n):
+    C = build_cable(n)
+    cands = enumerate_almost_iotas(C)
+    assert len(cands) == 2 ** (n - 1)
+    for data in cands:
+        for gen, targets in forced_iota_constraints(n):
+            assert set(data.map.of_gen(gen)) == set(targets)
+        assert validate_iota(C, data).ok
+
+
+def test_fig8_square_exceeds_cover_budget():
+    T = tensor(build_figure_eight(), build_figure_eight())
+    with pytest.raises(ResourceError, match="vertex cover of 33 ") as err:
+        enumerate_almost_iotas(T)
+    assert err.value.size == 33
+
+
+def test_enumeration_independent_of_hash_seed():
+    script = ("from knotfloer import build_cable, enumerate_almost_iotas\n"
+              "for n in (2, 3, 4):\n"
+              "    for d in enumerate_almost_iotas(build_cable(n)):\n"
+              "        print(d.render())\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True,
+                                   check=True, timeout=120).stdout)
+    assert outs[0] == outs[1] and outs[0].count("iota a = a") == 14
 
 
 def test_auto_cap_covers_gradings(k3):
