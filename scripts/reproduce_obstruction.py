@@ -8,9 +8,10 @@ Everything is exact; nonexistence lines are certificates over the whole
 grading-complete search space, quantified over all involution
 completions.
 
-Involutions are enumerated for every cable up to --max-n; values up to
-6 enumerate in seconds (cable 6 has 32 completions).  The local-map
-decisions and the connected complexes cover cables 2 and 3.
+Every step covers each cable up to --max-n: involutions (cable 6 has 32
+completions), the decisions cable n -> cable n-1 and back, and the
+connected complex and bound of each completion.  --max-n 5 runs in about
+10 s and --max-n 6 in about 35 s on one core.
 
 Usage:
   python scripts/reproduce_obstruction.py [--max-n 3]
@@ -66,14 +67,12 @@ def main() -> None:
 
     decide(unknot, cables[2], "unknot -> cable 2")
     decide(cables[2], unknot, "cable 2 -> unknot")
-    if 3 in cables:
-        decide(cables[3], cables[2], "cable 3 -> cable 2")
-        decide(cables[2], cables[3], "cable 2 -> cable 3")
+    for n in range(3, args.max_n + 1):
+        decide(cables[n], cables[n - 1], f"cable {n} -> cable {n - 1}")
+        decide(cables[n - 1], cables[n], f"cable {n - 1} -> cable {n}")
 
     print("\n== connected complexes and unknotting bounds ==")
     for n, C in cables.items():
-        if n > 3:
-            break
         for k, io in enumerate(iotas[n]):
             t0 = time.time()
             conn = connected_complex(C, io)

@@ -33,7 +33,27 @@ def _load(path: str) -> cfk.CfkFile:
             text = fh.read()
     except OSError as err:
         raise CfkParseError(f"cannot read {path}: {err.strerror}", 0) from None
+    except UnicodeDecodeError:
+        raise CfkParseError(f"cannot read {path}: not UTF-8 text", 0) from None
     return cfk.parse_cfk(text)
+
+
+def _cap(text: str) -> int | None:
+    """An exponent cap: an integer, or 'auto' (None) for the computed one."""
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an integer, got {text!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line on stderr, exit code 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -199,9 +219,8 @@ def cmd_search_local(args) -> int:
     b = _load(args.file_b)
     _require_valid(a.complex)
     _require_valid(b.complex)
-    cap = None if args.cap == "auto" else int(args.cap)
     spec = LocalSearchSpec((a.complex, a.iota), (b.complex, b.iota),
-                           mode=args.mode, cap=cap, budget=args.budget)
+                           mode=args.mode, cap=args.cap, budget=args.budget)
     cert = search_local_map(spec)
     if cert.exists:
         text = cfk.render_map_file(cert.found, "local")
@@ -246,7 +265,7 @@ def cmd_bound(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="knotfloer",
         description="exact involutive bigraded complex calculator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -304,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--mode", choices=("almost", "local"), default="almost")
-    p.add_argument("--cap", default="auto")
+    p.add_argument("--cap", type=_cap, default="auto")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("-o", "--output")
     fmt(p)

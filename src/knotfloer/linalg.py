@@ -3,7 +3,9 @@
 Two workhorses live here:
 
 * GF2System -- incremental reduced-row-echelon solver for affine systems
-  A x = b over F2, with rows stored as Python ints (bit k = unknown k).
+  A x = b over F2, with rows stored as Python ints (bit k = unknown k);
+  AffineSpace parameterizes its solution set and rewrites further
+  constraints in the parameters.
 
 * UMat -- a matrix over F2[U] that is homogeneous for given row/column
   gradings.  Homogeneity forces every entry to be a single monomial
@@ -46,38 +48,34 @@ class GF2System:
         other.feasible = self.feasible
         return other
 
-    def _reduce(self, aug: int) -> int:
-        for piv, row in zip(self.pivots, self.rows):
-            if (aug >> piv) & 1:
-                aug ^= row
-        return aug
-
     def add_equation(self, row: int, rhs: int) -> bool:
         """Add `row . x = rhs`; returns current feasibility."""
-        aug = self._reduce(row | (rhs << self.width))
-        if aug == 0:
-            return self.feasible
+        aug = reduce_mod_span(row | (rhs << self.width), self.rows, self.pivots)
         if aug == 1 << self.width:
             self.feasible = False
             return False
-        piv = (aug & ((1 << self.width) - 1)).bit_length() - 1
-        if piv < 0:
-            self.feasible = False
-            return False
-        # keep full reduction: clear this pivot from existing rows
-        for k, r in enumerate(self.rows):
-            if (r >> piv) & 1:
-                self.rows[k] = r ^ aug
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] > piv:
-            idx += 1
-        self.rows.insert(idx, aug)
-        self.pivots.insert(idx, piv)
+        if aug:
+            # the pivot is the leading unknown, never the rhs bit
+            piv = (aug & ((1 << self.width) - 1)).bit_length() - 1
+            _echelon_insert(self.rows, self.pivots, aug, piv)
         return self.feasible
 
     def add_equations(self, eqs) -> bool:
         for row, rhs in eqs:
             self.add_equation(row, rhs)
+        return self.feasible
+
+    def add_columns(self, columns: list[int], rhs: int = 0) -> bool:
+        """Add `M x = rhs` for the matrix M whose k-th column is columns[k].
+
+        Stops at the first inconsistent equation; returns feasibility.
+        """
+        rows = transpose(columns)
+        for t in bits_of(rhs):
+            rows.setdefault(t, 0)
+        for t, row in rows.items():
+            if not self.add_equation(row, (rhs >> t) & 1):
+                return False
         return self.feasible
 
     @property
@@ -112,25 +110,39 @@ class GF2System:
         return self.particular_solution(), self.nullspace_basis()
 
 
+def transpose(columns: list[int]) -> dict[int, int]:
+    """Nonzero rows of the matrix whose k-th column is columns[k],
+    keyed by row index (bit k of a row = entry in column k)."""
+    rows: dict[int, int] = {}
+    for k, col in enumerate(columns):
+        bit = 1 << k
+        for t in bits_of(col):
+            rows[t] = rows.get(t, 0) | bit
+    return rows
+
+
+def _echelon_insert(rows: list[int], pivots: list[int], v: int,
+                    piv: int) -> None:
+    """Insert v, already reduced by rows, with pivot bit piv; keeps the
+    basis fully reduced and sorted by descending pivot."""
+    for k, r in enumerate(rows):
+        if (r >> piv) & 1:
+            rows[k] = r ^ v
+    idx = 0
+    while idx < len(pivots) and pivots[idx] > piv:
+        idx += 1
+    rows.insert(idx, v)
+    pivots.insert(idx, piv)
+
+
 def rref_basis(vectors: list[int]) -> tuple[list[int], list[int]]:
     """Reduced basis of the span of `vectors`; returns (rows, pivots)."""
     rows: list[int] = []
     pivots: list[int] = []
     for v in vectors:
-        for piv, row in zip(pivots, rows):
-            if (v >> piv) & 1:
-                v ^= row
-        if v == 0:
-            continue
-        piv = v.bit_length() - 1
-        for k, r in enumerate(rows):
-            if (r >> piv) & 1:
-                rows[k] = r ^ v
-        idx = 0
-        while idx < len(pivots) and pivots[idx] > piv:
-            idx += 1
-        rows.insert(idx, v)
-        pivots.insert(idx, piv)
+        v = reduce_mod_span(v, rows, pivots)
+        if v:
+            _echelon_insert(rows, pivots, v, v.bit_length() - 1)
     return rows, pivots
 
 
@@ -149,19 +161,36 @@ def complement_basis(sub_rows: list[int], sub_pivots: list[int],
     comp = []
     for v in space:
         red = reduce_mod_span(v, rows, pivots)
-        if red == 0:
-            continue
-        comp.append(red)
-        piv = red.bit_length() - 1
-        for k, r in enumerate(rows):
-            if (r >> piv) & 1:
-                rows[k] = r ^ red
-        idx = 0
-        while idx < len(pivots) and pivots[idx] > piv:
-            idx += 1
-        rows.insert(idx, red)
-        pivots.insert(idx, piv)
+        if red:
+            comp.append(red)
+            _echelon_insert(rows, pivots, red, red.bit_length() - 1)
     return comp
+
+
+class AffineSpace:
+    """The points x = particular + sum of t_i null[i] over F2.
+
+    Translates a constraint on x into one on the parameters t through one
+    transposed table of the null basis, and maps parameters back to x.
+    """
+
+    def __init__(self, particular: int, null: list[int]):
+        self.particular = particular
+        self.null = null
+        self._by_unknown = transpose(null)  # unknown k -> the i with bit k
+
+    def point(self, t: int) -> int:
+        x = self.particular
+        for i in bits_of(t):
+            x ^= self.null[i]
+        return x
+
+    def constraint(self, row: int) -> tuple[int, int]:
+        """(t-row, rhs) with t-row . t = rhs equivalent to row . x = 0."""
+        trow = 0
+        for k in bits_of(row):
+            trow ^= self._by_unknown.get(k, 0)
+        return trow, (row & self.particular).bit_count() & 1
 
 
 class UMat:
@@ -210,12 +239,6 @@ class UMat:
 
     def get(self, r: int, c: int) -> bool:
         return bool((self.rows[r] >> c) & 1)
-
-    def check(self) -> None:
-        for r, row in enumerate(self.rows):
-            for c in bits_of(row):
-                if self.entry_degree(r, c) is None:
-                    raise ValueError(f"ungraded entry at ({r},{c})")
 
     def mul(self, other: "UMat") -> "UMat":
         if self.col_gr != other.row_gr:
@@ -357,23 +380,3 @@ def kernel_basis(A: UMat) -> UMat:
                 bits |= 1 << idx
         out.rows[r] = bits
     return out
-
-
-def solve_in_summand(K: UMat, G: UMat) -> UMat:
-    """Solve K X = G where K's columns span a direct summand.
-
-    Requires every invariant factor of K to be a unit; raises otherwise.
-    """
-    snf = smith_form(K)
-    if snf.rank != K.ncols or any(d != 0 for d in snf.diag_degrees):
-        raise ValueError("matrix columns do not span a direct summand")
-    PG = snf.P.mul(G)
-    X = UMat(K.col_gr, G.col_gr)
-    # X = Q * (first ncols rows of P G)
-    top = UMat(snf.D.row_gr[:K.ncols], G.col_gr, PG.rows[:K.ncols])
-    QX = snf.Q.mul(top)
-    X.rows = QX.rows
-    X.row_gr = QX.row_gr
-    if K.mul(X).rows != G.rows:
-        raise ValueError("no exact solution: columns not in the summand")
-    return X

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .complexes import Complex, Element, add_term
 from .errors import ResourceError, StructuralError
 from .homology import UHomology, hfk_minus, torsion_order
-from .linalg import GF2System, bits_of, rref_basis
+from .linalg import (AffineSpace, GF2System, bits_of, reduce_mod_span,
+                     rref_basis, transpose)
 from .morphism import (IotaData, LinMap, MapSpace, auto_cap, chain_defect,
                        enumerate_almost_iotas, solve_homotopy, validate_iota)
 from .ring import Ideal, Mono, RingElt
@@ -138,6 +139,36 @@ def _locality_bit(f: LinMap, src_elt: Element, grading: int,
     return tgt_hom.tower_unit_coefficient(vec)
 
 
+def _locality_equation(fspace: MapSpace, family: AffineSpace,
+                       src_elt: Element, grading: int,
+                       tgt_hom: UHomology) -> tuple[int, int]:
+    """(t-row, rhs): the members of a family of chain maps in fspace
+    whose `_locality_bit` is 1.
+
+    The image of the tower generator mod V is linear in the map: each
+    basis map (x, y, m) adds y once per term of the generator's
+    coefficient on x that stays outside (V) after multiplying by m.
+    """
+    names = fspace.target.names()
+    images = []
+    for x, y, m in fspace.pairs:
+        hits = sum(1 for c in src_elt.get(x, ()) if c.j + m.j == 0)
+        images.append(1 << fspace.target.index(y) if hits % 2 else 0)
+
+    def locality(bits: int) -> int:
+        vec = 0
+        for k in bits_of(bits & ((1 << fspace.dim) - 1)):
+            vec ^= images[k]
+        image = {names[t]: RingElt.one() for t in bits_of(vec)}
+        return int(tgt_hom.tower_unit_coefficient(
+            tgt_hom.vector_from_element(image, grading)))
+
+    row = 0
+    for idx, v in enumerate(family.null):
+        row |= locality(v) << idx
+    return row, 1 ^ locality(family.particular)
+
+
 def _iota_candidates(C: Complex, data: IotaInput, mode: str) -> list[IotaData]:
     if data is None:
         if mode != "almost":
@@ -158,35 +189,19 @@ def _iota_candidates(C: Complex, data: IotaInput, mode: str) -> list[IotaData]:
     return out
 
 
-class _AffineSearch:
-    """Affine solution set of the linear part, parameterized over F2^q."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.system = GF2System(width)
-
-    def add_columns(self, columns: list[int], nslots: int, rhs_vec: int = 0):
-        rows: dict[int, int] = {}
-        for k, col in enumerate(columns):
-            for t in bits_of(col):
-                rows[t] = rows.get(t, 0) | (1 << k)
-        for t in range(nslots):
-            self.system.add_equation(rows.get(t, 0), (rhs_vec >> t) & 1)
-        return self.system.feasible
-
-    def solve(self) -> tuple[int, list[int]] | None:
-        if not self.system.feasible:
-            return None
-        return self.system.solution_space()
-
-
 def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     """Decide existence of a (almost) local map, or produce a certificate.
 
-    The procedure solves the chain-map equations, intersects with the
-    intertwining condition for each involution pair, then restricts to
-    candidates carrying the tower class to a tower generator.  Any
-    found map is re-verified from scratch before being returned.
+    Stage 1 solves the chain-map equations, whose columns come from the
+    map space's d-commutator operator, into an affine family of chain
+    maps.  The intertwining condition u i1 + i2 u splits as A(i1) + B(i2)
+    with A the precomposition and B the postcomposition operator, so A
+    is assembled once per source completion and B once per target
+    completion, and each involution pair adds the rows of A + B,
+    translated into the family's parameters.  The locality equation
+    (the tower class goes to a tower generator) is linear on the family
+    and closes the system.  Any found map is re-verified from scratch
+    through composed maps before being returned.
     """
     src, src_iota_in = spec.source
     tgt, tgt_iota_in = spec.target
@@ -217,102 +232,62 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
 
     # stage 1: chain-map equations on f
     chain_slot = MapSpace.build(src, tgt, "eq", (-1, -1), ideal, cap)
-    base = _AffineSearch(width)
-    cols = []
-    for k in range(fspace.dim):
-        unit = fspace.map_from_bits(1 << k)
-        cols.append(chain_slot.bits_from_map(chain_defect(unit)))
-    cols += [0] * (width - fspace.dim)
+    base = GF2System(width)
     n_equations = chain_slot.dim
-    if not base.add_columns(cols, chain_slot.dim):
+    if not base.add_columns(fspace.d_commutator_columns(chain_slot)):
         return LocalCertificate(token=NonexistenceToken(
             width, n_equations, cap, 0, spec.mode))
-
-    solved = base.solve()
-    particular, null_basis = solved
+    family = AffineSpace(*base.solution_space())
     fmask = (1 << fspace.dim) - 1
 
     # locality, evaluated on the affine parameterization (each basis
     # vector is a chain map, so its image class is defined)
     src_elt, src_grading = _tower_element(src_hom)
-    can_evaluate_locality = spec.ideal_override is None
+    locality = None
+    if spec.ideal_override is None:
+        locality = _locality_equation(fspace, family, src_elt, src_grading,
+                                      tgt_hom)
 
-    def locality_of(bits: int) -> bool:
-        f = fspace.map_from_bits(bits & fmask)
-        return _locality_bit(f, src_elt, src_grading, tgt_hom)
-
-    if can_evaluate_locality:
-        loc_p = locality_of(particular)
-        loc_n = [locality_of(v) for v in null_basis]
-
-    # intertwining slots
+    # intertwining: A(i1) = u -> u i1 and B(i2) = u -> i2 u on f, plus the
+    # homotopy term d H + H d in local mode
     if spec.mode == "almost":
         int_slot = MapSpace.build(src, tgt, "skew", (0, 0),
                                   Ideal.max_ideal(), cap)
     else:
         int_slot = MapSpace.build(src, tgt, "skew", (0, 0), src.ring, cap)
+    h_cols = hspace.d_commutator_columns(int_slot) if hspace else []
+    post_cols: dict[int, list[int]] = {}
 
-    def intertwine_columns(i1: IotaData, i2: IotaData) -> list[int]:
-        cols = []
-        for k in range(fspace.dim):
-            unit = fspace.map_from_bits(1 << k)
-            if spec.mode == "almost":
-                u = unit.reduce_to(Ideal.max_ideal())
-                defect = u.compose(i1.map) + i2.map.compose(u)
-            else:
-                defect = unit.compose(i1.map) + i2.map.compose(unit)
-            cols.append(int_slot.bits_from_map(defect))
-        if hspace is not None:
-            for k in range(hspace.dim):
-                H = hspace.map_from_bits(1 << k)
-                cols.append(int_slot.bits_from_map(chain_defect(H)))
-        return cols
-
-    pairs = [(i1, i2) for i1 in src_iotas for i2 in tgt_iotas]
-    n_unknowns_total = width
-    for (i1, i2) in pairs:
-        inner = GF2System(len(null_basis))
-        cols = intertwine_columns(i1, i2)
-        # translate raw intertwining rows into the t-parameter space
-        raw_rows: dict[int, int] = {}
-        for k, col in enumerate(cols):
-            for t in bits_of(col):
-                raw_rows[t] = raw_rows.get(t, 0) | (1 << k)
-        feasible = True
-        for t, raw in raw_rows.items():
-            trow = 0
-            for idx, nv in enumerate(null_basis):
-                if bin(raw & nv).count("1") % 2:
-                    trow |= 1 << idx
-            rhs = bin(raw & particular).count("1") % 2
-            if not inner.add_equation(trow, rhs):
-                feasible = False
-                break
-        n_equations += len(raw_rows)
-        if feasible and can_evaluate_locality:
-            lrow = 0
-            for idx in range(len(null_basis)):
-                if loc_n[idx]:
-                    lrow |= 1 << idx
-            feasible = inner.add_equation(lrow, 1 ^ loc_p)
-        if not feasible:
-            continue
-        t_bits = inner.particular_solution()
-        bits = particular
-        for idx in bits_of(t_bits):
-            bits ^= null_basis[idx]
-        f = fspace.map_from_bits(bits & fmask)
-        witness = None
-        if hspace is not None:
-            witness = hspace.map_from_bits(bits >> fspace.dim)
-        ok, witness = _verify_found(f, witness, i1, i2, spec, tgt_hom,
-                                    src_elt, src_grading)
-        if not ok:
-            raise StructuralError("solver produced a map that fails "
-                                  "re-verification")
-        return LocalCertificate(found=f, witness=witness, iota_pair=(i1, i2))
+    n_pairs = len(src_iotas) * len(tgt_iotas)
+    for i1 in src_iotas:
+        pre = fspace.precompose_columns(i1.map, int_slot)
+        for n2, i2 in enumerate(tgt_iotas):
+            if n2 not in post_cols:
+                post_cols[n2] = fspace.postcompose_columns(i2.map, int_slot)
+            cols = [a ^ b for a, b in zip(pre, post_cols[n2])] + h_cols
+            raw_rows = transpose(cols)
+            n_equations += len(raw_rows)
+            inner = GF2System(len(family.null))
+            feasible = all(inner.add_equation(*family.constraint(raw))
+                           for raw in raw_rows.values())
+            if feasible and locality is not None:
+                feasible = inner.add_equation(*locality)
+            if not feasible:
+                continue
+            bits = family.point(inner.particular_solution())
+            f = fspace.map_from_bits(bits & fmask)
+            witness = None
+            if hspace is not None:
+                witness = hspace.map_from_bits(bits >> fspace.dim)
+            ok, witness = _verify_found(f, witness, i1, i2, spec, tgt_hom,
+                                        src_elt, src_grading)
+            if not ok:
+                raise StructuralError("solver produced a map that fails "
+                                      "re-verification")
+            return LocalCertificate(found=f, witness=witness,
+                                    iota_pair=(i1, i2))
     return LocalCertificate(token=NonexistenceToken(
-        n_unknowns_total, n_equations, cap, len(pairs), spec.mode))
+        width, n_equations, cap, n_pairs, spec.mode))
 
 
 def _verify_found(f: LinMap, witness: LinMap | None, i1: IotaData,
@@ -366,13 +341,7 @@ class KernelSpace:
         if self.terms != other.terms:
             raise StructuralError("kernel spaces over different truncations")
         rows, pivots = rref_basis(list(self.rows))
-        for v in other.rows:
-            for piv, row in zip(pivots, rows):
-                if (v >> piv) & 1:
-                    v ^= row
-            if v:
-                return False
-        return True
+        return not any(reduce_mod_span(v, rows, pivots) for v in other.rows)
 
 
 @dataclass(frozen=True)
@@ -403,12 +372,7 @@ def kernel_space(C: Complex, f: LinMap, cap: int) -> KernelSpace:
         columns.append(col)
     # nullspace of the truncated matrix
     sys = GF2System(len(terms))
-    rows: dict[int, int] = {}
-    for k, col in enumerate(columns):
-        for t in bits_of(col):
-            rows[t] = rows.get(t, 0) | (1 << k)
-    for row in rows.values():
-        sys.add_equation(row, 0)
+    sys.add_columns(columns)
     basis = sys.nullspace_basis()
     reduced, _ = rref_basis(basis)
     return KernelSpace(tuple(terms), tuple(sorted(reduced)))
@@ -441,61 +405,31 @@ class SelfLocalFamily:
         chain_slot = MapSpace.build(C, C, "eq", (-1, -1), C.ring, self.cap)
         int_slot = MapSpace.build(C, C, "skew", (0, 0), Ideal.max_ideal(),
                                   self.cap)
-        base = _AffineSearch(self.fspace.dim)
-        cols = []
-        icols = []
-        for k in range(self.fspace.dim):
-            unit = self.fspace.map_from_bits(1 << k)
-            cols.append(chain_slot.bits_from_map(chain_defect(unit)))
-            u = unit.reduce_to(Ideal.max_ideal())
-            icols.append(int_slot.bits_from_map(
-                u.compose(iota.map) + iota.map.compose(u)))
-        if not base.add_columns(cols, chain_slot.dim):
+        base = GF2System(self.fspace.dim)
+        if not base.add_columns(self.fspace.d_commutator_columns(chain_slot)):
             raise StructuralError("no chain maps at all; malformed complex")
-        base.add_columns(icols, int_slot.dim)
-        solved = base.solve()
-        if solved is None:
+        icols = zip(self.fspace.precompose_columns(iota.map, int_slot),
+                    self.fspace.postcompose_columns(iota.map, int_slot))
+        if not base.add_columns([a ^ b for a, b in icols]):
             raise StructuralError("no involution-intertwining chain maps")
-        self.particular, self.null_basis = solved
+        self.family = AffineSpace(*base.solution_space())
         src_elt, grading = _tower_element(self.hom)
-        self._tower = (src_elt, grading)
-
-        def loc(bits: int) -> bool:
-            f = self.fspace.map_from_bits(bits)
-            return _locality_bit(f, src_elt, grading, self.hom)
-
-        self.loc_p = loc(self.particular)
-        self.loc_n = [loc(v) for v in self.null_basis]
-        self.inner = GF2System(len(self.null_basis))
-        lrow = 0
-        for idx, bit in enumerate(self.loc_n):
-            if bit:
-                lrow |= 1 << idx
-        if not self.inner.add_equation(lrow, 1 ^ self.loc_p):
+        self.inner = GF2System(len(self.family.null))
+        if not self.inner.add_equation(*_locality_equation(
+                self.fspace, self.family, src_elt, grading, self.hom)):
             raise StructuralError("no self-local equivalence exists at all")
 
     def copy_inner(self) -> GF2System:
         return self.inner.copy()
 
     def bits_from_t(self, t_bits: int) -> int:
-        bits = self.particular
-        for idx in bits_of(t_bits):
-            bits ^= self.null_basis[idx]
-        return bits
+        return self.family.point(t_bits)
 
     def map_from_t(self, t_bits: int) -> LinMap:
         return self.fspace.map_from_bits(self.bits_from_t(t_bits))
 
-    def raw_constraint_to_t(self, raw_row: int) -> tuple[int, int]:
-        trow = 0
-        for idx, nv in enumerate(self.null_basis):
-            if bin(raw_row & nv).count("1") % 2:
-                trow |= 1 << idx
-        rhs = bin(raw_row & self.particular).count("1") % 2
-        return trow, rhs
-
     def free_dim(self, inner: GF2System) -> int:
-        return len(self.null_basis) - inner.rank
+        return len(self.family.null) - inner.rank
 
     @property
     def dimension(self) -> int:
@@ -508,17 +442,14 @@ class SelfLocalFamily:
         coefficient is the unit-monomial coordinate, an affine functional
         of the solution parameters, so constancy is decided exactly.
         """
-        key = (src, tgt, Mono(0, 0))
-        k0 = self.fspace.pair_index.get(key)
-        if k0 is None:
+        hit = self.fspace.pair_bits.get((src, tgt))
+        if hit is None or hit[1:] != (0, 0):
             return True, 0
+        bit = hit[0]
         t_part = self.inner.particular_solution()
-        value = (self.bits_from_t(t_part) >> k0) & 1
+        value = int(bool(self.bits_from_t(t_part) & bit))
         for w in self.inner.nullspace_basis():
-            raw = 0
-            for idx in bits_of(w):
-                raw ^= self.null_basis[idx]
-            if (raw >> k0) & 1:
+            if (self.family.point(w) ^ self.family.particular) & bit:
                 return False, value
         return True, value
 
@@ -613,15 +544,9 @@ def _kill_candidates(C: Complex, fspace: MapSpace, order: str):
     return cands
 
 
-def maximal_self_local_map(C: Complex, iota: IotaData,
-                           budget: int = DEFAULT_BUDGET,
-                           order: str = "forward") -> tuple[LinMap, KernelSpace, str]:
-    """Greedy kernel-maximal self-local equivalence.
-
-    Grows the kernel over a deterministic family of candidate vectors
-    until no candidate can be added; the certificate string records that
-    maximality is relative to the truncation and candidate family.
-    """
+def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
+                        order: str) -> tuple[LinMap, str]:
+    """The map and certificate note of `maximal_self_local_map`."""
     sls = SelfLocalFamily(C, iota, budget)
     inner = sls.copy_inner()
     candidates = _kill_candidates(C, sls.fspace, order)
@@ -635,7 +560,7 @@ def maximal_self_local_map(C: Complex, iota: IotaData,
             trial = inner.copy()
             ok = True
             for raw, rhs in rows:
-                trow, tr = sls.raw_constraint_to_t(raw)
+                trow, tr = sls.family.constraint(raw)
                 if not trial.add_equation(trow, tr ^ rhs):
                     ok = False
                     break
@@ -646,10 +571,22 @@ def maximal_self_local_map(C: Complex, iota: IotaData,
     f = sls.map_from_t(inner.particular_solution())
     if not verify_almost_local(f, iota, iota):
         raise StructuralError("maximal candidate fails re-verification")
-    ker = kernel_space(C, f, sls.cap)
     note = (f"maximal within cap {sls.cap} over "
             f"{len(candidates)} candidate vectors ({order} order)")
-    return f, ker, note
+    return f, note
+
+
+def maximal_self_local_map(C: Complex, iota: IotaData,
+                           budget: int = DEFAULT_BUDGET,
+                           order: str = "forward") -> tuple[LinMap, KernelSpace, str]:
+    """Greedy kernel-maximal self-local equivalence, with its kernel.
+
+    Grows the kernel over a deterministic family of candidate vectors
+    until no candidate can be added; the certificate string records that
+    maximality is relative to the truncation and candidate family.
+    """
+    f, note = _maximal_self_local(C, iota, budget, order)
+    return f, kernel_space(C, f, auto_cap(C)), note
 
 
 def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
@@ -721,23 +658,13 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
                     add_term(moved, gname, coeff.scale(mono))
                 shifted.append(vec_of_element(moved, terms, index))
         # pick image elements completing (U,V) * im inside this piece
-        rows, pivots = rref_basis(shifted)
+        span = GF2System(len(terms))
+        span.add_equations((v, 0) for v in shifted)
         for vec, elt in zip(vecs, elts):
-            v = vec
-            for piv, row in zip(pivots, rows):
-                if (v >> piv) & 1:
-                    v ^= row
-            if v == 0:
+            rank = span.rank
+            span.add_equation(vec, 0)
+            if span.rank == rank:
                 continue
-            piv = v.bit_length() - 1
-            for kdx, row in enumerate(rows):
-                if (row >> piv) & 1:
-                    rows[kdx] = row ^ v
-            idx = 0
-            while idx < len(pivots) and pivots[idx] > piv:
-                idx += 1
-            rows.insert(idx, v)
-            pivots.insert(idx, piv)
             label = None
             if len(elt) == 1:
                 (only_name, coeff), = elt.items()
@@ -775,13 +702,7 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
             unknown_cols.append(vec_of_element(moved, terms, index))
             unknown_meta.append((lbl2, m))
         sysq = GF2System(len(unknown_cols))
-        rows: dict[int, int] = {}
-        for k, col in enumerate(unknown_cols):
-            for t in bits_of(col):
-                rows[t] = rows.get(t, 0) | (1 << k)
-        for t in range(len(terms)):
-            sysq.add_equation(rows.get(t, 0), (target_vec >> t) & 1)
-        if not sysq.feasible:
+        if not sysq.add_columns(unknown_cols, target_vec):
             raise StructuralError("image is not closed under d in the "
                                   "computed generating set")
         sol = sysq.particular_solution()
@@ -797,8 +718,12 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
 def connected_complex(C: Complex, iota: IotaData,
                       budget: int = DEFAULT_BUDGET,
                       order: str = "forward") -> Complex:
-    """Image of a kernel-maximal self-local equivalence."""
-    f, _, note = maximal_self_local_map(C, iota, budget, order)
+    """Image of a kernel-maximal self-local equivalence.
+
+    Takes the map from the same greedy search as `maximal_self_local_map`
+    but never computes its kernel: the image is built from the map alone.
+    """
+    f, _ = _maximal_self_local(C, iota, budget, order)
     return image_complex(C, f, name=f"{C.name}_conn")
 
 

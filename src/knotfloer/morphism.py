@@ -269,9 +269,38 @@ def auto_cap(*complexes: Complex) -> int:
     return 1 + span // 2
 
 
+# A map given term by term: source gen -> [(target gen, U exp, V exp)].
+_Terms = dict[str, list[tuple[str, int, int]]]
+
+
+def _terms(rows) -> _Terms:
+    return {src: [(tgt, m.i, m.j) for tgt, coeff in row.items() for m in coeff]
+            for src, row in rows}
+
+
+def _preimages(terms: _Terms) -> _Terms:
+    """target gen -> [(source gen, U exp, V exp)] of the same map."""
+    out: _Terms = {}
+    for src, row in terms.items():
+        for tgt, i, j in row:
+            out.setdefault(tgt, []).append((src, i, j))
+    return out
+
+
 @dataclass(frozen=True)
 class MapSpace:
-    """Basis of all maps of one shape: (source gen, target gen, monomial)."""
+    """Basis of all maps of one shape: (source gen, target gen, monomial).
+
+    The gradings fix the monomial on each (source, target) pair, so a map
+    is an int bitset over `pairs`.  The linear conditions of the solvers
+    are operators on this space, assembled column by column (one column
+    per basis map) by index arithmetic on the triples and the complexes'
+    differentials, without building maps: `d_commutator_columns`
+    (f -> d f + f d), `precompose_columns` (u -> u g) and
+    `postcompose_columns` (u -> g u) for a fixed map g.  Each writes its
+    columns in the coordinates of a slot space of the result's shape and
+    raises the `bits_from_action` error on a term outside the slot.
+    """
 
     source: Complex
     target: Complex
@@ -305,8 +334,10 @@ class MapSpace:
         return len(self.pairs)
 
     @cached_property
-    def pair_index(self) -> dict[tuple[str, str, Mono], int]:
-        return {p: k for k, p in enumerate(self.pairs)}
+    def pair_bits(self) -> dict[tuple[str, str], tuple[int, int, int]]:
+        """(source, target) -> (bit of the pair, U exp, V exp)."""
+        return {(x, y): (1 << k, m.i, m.j)
+                for k, (x, y, m) in enumerate(self.pairs)}
 
     def map_from_bits(self, bits: int) -> LinMap:
         action: dict[str, dict[str, RingElt]] = {}
@@ -318,21 +349,90 @@ class MapSpace:
                       action, self.ideal)
 
     def bits_from_action(self, action: Mapping[str, Mapping[str, RingElt]]) -> int:
-        index = self.pair_index
         bits = 0
         for src, row in action.items():
             for tgt, coeff in row.items():
                 for m in coeff.reduce(self.ideal):
-                    key = (src, tgt, m)
-                    if key not in index:
-                        raise StructuralError(
-                            f"term {m.render()} {tgt} on {src} falls outside "
-                            f"the map space (cap {self.cap})")
-                    bits ^= 1 << index[key]
+                    hit = self.pair_bits.get((src, tgt))
+                    if hit is None or hit[1:] != (m.i, m.j):
+                        raise _outside(m, tgt, src, self.cap)
+                    bits ^= hit[0]
         return bits
 
     def bits_from_map(self, f: LinMap) -> int:
         return self.bits_from_action(f.action)
+
+    # -- operators, one column per basis map ------------------------------
+
+    def d_commutator_columns(self, slot: "MapSpace") -> list[int]:
+        """Columns of f -> d f + f d, over this space's ideal."""
+        return self._columns(
+            slot, (self.ideal, slot.ideal),
+            post=_terms(self.target.diff_items()),
+            pre=_preimages(_terms(self.source.diff_items())))
+
+    def precompose_columns(self, g: LinMap, slot: "MapSpace") -> list[int]:
+        """Columns of u -> u g, reduced modulo the larger ideal."""
+        return self._columns(slot, (self.ideal, g.ideal, slot.ideal),
+                             pre=_preimages(_terms(g.action.items())))
+
+    def postcompose_columns(self, g: LinMap, slot: "MapSpace") -> list[int]:
+        """Columns of u -> g u, reduced modulo the larger ideal."""
+        return self._columns(slot, (self.ideal, g.ideal, slot.ideal),
+                             post=_terms(g.action.items()),
+                             post_skew=g.variance == "skew")
+
+    def _columns(self, slot: "MapSpace", ideals: tuple[Ideal, ...],
+                 post: _Terms | None = None, pre: _Terms | None = None,
+                 post_skew: bool = False) -> list[int]:
+        """Columns of u -> post u + u pre over the basis maps u.
+
+        The basis map (x, y, m) sends x to m y.  post u sends x to
+        m' post(y), where m' is m transported through post's variance;
+        u pre sends each w with x in pre(w) (coefficient c) to c' m y,
+        c' transported through this space's variance.  Terms in any of
+        `ideals` vanish; any other term must be a pair of the slot.
+        """
+        index = slot.pair_bits
+        # a term may hit the slot yet lie in a larger ideal than the slot's
+        extra = [I for I in ideals if not _ideal_leq(I, slot.ideal)]
+        swap = self.variance == "skew"
+        cols = []
+        for x, y, m in self.pairs:
+            a, b = m.i, m.j
+            terms = []
+            if post is not None:
+                pa, pb = (b, a) if post_skew else (a, b)
+                terms += [(x, z, pa + i, pb + j) for z, i, j in post.get(y, ())]
+            if pre is not None:
+                terms += [(w, y, a + (j if swap else i), b + (i if swap else j))
+                          for w, i, j in pre.get(x, ())]
+            col = 0
+            missed: set[tuple[str, str, int, int]] = set()
+            for term in terms:
+                hit = index.get(term[:2])
+                if (hit is not None and hit[1] == term[2] and hit[2] == term[3]
+                        and not (extra and _in_any(extra, term))):
+                    col ^= hit[0]
+                else:
+                    missed ^= {term}
+            bad = [t for t in missed if not _in_any(ideals, t)]
+            if bad:
+                src, tgt, i, j = min(bad, key=lambda t: (
+                    slot.source.index(t[0]), slot.target.index(t[1]), t[2:]))
+                raise _outside(Mono(i, j), tgt, src, slot.cap)
+            cols.append(col)
+        return cols
+
+
+def _in_any(ideals, term) -> bool:
+    m = Mono(term[2], term[3])
+    return any(I.contains(m) for I in ideals)
+
+
+def _outside(m: Mono, tgt: str, src: str, cap: int) -> StructuralError:
+    return StructuralError(f"term {m.render()} {tgt} on {src} falls outside "
+                           f"the map space (cap {cap})")
 
 
 def solve_homotopy(f: LinMap, g: LinMap,
@@ -353,21 +453,9 @@ def solve_homotopy(f: LinMap, g: LinMap,
     hspace = MapSpace.build(f.source, f.target, f.variance,
                             (f.bidegree[0] + 1, f.bidegree[1] + 1),
                             f.ideal, cap)
-    target_vec = slot.bits_from_map(diff)
-    columns = []
-    for k in range(hspace.dim):
-        H = hspace.map_from_bits(1 << k)
-        columns.append(slot.bits_from_map(chain_defect(H)))
     system = GF2System(hspace.dim)
-    rows: dict[int, int] = {}
-    for k, col in enumerate(columns):
-        for t in bits_of(col):
-            rows[t] = rows.get(t, 0) | (1 << k)
-    for t in range(slot.dim):
-        system.add_equation(rows.get(t, 0), (target_vec >> t) & 1)
-        if not system.feasible:
-            return None
-    if not system.feasible:
+    if not system.add_columns(hspace.d_commutator_columns(slot),
+                              slot.bits_from_map(diff)):
         return None
     return hspace.map_from_bits(system.particular_solution())
 
@@ -496,14 +584,7 @@ def _square_system(C: Complex) -> _SquareSystem | None:
     # chain-map condition: linear system over the iota coordinates
     defect_slot = MapSpace.build(C, C, "skew", (-1, -1), C.ring, cap)
     system = GF2System(u)
-    rows: dict[int, int] = {}
-    for k in range(u):
-        unit = iota_space.map_from_bits(1 << k)
-        col = defect_slot.bits_from_map(chain_defect(unit))
-        for t in bits_of(col):
-            rows[t] = rows.get(t, 0) | (1 << k)
-    for row in rows.values():
-        system.add_equation(row, 0)
+    system.add_columns(iota_space.d_commutator_columns(defect_slot))
 
     # forced unit coordinates: if x and y are each other's only mod-(U,V)
     # option and Psi Phi vanishes on both mod (U,V), any valid square
@@ -532,40 +613,41 @@ def _square_system(C: Complex) -> _SquareSystem | None:
 
     # null-homotopic skew maps: the subgroup to quotient out
     hskew = MapSpace.build(C, C, "skew", (1, 1), C.ring, cap)
-    boundary_vecs = []
-    for k in range(hskew.dim):
-        H = hskew.map_from_bits(1 << k)
-        boundary_vecs.append(iota_space.bits_from_map(chain_defect(H)))
-    b_rows, b_pivots = rref_basis(boundary_vecs)
+    b_rows, b_pivots = rref_basis(hskew.d_commutator_columns(iota_space))
     class_dirs = complement_basis(b_rows, b_pivots, null_basis)
     q = len(class_dirs)
 
     # equivariant homotopy images, for the squared-condition membership test
     eq_slot = MapSpace.build(C, C, "eq", (0, 0), C.ring, cap)
     heq = MapSpace.build(C, C, "eq", (1, 1), C.ring, cap)
-    eqb_vecs = []
-    for k in range(heq.dim):
-        H = heq.map_from_bits(1 << k)
-        eqb_vecs.append(eq_slot.bits_from_map(chain_defect(H)))
-    eqb_rows, eqb_pivots = rref_basis(eqb_vecs)
+    eqb_rows, eqb_pivots = rref_basis(heq.d_commutator_columns(eq_slot))
 
-    def reduced_square_vec(f: LinMap, g: LinMap) -> int:
-        vec = eq_slot.bits_from_map(f.compose(g) + g.compose(f)) \
-            if f is not g else eq_slot.bits_from_map(f.compose(f))
+    # maps[0] is the base map, maps[k + 1] class direction k; after[g][k]
+    # is (unit k) o maps[g], so maps[f] o maps[g] sums after[g] over f
+    maps = [base_bits, *class_dirs]
+    after = [iota_space.precompose_columns(iota_space.map_from_bits(v),
+                                           eq_slot) for v in maps]
+
+    def composite(f: int, g: int) -> int:
+        out = 0
+        for k in bits_of(maps[f]):
+            out ^= after[g][k]
+        return out
+
+    def reduced_square_vec(f: int, g: int) -> int:
+        vec = composite(f, f) if f == g else composite(f, g) ^ composite(g, f)
         return reduce_mod_span(vec, eqb_rows, eqb_pivots)
 
-    base_map = iota_space.map_from_bits(base_bits)
-    dirs = [iota_space.map_from_bits(v) for v in class_dirs]
     target = reduce_mod_span(
         eq_slot.bits_from_map(one_plus_psi_phi(C)), eqb_rows, eqb_pivots)
 
-    z0 = reduced_square_vec(base_map, base_map) ^ target
-    lin = tuple(reduced_square_vec(base_map, dirs[k])
-                ^ reduced_square_vec(dirs[k], dirs[k]) for k in range(q))
+    z0 = reduced_square_vec(0, 0) ^ target
+    lin = tuple(reduced_square_vec(0, k + 1) ^ reduced_square_vec(k + 1, k + 1)
+                for k in range(q))
     cross: dict[tuple[int, int], int] = {}
     for k in range(q):
         for l in range(k + 1, q):
-            v = reduced_square_vec(dirs[k], dirs[l])
+            v = reduced_square_vec(k + 1, l + 1)
             if v:
                 cross[(k, l)] = v
     return _SquareSystem(iota_space, base_bits, tuple(class_dirs), z0, lin,
@@ -634,19 +716,15 @@ def _square_solutions(
         for k, l, v in inner:
             if (fixed >> k) & (fixed >> l) & 1:
                 const ^= v
-        rows: dict[int, int] = dict.fromkeys(bits_of(const), 0)
-        for i, k in enumerate(free):
+        cols = []
+        for k in free:
             col = system.lin[k]
             for l, v in touching[k]:
                 if (fixed >> l) & 1:
                     col ^= v
-            for t in bits_of(col):
-                rows[t] = rows.get(t, 0) | (1 << i)
+            cols.append(col)
         solver = GF2System(len(free))
-        for t, row in rows.items():
-            if not solver.add_equation(row, (const >> t) & 1):
-                break
-        else:
+        if solver.add_columns(cols, const):
             x0, null = solver.solution_space()
             yield fixed | _spread(x0, free), [_spread(v, free) for v in null]
 

@@ -7,13 +7,15 @@ ranks of powers of U acting on homology.  The localization-rank oracle
 row-reduces over the fraction field F2(U) with fraction-free
 cross-multiplication, representing F2[U] polynomials as int bitmasks.
 The almost-involution oracle walks every homotopy class of the squared
-condition instead of solving it over a vertex cover.
+condition instead of solving it over a vertex cover.  The map-space
+operator oracles build each column as a LinMap and compose it with
+dictionaries of monomials instead of index arithmetic.
 """
 
 from __future__ import annotations
 
 from knotfloer.complexes import Complex
-from knotfloer.morphism import IotaData
+from knotfloer.morphism import IotaData, LinMap, MapSpace, chain_defect
 from knotfloer.ring import Ideal
 
 
@@ -265,3 +267,32 @@ def gray_walk_almost_iotas(system, solutions):
         data = IotaData(full.reduce_to(Ideal.max_ideal()), "almost")
         seen.setdefault(data.render(), data)
     return [seen[k] for k in sorted(seen)]
+
+
+# -- map-space operators through composed LinMaps ---------------------------
+
+def linmap_d_commutator_columns(space: MapSpace, slot: MapSpace) -> list[int]:
+    """d f + f d for each basis map f of space, in slot coordinates."""
+    return [slot.bits_from_map(chain_defect(space.map_from_bits(1 << k)))
+            for k in range(space.dim)]
+
+
+def linmap_intertwining_columns(fspace: MapSpace, slot: MapSpace,
+                                i1: IotaData, i2: IotaData) -> list[int]:
+    """u i1 + i2 u for each basis map of fspace reduced mod (U,V)."""
+    cols = []
+    for k in range(fspace.dim):
+        u = fspace.map_from_bits(1 << k).reduce_to(Ideal.max_ideal())
+        cols.append(slot.bits_from_map(u.compose(i1.map) + i2.map.compose(u)))
+    return cols
+
+
+def linmap_composition_columns(space: MapSpace, g: LinMap, slot: MapSpace,
+                               side: str) -> list[int]:
+    """u g (side "pre") or g u (side "post") for each basis map u."""
+    cols = []
+    for k in range(space.dim):
+        u = space.map_from_bits(1 << k)
+        cols.append(slot.bits_from_map(u.compose(g) if side == "pre"
+                                       else g.compose(u)))
+    return cols

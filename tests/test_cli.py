@@ -205,3 +205,69 @@ def test_iota_enum_output_enumerates_once(tmp_path, capsys, monkeypatch):
                      "-o", str(out))
     assert code == 0 and len(calls) == 1
     assert "iota" in out.read_text()
+
+
+# -- byte pins: stdout, stderr and exit code, fixed before the operators ----
+
+CABLE3_CONNECTED = """\
+complex cable3_conn ring full
+gen c gr 5 -1
+gen f gr 4 0
+gen d gr 1 1
+gen g gr 0 4
+gen a gr 0 0
+gen b gr 0 0
+gen e gr -1 5
+d c = V f
+d d = U^2 f + V^2 g
+d b = U^3 c + U V d + V^3 e
+d e = U g
+"""
+
+
+@pytest.fixture
+def cables(tmp_path, capsys):
+    paths = {}
+    for n in (2, 3):
+        paths[n] = tmp_path / f"k{n}.cfk"
+        run(capsys, "build", "--knot", f"cable:{n}", "-o", str(paths[n]))
+    paths["2*"] = tmp_path / "k2dual.cfk"
+    run(capsys, "dual", str(paths[2]), "-o", str(paths["2*"]))
+    return paths
+
+
+def test_search_local_mirror_outside_map_space_pinned(cables, capsys):
+    assert run(capsys, "search-local", str(cables["2*"]), str(cables[2])) == (
+        2, "", "error: term U^5 f0_1 on c0_1* falls outside the map space "
+               "(cap 4)\n")
+
+
+def test_search_local_k3_k2_records_pinned(cables, capsys):
+    assert run(capsys, "search-local", str(cables[3]), str(cables[2]),
+               "--format", "records") == (
+        3, "exists=false\ntoken.unknowns=71\ntoken.equations=382\n"
+           "token.cap=6\ntoken.iota_pairs=8\n", "")
+
+
+def test_connected_cable3_pinned(cables, capsys):
+    assert run(capsys, "connected", str(cables[3])) == (0, CABLE3_CONNECTED, "")
+
+
+def test_bound_cable3_pinned(cables, capsys):
+    assert run(capsys, "bound", str(cables[3])) == (0, "3\n", "")
+
+
+def test_non_utf8_input_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfk"
+    bad.write_bytes(b"complex x ring full\ngen a gr 0 0\n\xff\xfe\n")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: line 0: cannot read {bad}: not UTF-8 text\n"
+
+
+def test_search_local_bad_cap_exit_2(cables, capsys):
+    code, out, err = run(capsys, "search-local", str(cables[3]),
+                         str(cables[2]), "--cap", "abc")
+    assert (code, out) == (2, "")
+    assert err == ("knotfloer search-local: error: argument --cap: expected "
+                   "'auto' or an integer, got 'abc'\n")

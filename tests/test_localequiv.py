@@ -7,10 +7,11 @@ import pytest
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.homology import hfk_minus, torsion_order
 from knotfloer.knotlib import build_cable
+import knotfloer.localequiv as localequiv
 from knotfloer.localequiv import (KernelSpace, LocalSearchSpec,
                                   SelfLocalFamily, concordance_unknotting_bound,
-                                  connected_complex, kernel_space,
-                                  maximal_self_local_map, omega,
+                                  connected_complex, image_complex,
+                                  kernel_space, maximal_self_local_map, omega,
                                   search_local_map, self_local_equivalences,
                                   verify_almost_local)
 from knotfloer.morphism import IotaData, LinMap, enumerate_almost_iotas
@@ -190,3 +191,23 @@ def test_kernel_space_basics(k2, k2_iotas):
     assert ker_id.dim == 0
     assert ker.contains(ker_id)
     assert ker.dim > 0
+
+
+def test_connected_and_bound_never_compute_a_kernel(monkeypatch, k2, k2_iotas,
+                                                    k3, k3_iotas):
+    cases = [(k2, k2_iotas, 2), (k3, k3_iotas, 3)]
+    # the answers through maximal_self_local_map, which does compute kernels
+    expected = [[image_complex(C, maximal_self_local_map(C, io)[0],
+                               name=f"{C.name}_conn") for io in iotas]
+                for C, iotas, _ in cases]
+
+    def no_kernel(*args):
+        raise AssertionError("kernel_space called")
+
+    monkeypatch.setattr(localequiv, "kernel_space", no_kernel)
+    for (C, iotas, bound), images in zip(cases, expected):
+        for io, image in zip(iotas, images):
+            conn = connected_complex(C, io)
+            assert conn == image and conn.name == image.name
+            assert len(conn) == 7
+            assert concordance_unknotting_bound(C, io) == bound

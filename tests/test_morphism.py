@@ -1,5 +1,7 @@
 """Chain maps, derivative maps, homotopies, and involution enumeration."""
 
+import functools
+import itertools
 import os
 import random
 import subprocess
@@ -19,7 +21,9 @@ from knotfloer.morphism import (IotaData, LinMap, MapSpace, _square_solutions,
                                 validate_iota, zero_map)
 from knotfloer.ring import Ideal, Mono, RingElt
 from knotfloer.tensorsum import tensor
-from oracles import gray_walk_almost_iotas, gray_walk_solutions
+from oracles import (gray_walk_almost_iotas, gray_walk_solutions,
+                     linmap_composition_columns, linmap_d_commutator_columns,
+                     linmap_intertwining_columns)
 
 U, V = RingElt.mono(1, 0), RingElt.mono(0, 1)
 ONE = RingElt.one()
@@ -322,3 +326,117 @@ def test_auto_cap_covers_gradings(k3):
     space = MapSpace.build(k3, k3, "skew", (0, 0), k3.ring, cap)
     wider = MapSpace.build(k3, k3, "skew", (0, 0), k3.ring, cap + 1)
     assert space.pairs == wider.pairs
+
+
+# -- map-space operators against composed LinMaps ----------------------------
+
+@functools.cache
+def _oracle_complex(name):
+    return ORACLE_COMPLEXES[name]()
+
+
+@functools.cache
+def _oracle_iotas(name):
+    """The first and the last completion, to keep the oracle quick."""
+    iotas = enumerate_almost_iotas(_oracle_complex(name))
+    return iotas[:1] + iotas[1:][-1:]
+
+
+def _outcome(columns):
+    """The columns, or the text of the StructuralError they raise."""
+    try:
+        return columns()
+    except StructuralError as err:
+        return f"error: {err}"
+
+
+ORDERED_PAIRS = list(itertools.product(ORACLE_COMPLEXES, repeat=2))
+
+
+@pytest.mark.parametrize("src,tgt", ORDERED_PAIRS)
+def test_d_commutator_columns_match_linmap_oracle(src, tgt):
+    A, B = _oracle_complex(src), _oracle_complex(tgt)
+    for variance in ("eq", "skew"):
+        for bi in ((0, 0), (1, 1)):
+            space = MapSpace.build(A, B, variance, bi, A.ring)
+            slot = MapSpace.build(A, B, variance, (bi[0] - 1, bi[1] - 1),
+                                  A.ring)
+            assert (_outcome(lambda: space.d_commutator_columns(slot))
+                    == _outcome(lambda: linmap_d_commutator_columns(space, slot)))
+
+
+def test_d_commutator_outside_slot_message():
+    A, B = _oracle_complex("cable2*"), _oracle_complex("cable2")
+    space = MapSpace.build(A, B, "eq", (0, 0), A.ring)
+    slot = MapSpace.build(A, B, "eq", (-1, -1), A.ring)
+    with pytest.raises(StructuralError) as err:
+        space.d_commutator_columns(slot)
+    assert str(err.value) == ("term U^5 f0_1 on c0_1* falls outside the map "
+                              "space (cap 4)")
+
+
+@pytest.mark.parametrize("src,tgt", ORDERED_PAIRS)
+def test_intertwining_columns_match_linmap_oracle(src, tgt):
+    A, B = _oracle_complex(src), _oracle_complex(tgt)
+    fspace = MapSpace.build(A, B, "eq", (0, 0), A.ring)
+    slot = MapSpace.build(A, B, "skew", (0, 0), Ideal.max_ideal(),
+                          auto_cap(A, B))
+    for i1 in _oracle_iotas(src):
+        pre = fspace.precompose_columns(i1.map, slot)
+        for i2 in _oracle_iotas(tgt):
+            post = fspace.postcompose_columns(i2.map, slot)
+            assert ([a ^ b for a, b in zip(pre, post)]
+                    == linmap_intertwining_columns(fspace, slot, i1, i2))
+
+
+@pytest.mark.parametrize("src,tgt", [("cable2", "cable3"), ("cable3*", "cable2"),
+                                     ("fig8", "fig8*"), ("cable3", "cable3")])
+def test_composition_columns_match_linmap_oracle(src, tgt):
+    # full-ring maps g of both variances, so exponents are transported
+    A, B = _oracle_complex(src), _oracle_complex(tgt)
+    rng = random.Random(f"{src}{tgt}")
+    for u_var, g_var in itertools.product(("eq", "skew"), repeat=2):
+        space = MapSpace.build(A, B, u_var, (0, 0), A.ring)
+        slot = MapSpace.build(A, B, "eq" if u_var == g_var else "skew",
+                              (0, 0), A.ring)
+        for side, C in (("pre", A), ("post", B)):
+            gspace = MapSpace.build(C, C, g_var, (0, 0), C.ring)
+            g = gspace.map_from_bits(rng.getrandbits(gspace.dim))
+            columns = (space.precompose_columns if side == "pre"
+                       else space.postcompose_columns)
+            assert (_outcome(lambda: columns(g, slot)) == _outcome(
+                lambda: linmap_composition_columns(space, g, slot, side)))
+
+
+def test_operator_columns_independent_of_hash_seed():
+    script = (
+        "from knotfloer import MapSpace, build_cable, build_figure_eight\n"
+        "from knotfloer import enumerate_almost_iotas\n"
+        "from knotfloer.complexes import dualize\n"
+        "from knotfloer.ring import Ideal\n"
+        "lib = [build_figure_eight(), build_cable(2), build_cable(3),\n"
+        "       dualize(build_cable(2))]\n"
+        "for A in lib:\n"
+        "    for B in lib:\n"
+        "        for var in ('eq', 'skew'):\n"
+        "            f = MapSpace.build(A, B, var, (0, 0), A.ring)\n"
+        "            s = MapSpace.build(A, B, var, (-1, -1), A.ring)\n"
+        "            try:\n"
+        "                print(f.d_commutator_columns(s))\n"
+        "            except ValueError as err:\n"
+        "                print(err)\n"
+        "        f = MapSpace.build(A, B, 'eq', (0, 0), A.ring)\n"
+        "        s = MapSpace.build(A, B, 'skew', (0, 0), Ideal.max_ideal(),\n"
+        "                           f.cap)\n"
+        "        for i in enumerate_almost_iotas(A):\n"
+        "            print(f.precompose_columns(i.map, s))\n"
+        "        for i in enumerate_almost_iotas(B):\n"
+        "            print(f.postcompose_columns(i.map, s))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True,
+                                   check=True, timeout=120).stdout)
+    assert outs[0] == outs[1] and "falls outside the map space" in outs[0]
