@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .complexes import Complex, Generator
 from .errors import CfkParseError, StructuralError
 from .morphism import IotaData, LinMap
-from .ring import Ideal, Mono, RingElt
+from .ring import Ideal, RingElt, parse_mono
 
 _RING_TAGS = {"zero": "full", "uv": "modUV"}
 _TAG_RINGS = {"full": Ideal.zero(), "modUV": Ideal.uv()}
@@ -29,11 +29,8 @@ _TAG_RINGS = {"full": Ideal.zero(), "modUV": Ideal.uv()}
 
 def _render_terms(C: Complex, row: dict[str, RingElt]) -> str:
     terms = []
-    for tgt in C.names():
-        coeff = row.get(tgt)
-        if coeff is None or coeff.is_zero():
-            continue
-        for m in coeff:
+    for tgt in sorted(row, key=C.index):
+        for m in row[tgt]:
             mono = m.render()
             terms.append(tgt if mono == "1" else f"{mono} {tgt}")
     return " + ".join(terms) if terms else "0"
@@ -70,7 +67,7 @@ def _parse_sum(tokens: list[str], lineno: int) -> dict[str, RingElt]:
             raise CfkParseError("empty term in sum", lineno)
         name = term[-1]
         try:
-            mono = _parse_mono_tokens(term[:-1])
+            mono = parse_mono(term[:-1])
         except ValueError as err:
             raise CfkParseError(str(err), lineno) from None
         cur = row.get(name, RingElt.zero())
@@ -84,24 +81,6 @@ def _parse_sum(tokens: list[str], lineno: int) -> dict[str, RingElt]:
             term.append(tok)
     flush()
     return {k: v for k, v in row.items() if not v.is_zero()}
-
-
-def _parse_mono_tokens(tokens: list[str]) -> Mono:
-    i = j = 0
-    for tok in tokens:
-        var, _, exp = tok.partition("^")
-        k = 1
-        if exp:
-            k = int(exp)
-        if var == "U":
-            i += k
-        elif var == "V":
-            j += k
-        elif tok == "1":
-            continue
-        else:
-            raise ValueError(f"bad monomial token {tok!r}")
-    return Mono(i, j)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """F2[U]-module homology of C/(V), torsion orders, and hat homology.
 
-The U-module structure is computed by graded Smith normal form: first a
-free basis of ker(d), then the image expressed in kernel coordinates,
-then a second Smith form whose cokernel is the homology.  Gradings ride
-along through every elimination step, so torsion summands come out with
-the Maslov grading of their generator.
+C/(V) is a complex over F2[U] whose differential is homogeneous, so each
+entry is a single monomial fixed by the gradings and the differential is
+a list of bitset rows.  The U-module structure comes from one graded
+cancellation pass over those rows (`_cancel`): a minimal-degree entry
+d x = U^k y splits off F2[U]/(U^k) generated by y in y's Maslov grading
+(nothing when k = 0), and the generators left over span the free towers.
+The pass also tracks the tower basis vectors and their coordinate
+functionals, for tower generators and the locality test.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 from .complexes import Complex
 from .errors import StructuralError
-from .linalg import SmithForm, UMat, bits_of, kernel_basis, smith_form
+from .linalg import bits_of, rref_basis
 
 
 @dataclass(frozen=True)
@@ -45,110 +48,126 @@ class HatRanks:
         return sum(r for _, _, r in self.ranks)
 
 
-def _v_reduced_matrix(C: Complex) -> UMat:
-    """Differential of C/(V) as a graded matrix over F2[U]."""
-    n = len(C.basis)
-    row_gr = [g.gr_u for g in C.basis]
-    col_gr = [g.gr_u - 1 for g in C.basis]
-    D = UMat(row_gr, col_gr)
+# A homogeneous element of C/(V) as (bits, grading): bit k stands for
+# U^((gr_u of generator k - grading) / 2) times generator k.
+VVector = tuple[int, int]
+
+
+def _v_reduced_rows(C: Complex) -> list[int]:
+    """Differential of C/(V) over F2[U]: bit s of row t is set when d(s)
+    has a term U^k t.  The degree k = (gr(t) + 1 - gr(s)) / 2 is fixed
+    by the grading law, so the bit is the whole entry."""
+    rows = [0] * len(C.basis)
     for src, row in C.diff_items():
         s = C.index(src)
         for tgt, coeff in row.items():
             t = C.index(tgt)
             for m in coeff:
                 if m.j == 0:
-                    # degree consistency is forced by the grading law
-                    D.rows[t] ^= 1 << s
-    return D
+                    rows[t] ^= 1 << s
+    return rows
 
 
-def _solve_with(snf: SmithForm, K: UMat, G: UMat) -> UMat:
-    """Solve K X = G given a precomputed Smith form of K (unit factors)."""
-    if snf.rank != K.ncols or any(d != 0 for d in snf.diag_degrees):
-        raise StructuralError("kernel basis does not span a direct summand")
-    PG = snf.P.mul(G)
-    top = UMat(snf.D.row_gr[: K.ncols], G.col_gr, PG.rows[: K.ncols])
-    X = snf.Q.mul(top)
-    if K.mul(X).rows != G.rows:
-        raise StructuralError("vector is not in the kernel summand")
-    return X
+def _cancel(rows: list[int], gr: list[int]):
+    """Graded cancellation of the differential given by `rows`.
+
+    Works degree by degree, k = 0, 1, 2, ...: a live degree-k entry
+    (y, x) of minimal degree is a pivot.  Adding U^(...) times row y to
+    every other row hitting column x and U^(...) times column x to every
+    other column hit by row y splits off the summand d x = U^k y; the
+    column operations only touch row y and column x, so only the row
+    operations are done, and x and y are retired.  The added rows create
+    entries of degree >= k only, and a row without a live degree-k entry
+    never gains one, so one scan of the rows per degree finds every pivot.
+
+    Returns (pairs, towers, vec, cov): the (k, y) of every pivot, the
+    generators still live at the end, and for each live generator t the
+    current basis vector vec[t] and coordinate functional cov[t], as bits
+    over the original basis (a change of basis e_c += e_x updates vec[c],
+    a row operation updates cov[t]).
+    """
+    n = len(gr)
+    rows = list(rows)
+    of_grading: dict[int, int] = {}
+    for s, g in enumerate(gr):
+        of_grading[g] = of_grading.get(g, 0) | 1 << s
+    alive = (1 << n) - 1
+    live = list(range(n))
+    cov = [1 << t for t in range(n)]
+    vec = list(cov)
+    pairs = []
+    # an entry's degree is fixed by the gradings of its row and column
+    degrees = {(a + 1 - b) // 2 for a in of_grading for b in of_grading
+               if a + 1 - b >= 0 and (a + 1 - b) % 2 == 0}
+    for k in sorted(degrees):
+        for y in range(n):
+            if not alive >> y & 1:
+                continue
+            hits = rows[y] & alive & of_grading.get(gr[y] + 1 - 2 * k, 0)
+            if not hits:
+                continue
+            x = (hits & -hits).bit_length() - 1
+            row_y, cov_y, col_x = rows[y], cov[y], 1 << x
+            for t in live:
+                if rows[t] & col_x and t != y:
+                    rows[t] ^= row_y
+                    cov[t] ^= cov_y
+            vec_x = vec[x]
+            for c in bits_of(row_y & alive ^ col_x):
+                vec[c] ^= vec_x
+            alive ^= col_x | 1 << y
+            live.remove(x)
+            live.remove(y)
+            pairs.append((k, y))
+    return pairs, live, vec, cov
 
 
 class UHomology:
-    """Homology of C/(V) with explicit summand generators and coordinates."""
+    """Homology of C/(V) with an explicit tower basis and its coordinates."""
 
     def __init__(self, C: Complex):
         if C.ring.kind not in ("zero", "uv"):
             raise StructuralError(
                 "U-module homology needs a complex over the full ring or mod UV")
         self.C = C
-        self.D = _v_reduced_matrix(C)
-        ker = kernel_basis(self.D)
-        # kernel columns carry source gradings shifted by the differential's
-        # degree; shift back so they are honest vectors of C/(V)
-        self.K = UMat(self.D.row_gr, [g + 1 for g in ker.col_gr], ker.rows)
-        self._ksnf = smith_form(self.K)
-        X = _solve_with(self._ksnf, self.K, self.D)
-        self._xsnf = smith_form(X)
-        m = self.K.ncols
-        rank = self._xsnf.rank
-        degs = self._xsnf.diag_degrees
-        torsion = []
-        for l in range(rank):
-            if degs[l] > 0:
-                torsion.append((degs[l], self._xsnf.D.row_gr[l]))
-        tower_idx = list(range(rank, m))
-        self._tower_indices = tower_idx
+        self._gr = [g.gr_u for g in C.basis]
+        pairs, self._towers, self._vec, self._cov = _cancel(
+            _v_reduced_rows(C), self._gr)
         self.decomp = FUDecomp(
-            tower_count=len(tower_idx),
-            tower_gradings=tuple(sorted(self._xsnf.D.row_gr[l]
-                                        for l in tower_idx)),
-            torsion=tuple(sorted(torsion)),
+            tower_count=len(self._towers),
+            tower_gradings=tuple(sorted(self._gr[t] for t in self._towers)),
+            torsion=tuple(sorted((k, self._gr[y]) for k, y in pairs if k)),
         )
 
-    def summand_generator(self, l: int) -> UMat:
-        """Generator of coker summand l as a column vector over C/(V)."""
-        col = UMat(self._xsnf.Pinv.row_gr, [self._xsnf.Pinv.col_gr[l]])
-        for r in range(self._xsnf.Pinv.nrows):
-            if self._xsnf.Pinv.get(r, l):
-                col.rows[r] = 1
-        return self.K.mul(col)
-
-    def tower_generator(self) -> UMat:
+    def tower_generator(self) -> VVector:
         """A cycle generating the free tower; requires exactly one tower."""
         if self.decomp.tower_count != 1:
             raise StructuralError(
                 f"expected one tower, found {self.decomp.tower_count}")
-        return self.summand_generator(self._tower_indices[0])
+        t = self._towers[0]
+        return self._vec[t], self._gr[t]
 
-    def coordinates(self, v: UMat) -> UMat:
-        """Coordinates of a cycle v in the summand basis (column vector)."""
-        y = _solve_with(self._ksnf, self.K, v)
-        return self._xsnf.P.mul(y)
-
-    def tower_unit_coefficient(self, v: UMat) -> bool:
+    def tower_unit_coefficient(self, v: VVector) -> bool:
         """Whether the class of cycle v generates homology mod torsion.
 
-        v must be homogeneous; the coefficient on each tower summand is
-        a monomial, and the class generates iff some tower coordinate
-        is a unit.  With a single tower this is the locality test.
+        The coefficient of v on a tower summand t is U^((gr(t) - g)/2)
+        times the parity of cov[t] on v, so the class generates iff
+        some tower in v's grading g has odd parity.  With a single tower
+        this is the locality test.
         """
-        w = self.coordinates(v)
-        g = v.col_gr[0]
-        for l in self._tower_indices:
-            if w.rows[l] & 1 and w.row_gr[l] == g:
-                return True
-        return False
+        bits, g = v
+        return any(self._gr[t] == g and (self._cov[t] & bits).bit_count() & 1
+                   for t in self._towers)
 
-    def vector_from_element(self, elt: dict, grading: int) -> UMat:
-        """Column vector for an element of C/(V), given as gen -> U-power set."""
-        col = UMat(self.D.row_gr, [grading])
+    def vector_from_element(self, elt: dict, grading: int) -> VVector:
+        """An element of C/(V), given as gen -> U-power set, in `grading`."""
+        bits = 0
         for name, coeff in elt.items():
             t = self.C.index(name)
             for m in coeff:
                 if m.j == 0:
-                    col.rows[t] ^= 1
-        return col
+                    bits ^= 1 << t
+        return bits, grading
 
 
 def hfk_minus(C: Complex) -> FUDecomp:
@@ -194,25 +213,12 @@ def hfk_hat(C: Complex) -> HatRanks:
             cols.append(col)
         return cols
 
-    def rank(cols):
-        rows = []
-        r = 0
-        for v in cols:
-            for rr in rows:
-                low = rr & -rr
-                if v & low:
-                    v ^= rr
-            if v:
-                rows.append(v)
-                r += 1
-        return r
-
     out = []
     for key in sorted(buckets):
         p, q = key
         dim = len(buckets[key])
-        rk_out = rank(bucket_matrix(key))
-        rk_in = rank(bucket_matrix((p + 1, q + 1)))
+        rk_out = len(rref_basis(bucket_matrix(key))[0])
+        rk_in = len(rref_basis(bucket_matrix((p + 1, q + 1)))[0])
         h = dim - rk_out - rk_in
         if h:
             out.append((p, (p - q) // 2, h))

@@ -1,23 +1,16 @@
-"""F2 linear algebra on int bitsets, and graded matrices over F2[U].
+"""F2 linear algebra on int bitsets.
 
-Two workhorses live here:
-
-* GF2System -- incremental reduced-row-echelon solver for affine systems
-  A x = b over F2, with rows stored as Python ints (bit k = unknown k);
-  AffineSpace parameterizes its solution set and rewrites further
-  constraints in the parameters.
-
-* UMat -- a matrix over F2[U] that is homogeneous for given row/column
-  gradings.  Homogeneity forces every entry to be a single monomial
-  lambda * U^((row_gr - col_gr)/2) with lambda in F2, so the matrix is
-  stored as bitmask rows plus two grading lists, and row/column
-  operations are plain XORs.  Smith normal form with min-degree pivoting
-  is exact and deterministic.
+Vectors and equations are Python ints, bit k standing for coordinate or
+unknown k, so every row operation is one XOR.  `_echelon_insert` is the
+one echelon kernel: GF2System solves affine systems A x = b over F2 one
+equation at a time, `rref_basis` and `complement_basis` reduce spans,
+and AffineSpace parameterizes a solution set and rewrites further
+constraints in its parameters.  Graded modules over F2[U] reduce to this
+too: homogeneity fixes every monomial, so `homology` eliminates over the
+same bitsets.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def bits_of(x: int):
@@ -191,192 +184,3 @@ class AffineSpace:
         for k in bits_of(row):
             trow ^= self._by_unknown.get(k, 0)
         return trow, (row & self.particular).bit_count() & 1
-
-
-class UMat:
-    """Homogeneous matrix over F2[U] with per-row and per-column gradings.
-
-    Entry (r, c), when set, is the monomial U^((row_gr[r]-col_gr[c])/2);
-    the grading difference must be even and non-negative for a set bit.
-    """
-
-    __slots__ = ("row_gr", "col_gr", "rows")
-
-    def __init__(self, row_gr: list[int], col_gr: list[int],
-                 rows: list[int] | None = None):
-        self.row_gr = list(row_gr)
-        self.col_gr = list(col_gr)
-        self.rows = list(rows) if rows is not None else [0] * len(row_gr)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.row_gr)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.col_gr)
-
-    @staticmethod
-    def identity(gradings: list[int]) -> "UMat":
-        n = len(gradings)
-        return UMat(gradings, gradings, [1 << k for k in range(n)])
-
-    def copy(self) -> "UMat":
-        return UMat(self.row_gr, self.col_gr, self.rows)
-
-    def entry_degree(self, r: int, c: int) -> int | None:
-        d = self.row_gr[r] - self.col_gr[c]
-        if d < 0 or d % 2:
-            return None
-        return d // 2
-
-    def set_entry(self, r: int, c: int) -> None:
-        if self.entry_degree(r, c) is None:
-            raise ValueError(
-                f"entry ({r},{c}) incompatible with gradings "
-                f"{self.row_gr[r]} vs {self.col_gr[c]}")
-        self.rows[r] |= 1 << c
-
-    def get(self, r: int, c: int) -> bool:
-        return bool((self.rows[r] >> c) & 1)
-
-    def mul(self, other: "UMat") -> "UMat":
-        if self.col_gr != other.row_gr:
-            raise ValueError("grading mismatch in matrix product")
-        out = UMat(self.row_gr, other.col_gr)
-        for r, row in enumerate(self.rows):
-            acc = 0
-            for c in bits_of(row):
-                acc ^= other.rows[c]
-            out.rows[r] = acc
-        return out
-
-    def column(self, c: int) -> int:
-        bits = 0
-        mask = 1 << c
-        for r, row in enumerate(self.rows):
-            if row & mask:
-                bits |= 1 << r
-        return bits
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, UMat) and self.row_gr == other.row_gr
-                and self.col_gr == other.col_gr and self.rows == other.rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        lines = []
-        for r, row in enumerate(self.rows):
-            ents = []
-            for c in bits_of(row):
-                ents.append(f"[{c}]U^{self.entry_degree(r, c)}")
-            lines.append(f"r{r}(gr {self.row_gr[r]}): " + " ".join(ents))
-        return "\n".join(lines)
-
-
-@dataclass
-class SmithForm:
-    """P * A * Q = D with P, Q invertible over F2[U] and D diagonal."""
-
-    P: UMat
-    Pinv: UMat
-    Q: UMat
-    Qinv: UMat
-    D: UMat
-    rank: int
-    diag_degrees: list[int]
-
-
-def smith_form(A: UMat) -> SmithForm:
-    """Graded Smith normal form, pivot = minimal-degree entry.
-
-    Ties are broken by column then row index, so the output is
-    deterministic.  Invariant-factor degrees are non-decreasing.
-    """
-    M = A.copy()
-    m, n = M.nrows, M.ncols
-    P = UMat.identity(M.row_gr)
-    Pinv = UMat.identity(M.row_gr)
-    Q = UMat.identity(M.col_gr)
-    Qinv = UMat.identity(M.col_gr)
-
-    def swap_rows(X: UMat, a: int, b: int, swap_gr: bool) -> None:
-        X.rows[a], X.rows[b] = X.rows[b], X.rows[a]
-        if swap_gr:
-            X.row_gr[a], X.row_gr[b] = X.row_gr[b], X.row_gr[a]
-
-    def swap_cols(X: UMat, a: int, b: int, swap_gr: bool) -> None:
-        ma, mb = 1 << a, 1 << b
-        for r, row in enumerate(X.rows):
-            ba, bb = bool(row & ma), bool(row & mb)
-            if ba != bb:
-                X.rows[r] = row ^ ma ^ mb
-        if swap_gr:
-            X.col_gr[a], X.col_gr[b] = X.col_gr[b], X.col_gr[a]
-
-    def add_col(X: UMat, src: int, dst: int) -> None:
-        msrc, mdst = 1 << src, 1 << dst
-        for r, row in enumerate(X.rows):
-            if row & msrc:
-                X.rows[r] = row ^ mdst
-
-    rank = 0
-    degrees: list[int] = []
-    for k in range(min(m, n)):
-        best = None
-        for r in range(k, m):
-            row = M.rows[r] >> k
-            if row == 0:
-                continue
-            gr_r = M.row_gr[r]
-            for c_off in bits_of(row):
-                c = k + c_off
-                deg = (gr_r - M.col_gr[c]) // 2
-                key = (deg, c, r)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        deg, c, r = best
-        if r != k:
-            swap_rows(M, k, r, True)
-            swap_rows(P, k, r, True)
-            # right-multiplying Pinv by the transposition swaps its columns
-            swap_cols(Pinv, k, r, True)
-        if c != k:
-            swap_cols(M, k, c, True)
-            swap_cols(Q, k, c, True)
-            swap_rows(Qinv, k, c, True)
-        # clear column k: row ops are plain XORs thanks to homogeneity
-        mask = 1 << k
-        for r2 in range(m):
-            if r2 != k and (M.rows[r2] & mask):
-                M.rows[r2] ^= M.rows[k]
-                P.rows[r2] ^= P.rows[k]
-                add_col(Pinv, r2, k)
-        # clear row k
-        row_k = M.rows[k]
-        for c2 in bits_of(row_k):
-            if c2 == k:
-                continue
-            add_col(M, k, c2)
-            add_col(Q, k, c2)
-            Qinv.rows[k] ^= Qinv.rows[c2]
-        rank += 1
-        degrees.append(deg)
-
-    return SmithForm(P, Pinv, Q, Qinv, M, rank, degrees)
-
-
-def kernel_basis(A: UMat) -> UMat:
-    """Columns form a free basis of ker A (a direct summand of the source)."""
-    snf = smith_form(A)
-    n = A.ncols
-    sel = list(range(snf.rank, n))
-    out = UMat(A.col_gr, [snf.Q.col_gr[c] for c in sel])
-    for r in range(n):
-        bits = 0
-        for idx, c in enumerate(sel):
-            if snf.Q.get(r, c):
-                bits |= 1 << idx
-        out.rows[r] = bits
-    return out

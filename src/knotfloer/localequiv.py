@@ -108,14 +108,11 @@ def omega(i: IotaData) -> LinMap:
 
 def _tower_element(H: UHomology) -> tuple[Element, int]:
     """Tower generator as an element of C/(V), with its grading."""
-    col = H.tower_generator()
-    grading = col.col_gr[0]
+    bits, grading = H.tower_generator()
     elt: Element = {}
-    for r, row in enumerate(col.rows):
-        if row & 1:
-            gen = H.C.basis[r]
-            k = (gen.gr_u - grading) // 2
-            elt[gen.name] = RingElt.mono(k, 0)
+    for r in bits_of(bits):
+        gen = H.C.basis[r]
+        elt[gen.name] = RingElt.mono((gen.gr_u - grading) // 2, 0)
     return elt, grading
 
 
@@ -149,7 +146,6 @@ def _locality_equation(fspace: MapSpace, family: AffineSpace,
     basis map (x, y, m) adds y once per term of the generator's
     coefficient on x that stays outside (V) after multiplying by m.
     """
-    names = fspace.target.names()
     images = []
     for x, y, m in fspace.pairs:
         hits = sum(1 for c in src_elt.get(x, ()) if c.j + m.j == 0)
@@ -159,9 +155,7 @@ def _locality_equation(fspace: MapSpace, family: AffineSpace,
         vec = 0
         for k in bits_of(bits & ((1 << fspace.dim) - 1)):
             vec ^= images[k]
-        image = {names[t]: RingElt.one() for t in bits_of(vec)}
-        return int(tgt_hom.tower_unit_coefficient(
-            tgt_hom.vector_from_element(image, grading)))
+        return int(tgt_hom.tower_unit_coefficient((vec, grading)))
 
     row = 0
     for idx, v in enumerate(family.null):

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to pin expected test values.
 
-These deliberately avoid the package's graded Smith-form machinery.
-The U-module homology oracle works one Maslov grading at a time with
-plain F2 Gaussian elimination and recovers the summand multiset from
-ranks of powers of U acting on homology.  The localization-rank oracle
-row-reduces over the fraction field F2(U) with fraction-free
+The brute-force U-module homology oracle works one Maslov grading at a
+time with plain F2 Gaussian elimination and recovers the summand
+multiset from ranks of powers of U acting on homology; the Smith-form
+oracle computes the same module, with tower coordinates, by three
+graded Smith normal forms instead of one cancellation pass.  The
+localization-rank oracle row-reduces over the fraction field F2(U) with fraction-free
 cross-multiplication, representing F2[U] polynomials as int bitmasks.
 The almost-involution oracle walks every homotopy class of the squared
 condition instead of solving it over a vertex cover.  The map-space
@@ -14,6 +15,8 @@ dictionaries of monomials instead of index arithmetic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from knotfloer.complexes import Complex
 from knotfloer.morphism import IotaData, LinMap, MapSpace, chain_defect
 from knotfloer.ring import Ideal
@@ -22,16 +25,15 @@ from knotfloer.ring import Ideal
 # -- F2 span helpers (rows are int bitmasks) ------------------------------
 
 def _span_rank(vectors):
-    rows = []
+    rows = {}  # lowest set bit -> row
     for v in vectors:
-        for r in rows:
-            low = r & -r
-            if v & low:
-                v ^= r
-        if v:
-            rows.append(v)
-            rows.sort(key=lambda r: r & -r)
-    return len(rows), rows
+        while v:
+            low = v & -v
+            if low not in rows:
+                rows[low] = v
+                break
+            v ^= rows[low]
+    return len(rows), list(rows.values())
 
 
 def _nullspace(columns, ncols):
@@ -296,3 +298,188 @@ def linmap_composition_columns(space: MapSpace, g: LinMap, slot: MapSpace,
         cols.append(slot.bits_from_map(u.compose(g) if side == "pre"
                                        else g.compose(u)))
     return cols
+
+
+# -- U-module homology by three graded Smith forms --------------------------
+
+def _bits(x: int):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class UMat:
+    """Homogeneous matrix over F2[U] with per-row and per-column gradings.
+
+    Entry (r, c), when set, is the monomial U^((row_gr[r]-col_gr[c])/2);
+    homogeneity makes every row and column operation a plain XOR.
+    """
+
+    def __init__(self, row_gr, col_gr, rows=None):
+        self.row_gr = list(row_gr)
+        self.col_gr = list(col_gr)
+        self.rows = list(rows) if rows is not None else [0] * len(row_gr)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.row_gr)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.col_gr)
+
+    @staticmethod
+    def identity(gradings) -> "UMat":
+        return UMat(gradings, gradings, [1 << k for k in range(len(gradings))])
+
+    def copy(self) -> "UMat":
+        return UMat(self.row_gr, self.col_gr, self.rows)
+
+    def get(self, r: int, c: int) -> bool:
+        return bool((self.rows[r] >> c) & 1)
+
+    def mul(self, other: "UMat") -> "UMat":
+        if self.col_gr != other.row_gr:
+            raise ValueError("grading mismatch in matrix product")
+        out = UMat(self.row_gr, other.col_gr)
+        for r, row in enumerate(self.rows):
+            acc = 0
+            for c in _bits(row):
+                acc ^= other.rows[c]
+            out.rows[r] = acc
+        return out
+
+
+@dataclass
+class SmithForm:
+    """P * A * Q = D with P, Q invertible over F2[U] and D diagonal."""
+
+    P: UMat
+    Pinv: UMat
+    Q: UMat
+    Qinv: UMat
+    D: UMat
+    rank: int
+    diag_degrees: list
+
+
+def smith_form(A: UMat) -> SmithForm:
+    """Graded Smith normal form, pivot = minimal-degree entry, ties
+    broken by column then row index."""
+    M = A.copy()
+    m, n = M.nrows, M.ncols
+    P = UMat.identity(M.row_gr)
+    Pinv = UMat.identity(M.row_gr)
+    Q = UMat.identity(M.col_gr)
+    Qinv = UMat.identity(M.col_gr)
+
+    def swap_rows(X, a, b):
+        X.rows[a], X.rows[b] = X.rows[b], X.rows[a]
+        X.row_gr[a], X.row_gr[b] = X.row_gr[b], X.row_gr[a]
+
+    def swap_cols(X, a, b):
+        ma, mb = 1 << a, 1 << b
+        for r, row in enumerate(X.rows):
+            if bool(row & ma) != bool(row & mb):
+                X.rows[r] = row ^ ma ^ mb
+        X.col_gr[a], X.col_gr[b] = X.col_gr[b], X.col_gr[a]
+
+    def add_col(X, src, dst):
+        msrc, mdst = 1 << src, 1 << dst
+        for r, row in enumerate(X.rows):
+            if row & msrc:
+                X.rows[r] = row ^ mdst
+
+    rank = 0
+    degrees = []
+    for k in range(min(m, n)):
+        best = None
+        for r in range(k, m):
+            row = M.rows[r] >> k
+            for c_off in _bits(row):
+                c = k + c_off
+                key = ((M.row_gr[r] - M.col_gr[c]) // 2, c, r)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        deg, c, r = best
+        if r != k:
+            swap_rows(M, k, r)
+            swap_rows(P, k, r)
+            swap_cols(Pinv, k, r)
+        if c != k:
+            swap_cols(M, k, c)
+            swap_cols(Q, k, c)
+            swap_rows(Qinv, k, c)
+        mask = 1 << k
+        for r2 in range(m):
+            if r2 != k and (M.rows[r2] & mask):
+                M.rows[r2] ^= M.rows[k]
+                P.rows[r2] ^= P.rows[k]
+                add_col(Pinv, r2, k)
+        for c2 in _bits(M.rows[k]):
+            if c2 == k:
+                continue
+            add_col(M, k, c2)
+            add_col(Q, k, c2)
+            Qinv.rows[k] ^= Qinv.rows[c2]
+        rank += 1
+        degrees.append(deg)
+    return SmithForm(P, Pinv, Q, Qinv, M, rank, degrees)
+
+
+def kernel_basis(A: UMat) -> UMat:
+    """Columns form a free basis of ker A (a direct summand of the source)."""
+    snf = smith_form(A)
+    sel = list(range(snf.rank, A.ncols))
+    out = UMat(A.col_gr, [snf.Q.col_gr[c] for c in sel])
+    for r in range(A.ncols):
+        out.rows[r] = sum(1 << idx for idx, c in enumerate(sel)
+                          if snf.Q.get(r, c))
+    return out
+
+
+def solve_with(snf: SmithForm, K: UMat, G: UMat) -> UMat:
+    """Solve K X = G given a Smith form of K with unit diagonal."""
+    if snf.rank != K.ncols or any(d != 0 for d in snf.diag_degrees):
+        raise ValueError("kernel basis does not span a direct summand")
+    PG = snf.P.mul(G)
+    X = snf.Q.mul(UMat(snf.D.row_gr[: K.ncols], G.col_gr, PG.rows[: K.ncols]))
+    if K.mul(X).rows != G.rows:
+        raise ValueError("vector is not in the kernel summand")
+    return X
+
+
+class SmithUHomology:
+    """Homology of C/(V) as the cokernel of the image in kernel
+    coordinates: Smith form of d (its kernel), of the kernel basis (to
+    solve in it), and of the solved image.  Cycles are (bits, grading)
+    as in `UHomology`."""
+
+    def __init__(self, C: Complex):
+        gr = [g.gr_u for g in C.basis]
+        self.D = UMat(gr, [g - 1 for g in gr])
+        for src, row in C.diff_items():
+            for tgt, coeff in row.items():
+                for m in coeff:
+                    if m.j == 0:
+                        self.D.rows[C.index(tgt)] ^= 1 << C.index(src)
+        ker = kernel_basis(self.D)
+        self.K = UMat(gr, [g + 1 for g in ker.col_gr], ker.rows)
+        self._ksnf = smith_form(self.K)
+        self._xsnf = smith_form(solve_with(self._ksnf, self.K, self.D))
+        rank, degs = self._xsnf.rank, self._xsnf.diag_degrees
+        row_gr = self._xsnf.D.row_gr
+        self.towers = list(range(rank, self.K.ncols))
+        self.tower_gradings = sorted(row_gr[l] for l in self.towers)
+        self.torsion = sorted((degs[l], row_gr[l]) for l in range(rank)
+                              if degs[l] > 0)
+
+    def tower_unit_coefficient(self, v) -> bool:
+        bits, g = v
+        col = UMat(self.D.row_gr, [g],
+                   [(bits >> r) & 1 for r in range(self.D.nrows)])
+        w = self._xsnf.P.mul(solve_with(self._ksnf, self.K, col))
+        return any(w.rows[l] & 1 and w.row_gr[l] == g for l in self.towers)

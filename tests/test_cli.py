@@ -1,6 +1,10 @@
 """CLI pipelines and the exit-code contract."""
 
+import os
+import tempfile
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from knotfloer.cli import main
 
@@ -271,3 +275,120 @@ def test_search_local_bad_cap_exit_2(cables, capsys):
     assert (code, out) == (2, "")
     assert err == ("knotfloer search-local: error: argument --cap: expected "
                    "'auto' or an integer, got 'abc'\n")
+
+
+def test_bad_exponent_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfk"
+    bad.write_text("complex x ring full\ngen a gr 0 0\ngen b gr -1 -1\n"
+                   "d a = U^x b\n")
+    assert run(capsys, "homology", str(bad)) == (
+        2, "", "parse error: line 4: bad exponent in monomial token 'U^x'\n")
+
+
+# -- mutated input through the front door ------------------------------------
+
+def _fuzz_seeds():
+    from knotfloer.cfk import render_cfk
+    from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
+    from knotfloer.morphism import enumerate_almost_iotas
+
+    fig8, k2 = build_figure_eight(), build_cable(2)
+    return (render_cfk(build_unknot()),
+            render_cfk(fig8, enumerate_almost_iotas(fig8)[0]),
+            render_cfk(k2, enumerate_almost_iotas(k2)[-1]))
+
+
+FUZZ_SEEDS = _fuzz_seeds()
+FUZZ_TOKENS = ("U", "V", "U^2", "V^3", "U^x", "U^-1", "U^", "^", "1", "0",
+               "+", "=", "->", "#", ":", "complex", "gen", "d", "iota", "map",
+               "gr", "ring", "full", "modUV", "box", "a", "b", "c", "zz",
+               "-1", "7", "99999", "1e3", "é", "")
+FUZZ_ARGS = {
+    "build": (("--knot", "unknot"), ("--knot", "fig8"), ("--knot", "cable:2"),
+              ("--knot", "cable:0"), ("--knot", "cable:-3"),
+              ("--knot", "cable:"), ("--knot", "trefoil")),
+    "validate": (), "homology": (), "torsion-order": (), "phi-psi": (),
+    "dual": (), "tensor": (("--variant", "2"), ("--variant", "3")),
+    "iota-enum": (("--index", "1"), ("--index", "-1"), ("--index", "x")),
+    "search-local": (("--mode", "local"), ("--cap", "0"), ("--cap", "-2"),
+                     ("--cap", "auto"), ("--budget", "0"),
+                     ("--budget", "-1")),
+    "connected": (("--iota-index", "1"), ("--iota-index", "-9"),
+                  ("--budget", "3")),
+    "bound": (("--iota-index", "0"), ("--iota-index", "5"),
+              ("--budget", "0")),
+}
+TWO_FILES = ("tensor", "search-local")
+FORMATTED = ("validate", "homology", "torsion-order", "iota-enum",
+             "search-local", "bound")
+
+
+@st.composite
+def mutated_cfk(draw) -> bytes:
+    """A library .cfk text after a few line and token edits."""
+    base = draw(st.sampled_from(FUZZ_SEEDS))
+    lines = [line.split(" ") for line in base.splitlines()]
+    tokens = st.sampled_from(FUZZ_TOKENS) | st.sampled_from(base.split())
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("drop", "dup", "swap", "insert",
+                                     "delete", "replace")))
+        if edit == "drop" and len(lines) > 1:
+            del lines[k]
+        elif edit == "dup":
+            lines.insert(k, list(lines[k]))
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        else:
+            line = lines[k]
+            pos = draw(st.integers(0, max(len(line) - 1, 0)))
+            token = draw(tokens)
+            if edit == "insert":
+                line.insert(pos, token)
+            elif line and edit == "delete":
+                del line[pos]
+            elif line:
+                line[pos] = token
+    data = ("\n".join(" ".join(line) for line in lines) + "\n").encode()
+    if draw(st.sampled_from((False,) * 7 + (True,))):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@st.composite
+def fuzz_argv(draw):
+    """(subcommand, input file contents, option pairs, whether to ask for
+    records, extra arguments)."""
+    cmd = draw(st.sampled_from(sorted(FUZZ_ARGS)))
+    nfiles = 0 if cmd == "build" else 2 if cmd in TWO_FILES else 1
+    files = [draw(mutated_cfk()) for _ in range(nfiles)]
+    opts = draw(st.lists(st.sampled_from(FUZZ_ARGS[cmd]), max_size=2)
+                if FUZZ_ARGS[cmd] else st.just([]))
+    fmt = cmd in FORMATTED and draw(st.booleans())
+    extra = draw(st.sampled_from(((),) * 6 + (("--bogus",), ("-o",))))
+    return cmd, files, opts, fmt, extra
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=fuzz_argv())
+def test_mutated_input_never_tracebacks(case, capsys):
+    cmd, files, opts, fmt, extra = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [cmd]
+        for k, data in enumerate(files):
+            path = os.path.join(tmp, f"in{k}.cfk")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            argv.append(path)
+        for opt in opts:
+            argv += opt
+        if fmt:
+            argv += ["--format", "records"]
+        argv += list(extra)
+        if cmd in ("build", "phi-psi", "dual", "tensor", "connected"):
+            argv += ["-o", os.path.join(tmp, "out.cfk")]
+        assert main(argv) in (0, 2, 3, 4, 5)
+    capsys.readouterr()

@@ -1,16 +1,25 @@
-"""U-module homology against frozen values and the brute-force oracle."""
+"""U-module homology against frozen values and the brute-force and
+Smith-form oracles."""
 
+import functools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import random_reduced_complex
+from conftest import (_apply_transvection, random_graded_transvection,
+                      random_reduced_complex)
 from knotfloer.complexes import Complex, Generator, dualize
-from knotfloer.homology import (UHomology, hfk_hat, hfk_minus, locality_rank,
-                                torsion_order)
-from knotfloer.knotlib import build_cable
+from knotfloer.homology import (UHomology, _v_reduced_rows, hfk_hat,
+                                hfk_minus, locality_rank, torsion_order)
+from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
+from knotfloer.linalg import GF2System, bits_of
+from knotfloer.localequiv import _locality_bit, _tower_element
+from knotfloer.morphism import MapSpace
 from knotfloer.tensorsum import tensor
-from oracles import hfk_minus_oracle, locality_rank_oracle
+from oracles import SmithUHomology, hfk_minus_oracle, locality_rank_oracle
 
 # expected values computed with the brute-force oracle and frozen
 FROZEN = {
@@ -122,3 +131,148 @@ def test_tower_generator_class(k2):
     H = UHomology(k2)
     t = H.tower_generator()
     assert H.tower_unit_coefficient(t)
+
+
+def test_far_apart_gradings():
+    C = Complex([Generator("a", 0, 0), Generator("b", 10**9, 10**9)], {})
+    assert hfk_minus(C).tower_gradings == (0, 10**9)
+
+
+# -- the cancellation pass against the Smith-form and brute-force oracles ----
+
+LIBRARY = {"unknot": build_unknot, "fig8": build_figure_eight,
+           "cable2": lambda: build_cable(2), "cable3": lambda: build_cable(3),
+           "cable2*": lambda: dualize(build_cable(2))}
+# the connected sums of the homology benchmark
+PRODUCT_SUMS = (("cable2", "cable2"), ("cable3", "cable2"), ("cable3", "cable3"),
+                ("fig8", "cable3"), ("cable2", "cable2*"))
+
+
+@functools.cache
+def _complex(name: str) -> Complex:
+    if "#" in name:
+        a, b = name.split("#")
+        return tensor(_complex(a), _complex(b))
+    return LIBRARY[name]()
+
+
+def _random_products(count: int, seed: int) -> list[Complex]:
+    rng = random.Random(seed)
+    return [tensor(random_reduced_complex(rng), random_reduced_complex(rng))
+            for _ in range(count)]
+
+
+def _assert_matches_oracles(C: Complex) -> None:
+    d = hfk_minus(C)
+    smith = SmithUHomology(C)
+    assert (list(d.tower_gradings), list(d.torsion)) == (
+        smith.tower_gradings, smith.torsion) == hfk_minus_oracle(C)
+
+
+@pytest.mark.parametrize("pair", PRODUCT_SUMS, ids="#".join)
+def test_product_matches_oracles(pair):
+    _assert_matches_oracles(_complex("#".join(pair)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_products_match_oracles(seed):
+    for C in _random_products(2, 3000 + seed):
+        _assert_matches_oracles(C)
+
+
+def _twisted(name: str, seed: int, count: int = 20) -> Complex:
+    """A library complex after random graded changes of basis, so that
+    tower generators and their functionals mix several generators."""
+    rng = random.Random(seed)
+    C = _complex(name)
+    for _ in range(count):
+        C = _apply_transvection(C, *random_graded_transvection(rng, C))
+    return C
+
+
+TWISTED = [_twisted(name, seed) for name in ("cable2", "cable3", "fig8#cable2")
+           for seed in range(3)]
+
+
+def _columns(C: Complex) -> list[int]:
+    """Column s of the differential of C/(V) as bits over the targets."""
+    return [sum(1 << t for t, row in enumerate(_v_reduced_rows(C))
+                if row >> s & 1) for s in range(len(C))]
+
+
+@pytest.mark.parametrize("C", [_complex(n) for n in LIBRARY]
+                         + [_complex("cable3#cable2"), _complex("fig8#cable3")]
+                         + _random_products(6, 4000) + TWISTED,
+                         ids=lambda C: f"{C.name}-{len(C)}")
+def test_tower_basis_is_cycle_cocycle_pair(C):
+    H = UHomology(C)
+    cols = _columns(C)
+    assert len(H._towers) == H.decomp.tower_count
+    for t in H._towers:
+        vec, cov = H._vec[t], H._cov[t]
+        boundary = 0
+        for s in bits_of(vec):
+            boundary ^= cols[s]
+        assert boundary == 0
+        assert all((col & cov).bit_count() % 2 == 0 for col in cols)
+        assert (vec & cov).bit_count() % 2 == 1
+        assert H.tower_unit_coefficient((vec, H._gr[t]))
+
+
+def _random_chain_maps(A: Complex, B: Complex, count: int, rng):
+    """Random grading-preserving chain maps A -> B over the full ring."""
+    space = MapSpace.build(A, B, "eq", (0, 0), A.ring)
+    slot = MapSpace.build(A, B, "eq", (-1, -1), A.ring, space.cap)
+    system = GF2System(space.dim)
+    assert system.add_columns(space.d_commutator_columns(slot))
+    null = system.nullspace_basis()
+    for _ in range(count):
+        bits = 0
+        for v in null:
+            if rng.random() < 0.5:
+                bits ^= v
+        yield space.map_from_bits(bits)
+
+
+CHAIN_MAP_PAIRS = (("unknot", "cable2"), ("cable2", "cable2"),
+                   ("cable2", "cable3"), ("cable3", "cable2"),
+                   ("fig8", "fig8"), ("cable2", "fig8#cable2"),
+                   ("fig8#cable2", "cable2"))
+
+
+def test_tower_unit_coefficient_matches_smith_oracle():
+    rng = random.Random(5000)
+    seen = set()
+    pairs = [(_complex(a), _complex(b)) for a, b in CHAIN_MAP_PAIRS]
+    pairs += [(TWISTED[k], TWISTED[k + 1]) for k in (0, 3, 6)]
+    pairs += [(TWISTED[k + 1], _complex(b)) for k, b in
+              ((0, "cable2"), (3, "cable2"), (6, "fig8#cable2"))]
+    for A, B in pairs:
+        src, tgt, smith = UHomology(A), UHomology(B), SmithUHomology(B)
+        assert SmithUHomology(A).tower_unit_coefficient(src.tower_generator())
+        elt, grading = _tower_element(src)
+        for f in _random_chain_maps(A, B, 8, rng):
+            unit = _locality_bit(f, elt, grading, tgt)
+            v = tgt.vector_from_element(f.apply(elt), grading)
+            assert unit == smith.tower_unit_coefficient(v)
+            seen.add(unit)
+    assert seen == {False, True}
+
+
+def test_decomposition_independent_of_hash_seed():
+    script = (
+        "from knotfloer import UHomology, build_cable, build_figure_eight\n"
+        "from knotfloer import tensor\n"
+        "lib = [build_cable(n) for n in (2, 3, 4)] + [build_figure_eight()]\n"
+        "lib += [tensor(lib[0], lib[0]), tensor(lib[1], lib[3])]\n"
+        "for C in lib:\n"
+        "    H = UHomology(C)\n"
+        "    print(H.decomp, H.tower_generator())\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True,
+                                   check=True, timeout=120).stdout)
+    assert outs[0] == outs[1] and outs[0].count("FUDecomp") == 6
