@@ -20,20 +20,11 @@ from dataclasses import dataclass
 
 from .complexes import Complex, Generator
 from .errors import CfkParseError, StructuralError
-from .morphism import IotaData, LinMap
+from .morphism import IotaData, LinMap, differential_map
 from .ring import Ideal, RingElt, parse_mono
 
 _RING_TAGS = {"zero": "full", "uv": "modUV"}
 _TAG_RINGS = {"full": Ideal.zero(), "modUV": Ideal.uv()}
-
-
-def _render_terms(C: Complex, row: dict[str, RingElt]) -> str:
-    terms = []
-    for tgt in sorted(row, key=C.index):
-        for m in row[tgt]:
-            mono = m.render()
-            terms.append(tgt if mono == "1" else f"{mono} {tgt}")
-    return " + ".join(terms) if terms else "0"
 
 
 def render_cfk(C: Complex, iota: IotaData | None = None) -> str:
@@ -43,15 +34,12 @@ def render_cfk(C: Complex, iota: IotaData | None = None) -> str:
     lines = [f"complex {C.name} ring {_RING_TAGS[C.ring.kind]}"]
     for g in C.basis:
         lines.append(f"gen {g.name} gr {g.gr_u} {g.gr_v}")
-    for src, row in C.diff_items():
-        lines.append(f"d {src} = {_render_terms(C, row)}")
+    body = [differential_map(C).render_rows("d ", "=")]
     if iota is not None:
         if iota.mode != "almost":
             raise StructuralError("only almost involutions serialize in .cfk")
-        for g in C.basis:
-            row = iota.map.action.get(g.name)
-            if row:
-                lines.append(f"iota {g.name} = {_render_terms(C, row)}")
+        body.append(iota.render())
+    lines += [text for text in body if text]
     return "\n".join(lines) + "\n"
 
 

@@ -201,11 +201,9 @@ def cmd_iota_enum(args) -> int:
     if args.format == "records":
         print(f"count={len(cands)}")
         for k, data in enumerate(cands):
-            for g in entry.complex.names():
-                row = data.map.action.get(g)
-                if row:
-                    targets = "+".join(t for t in entry.complex.names()
-                                       if t in row)
+            for s, g in enumerate(entry.complex.names()):
+                targets = "+".join(t for t, _, _ in data.map.row_terms(s))
+                if targets:
                     print(f"candidate.{k}.{g}={targets}")
     else:
         for k, data in enumerate(cands):
@@ -220,13 +218,10 @@ def cmd_search_local(args) -> int:
     _require_valid(a.complex)
     _require_valid(b.complex)
     spec = LocalSearchSpec((a.complex, a.iota), (b.complex, b.iota),
-                           mode=args.mode, cap=args.cap, budget=args.budget)
+                           cap=args.cap, budget=args.budget)
     cert = search_local_map(spec)
     if cert.exists:
-        text = cfk.render_map_file(cert.found, "local")
-        if cert.witness is not None and not cert.witness.is_zero():
-            text += cfk.render_map_file(cert.witness, "witness")
-        _write_or_print(text, args.output)
+        _write_or_print(cfk.render_map_file(cert.found, "local"), args.output)
         if args.format == "records":
             print("exists=true")
         return EXIT_OK
@@ -322,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-local", help="decide local map existence")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--mode", choices=("almost", "local"), default="almost")
     p.add_argument("--cap", type=_cap, default="auto")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("-o", "--output")

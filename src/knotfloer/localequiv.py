@@ -22,7 +22,7 @@ from .homology import UHomology, hfk_minus, torsion_order
 from .linalg import (AffineSpace, GF2System, bits_of, reduce_mod_span,
                      rref_basis, transpose)
 from .morphism import (IotaData, LinMap, MapSpace, auto_cap, chain_defect,
-                       enumerate_almost_iotas, solve_homotopy, validate_iota)
+                       enumerate_almost_iotas, validate_iota)
 from .ring import Ideal, Mono, RingElt
 
 DEFAULT_BUDGET = 2_000_000
@@ -43,14 +43,9 @@ class LocalSearchSpec:
 
     source: tuple[Complex, IotaInput]
     target: tuple[Complex, IotaInput]
-    mode: str = "almost"
     cap: int | None = None
     ideal_override: Ideal | None = None
     budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("almost", "local"):
-            raise StructuralError(f"unknown search mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -61,21 +56,19 @@ class NonexistenceToken:
     equations: int
     cap: int
     iota_pairs: int
-    mode: str
 
     def render(self) -> str:
-        return (f"nonexistence mode={self.mode} unknowns={self.unknowns} "
+        return (f"nonexistence mode=almost unknowns={self.unknowns} "
                 f"equations={self.equations} cap={self.cap} "
                 f"iota_pairs={self.iota_pairs}")
 
 
 @dataclass(frozen=True)
 class LocalCertificate:
-    """Either a re-verified map (with homotopy witness in full mode) or
-    a nonexistence token covering the whole truncated space."""
+    """Either a re-verified map or a nonexistence token covering the
+    whole truncated space."""
 
     found: LinMap | None = None
-    witness: LinMap | None = None
     iota_pair: tuple[IotaData, IotaData] | None = None
     token: NonexistenceToken | None = None
 
@@ -92,64 +85,42 @@ def omega(i: IotaData) -> LinMap:
     data is reduced first.
     """
     m = i.map.reduce_to(Ideal.max_ideal())
-    C = m.source
-    action: dict[str, dict[str, RingElt]] = {}
-    for g in C.basis:
-        row: dict[str, RingElt] = {g.name: RingElt.one()}
-        for tgt, coeff in m.of_gen(g.name).items():
-            add_term(row, tgt, coeff)
-        row = {k: v for k, v in row.items() if not v.is_zero()}
-        if row:
-            action[g.name] = row
-    return LinMap(C, C, "linear", (0, 0), action, Ideal.max_ideal())
+    return LinMap.of_rows(m.source, m.target, "linear", (0, 0), m.ideal,
+                          [(1 << k) ^ row for k, row in enumerate(m.rows)])
 
 
 # -- the affine search core -------------------------------------------------
 
-def _tower_element(H: UHomology) -> tuple[Element, int]:
-    """Tower generator as an element of C/(V), with its grading."""
-    bits, grading = H.tower_generator()
-    elt: Element = {}
-    for r in bits_of(bits):
-        gen = H.C.basis[r]
-        elt[gen.name] = RingElt.mono((gen.gr_u - grading) // 2, 0)
-    return elt, grading
-
-
-def _mod_v(elt: Element) -> Element:
-    out: Element = {}
-    for name, coeff in elt.items():
-        red = coeff.reduce(Ideal.principal_v())
-        if not red.is_zero():
-            out[name] = red
-    return out
-
-
-def _locality_bit(f: LinMap, src_elt: Element, grading: int,
+def _locality_bit(f: LinMap, tower: int, grading: int,
                   tgt_hom: UHomology) -> bool:
-    """Tower coefficient of the class of f(tower generator).
+    """Tower coefficient of the class of f(tower generator) mod V.
 
-    Only valid when f is a chain map (so the image is a cycle mod V).
+    `tower` and `grading` are `UHomology.tower_generator()` of f's
+    source: generator x with coefficient a power of U.  An equivariant f
+    sends it to the targets of x whose monomial has no V.  Only valid
+    when f is a chain map (so the image is a cycle mod V).
     """
-    image = _mod_v(f.apply(src_elt))
-    vec = tgt_hom.vector_from_element(image, grading)
-    return tgt_hom.tower_unit_coefficient(vec)
+    vec = 0
+    for s in bits_of(tower):
+        for tgt, _, j in f.row_terms(s):
+            if j == 0:
+                vec ^= 1 << f.target.index(tgt)
+    return tgt_hom.tower_unit_coefficient((vec, grading))
 
 
 def _locality_equation(fspace: MapSpace, family: AffineSpace,
-                       src_elt: Element, grading: int,
+                       tower: int, grading: int,
                        tgt_hom: UHomology) -> tuple[int, int]:
     """(t-row, rhs): the members of a family of chain maps in fspace
     whose `_locality_bit` is 1.
 
     The image of the tower generator mod V is linear in the map: each
-    basis map (x, y, m) adds y once per term of the generator's
-    coefficient on x that stays outside (V) after multiplying by m.
+    basis map (x, y, m) adds y when x is in the generator and m has no V.
     """
     images = []
     for x, y, m in fspace.pairs:
-        hits = sum(1 for c in src_elt.get(x, ()) if c.j + m.j == 0)
-        images.append(1 << fspace.target.index(y) if hits % 2 else 0)
+        hit = tower >> fspace.source.index(x) & 1 and m.j == 0
+        images.append(1 << fspace.target.index(y) if hit else 0)
 
     def locality(bits: int) -> int:
         vec = 0
@@ -163,17 +134,14 @@ def _locality_equation(fspace: MapSpace, family: AffineSpace,
     return row, 1 ^ locality(family.particular)
 
 
-def _iota_candidates(C: Complex, data: IotaInput, mode: str) -> list[IotaData]:
+def _iota_candidates(C: Complex, data: IotaInput) -> list[IotaData]:
     if data is None:
-        if mode != "almost":
-            raise StructuralError(
-                "full-mode search needs explicit involution data")
         return enumerate_almost_iotas(C)
     if isinstance(data, IotaData):
         data = [data]
     out = []
     for i in data:
-        if mode == "almost" and i.mode == "full":
+        if i.mode == "full":
             i = IotaData(i.map.reduce_to(Ideal.max_ideal()), "almost")
         rep = validate_iota(C, i)
         if not rep.ok:
@@ -184,18 +152,18 @@ def _iota_candidates(C: Complex, data: IotaInput, mode: str) -> list[IotaData]:
 
 
 def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
-    """Decide existence of a (almost) local map, or produce a certificate.
+    """Decide existence of an almost local map, or produce a certificate.
 
     Stage 1 solves the chain-map equations, whose columns come from the
     map space's d-commutator operator, into an affine family of chain
-    maps.  The intertwining condition u i1 + i2 u splits as A(i1) + B(i2)
-    with A the precomposition and B the postcomposition operator, so A
-    is assembled once per source completion and B once per target
-    completion, and each involution pair adds the rows of A + B,
-    translated into the family's parameters.  The locality equation
-    (the tower class goes to a tower generator) is linear on the family
-    and closes the system.  Any found map is re-verified from scratch
-    through composed maps before being returned.
+    maps.  The intertwining condition u i1 + i2 u mod (U,V) splits as
+    A(i1) + B(i2) with A the precomposition and B the postcomposition
+    operator, so A is assembled once per source completion and B once
+    per target completion, and each involution pair adds the rows of
+    A + B, translated into the family's parameters.  The locality
+    equation (the tower class goes to a tower generator) is linear on
+    the family and closes the system.  Any found map is re-verified from
+    scratch through composed maps before being returned.
     """
     src, src_iota_in = spec.source
     tgt, tgt_iota_in = spec.target
@@ -212,17 +180,13 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
         cap = max(cap, spec.cap)
     ideal = spec.ideal_override or src.ring
     fspace = MapSpace.build(src, tgt, "eq", (0, 0), ideal, cap)
-    hspace = None
     width = fspace.dim
-    if spec.mode == "local":
-        hspace = MapSpace.build(src, tgt, "skew", (1, 1), src.ring, cap)
-        width += hspace.dim
     if width > spec.budget:
         raise ResourceError(
             f"{width} unknowns exceed the budget {spec.budget}", width)
 
-    src_iotas = _iota_candidates(src, src_iota_in, spec.mode)
-    tgt_iotas = _iota_candidates(tgt, tgt_iota_in, spec.mode)
+    src_iotas = _iota_candidates(src, src_iota_in)
+    tgt_iotas = _iota_candidates(tgt, tgt_iota_in)
 
     # stage 1: chain-map equations on f
     chain_slot = MapSpace.build(src, tgt, "eq", (-1, -1), ideal, cap)
@@ -230,26 +194,18 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     n_equations = chain_slot.dim
     if not base.add_columns(fspace.d_commutator_columns(chain_slot)):
         return LocalCertificate(token=NonexistenceToken(
-            width, n_equations, cap, 0, spec.mode))
+            width, n_equations, cap, 0))
     family = AffineSpace(*base.solution_space())
-    fmask = (1 << fspace.dim) - 1
 
     # locality, evaluated on the affine parameterization (each basis
     # vector is a chain map, so its image class is defined)
-    src_elt, src_grading = _tower_element(src_hom)
+    tower, grading = src_hom.tower_generator()
     locality = None
     if spec.ideal_override is None:
-        locality = _locality_equation(fspace, family, src_elt, src_grading,
-                                      tgt_hom)
+        locality = _locality_equation(fspace, family, tower, grading, tgt_hom)
 
-    # intertwining: A(i1) = u -> u i1 and B(i2) = u -> i2 u on f, plus the
-    # homotopy term d H + H d in local mode
-    if spec.mode == "almost":
-        int_slot = MapSpace.build(src, tgt, "skew", (0, 0),
-                                  Ideal.max_ideal(), cap)
-    else:
-        int_slot = MapSpace.build(src, tgt, "skew", (0, 0), src.ring, cap)
-    h_cols = hspace.d_commutator_columns(int_slot) if hspace else []
+    # intertwining: A(i1) = u -> u i1 and B(i2) = u -> i2 u on f, mod (U,V)
+    int_slot = MapSpace.build(src, tgt, "skew", (0, 0), Ideal.max_ideal(), cap)
     post_cols: dict[int, list[int]] = {}
 
     n_pairs = len(src_iotas) * len(tgt_iotas)
@@ -258,8 +214,7 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
         for n2, i2 in enumerate(tgt_iotas):
             if n2 not in post_cols:
                 post_cols[n2] = fspace.postcompose_columns(i2.map, int_slot)
-            cols = [a ^ b for a, b in zip(pre, post_cols[n2])] + h_cols
-            raw_rows = transpose(cols)
+            raw_rows = transpose([a ^ b for a, b in zip(pre, post_cols[n2])])
             n_equations += len(raw_rows)
             inner = GF2System(len(family.null))
             feasible = all(inner.add_equation(*family.constraint(raw))
@@ -268,54 +223,32 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
                 feasible = inner.add_equation(*locality)
             if not feasible:
                 continue
-            bits = family.point(inner.particular_solution())
-            f = fspace.map_from_bits(bits & fmask)
-            witness = None
-            if hspace is not None:
-                witness = hspace.map_from_bits(bits >> fspace.dim)
-            ok, witness = _verify_found(f, witness, i1, i2, spec, tgt_hom,
-                                        src_elt, src_grading)
-            if not ok:
+            f = fspace.map_from_bits(
+                family.point(inner.particular_solution()))
+            if not (_almost_chain_intertwining(f, i1, i2) and (
+                    spec.ideal_override is not None
+                    or _locality_bit(f, tower, grading, tgt_hom))):
                 raise StructuralError("solver produced a map that fails "
                                       "re-verification")
-            return LocalCertificate(found=f, witness=witness,
-                                    iota_pair=(i1, i2))
+            return LocalCertificate(found=f, iota_pair=(i1, i2))
     return LocalCertificate(token=NonexistenceToken(
-        width, n_equations, cap, n_pairs, spec.mode))
+        width, n_equations, cap, n_pairs))
 
 
-def _verify_found(f: LinMap, witness: LinMap | None, i1: IotaData,
-                  i2: IotaData, spec: LocalSearchSpec, tgt_hom: UHomology,
-                  src_elt: Element, src_grading: int):
+def _almost_chain_intertwining(f: LinMap, i1: IotaData, i2: IotaData) -> bool:
+    """Whether f is a chain map and f i1 = i2 f mod (U,V)."""
     if not chain_defect(f).is_zero():
-        return False, witness
-    if spec.mode == "almost":
-        u = f.reduce_to(Ideal.max_ideal())
-        if not (u.compose(i1.map) + i2.map.compose(u)).is_zero():
-            return False, witness
-    else:
-        lhs = f.compose(i1.map) + i2.map.compose(f)
-        if witness is None or not (lhs + chain_defect(witness)).is_zero():
-            witness = solve_homotopy(f.compose(i1.map), i2.map.compose(f))
-            if witness is None:
-                return False, None
-    if spec.ideal_override is None:
-        if not _locality_bit(f, src_elt, src_grading, tgt_hom):
-            return False, witness
-    return True, witness
+        return False
+    u = f.reduce_to(Ideal.max_ideal())
+    return (u.compose(i1.map) + i2.map.compose(u)).is_zero()
 
 
 def verify_almost_local(f: LinMap, i1: IotaData, i2: IotaData) -> bool:
     """Re-check the three almost-local conditions for a candidate map."""
-    if not chain_defect(f).is_zero():
+    if not _almost_chain_intertwining(f, i1, i2):
         return False
-    u = f.reduce_to(Ideal.max_ideal())
-    if not (u.compose(i1.map) + i2.map.compose(u)).is_zero():
-        return False
-    src_hom = UHomology(f.source)
-    tgt_hom = UHomology(f.target)
-    src_elt, grading = _tower_element(src_hom)
-    return _locality_bit(f, src_elt, grading, tgt_hom)
+    return _locality_bit(f, *UHomology(f.source).tower_generator(),
+                         UHomology(f.target))
 
 
 # -- self-local equivalences and the connected complex ----------------------
@@ -344,15 +277,16 @@ class SelfLocalMap:
     kernel: KernelSpace
 
 
+def _max_exponent(f: LinMap) -> int:
+    return max((max(i, j) for s in range(len(f.rows))
+                for _, i, j in f.row_terms(s)), default=0)
+
+
 def kernel_space(C: Complex, f: LinMap, cap: int) -> KernelSpace:
     terms = [(g.name, a, b) for g in C.basis
              for a in range(cap + 1) for b in range(cap + 1)]
-    index = {t: k for k, t in enumerate(terms)}
-    max_exp = 0
-    for row in f.action.values():
-        for coeff in row.values():
-            for m in coeff:
-                max_exp = max(max_exp, m.i, m.j)
+    images = {g.name: f.row_terms(s) for s, g in enumerate(C.basis)}
+    max_exp = _max_exponent(f)
     out_terms = [(g.name, a, b) for g in C.basis
                  for a in range(cap + max_exp + 1)
                  for b in range(cap + max_exp + 1)]
@@ -360,9 +294,8 @@ def kernel_space(C: Complex, f: LinMap, cap: int) -> KernelSpace:
     columns = []
     for (name, a, b) in terms:
         col = 0
-        for tgt, coeff in f.of_gen(name).items():
-            for m in coeff:
-                col ^= 1 << out_index[(tgt, a + m.i, b + m.j)]
+        for tgt, i, j in images[name]:
+            col ^= 1 << out_index[(tgt, a + i, b + j)]
         columns.append(col)
     # nullspace of the truncated matrix
     sys = GF2System(len(terms))
@@ -407,10 +340,10 @@ class SelfLocalFamily:
         if not base.add_columns([a ^ b for a, b in icols]):
             raise StructuralError("no involution-intertwining chain maps")
         self.family = AffineSpace(*base.solution_space())
-        src_elt, grading = _tower_element(self.hom)
         self.inner = GF2System(len(self.family.null))
         if not self.inner.add_equation(*_locality_equation(
-                self.fspace, self.family, src_elt, grading, self.hom)):
+                self.fspace, self.family, *self.hom.tower_generator(),
+                self.hom)):
             raise StructuralError("no self-local equivalence exists at all")
 
     def copy_inner(self) -> GF2System:
@@ -591,13 +524,7 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
     kernel-maximal self-local maps); the result is then a free direct
     summand subcomplex.
     """
-    cap = auto_cap(C)
-    max_exp = 0
-    for row in f.action.values():
-        for coeff in row.values():
-            for m in coeff:
-                max_exp = max(max_exp, m.i, m.j)
-    bound = 2 * cap + max_exp + 2
+    bound = 2 * auto_cap(C) + _max_exponent(f) + 2
 
     gradings = sorted({(g.gr_u, g.gr_v) for g in C.basis}, reverse=True)
 

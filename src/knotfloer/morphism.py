@@ -1,18 +1,25 @@
 """Module maps between complexes: chain maps, homotopies, involutions.
 
-A LinMap stores its action on basis generators and extends equivariantly
-(f(U^i V^j x) = U^i V^j f(x)) or skew-equivariantly (U and V exchanged).
-Because the complexes are bigraded and maps have a fixed bidegree, the
-monomial that can appear on a given (source, target) generator pair is
-determined by the gradings; every solver below exploits this to make
-map spaces finite-dimensional over F2, with no truncation artifacts.
+A LinMap stores one int bitset row per source generator: bit t of row s
+says that generator s maps to target generator t times the one monomial
+that the gradings allow on that pair.  The map extends equivariantly
+(f(U^i V^j x) = U^i V^j f(x)) or skew-equivariantly (U and V exchanged),
+and because it has a fixed bidegree, products of monomials land on the
+monomial the gradings fix for the composite.  So map algebra is bit
+algebra: `+` is XOR, `compose` XORs the outer rows over the set bits of
+each inner row, and reduction modulo a monomial ideal is an AND with a
+mask of the targets whose fixed monomial lies outside the ideal.  The
+RingElt views (`action`, `of_gen`, `apply`) and the validating
+constructor from an action dict serve the text formats and the tests.
+Map spaces are finite-dimensional over F2 for the same reason, with no
+truncation artifacts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .complexes import Complex, Element, _ideal_leq, add_term
 from .errors import ResourceError, StructuralError
@@ -22,17 +29,22 @@ from .ring import Ideal, Mono, RingElt
 Bidegree = tuple[int, int]
 
 _VARIANCES = ("eq", "skew", "linear")
+_MAX = Ideal.max_ideal()
 
 
 class LinMap:
-    """A module map given generator by generator.
+    """A module map, one bitset row per source generator.
 
     variance "eq" extends F2[U,V]-linearly, "skew" exchanges U and V,
     and "linear" is a plain F2-linear map on basis classes, only
-    meaningful over the maximal ideal (used for 1 + iota style sums).
+    meaningful over the maximal ideal (used for 1 + iota style sums);
+    its only monomial is 1.  The constructor takes an action dict
+    (source -> target -> coefficient), reduces it modulo the ideal and
+    checks every term against the bidegree; `of_rows` wraps rows that
+    are already valid.
     """
 
-    __slots__ = ("source", "target", "variance", "bidegree", "ideal", "action")
+    __slots__ = ("source", "target", "variance", "bidegree", "ideal", "rows")
 
     def __init__(self, source: Complex, target: Complex, variance: str,
                  bidegree: Bidegree,
@@ -44,52 +56,76 @@ class LinMap:
             ideal = source.ring
         if variance == "linear" and ideal.kind != "max":
             raise StructuralError("linear variance is only defined mod (U,V)")
-        clean: dict[str, dict[str, RingElt]] = {}
+        rows = [0] * len(source)
         for src, row in action.items():
-            source.index(src)
-            out: dict[str, RingElt] = {}
+            s = source.index(src)
+            exp_u, exp_v = _expected_grading(source.grading(src), variance,
+                                             bidegree)
             for tgt, coeff in row.items():
-                target.index(tgt)
+                t = target.index(tgt)
                 red = coeff.reduce(ideal)
                 if red.is_zero():
                     continue
                 if variance != "linear":
-                    exp_u, exp_v = _expected_grading(
-                        source.grading(src), variance, bidegree)
                     tu, tv = target.grading(tgt)
                     for m in red:
                         if tu - 2 * m.i != exp_u or tv - 2 * m.j != exp_v:
                             raise StructuralError(
                                 f"map entry {m.render()} {tgt} on {src} breaks "
                                 f"declared bidegree {bidegree}")
-                out[tgt] = red
-            if out:
-                clean[src] = out
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "bidegree", tuple(bidegree))
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "action", {k: dict(v) for k, v in clean.items()})
+                rows[s] |= 1 << t
+        _fill(self, source, target, variance, tuple(bidegree), ideal, rows)
+
+    @classmethod
+    def of_rows(cls, source: Complex, target: Complex, variance: str,
+                bidegree: Bidegree, ideal: Ideal, rows: Sequence[int]) -> "LinMap":
+        """The map with these rows; every set bit must be a pair whose
+        fixed monomial lies outside the ideal."""
+        f = object.__new__(cls)
+        _fill(f, source, target, variance, bidegree, ideal, rows)
+        return f
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("LinMap is immutable")
 
-    # -- evaluation -------------------------------------------------------
+    # -- views ----------------------------------------------------------------
+
+    def row_terms(self, s: int) -> list[tuple[str, int, int]]:
+        """(target, U exponent, V exponent) of each term of f(source
+        generator s), in target basis order."""
+        basis = self.target.basis
+        if self.variance == "linear":
+            return [(basis[t].name, 0, 0) for t in bits_of(self.rows[s])]
+        x = self.source.basis[s]
+        eu, ev = _expected_grading((x.gr_u, x.gr_v), self.variance,
+                                   self.bidegree)
+        return [(basis[t].name, (basis[t].gr_u - eu) // 2,
+                 (basis[t].gr_v - ev) // 2) for t in bits_of(self.rows[s])]
 
     def of_gen(self, name: str) -> Element:
-        return dict(self.action.get(name, {}))
+        s = self.source._index.get(name)
+        if s is None:
+            return {}
+        return {tgt: RingElt.mono(i, j) for tgt, i, j in self.row_terms(s)}
+
+    @property
+    def action(self) -> dict[str, Element]:
+        return {x.name: self.of_gen(x.name)
+                for x, row in zip(self.source.basis, self.rows) if row}
 
     def apply(self, elt: Element) -> Element:
         out: Element = {}
         for src, coeff in elt.items():
+            s = self.source._index.get(src)
+            if s is None:
+                continue
             transported = coeff.swap() if self.variance == "skew" else coeff
-            for tgt, val in self.action.get(src, {}).items():
-                add_term(out, tgt, (transported * val).reduce(self.ideal))
+            for tgt, i, j in self.row_terms(s):
+                add_term(out, tgt, transported.scale(Mono(i, j)).reduce(self.ideal))
         return out
 
     def is_zero(self) -> bool:
-        return not self.action
+        return not any(self.rows)
 
     # -- algebra ----------------------------------------------------------
 
@@ -98,18 +134,9 @@ class LinMap:
                 or self.variance != other.variance
                 or self.bidegree != other.bidegree or self.ideal != other.ideal):
             raise StructuralError("can only add maps of matching shape")
-        action: dict[str, dict[str, RingElt]] = {}
-        for src in set(self.action) | set(other.action):
-            row: dict[str, RingElt] = {}
-            for tgt in set(self.action.get(src, {})) | set(other.action.get(src, {})):
-                coeff = (self.action.get(src, {}).get(tgt, RingElt.zero())
-                         + other.action.get(src, {}).get(tgt, RingElt.zero()))
-                if not coeff.is_zero():
-                    row[tgt] = coeff
-            if row:
-                action[src] = row
-        return LinMap(self.source, self.target, self.variance, self.bidegree,
-                      action, self.ideal)
+        return LinMap.of_rows(self.source, self.target, self.variance,
+                              self.bidegree, self.ideal,
+                              [a ^ b for a, b in zip(self.rows, other.rows)])
 
     def compose(self, inner: "LinMap") -> "LinMap":
         """self after inner."""
@@ -131,29 +158,44 @@ class LinMap:
             ideal = inner.ideal
         else:
             raise StructuralError("cannot compose maps over incomparable ideals")
-        action: dict[str, dict[str, RingElt]] = {}
-        for src in inner.action:
-            out = self.apply(inner.of_gen(src))
-            out = {k: v.reduce(ideal) for k, v in out.items()}
-            out = {k: v for k, v in out.items() if not v.is_zero()}
-            if out:
-                action[src] = out
-        return LinMap(inner.source, self.target, variance, bidegree, action,
-                      ideal)
+        outer, inner_rows = self.rows, inner.rows
+        if variance == "linear":
+            # no grading fixes a linear map's monomials: keep the unit terms
+            outer, inner_rows = _unit_rows(self), _unit_rows(inner)
+        rows = []
+        for r in inner_rows:
+            acc = 0
+            while r:
+                low = r & -r
+                acc ^= outer[low.bit_length() - 1]
+                r ^= low
+            rows.append(acc)
+        if variance != "linear":
+            rows = _masked(inner.source, self.target, variance, bidegree,
+                           ideal, rows)
+        return LinMap.of_rows(inner.source, self.target, variance, bidegree,
+                              ideal, rows)
 
     def reduce_to(self, ideal: Ideal) -> "LinMap":
-        action = {src: {t: c.reduce(ideal) for t, c in row.items()}
-                  for src, row in self.action.items()}
-        return LinMap(self.source, self.target, self.variance, self.bidegree,
-                      action, ideal)
+        if self.variance == "linear":
+            if ideal.kind != "max":
+                raise StructuralError(
+                    "linear variance is only defined mod (U,V)")
+            return self
+        return LinMap.of_rows(self.source, self.target, self.variance,
+                              self.bidegree, ideal,
+                              _masked(self.source, self.target, self.variance,
+                                      self.bidegree, ideal, self.rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinMap):
             return NotImplemented
-        return (self.variance == other.variance
-                and self.bidegree == other.bidegree
-                and self.ideal == other.ideal
-                and self.action == other.action)
+        if (self.variance != other.variance or self.bidegree != other.bidegree
+                or self.ideal != other.ideal):
+            return False
+        if self.source is other.source and self.target is other.target:
+            return self.rows == other.rows
+        return self.action == other.action
 
     def __hash__(self) -> int:
         return hash(self.render())
@@ -162,22 +204,29 @@ class LinMap:
 
     def render(self, name: str = "f") -> str:
         tag = {"eq": "eq", "skew": "skew", "linear": "lin"}[self.variance]
+        return self.render_rows(f"map {name} variance {tag} : ", "->")
+
+    def render_rows(self, head: str, arrow: str) -> str:
+        """One line `<head><x> <arrow> <terms>` per nonzero row x, terms
+        `U^i V^j y` in target order: map files, iota lines and .cfk
+        differentials all render through here."""
         lines = []
-        for g in self.source.basis:
-            row = self.action.get(g.name)
-            if not row:
-                continue
-            terms = []
-            for tgt in self.target.names():
-                coeff = row.get(tgt)
-                if coeff is None:
-                    continue
-                for m in coeff:
-                    mono = m.render()
-                    terms.append(f"{mono} {tgt}" if mono != "1" else tgt)
-            lines.append(f"map {name} variance {tag} : {g.name} -> "
-                         + " + ".join(terms))
+        for s, x in enumerate(self.source.basis):
+            if self.rows[s]:
+                terms = []
+                for tgt, i, j in self.row_terms(s):
+                    mono = Mono(i, j).render()
+                    terms.append(tgt if mono == "1" else f"{mono} {tgt}")
+                lines.append(f"{head}{x.name} {arrow} " + " + ".join(terms))
         return "\n".join(lines)
+
+
+def _fill(f: LinMap, source: Complex, target: Complex, variance: str,
+          bidegree: Bidegree, ideal: Ideal, rows: Sequence[int]) -> None:
+    for slot, value in (("source", source), ("target", target),
+                        ("variance", variance), ("bidegree", bidegree),
+                        ("ideal", ideal), ("rows", tuple(rows))):
+        object.__setattr__(f, slot, value)
 
 
 def _expected_grading(src_gr: tuple[int, int], variance: str,
@@ -188,9 +237,76 @@ def _expected_grading(src_gr: tuple[int, int], variance: str,
     return (gu + bidegree[0], gv + bidegree[1])
 
 
+def _masked(source: Complex, target: Complex, variance: str,
+            bidegree: Bidegree, ideal: Ideal, rows: Sequence[int]) -> Sequence[int]:
+    """Rows of an eq or skew map with the terms in `ideal` removed.
+
+    The monomial on (x, y) is (gr(y) - expected(x)) / 2, so the kept
+    targets of x depend only on x's expected grading; targets are
+    grouped by bigrading and each expected grading is decided once.
+    """
+    if ideal.kind == "zero":
+        return rows
+    by_grading: dict[tuple[int, int], int] = {}
+    for t, y in enumerate(target.basis):
+        key = (y.gr_u, y.gr_v)
+        by_grading[key] = by_grading.get(key, 0) | 1 << t
+    kept: dict[tuple[int, int], int] = {}
+    out = []
+    for x, row in zip(source.basis, rows):
+        if not row:
+            out.append(0)
+            continue
+        e = _expected_grading((x.gr_u, x.gr_v), variance, bidegree)
+        if e not in kept:
+            if ideal.kind == "max":
+                kept[e] = by_grading.get(e, 0)
+            else:
+                kept[e] = 0
+                for (gu, gv), ys in by_grading.items():
+                    du, dv = gu - e[0], gv - e[1]
+                    if (du >= 0 and dv >= 0 and not du % 2 and not dv % 2
+                            and not ideal.contains(Mono(du // 2, dv // 2))):
+                        kept[e] |= ys
+        out.append(row & kept[e])
+    return out
+
+
+def _unit_rows(f: LinMap) -> Sequence[int]:
+    """The rows of f's terms with monomial 1."""
+    if f.variance == "linear":
+        return f.rows
+    return _masked(f.source, f.target, f.variance, f.bidegree, _MAX, f.rows)
+
+
+def _d_rows(C: Complex, derivative: str | None = None) -> list[int]:
+    """Rows of d, or of its commutator with d/dU or d/dV.
+
+    Each term of d must obey the grading law, so that it is the one
+    monomial its pair allows.  Over F2 the derivative of U^i is U^(i-1)
+    for odd i and zero otherwise, so the derivative keeps the terms of
+    odd exponent.
+    """
+    rows = [0] * len(C)
+    for src, row in C.diff_items():
+        s = C.index(src)
+        gu, gv = C.grading(src)
+        for tgt, coeff in row.items():
+            tu, tv = C.grading(tgt)
+            for m in coeff:
+                if tu - 2 * m.i != gu - 1 or tv - 2 * m.j != gv - 1:
+                    raise StructuralError(
+                        f"map entry {m.render()} {tgt} on {src} breaks "
+                        f"declared bidegree (-1, -1)")
+                if (derivative is None or derivative == "U" and m.i % 2
+                        or derivative == "V" and m.j % 2):
+                    rows[s] |= 1 << C.index(tgt)
+    return rows
+
+
 def identity_map(C: Complex, ideal: Ideal | None = None) -> LinMap:
-    action = {g.name: {g.name: RingElt.one()} for g in C.basis}
-    return LinMap(C, C, "eq", (0, 0), action, ideal or C.ring)
+    return LinMap.of_rows(C, C, "eq", (0, 0), ideal or C.ring,
+                          [1 << k for k in range(len(C))])
 
 
 def zero_map(source: Complex, target: Complex, variance: str = "eq",
@@ -199,8 +315,7 @@ def zero_map(source: Complex, target: Complex, variance: str = "eq",
 
 
 def differential_map(C: Complex) -> LinMap:
-    return LinMap(C, C, "eq", (-1, -1),
-                  {src: dict(row) for src, row in C.diff_items()}, C.ring)
+    return LinMap.of_rows(C, C, "eq", (-1, -1), C.ring, _d_rows(C))
 
 
 # -- derivative maps -------------------------------------------------------
@@ -215,24 +330,8 @@ def derivative_maps(C: Complex) -> tuple[LinMap, LinMap]:
     """
     if C.ring.kind != "zero":
         raise StructuralError("derivative maps need the full coefficient ring")
-    phi_action: dict[str, dict[str, RingElt]] = {}
-    psi_action: dict[str, dict[str, RingElt]] = {}
-    for src, row in C.diff_items():
-        prow: dict[str, RingElt] = {}
-        qrow: dict[str, RingElt] = {}
-        for tgt, coeff in row.items():
-            du = RingElt(Mono(m.i - 1, m.j) for m in coeff if m.i % 2)
-            dv = RingElt(Mono(m.i, m.j - 1) for m in coeff if m.j % 2)
-            if not du.is_zero():
-                prow[tgt] = du
-            if not dv.is_zero():
-                qrow[tgt] = dv
-        if prow:
-            phi_action[src] = prow
-        if qrow:
-            psi_action[src] = qrow
-    phi = LinMap(C, C, "eq", (1, -1), phi_action, C.ring)
-    psi = LinMap(C, C, "eq", (-1, 1), psi_action, C.ring)
+    phi = LinMap.of_rows(C, C, "eq", (1, -1), C.ring, _d_rows(C, "U"))
+    psi = LinMap.of_rows(C, C, "eq", (-1, 1), C.ring, _d_rows(C, "V"))
     return phi, psi
 
 
@@ -273,9 +372,9 @@ def auto_cap(*complexes: Complex) -> int:
 _Terms = dict[str, list[tuple[str, int, int]]]
 
 
-def _terms(rows) -> _Terms:
-    return {src: [(tgt, m.i, m.j) for tgt, coeff in row.items() for m in coeff]
-            for src, row in rows}
+def _terms(f: LinMap) -> _Terms:
+    return {x.name: f.row_terms(s) for s, x in enumerate(f.source.basis)
+            if f.rows[s]}
 
 
 def _preimages(terms: _Terms) -> _Terms:
@@ -299,7 +398,7 @@ class MapSpace:
     (f -> d f + f d), `precompose_columns` (u -> u g) and
     `postcompose_columns` (u -> g u) for a fixed map g.  Each writes its
     columns in the coordinates of a slot space of the result's shape and
-    raises the `bits_from_action` error on a term outside the slot.
+    raises the `bits_from_map` error on a term outside the slot.
     """
 
     source: Complex
@@ -340,27 +439,26 @@ class MapSpace:
                 for k, (x, y, m) in enumerate(self.pairs)}
 
     def map_from_bits(self, bits: int) -> LinMap:
-        action: dict[str, dict[str, RingElt]] = {}
+        rows = [0] * len(self.source)
+        index, tindex = self.source._index, self.target._index
         for k in bits_of(bits):
-            src, tgt, m = self.pairs[k]
-            row = action.setdefault(src, {})
-            row[tgt] = row.get(tgt, RingElt.zero()) + RingElt((m,))
-        return LinMap(self.source, self.target, self.variance, self.bidegree,
-                      action, self.ideal)
-
-    def bits_from_action(self, action: Mapping[str, Mapping[str, RingElt]]) -> int:
-        bits = 0
-        for src, row in action.items():
-            for tgt, coeff in row.items():
-                for m in coeff.reduce(self.ideal):
-                    hit = self.pair_bits.get((src, tgt))
-                    if hit is None or hit[1:] != (m.i, m.j):
-                        raise _outside(m, tgt, src, self.cap)
-                    bits ^= hit[0]
-        return bits
+            src, tgt, _ = self.pairs[k]
+            rows[index[src]] ^= 1 << tindex[tgt]
+        return LinMap.of_rows(self.source, self.target, self.variance,
+                              self.bidegree, self.ideal, rows)
 
     def bits_from_map(self, f: LinMap) -> int:
-        return self.bits_from_action(f.action)
+        """f reduced modulo this space's ideal, as bits over `pairs`."""
+        bits = 0
+        for s, x in enumerate(f.source.basis):
+            for tgt, i, j in f.row_terms(s):
+                if self.ideal.contains(Mono(i, j)):
+                    continue
+                hit = self.pair_bits.get((x.name, tgt))
+                if hit is None or hit[1:] != (i, j):
+                    raise _outside(Mono(i, j), tgt, x.name, self.cap)
+                bits ^= hit[0]
+        return bits
 
     # -- operators, one column per basis map ------------------------------
 
@@ -368,18 +466,18 @@ class MapSpace:
         """Columns of f -> d f + f d, over this space's ideal."""
         return self._columns(
             slot, (self.ideal, slot.ideal),
-            post=_terms(self.target.diff_items()),
-            pre=_preimages(_terms(self.source.diff_items())))
+            post=_terms(differential_map(self.target)),
+            pre=_preimages(_terms(differential_map(self.source))))
 
     def precompose_columns(self, g: LinMap, slot: "MapSpace") -> list[int]:
         """Columns of u -> u g, reduced modulo the larger ideal."""
         return self._columns(slot, (self.ideal, g.ideal, slot.ideal),
-                             pre=_preimages(_terms(g.action.items())))
+                             pre=_preimages(_terms(g)))
 
     def postcompose_columns(self, g: LinMap, slot: "MapSpace") -> list[int]:
         """Columns of u -> g u, reduced modulo the larger ideal."""
         return self._columns(slot, (self.ideal, g.ideal, slot.ideal),
-                             post=_terms(g.action.items()),
+                             post=_terms(g),
                              post_skew=g.variance == "skew")
 
     def _columns(self, slot: "MapSpace", ideals: tuple[Ideal, ...],
@@ -478,19 +576,7 @@ class IotaData:
             raise StructuralError("almost iota must be reduced mod (U,V)")
 
     def render(self) -> str:
-        lines = []
-        for g in self.map.source.basis:
-            row = self.map.action.get(g.name)
-            if not row:
-                continue
-            targets = [t for t in self.map.target.names() if t in row]
-            terms = []
-            for t in targets:
-                for m in row[t]:
-                    mono = m.render()
-                    terms.append(f"{mono} {t}" if mono != "1" else t)
-            lines.append(f"iota {g.name} = " + " + ".join(terms))
-        return "\n".join(lines)
+        return self.map.render_rows("iota ", "=")
 
 
 @dataclass(frozen=True)
@@ -529,11 +615,10 @@ def validate_iota(C: Complex, iota: IotaData) -> IotaReport:
     if iota.mode == "almost":
         if not C.is_reduced:
             raise StructuralError("almost iota validation needs a reduced complex")
-        ideal = Ideal.max_ideal()
-        dmap = differential_map(C).reduce_to(ideal)
+        dmap = differential_map(C).reduce_to(_MAX)
         defect = dmap.compose(iota.map) + iota.map.compose(dmap)
         chain = defect.is_zero()
-        square = iota.map.compose(iota.map) + one_plus_psi_phi(C, ideal)
+        square = iota.map.compose(iota.map) + one_plus_psi_phi(C, _MAX)
         squares = square.is_zero()
         if not squares:
             messages.append("iota^2 != 1 + Psi Phi mod (U,V)")
@@ -590,7 +675,7 @@ def _square_system(C: Complex) -> _SquareSystem | None:
     # option and Psi Phi vanishes on both mod (U,V), any valid square
     # forces both coefficients to 1
     phi, psi = derivative_maps(C)
-    psiphi = psi.compose(phi).reduce_to(Ideal.max_ideal())
+    psiphi = psi.compose(phi).reduce_to(_MAX)
     unit_slots: dict[str, list[int]] = {}
     for k, (src, tgt, m) in enumerate(iota_space.pairs):
         if m.i == 0 and m.j == 0:
@@ -602,7 +687,7 @@ def _square_system(C: Complex) -> _SquareSystem | None:
         back = unit_slots.get(tgt, [])
         if len(back) != 1 or iota_space.pairs[back[0]][1] != src:
             continue
-        if psiphi.of_gen(src) or psiphi.of_gen(tgt):
+        if psiphi.rows[C.index(src)] or psiphi.rows[C.index(tgt)]:
             continue
         system.add_equation(1 << ks[0], 1)
         system.add_equation(1 << back[0], 1)
@@ -779,8 +864,7 @@ def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
             step = project(v)
             points |= {p ^ step for p in points}
         found |= points
-    max_ideal = Ideal.max_ideal()
-    out = [IotaData(space.map_from_bits(bits).reduce_to(max_ideal), "almost")
+    out = [IotaData(space.map_from_bits(bits).reduce_to(_MAX), "almost")
            for bits in found]
     out.sort(key=IotaData.render)
     return out

@@ -1,17 +1,22 @@
 """Connected-sum products: tensor complexes and product involutions.
 
-Generators of a tensor product are ordered pairs serialized as `x|y`;
-gradings add and the differential follows the Leibniz rule.  The two
-involution products differ by a correction term built from the
-derivative maps of the factors; on reduced complexes they are exchanged
-by the explicit unit 1 + (derivative tensor), which `product_equivalence`
-constructs and verifies.
+Generators of a tensor product are ordered pairs serialized as `x|y`, in
+the order x-major, so pair (x, y) has index x * len(C2) + y; gradings
+add and the differential follows the Leibniz rule.  A tensor of maps is
+an outer product of their bitset rows on that index, and the product
+involutions and their exchange maps are row sums and compositions of
+such tensors, reduced mod (U,V) by a grading mask.  The two involution
+products differ by a correction term built from the derivative maps of
+the factors; on reduced complexes they are exchanged by the explicit
+unit 1 + (derivative tensor), which `product_equivalence` constructs and
+verifies.
 """
 
 from __future__ import annotations
 
 from .complexes import Complex, Generator
 from .errors import StructuralError
+from .linalg import bits_of
 from .morphism import IotaData, LinMap, derivative_maps, identity_map
 from .ring import Ideal, RingElt
 
@@ -30,19 +35,21 @@ def tensor(C1: Complex, C2: Complex) -> Complex:
                        x.gr_v + y.gr_v)
              for x in C1.basis for y in C2.basis]
     diff: dict[str, dict[str, RingElt]] = {}
+    d2 = [C2.d_of(y.name) for y in C2.basis]
     for x in C1.basis:
         dx = C1.d_of(x.name)
-        for y in C2.basis:
+        for y, dy in zip(C2.basis, d2):
             row: dict[str, RingElt] = {}
             for tgt, coeff in dx.items():
                 row[pair_name(tgt, y.name)] = coeff
-            for tgt, coeff in C2.d_of(y.name).items():
+            for tgt, coeff in dy.items():
                 key = pair_name(x.name, tgt)
-                cur = row.get(key, RingElt.zero()) + coeff
-                if cur.is_zero():
+                if key in row:
+                    coeff = row[key] + coeff
+                if coeff.is_zero():
                     row.pop(key, None)
                 else:
-                    row[key] = cur
+                    row[key] = coeff
             if row:
                 diff[pair_name(x.name, y.name)] = row
     return Complex(basis, diff, C1.ring, f"{C1.name}{PAIR_SEP}{C2.name}")
@@ -52,41 +59,38 @@ def map_tensor(f: LinMap, g: LinMap, T: Complex | None = None) -> LinMap:
     """f tensor g as a map on the tensor complex.
 
     Variances must agree (equivariant with equivariant, skew with skew);
-    bidegrees add.  Pass T to reuse an already-built tensor complex.
+    bidegrees add.  Pass T to reuse tensor(f.source, g.source).  Row
+    (x, y) is the outer product of row x of f and row y of g: target
+    pair (x', y') is bit x' * len(C2) + y', and its monomial is the
+    product of the factors' monomials, so only the ideal mask remains.
     """
     if f.variance != g.variance or f.variance == "linear":
         raise StructuralError("tensor of maps needs matching eq/skew variance")
     if f.ideal != g.ideal:
         raise StructuralError("tensor of maps needs a common ideal")
-    if T is None:
-        T = tensor(f.source, g.source)
     if f.source is not f.target or g.source is not g.target:
         raise StructuralError("map_tensor currently supports endomorphisms")
-    action: dict[str, dict[str, RingElt]] = {}
-    for x, frow in f.action.items():
-        for y, grow in g.action.items():
-            out: dict[str, RingElt] = {}
-            for xt, cf in frow.items():
-                for yt, cg in grow.items():
-                    coeff = (cf * cg).reduce(f.ideal)
-                    if coeff.is_zero():
-                        continue
-                    key = pair_name(xt, yt)
-                    cur = out.get(key, RingElt.zero()) + coeff
-                    if cur.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = cur
-            if out:
-                action[pair_name(x, y)] = out
+    if T is None:
+        T = tensor(f.source, g.source)
+    n2 = len(g.source)
+    rows = []
+    for frow in f.rows:
+        shifts = [t * n2 for t in bits_of(frow)]
+        for grow in g.rows:
+            acc = 0
+            if grow:
+                for sh in shifts:
+                    acc |= grow << sh
+            rows.append(acc)
     bidegree = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
-    return LinMap(T, T, f.variance, bidegree, action, f.ideal)
+    return LinMap.of_rows(T, T, f.variance, bidegree, Ideal.zero(),
+                          rows).reduce_to(f.ideal)
 
 
 def _lift_mod_uv(i: IotaData) -> LinMap:
     """View an almost involution's basis-level action over the full ring."""
-    return LinMap(i.map.source, i.map.target, "skew", (0, 0), i.map.action,
-                  Ideal.zero())
+    return LinMap.of_rows(i.map.source, i.map.target, "skew", (0, 0),
+                          Ideal.zero(), i.map.rows)
 
 
 def product_iota(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
@@ -136,14 +140,10 @@ def product_equivalence(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
     ia = product_iota(C1, i1, C2, i2, 1, T)
     ib = product_iota(C1, i1, C2, i2, 2, T)
     max_ideal = Ideal.max_ideal()
-    fa = f.reduce_to(max_ideal).compose(ia.map)
-    af = ib.map.compose(f.reduce_to(max_ideal))
-    if fa + af != LinMap(T, T, "skew", (0, 0), {}, max_ideal):
-        raise StructuralError("variant exchange map fails to intertwine")
-    gb = g.reduce_to(max_ideal).compose(ib.map)
-    bg = ia.map.compose(g.reduce_to(max_ideal))
-    if gb + bg != LinMap(T, T, "skew", (0, 0), {}, max_ideal):
-        raise StructuralError("variant exchange map fails to intertwine")
+    for u, before, after in ((f, ia, ib), (g, ib, ia)):
+        u = u.reduce_to(max_ideal)
+        if not (u.compose(before.map) + after.map.compose(u)).is_zero():
+            raise StructuralError("variant exchange map fails to intertwine")
     return f, g
 
 

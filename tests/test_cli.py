@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -43,8 +44,7 @@ def test_search_local_nonexistence_exit_3(tmp_path, capsys):
     u = tmp_path / "u.cfk"
     run(capsys, "build", "--knot", "cable:2", "-o", str(k2))
     run(capsys, "build", "--knot", "unknot", "-o", str(u))
-    code, stdout, _ = run(capsys, "search-local", str(k2), str(u),
-                          "--mode", "almost")
+    code, stdout, _ = run(capsys, "search-local", str(k2), str(u))
     assert code == 3
     assert "nonexistence" in stdout
 
@@ -259,6 +259,62 @@ def test_connected_cable3_pinned(cables, capsys):
 
 def test_bound_cable3_pinned(cables, capsys):
     assert run(capsys, "bound", str(cables[3])) == (0, "3\n", "")
+
+
+PINNED = Path(__file__).parent / "pinned"
+
+
+@pytest.fixture
+def k2i(cables, tmp_path, capsys):
+    path = tmp_path / "k2i.cfk"
+    run(capsys, "iota-enum", str(cables[2]), "--index", "0", "-o", str(path))
+    return path
+
+
+def test_phi_psi_cable3_pinned(cables, capsys):
+    assert run(capsys, "phi-psi", str(cables[3])) == (
+        0, (PINNED / "phi_psi_cable3.txt").read_text(), "")
+
+
+@pytest.mark.parametrize("variant", ["1", "2"])
+def test_tensor_with_iota_pinned(k2i, capsys, variant):
+    assert run(capsys, "tensor", str(k2i), str(k2i), "--variant",
+               variant) == (
+        0, (PINNED / f"tensor_k2i_k2i_v{variant}.cfk").read_text(), "")
+
+
+@pytest.mark.parametrize("fmt,pin", [("text", "iota_enum_cable3.txt"),
+                                     ("records",
+                                      "iota_enum_cable3_records.txt")])
+def test_iota_enum_cable3_pinned(cables, capsys, fmt, pin):
+    assert run(capsys, "iota-enum", str(cables[3]), "--format", fmt) == (
+        0, (PINNED / pin).read_text(), "")
+
+
+@pytest.mark.parametrize("src,tgt,text", [
+    ("u", 2, "# map local: unknot -> cable2 (eq, bidegree 0 0)\n"
+             "map local variance eq : a -> a\n"),
+    (2, 2, "# map local: cable2 -> cable2 (eq, bidegree 0 0)\n"
+           + "".join(f"map local variance eq : {g} -> {g}\n"
+                     for g in "abcdefg")
+           + "map local variance eq : b1_1 -> a\n"),
+])
+def test_search_local_map_file_pinned(cables, tmp_path, capsys, src, tgt,
+                                      text):
+    if src == "u":
+        cables[src] = tmp_path / "u.cfk"
+        run(capsys, "build", "--knot", "unknot", "-o", str(cables[src]))
+    out = tmp_path / "map.cfk"
+    assert run(capsys, "search-local", str(cables[src]), str(cables[tgt]),
+               "-o", str(out)) == (0, "", "")
+    assert out.read_text() == text
+
+
+def test_search_local_mode_flag_removed_exit_2(cables, capsys):
+    # only almost-local maps are searched; .cfk files carry no full iota
+    assert run(capsys, "search-local", str(cables[2]), str(cables[2]),
+               "--mode", "local") == (
+        2, "", "knotfloer: error: unrecognized arguments: --mode local\n")
 
 
 def test_non_utf8_input_exit_2(tmp_path, capsys):

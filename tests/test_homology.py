@@ -16,8 +16,9 @@ from knotfloer.homology import (UHomology, _v_reduced_rows, hfk_hat,
                                 hfk_minus, locality_rank, torsion_order)
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
 from knotfloer.linalg import GF2System, bits_of
-from knotfloer.localequiv import _locality_bit, _tower_element
+from knotfloer.localequiv import _locality_bit
 from knotfloer.morphism import MapSpace
+from knotfloer.ring import RingElt
 from knotfloer.tensorsum import tensor
 from oracles import SmithUHomology, hfk_minus_oracle, locality_rank_oracle
 
@@ -250,9 +251,11 @@ def test_tower_unit_coefficient_matches_smith_oracle():
     for A, B in pairs:
         src, tgt, smith = UHomology(A), UHomology(B), SmithUHomology(B)
         assert SmithUHomology(A).tower_unit_coefficient(src.tower_generator())
-        elt, grading = _tower_element(src)
+        tower, grading = src.tower_generator()
+        elt = {A.basis[r].name: RingElt.mono((A.basis[r].gr_u - grading) // 2, 0)
+               for r in bits_of(tower)}
         for f in _random_chain_maps(A, B, 8, rng):
-            unit = _locality_bit(f, elt, grading, tgt)
+            unit = _locality_bit(f, tower, grading, tgt)
             v = tgt.vector_from_element(f.apply(elt), grading)
             assert unit == smith.tower_unit_coefficient(v)
             seen.add(unit)

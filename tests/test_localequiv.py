@@ -69,14 +69,6 @@ def test_budget_guard(k2, k3):
         search_local_map(LocalSearchSpec((k3, None), (k2, None), budget=10))
 
 
-def test_full_mode_unknot_identity(unknot):
-    iota = IotaData(LinMap(unknot, unknot, "skew", (0, 0),
-                           {"a": {"a": ONE}}), "full")
-    cert = search_local_map(LocalSearchSpec((unknot, iota), (unknot, iota),
-                                            mode="local"))
-    assert cert.exists
-
-
 # -- omega -------------------------------------------------------------------
 
 def test_omega_unknot(unknot):
