@@ -213,29 +213,6 @@ def add_term(elt: Element, name: str, coeff: RingElt) -> None:
         elt[name] = new
 
 
-def add_elements(a: Element, b: Element) -> Element:
-    out = dict(a)
-    for k, v in b.items():
-        add_term(out, k, v)
-    return out
-
-
-def scale_element(coeff: RingElt, elt: Element, ideal: Ideal) -> Element:
-    out: Element = {}
-    for k, v in elt.items():
-        add_term(out, k, (coeff * v).reduce(ideal))
-    return out
-
-
-def reduce_element(elt: Element, ideal: Ideal) -> Element:
-    out: Element = {}
-    for k, v in elt.items():
-        r = v.reduce(ideal)
-        if not r.is_zero():
-            out[k] = r
-    return out
-
-
 # -- duals and quotients ---------------------------------------------------
 
 def dualize(C: Complex) -> Complex:

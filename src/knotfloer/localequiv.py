@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Complex, Element, add_term
+from .complexes import Complex, Generator, add_term
 from .errors import ResourceError, StructuralError
 from .homology import UHomology, hfk_minus, torsion_order
 from .linalg import (AffineSpace, GF2System, bits_of, reduce_mod_span,
                      rref_basis, transpose)
 from .morphism import (IotaData, LinMap, MapSpace, auto_cap, chain_defect,
-                       enumerate_almost_iotas, validate_iota)
+                       differential_map, enumerate_almost_iotas,
+                       validate_iota)
 from .ring import Ideal, Mono, RingElt
 
 DEFAULT_BUDGET = 2_000_000
@@ -277,16 +278,12 @@ class SelfLocalMap:
     kernel: KernelSpace
 
 
-def _max_exponent(f: LinMap) -> int:
-    return max((max(i, j) for s in range(len(f.rows))
-                for _, i, j in f.row_terms(s)), default=0)
-
-
 def kernel_space(C: Complex, f: LinMap, cap: int) -> KernelSpace:
     terms = [(g.name, a, b) for g in C.basis
              for a in range(cap + 1) for b in range(cap + 1)]
     images = {g.name: f.row_terms(s) for s, g in enumerate(C.basis)}
-    max_exp = _max_exponent(f)
+    max_exp = max((max(i, j) for row in images.values() for _, i, j in row),
+                  default=0)
     out_terms = [(g.name, a, b) for g in C.basis
                  for a in range(cap + max_exp + 1)
                  for b in range(cap + max_exp + 1)]
@@ -357,10 +354,6 @@ class SelfLocalFamily:
 
     def free_dim(self, inner: GF2System) -> int:
         return len(self.family.null) - inner.rank
-
-    @property
-    def dimension(self) -> int:
-        return self.free_dim(self.inner)
 
     def unit_coefficient_constant(self, src: str, tgt: str) -> tuple[bool, int]:
         """Whether <f(src), tgt> takes one value over the whole family.
@@ -522,117 +515,69 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
 
     Valid when ker f and im f intersect trivially (true for
     kernel-maximal self-local maps); the result is then a free direct
-    summand subcomplex.
+    summand subcomplex.  Works one bigrading (p, q) at a time: there an
+    element is a sum of U^a V^b x with (a, b) fixed by x's grading, so
+    it is a bitset over C's generators, f(U^a V^b x) is row x of f, and
+    multiplying by U or V keeps the bits.
     """
-    bound = 2 * auto_cap(C) + _max_exponent(f) + 2
+    gr = [(g.gr_u, g.gr_v) for g in C.basis]
 
-    gradings = sorted({(g.gr_u, g.gr_v) for g in C.basis}, reverse=True)
+    def exponents(g, p, q):
+        """(a, b) with U^a V^b times a generator of grading g in (p, q)."""
+        du, dv = g[0] - p, g[1] - q
+        if du < 0 or dv < 0 or du % 2 or dv % 2:
+            return None
+        return du // 2, dv // 2
 
-    def piece_terms(p, q):
-        out = []
-        for g in C.basis:
-            du, dv = g.gr_u - p, g.gr_v - q
-            if du >= 0 and dv >= 0 and du % 2 == 0 and dv % 2 == 0 \
-                    and du // 2 <= bound and dv // 2 <= bound:
-                out.append((g.name, du // 2, dv // 2))
-        return out
+    def images(p, q):
+        """f of the generators' multiples in bigrading (p, q)."""
+        return [row for g, row in zip(gr, f.rows)
+                if row and exponents(g, p, q) is not None]
 
-    def vec_of_element(elt: Element, terms, index):
-        v = 0
-        for gname, coeff in elt.items():
-            for m in coeff:
-                key = (gname, m.i, m.j)
-                if key not in index:
-                    raise ResourceError("exponent bound exceeded in image "
-                                        "construction", m.i + m.j)
-                v ^= 1 << index[key]
-        return v
-
-    def image_span(p, q):
-        """Spanning vectors of f(C_(p,q)) in the (p,q) coordinate space."""
-        terms = piece_terms(p, q)
-        index = {t: k for k, t in enumerate(terms)}
-        vecs = []
-        elts = []
-        for (gname, a, b) in terms:
-            img = f.of_gen(gname)
-            if not img:
-                continue
-            elt: Element = {}
-            for tgt, coeff in img.items():
-                add_term(elt, tgt, coeff.scale(Mono(a, b)))
-            if elt:
-                vecs.append(vec_of_element(elt, terms, index))
-                elts.append(elt)
-        return terms, index, vecs, elts
-
-    generators: list[tuple[str, int, int, Element]] = []
+    # pick image elements completing (U,V) * im in each bigrading
+    generators: list[tuple[str, int, int, int]] = []
     used_names: set[str] = set()
-    for (p, q) in gradings:
-        terms, index, vecs, elts = image_span(p, q)
-        shifted = []
-        for sp, sq, mono in ((p + 2, q, Mono(1, 0)), (p, q + 2, Mono(0, 1))):
-            _, _, _, selts = image_span(sp, sq)
-            for elt in selts:
-                moved: Element = {}
-                for gname, coeff in elt.items():
-                    add_term(moved, gname, coeff.scale(mono))
-                shifted.append(vec_of_element(moved, terms, index))
-        # pick image elements completing (U,V) * im inside this piece
-        span = GF2System(len(terms))
-        span.add_equations((v, 0) for v in shifted)
-        for vec, elt in zip(vecs, elts):
+    for (p, q) in sorted(set(gr), reverse=True):
+        span = GF2System(len(C))
+        span.add_equations((v, 0) for v in images(p + 2, q) + images(p, q + 2))
+        for vec in images(p, q):
             rank = span.rank
             span.add_equation(vec, 0)
             if span.rank == rank:
                 continue
-            label = None
-            if len(elt) == 1:
-                (only_name, coeff), = elt.items()
-                if coeff.is_one() and only_name not in used_names:
-                    label = only_name
-            if label is None:
+            t = vec.bit_length() - 1
+            label = C.basis[t].name
+            if vec != 1 << t or gr[t] != (p, q) or label in used_names:
                 label = f"x{len(generators)}"
             used_names.add(label)
-            generators.append((label, p, q, elt))
+            generators.append((label, p, q, vec))
 
-    from .complexes import Generator  # local import to avoid cycle noise
-
-    basis = [Generator(lbl, p, q) for (lbl, p, q, _) in generators]
-    gen_elements = {lbl: elt for (lbl, p, q, elt) in generators}
-
+    d_rows = differential_map(C).rows
     diff: dict[str, dict[str, RingElt]] = {}
-    for (lbl, p, q, elt) in generators:
-        boundary = C.apply_d(elt)
+    for (lbl, p, q, vec) in generators:
+        boundary = 0
+        for t in bits_of(vec):
+            boundary ^= d_rows[t]
+        for t in bits_of(boundary):
+            if C.ring.contains(Mono(*exponents(gr[t], p - 1, q - 1))):
+                boundary ^= 1 << t
         if not boundary:
             continue
-        tp, tq = p - 1, q - 1
-        terms = piece_terms(tp, tq)
-        index = {t: k for k, t in enumerate(terms)}
-        target_vec = vec_of_element(boundary, terms, index)
-        unknown_cols = []
-        unknown_meta = []
-        for (lbl2, p2, q2, elt2) in generators:
-            du, dv = p2 - tp, q2 - tq
-            if du < 0 or dv < 0 or du % 2 or dv % 2:
-                continue
-            m = Mono(du // 2, dv // 2)
-            moved: Element = {}
-            for gname, coeff in elt2.items():
-                add_term(moved, gname, coeff.scale(m))
-            unknown_cols.append(vec_of_element(moved, terms, index))
-            unknown_meta.append((lbl2, m))
-        sysq = GF2System(len(unknown_cols))
-        if not sysq.add_columns(unknown_cols, target_vec):
+        columns, meta = [], []
+        for (lbl2, p2, q2, vec2) in generators:
+            m = exponents((p2, q2), p - 1, q - 1)
+            if m is not None:
+                columns.append(vec2)
+                meta.append((lbl2, m))
+        sysq = GF2System(len(columns))
+        if not sysq.add_columns(columns, boundary):
             raise StructuralError("image is not closed under d in the "
                                   "computed generating set")
-        sol = sysq.particular_solution()
-        row_out: dict[str, RingElt] = {}
-        for k in bits_of(sol):
-            lbl2, m = unknown_meta[k]
-            add_term(row_out, lbl2, RingElt((m,)))
-        if row_out:
-            diff[lbl] = row_out
+        diff[lbl] = {}
+        for k in bits_of(sysq.particular_solution()):
+            lbl2, (a, b) = meta[k]
+            add_term(diff[lbl], lbl2, RingElt.mono(a, b))
+    basis = [Generator(lbl, p, q) for (lbl, p, q, _) in generators]
     return Complex(basis, diff, C.ring, name)
 
 

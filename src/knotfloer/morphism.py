@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, Sequence
 from .complexes import Complex, Element, _ideal_leq, add_term
 from .errors import ResourceError, StructuralError
 from .linalg import GF2System, bits_of, complement_basis, reduce_mod_span, rref_basis
-from .ring import Ideal, Mono, RingElt
+from .ring import Ideal, Mono, RingElt, render_mono
 
 Bidegree = tuple[int, int]
 
@@ -74,7 +74,7 @@ class LinMap:
                                 f"map entry {m.render()} {tgt} on {src} breaks "
                                 f"declared bidegree {bidegree}")
                 rows[s] |= 1 << t
-        _fill(self, source, target, variance, tuple(bidegree), ideal, rows)
+        _fill(self, source, target, variance, bidegree, ideal, rows)
 
     @classmethod
     def of_rows(cls, source: Complex, target: Complex, variance: str,
@@ -93,14 +93,14 @@ class LinMap:
     def row_terms(self, s: int) -> list[tuple[str, int, int]]:
         """(target, U exponent, V exponent) of each term of f(source
         generator s), in target basis order."""
-        basis = self.target.basis
+        targets = [self.target.basis[t] for t in bits_of(self.rows[s])]
         if self.variance == "linear":
-            return [(basis[t].name, 0, 0) for t in bits_of(self.rows[s])]
+            return [(y.name, 0, 0) for y in targets]
         x = self.source.basis[s]
         eu, ev = _expected_grading((x.gr_u, x.gr_v), self.variance,
                                    self.bidegree)
-        return [(basis[t].name, (basis[t].gr_u - eu) // 2,
-                 (basis[t].gr_v - ev) // 2) for t in bits_of(self.rows[s])]
+        return [(y.name, (y.gr_u - eu) // 2, (y.gr_v - ev) // 2)
+                for y in targets]
 
     def of_gen(self, name: str) -> Element:
         s = self.source._index.get(name)
@@ -213,10 +213,8 @@ class LinMap:
         lines = []
         for s, x in enumerate(self.source.basis):
             if self.rows[s]:
-                terms = []
-                for tgt, i, j in self.row_terms(s):
-                    mono = Mono(i, j).render()
-                    terms.append(tgt if mono == "1" else f"{mono} {tgt}")
+                terms = [tgt if i == j == 0 else f"{render_mono(i, j)} {tgt}"
+                         for tgt, i, j in self.row_terms(s)]
                 lines.append(f"{head}{x.name} {arrow} " + " + ".join(terms))
         return "\n".join(lines)
 
@@ -224,7 +222,7 @@ class LinMap:
 def _fill(f: LinMap, source: Complex, target: Complex, variance: str,
           bidegree: Bidegree, ideal: Ideal, rows: Sequence[int]) -> None:
     for slot, value in (("source", source), ("target", target),
-                        ("variance", variance), ("bidegree", bidegree),
+                        ("variance", variance), ("bidegree", tuple(bidegree)),
                         ("ideal", ideal), ("rows", tuple(rows))):
         object.__setattr__(f, slot, value)
 
@@ -287,20 +285,20 @@ def _d_rows(C: Complex, derivative: str | None = None) -> list[int]:
     for odd i and zero otherwise, so the derivative keeps the terms of
     odd exponent.
     """
+    where = {g.name: (k, g.gr_u, g.gr_v) for k, g in enumerate(C.basis)}
     rows = [0] * len(C)
     for src, row in C.diff_items():
-        s = C.index(src)
-        gu, gv = C.grading(src)
+        s, gu, gv = where[src]
         for tgt, coeff in row.items():
-            tu, tv = C.grading(tgt)
-            for m in coeff:
+            t, tu, tv = where[tgt]
+            for m in coeff.terms:
                 if tu - 2 * m.i != gu - 1 or tv - 2 * m.j != gv - 1:
                     raise StructuralError(
                         f"map entry {m.render()} {tgt} on {src} breaks "
                         f"declared bidegree (-1, -1)")
                 if (derivative is None or derivative == "U" and m.i % 2
                         or derivative == "V" and m.j % 2):
-                    rows[s] |= 1 << C.index(tgt)
+                    rows[s] |= 1 << t
     return rows
 
 

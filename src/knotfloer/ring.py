@@ -37,18 +37,23 @@ class Mono:
         return Mono(self.j, self.i)
 
     def render(self) -> str:
-        if self.i == 0 and self.j == 0:
-            return "1"
-        parts = []
-        if self.i == 1:
-            parts.append("U")
-        elif self.i > 1:
-            parts.append(f"U^{self.i}")
-        if self.j == 1:
-            parts.append("V")
-        elif self.j > 1:
-            parts.append(f"V^{self.j}")
-        return " ".join(parts)
+        return render_mono(self.i, self.j)
+
+
+def render_mono(i: int, j: int) -> str:
+    """U^i V^j with `^1` omitted and absent factors dropped; 1 for U^0 V^0."""
+    if i == 0 and j == 0:
+        return "1"
+    parts = []
+    if i == 1:
+        parts.append("U")
+    elif i > 1:
+        parts.append(f"U^{i}")
+    if j == 1:
+        parts.append("V")
+    elif j > 1:
+        parts.append(f"V^{j}")
+    return " ".join(parts)
 
 
 _VALID_KINDS = ("zero", "uv", "box", "max", "principal_u", "principal_v")

@@ -9,17 +9,24 @@ localization-rank oracle row-reduces over the fraction field F2(U) with fraction
 cross-multiplication, representing F2[U] polynomials as int bitmasks.
 The almost-involution oracle walks every homotopy class of the squared
 condition instead of solving it over a vertex cover.  The map-space
-operator oracles build each column as a LinMap and compose it with
-dictionaries of monomials instead of index arithmetic.
+operator oracles build each column as a LinMap and compose maps instead
+of using index arithmetic.  The dict map algebra computes sums,
+composites, reductions, images and tensors of maps coefficient by
+coefficient in F2[U,V] from the `action` view, the way LinMap did before
+it stored bitset rows, and rebuilds each result through the validating
+constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from knotfloer.complexes import Complex
-from knotfloer.morphism import IotaData, LinMap, MapSpace, chain_defect
-from knotfloer.ring import Ideal
+from knotfloer.complexes import Complex, Element, _ideal_leq, add_term
+from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
+                                derivative_maps, differential_map,
+                                identity_map)
+from knotfloer.ring import Ideal, RingElt
+from knotfloer.tensorsum import pair_name
 
 
 # -- F2 span helpers (rows are int bitmasks) ------------------------------
@@ -298,6 +305,117 @@ def linmap_composition_columns(space: MapSpace, g: LinMap, slot: MapSpace,
         cols.append(slot.bits_from_map(u.compose(g) if side == "pre"
                                        else g.compose(u)))
     return cols
+
+
+# -- map algebra on dictionaries of RingElt coefficients ----------------------
+
+def dict_apply(f: LinMap, elt: Element, action=None) -> Element:
+    """f(elt); pass f.action to reuse it across calls."""
+    action = f.action if action is None else action
+    out: Element = {}
+    for src, coeff in elt.items():
+        transported = coeff.swap() if f.variance == "skew" else coeff
+        for tgt, val in action.get(src, {}).items():
+            add_term(out, tgt, (transported * val).reduce(f.ideal))
+    return out
+
+
+def dict_add(f: LinMap, g: LinMap) -> LinMap:
+    assert (f.source is g.source and f.target is g.target
+            and (f.variance, f.bidegree, f.ideal)
+            == (g.variance, g.bidegree, g.ideal))
+    fa, ga = f.action, g.action
+    action = {}
+    for src in set(fa) | set(ga):
+        row = {}
+        for tgt in set(fa.get(src, {})) | set(ga.get(src, {})):
+            coeff = (fa.get(src, {}).get(tgt, RingElt.zero())
+                     + ga.get(src, {}).get(tgt, RingElt.zero()))
+            if not coeff.is_zero():
+                row[tgt] = coeff
+        if row:
+            action[src] = row
+    return LinMap(f.source, f.target, f.variance, f.bidegree, action, f.ideal)
+
+
+def dict_compose(outer: LinMap, inner: LinMap) -> LinMap:
+    """outer after inner."""
+    assert inner.target is outer.source
+    if "linear" in (outer.variance, inner.variance):
+        variance = "linear"
+    elif outer.variance == inner.variance:
+        variance = "eq"
+    else:
+        variance = "skew"
+    bi = inner.bidegree
+    if outer.variance == "skew":
+        bi = (bi[1], bi[0])
+    bidegree = (bi[0] + outer.bidegree[0], bi[1] + outer.bidegree[1])
+    ideal = outer.ideal if _ideal_leq(inner.ideal, outer.ideal) else inner.ideal
+    action = {}
+    outer_action = outer.action
+    for src, row in inner.action.items():
+        out = {k: v.reduce(ideal)
+               for k, v in dict_apply(outer, row, outer_action).items()}
+        out = {k: v for k, v in out.items() if not v.is_zero()}
+        if out:
+            action[src] = out
+    return LinMap(inner.source, outer.target, variance, bidegree, action,
+                  ideal)
+
+
+def dict_reduce_to(f: LinMap, ideal: Ideal) -> LinMap:
+    action = {src: {t: c.reduce(ideal) for t, c in row.items()}
+              for src, row in f.action.items()}
+    return LinMap(f.source, f.target, f.variance, f.bidegree, action, ideal)
+
+
+def dict_map_tensor(f: LinMap, g: LinMap, T: Complex) -> LinMap:
+    """f tensor g on T = tensor(f.source, g.source), both endomorphisms."""
+    action = {}
+    ga = g.action
+    for x, frow in f.action.items():
+        for y, grow in ga.items():
+            out = {}
+            for xt, cf in frow.items():
+                for yt, cg in grow.items():
+                    coeff = (cf * cg).reduce(f.ideal)
+                    if not coeff.is_zero():
+                        add_term(out, pair_name(xt, yt), coeff)
+            if out:
+                action[pair_name(x, y)] = out
+    bidegree = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
+    return LinMap(T, T, f.variance, bidegree, action, f.ideal)
+
+
+def dict_lift(i: IotaData) -> LinMap:
+    """An almost involution's unit terms as a skew map over the full ring."""
+    return LinMap(i.map.source, i.map.target, "skew", (0, 0), i.map.action,
+                  Ideal.zero())
+
+
+def dict_product_iota(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
+                      variant: int, T: Complex) -> LinMap:
+    """Variant 1 or 2 of the product of two almost involutions."""
+    phi1, psi1 = derivative_maps(C1)
+    phi2, psi2 = derivative_maps(C2)
+    raw = dict_map_tensor(dict_lift(i1), dict_lift(i2), T)
+    corr = dict_map_tensor(*((phi1, psi2) if variant == 1 else (psi1, phi2)),
+                           T)
+    return dict_reduce_to(dict_add(raw, dict_compose(corr, raw)),
+                          Ideal.max_ideal())
+
+
+def dict_almost_iota_checks(C: Complex, iota: IotaData) -> tuple[bool, bool]:
+    """(chain map, iota^2 = 1 + Psi Phi) mod (U,V)."""
+    dmap = dict_reduce_to(differential_map(C), Ideal.max_ideal())
+    defect = dict_add(dict_compose(dmap, iota.map),
+                      dict_compose(iota.map, dmap))
+    phi, psi = derivative_maps(C)
+    target = dict_reduce_to(dict_add(identity_map(C), dict_compose(psi, phi)),
+                            Ideal.max_ideal())
+    square = dict_add(dict_compose(iota.map, iota.map), target)
+    return defect.is_zero(), square.is_zero()
 
 
 # -- U-module homology by three graded Smith forms --------------------------

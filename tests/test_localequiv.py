@@ -14,7 +14,7 @@ from knotfloer.localequiv import (KernelSpace, LocalSearchSpec,
                                   kernel_space, maximal_self_local_map, omega,
                                   search_local_map, self_local_equivalences,
                                   verify_almost_local)
-from knotfloer.morphism import IotaData, LinMap, enumerate_almost_iotas
+from knotfloer.morphism import enumerate_almost_iotas
 from knotfloer.ring import Ideal, RingElt
 
 ONE = RingElt.one()

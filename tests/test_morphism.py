@@ -308,9 +308,16 @@ def test_fig8_square_exceeds_cover_budget():
 
 def test_enumeration_independent_of_hash_seed():
     script = ("from knotfloer import build_cable, enumerate_almost_iotas\n"
+              "from knotfloer import product_equivalence, product_iota\n"
               "for n in (2, 3, 4):\n"
               "    for d in enumerate_almost_iotas(build_cable(n)):\n"
-              "        print(d.render())\n")
+              "        print(d.render())\n"
+              "k2, k3 = build_cable(2), build_cable(3)\n"
+              "i2, i3 = enumerate_almost_iotas(k2), enumerate_almost_iotas(k3)\n"
+              "for v in (1, 2):\n"
+              "    print(product_iota(k3, i3[0], k2, i2[-1], v).render())\n"
+              "for m in product_equivalence(k3, i3[0], k2, i2[-1]):\n"
+              "    print(m.render('e'))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     outs = []
     for seed in ("0", "1"):
@@ -319,6 +326,8 @@ def test_enumeration_independent_of_hash_seed():
                                    capture_output=True, text=True,
                                    check=True, timeout=120).stdout)
     assert outs[0] == outs[1] and outs[0].count("iota a = a") == 14
+    assert outs[0].count("iota a|a = a|a") == 2
+    assert outs[0].count("map e variance eq : a|a -> a|a") == 2
 
 
 def test_auto_cap_covers_gradings(k3):
