@@ -14,18 +14,22 @@ of using index arithmetic.  The dict map algebra computes sums,
 composites, reductions, images and tensors of maps coefficient by
 coefficient in F2[U,V] from the `action` view, the way LinMap did before
 it stored bitset rows, and rebuilds each result through the validating
-constructor.
+constructor; `element_image_complex` builds the image of a chain map
+from such elements instead of bitsets over generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from knotfloer.complexes import Complex, Element, _ideal_leq, add_term
-from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
-                                derivative_maps, differential_map,
-                                identity_map)
-from knotfloer.ring import Ideal, RingElt
+from knotfloer.complexes import (Complex, Element, Generator, _ideal_leq,
+                                 add_term)
+from knotfloer.errors import ResourceError, StructuralError
+from knotfloer.linalg import GF2System, bits_of
+from knotfloer.morphism import (IotaData, LinMap, MapSpace, auto_cap,
+                                chain_defect, derivative_maps,
+                                differential_map, identity_map)
+from knotfloer.ring import Ideal, Mono, RingElt
 from knotfloer.tensorsum import pair_name
 
 
@@ -416,6 +420,128 @@ def dict_almost_iota_checks(C: Complex, iota: IotaData) -> tuple[bool, bool]:
                             Ideal.max_ideal())
     square = dict_add(dict_compose(iota.map, iota.map), target)
     return defect.is_zero(), square.is_zero()
+
+
+# -- the image complex on F2[U,V] elements ---------------------------------
+
+def element_image_complex(C: Complex, f: LinMap,
+                          name: str = "conn") -> Complex:
+    """`image_complex` on elements, generator -> F2[U,V] coefficient,
+    in coordinates (generator, a, b) truncated at an exponent bound."""
+    cap = auto_cap(C)
+    max_exp = 0
+    for row in f.action.values():
+        for coeff in row.values():
+            for m in coeff:
+                max_exp = max(max_exp, m.i, m.j)
+    bound = 2 * cap + max_exp + 2
+
+    gradings = sorted({(g.gr_u, g.gr_v) for g in C.basis}, reverse=True)
+
+    def piece_terms(p, q):
+        out = []
+        for g in C.basis:
+            du, dv = g.gr_u - p, g.gr_v - q
+            if du >= 0 and dv >= 0 and du % 2 == 0 and dv % 2 == 0 \
+                    and du // 2 <= bound and dv // 2 <= bound:
+                out.append((g.name, du // 2, dv // 2))
+        return out
+
+    def vec_of_element(elt: Element, terms, index):
+        v = 0
+        for gname, coeff in elt.items():
+            for m in coeff:
+                key = (gname, m.i, m.j)
+                if key not in index:
+                    raise ResourceError("exponent bound exceeded in image "
+                                        "construction", m.i + m.j)
+                v ^= 1 << index[key]
+        return v
+
+    def image_span(p, q):
+        """Spanning vectors of f(C_(p,q)) in the (p,q) coordinate space."""
+        terms = piece_terms(p, q)
+        index = {t: k for k, t in enumerate(terms)}
+        vecs = []
+        elts = []
+        for (gname, a, b) in terms:
+            img = f.of_gen(gname)
+            if not img:
+                continue
+            elt: Element = {}
+            for tgt, coeff in img.items():
+                add_term(elt, tgt, coeff.scale(Mono(a, b)))
+            if elt:
+                vecs.append(vec_of_element(elt, terms, index))
+                elts.append(elt)
+        return terms, index, vecs, elts
+
+    generators: list[tuple[str, int, int, Element]] = []
+    used_names: set[str] = set()
+    for (p, q) in gradings:
+        terms, index, vecs, elts = image_span(p, q)
+        shifted = []
+        for sp, sq, mono in ((p + 2, q, Mono(1, 0)), (p, q + 2, Mono(0, 1))):
+            _, _, _, selts = image_span(sp, sq)
+            for elt in selts:
+                moved: Element = {}
+                for gname, coeff in elt.items():
+                    add_term(moved, gname, coeff.scale(mono))
+                shifted.append(vec_of_element(moved, terms, index))
+        # pick image elements completing (U,V) * im inside this piece
+        span = GF2System(len(terms))
+        span.add_equations((v, 0) for v in shifted)
+        for vec, elt in zip(vecs, elts):
+            rank = span.rank
+            span.add_equation(vec, 0)
+            if span.rank == rank:
+                continue
+            label = None
+            if len(elt) == 1:
+                (only_name, coeff), = elt.items()
+                if coeff.is_one() and only_name not in used_names:
+                    label = only_name
+            if label is None:
+                label = f"x{len(generators)}"
+            used_names.add(label)
+            generators.append((label, p, q, elt))
+
+    basis = [Generator(lbl, p, q) for (lbl, p, q, _) in generators]
+    gen_elements = {lbl: elt for (lbl, p, q, elt) in generators}
+
+    diff: dict[str, dict[str, RingElt]] = {}
+    for (lbl, p, q, elt) in generators:
+        boundary = C.apply_d(elt)
+        if not boundary:
+            continue
+        tp, tq = p - 1, q - 1
+        terms = piece_terms(tp, tq)
+        index = {t: k for k, t in enumerate(terms)}
+        target_vec = vec_of_element(boundary, terms, index)
+        unknown_cols = []
+        unknown_meta = []
+        for (lbl2, p2, q2, elt2) in generators:
+            du, dv = p2 - tp, q2 - tq
+            if du < 0 or dv < 0 or du % 2 or dv % 2:
+                continue
+            m = Mono(du // 2, dv // 2)
+            moved: Element = {}
+            for gname, coeff in elt2.items():
+                add_term(moved, gname, coeff.scale(m))
+            unknown_cols.append(vec_of_element(moved, terms, index))
+            unknown_meta.append((lbl2, m))
+        sysq = GF2System(len(unknown_cols))
+        if not sysq.add_columns(unknown_cols, target_vec):
+            raise StructuralError("image is not closed under d in the "
+                                  "computed generating set")
+        sol = sysq.particular_solution()
+        row_out: dict[str, RingElt] = {}
+        for k in bits_of(sol):
+            lbl2, m = unknown_meta[k]
+            add_term(row_out, lbl2, RingElt((m,)))
+        if row_out:
+            diff[lbl] = row_out
+    return Complex(basis, diff, C.ring, name)
 
 
 # -- U-module homology by three graded Smith forms --------------------------

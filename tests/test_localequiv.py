@@ -203,3 +203,58 @@ def test_connected_and_bound_never_compute_a_kernel(monkeypatch, k2, k2_iotas,
             assert conn == image and conn.name == image.name
             assert len(conn) == 7
             assert concordance_unknotting_bound(C, io) == bound
+
+
+IMAGE_SOURCES = ("unknot", "fig8", "k2", "k3", "k2*", "k2 mod UV",
+                 "k3 mod UV", "random", "random mod UV")
+
+
+def _random_chain_maps(C, rng, count):
+    """The identity and random grading-preserving chain maps C -> C."""
+    from knotfloer.linalg import GF2System
+    from knotfloer.morphism import MapSpace, identity_map
+
+    space = MapSpace.build(C, C, "eq", (0, 0), C.ring)
+    slot = MapSpace.build(C, C, "eq", (-1, -1), C.ring, space.cap)
+    system = GF2System(space.dim)
+    assert system.add_columns(space.d_commutator_columns(slot))
+    null = system.nullspace_basis()
+    maps = [identity_map(C)]
+    for _ in range(count):
+        bits = 0
+        for v in null:
+            if rng.getrandbits(1):
+                bits ^= v
+        maps.append(space.map_from_bits(bits))
+    return maps
+
+
+@pytest.mark.parametrize("name", IMAGE_SOURCES)
+def test_image_complex_matches_element_oracle(name, request):
+    # any equivariant grading-preserving chain map, not only self-local
+    # ones; the image may fail to be closed under d, in the same way
+    from conftest import random_reduced_complex
+    from knotfloer.complexes import dualize, quotient
+    from oracles import element_image_complex
+
+    def outcome(build):
+        try:
+            return build()
+        except StructuralError as err:
+            return str(err)
+
+    rng = random.Random(name)
+    base = name.split()[0].rstrip("*")
+    if base == "random":
+        sources = [random_reduced_complex(rng, max_pieces=5, transvections=5)
+                   for _ in range(12)]
+    else:
+        sources = [request.getfixturevalue(base)]
+    for C in sources:
+        if name.endswith("*"):
+            C = dualize(C)
+        if name.endswith("mod UV"):
+            C = quotient(C, Ideal.uv())
+        for f in _random_chain_maps(C, rng, 5):
+            assert (outcome(lambda: image_complex(C, f))
+                    == outcome(lambda: element_image_complex(C, f)))
