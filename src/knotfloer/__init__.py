@@ -3,7 +3,7 @@
 The package builds and validates free bigraded chain complexes, computes
 their F2[U]-module homology and torsion orders, enumerates almost
 involutions, and decides (almost) local-map existence by exhaustive
-F2 linear algebra at a grading-derived exponent cap.
+F2 linear algebra over map spaces that the gradings make finite.
 """
 
 from .cfk import CfkFile, parse_cfk, parse_map_file, render_cfk, render_map_file
@@ -20,10 +20,9 @@ from .localequiv import (KernelSpace, LocalCertificate, LocalSearchSpec,
                          kernel_space, maximal_self_local_map, omega,
                          search_local_map, self_local_equivalences,
                          verify_almost_local)
-from .morphism import (IotaData, IotaReport, LinMap, MapSpace, auto_cap,
-                       chain_defect, derivative_maps, enumerate_almost_iotas,
-                       identity_map, is_chain_map, solve_homotopy,
-                       validate_iota, zero_map)
+from .morphism import (IotaData, IotaReport, LinMap, MapSpace, chain_defect,
+                       derivative_maps, enumerate_almost_iotas, identity_map,
+                       is_chain_map, solve_homotopy, validate_iota, zero_map)
 from .ring import Ideal, Mono, RingElt, mul, reduce
 from .tensorsum import (map_tensor, pair_name, product_equivalence,
                         product_iota, tensor, tensor_many)

@@ -38,17 +38,6 @@ def _load(path: str) -> cfk.CfkFile:
     return cfk.parse_cfk(text)
 
 
-def _cap(text: str) -> int | None:
-    """An exponent cap: an integer, or 'auto' (None) for the computed one."""
-    if text == "auto":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or an integer, got {text!r}") from None
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error in one line on stderr, exit code 2."""
 
@@ -218,7 +207,7 @@ def cmd_search_local(args) -> int:
     _require_valid(a.complex)
     _require_valid(b.complex)
     spec = LocalSearchSpec((a.complex, a.iota), (b.complex, b.iota),
-                           cap=args.cap, budget=args.budget)
+                           budget=args.budget)
     cert = search_local_map(spec)
     if cert.exists:
         _write_or_print(cfk.render_map_file(cert.found, "local"), args.output)
@@ -230,7 +219,6 @@ def cmd_search_local(args) -> int:
         print("exists=false")
         print(f"token.unknowns={token.unknowns}")
         print(f"token.equations={token.equations}")
-        print(f"token.cap={token.cap}")
         print(f"token.iota_pairs={token.iota_pairs}")
     else:
         print(token.render())
@@ -317,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-local", help="decide local map existence")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--cap", type=_cap, default="auto")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("-o", "--output")
     fmt(p)

@@ -7,9 +7,10 @@ version turns the homotopy into an equality mod (U,V), so the whole
 search is affine-linear over F2: chain-map and intertwining equations,
 plus one locality equation evaluated on homology.
 
-Nonexistence answers are certificates: map spaces are grading-complete
-at the computed exponent cap, so an inconsistent system rules out every
-candidate, quantified over all enumerated involution completions.
+Nonexistence answers are certificates: a map space holds every map of
+its shape, because the gradings fix the monomial on each pair of
+generators, so an inconsistent system rules out every candidate,
+quantified over all enumerated involution completions.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .errors import ResourceError, StructuralError
 from .homology import UHomology, hfk_minus, torsion_order
 from .linalg import (AffineSpace, GF2System, bits_of, reduce_mod_span,
                      rref_basis, transpose)
-from .morphism import (IotaData, LinMap, MapSpace, auto_cap, chain_defect,
-                       differential_map, enumerate_almost_iotas,
+from .morphism import (IotaData, LinMap, MapSpace, _almost_reports,
+                       chain_defect, differential_map, enumerate_almost_iotas,
                        validate_iota)
 from .ring import Ideal, Mono, RingElt
 
@@ -33,19 +34,12 @@ IotaInput = IotaData | list[IotaData] | None
 
 @dataclass(frozen=True)
 class LocalSearchSpec:
-    """One local-map existence question, with search parameters.
-
-    cap is recomputed from gradings and only ever grows from the user
-    value, so capped searches remain exhaustive.  ideal_override relaxes
-    the chain-map equations modulo a larger ideal for obstruction runs;
-    existence under an override is not a local map, but nonexistence
-    still rules out every genuine candidate.
-    """
+    """One local-map existence question: each side is a complex with its
+    involutions (one, a list, or None to enumerate them all); budget
+    bounds the number of unknowns."""
 
     source: tuple[Complex, IotaInput]
     target: tuple[Complex, IotaInput]
-    cap: int | None = None
-    ideal_override: Ideal | None = None
     budget: int = DEFAULT_BUDGET
 
 
@@ -55,19 +49,17 @@ class NonexistenceToken:
 
     unknowns: int
     equations: int
-    cap: int
     iota_pairs: int
 
     def render(self) -> str:
         return (f"nonexistence mode=almost unknowns={self.unknowns} "
-                f"equations={self.equations} cap={self.cap} "
-                f"iota_pairs={self.iota_pairs}")
+                f"equations={self.equations} iota_pairs={self.iota_pairs}")
 
 
 @dataclass(frozen=True)
 class LocalCertificate:
     """Either a re-verified map or a nonexistence token covering the
-    whole truncated space."""
+    whole map space."""
 
     found: LinMap | None = None
     iota_pair: tuple[IotaData, IotaData] | None = None
@@ -140,15 +132,13 @@ def _iota_candidates(C: Complex, data: IotaInput) -> list[IotaData]:
         return enumerate_almost_iotas(C)
     if isinstance(data, IotaData):
         data = [data]
-    out = []
-    for i in data:
-        if i.mode == "full":
-            i = IotaData(i.map.reduce_to(Ideal.max_ideal()), "almost")
-        rep = validate_iota(C, i)
+    out = [i if i.mode == "almost"
+           else IotaData(i.map.reduce_to(Ideal.max_ideal()), "almost")
+           for i in data]
+    for rep in _almost_reports(C, out):
         if not rep.ok:
             raise StructuralError(
                 f"involution fails validation: {'; '.join(rep.messages)}")
-        out.append(i)
     return out
 
 
@@ -176,11 +166,7 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     if src_hom.decomp.tower_count != 1 or tgt_hom.decomp.tower_count != 1:
         raise StructuralError("local maps need exactly one tower on each side")
 
-    cap = auto_cap(src, tgt)
-    if spec.cap is not None:
-        cap = max(cap, spec.cap)
-    ideal = spec.ideal_override or src.ring
-    fspace = MapSpace.build(src, tgt, "eq", (0, 0), ideal, cap)
+    fspace = MapSpace.build(src, tgt, "eq", (0, 0), src.ring)
     width = fspace.dim
     if width > spec.budget:
         raise ResourceError(
@@ -190,23 +176,20 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     tgt_iotas = _iota_candidates(tgt, tgt_iota_in)
 
     # stage 1: chain-map equations on f
-    chain_slot = MapSpace.build(src, tgt, "eq", (-1, -1), ideal, cap)
+    chain_slot = MapSpace.build(src, tgt, "eq", (-1, -1), src.ring)
     base = GF2System(width)
     n_equations = chain_slot.dim
     if not base.add_columns(fspace.d_commutator_columns(chain_slot)):
-        return LocalCertificate(token=NonexistenceToken(
-            width, n_equations, cap, 0))
+        return LocalCertificate(token=NonexistenceToken(width, n_equations, 0))
     family = AffineSpace(*base.solution_space())
 
     # locality, evaluated on the affine parameterization (each basis
     # vector is a chain map, so its image class is defined)
     tower, grading = src_hom.tower_generator()
-    locality = None
-    if spec.ideal_override is None:
-        locality = _locality_equation(fspace, family, tower, grading, tgt_hom)
+    locality = _locality_equation(fspace, family, tower, grading, tgt_hom)
 
     # intertwining: A(i1) = u -> u i1 and B(i2) = u -> i2 u on f, mod (U,V)
-    int_slot = MapSpace.build(src, tgt, "skew", (0, 0), Ideal.max_ideal(), cap)
+    int_slot = MapSpace.build(src, tgt, "skew", (0, 0), Ideal.max_ideal())
     post_cols: dict[int, list[int]] = {}
 
     n_pairs = len(src_iotas) * len(tgt_iotas)
@@ -218,22 +201,19 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
             raw_rows = transpose([a ^ b for a, b in zip(pre, post_cols[n2])])
             n_equations += len(raw_rows)
             inner = GF2System(len(family.null))
-            feasible = all(inner.add_equation(*family.constraint(raw))
-                           for raw in raw_rows.values())
-            if feasible and locality is not None:
-                feasible = inner.add_equation(*locality)
-            if not feasible:
+            if not (all(inner.add_equation(*family.constraint(raw))
+                        for raw in raw_rows.values())
+                    and inner.add_equation(*locality)):
                 continue
             f = fspace.map_from_bits(
                 family.point(inner.particular_solution()))
-            if not (_almost_chain_intertwining(f, i1, i2) and (
-                    spec.ideal_override is not None
-                    or _locality_bit(f, tower, grading, tgt_hom))):
+            if not (_almost_chain_intertwining(f, i1, i2)
+                    and _locality_bit(f, tower, grading, tgt_hom)):
                 raise StructuralError("solver produced a map that fails "
                                       "re-verification")
             return LocalCertificate(found=f, iota_pair=(i1, i2))
     return LocalCertificate(token=NonexistenceToken(
-        width, n_equations, cap, n_pairs))
+        width, n_equations, n_pairs))
 
 
 def _almost_chain_intertwining(f: LinMap, i1: IotaData, i2: IotaData) -> bool:
@@ -278,15 +258,29 @@ class SelfLocalMap:
     kernel: KernelSpace
 
 
-def kernel_space(C: Complex, f: LinMap, cap: int) -> KernelSpace:
+def _exponent_bound(C: Complex) -> int:
+    """1 + half the largest U or V grading span of C's generators."""
+    span = 0
+    if len(C):
+        us = [g.gr_u for g in C.basis]
+        vs = [g.gr_v for g in C.basis]
+        span = max(max(us) - min(us), max(vs) - min(vs))
+    return 1 + span // 2
+
+
+def kernel_space(C: Complex, f: LinMap) -> KernelSpace:
+    """Kernel of f on the module truncated at U and V exponents up to
+    `_exponent_bound(C)`; F2[U,V]-modules are infinite, so this is the
+    one place a truncation is needed."""
+    bound = _exponent_bound(C)
     terms = [(g.name, a, b) for g in C.basis
-             for a in range(cap + 1) for b in range(cap + 1)]
+             for a in range(bound + 1) for b in range(bound + 1)]
     images = {g.name: f.row_terms(s) for s, g in enumerate(C.basis)}
     max_exp = max((max(i, j) for row in images.values() for _, i, j in row),
                   default=0)
     out_terms = [(g.name, a, b) for g in C.basis
-                 for a in range(cap + max_exp + 1)
-                 for b in range(cap + max_exp + 1)]
+                 for a in range(bound + max_exp + 1)
+                 for b in range(bound + max_exp + 1)]
     out_index = {t: k for k, t in enumerate(out_terms)}
     columns = []
     for (name, a, b) in terms:
@@ -317,18 +311,16 @@ class SelfLocalFamily:
                 f"involution fails validation: {'; '.join(rep.messages)}")
         self.C = C
         self.iota = iota
-        self.cap = auto_cap(C)
         self.hom = UHomology(C)
         if self.hom.decomp.tower_count != 1:
             raise StructuralError("self-local maps need exactly one tower")
-        self.fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring, self.cap)
+        self.fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
         if self.fspace.dim > budget:
             raise ResourceError(
                 f"{self.fspace.dim} unknowns exceed the budget {budget}",
                 self.fspace.dim)
-        chain_slot = MapSpace.build(C, C, "eq", (-1, -1), C.ring, self.cap)
-        int_slot = MapSpace.build(C, C, "skew", (0, 0), Ideal.max_ideal(),
-                                  self.cap)
+        chain_slot = MapSpace.build(C, C, "eq", (-1, -1), C.ring)
+        int_slot = MapSpace.build(C, C, "skew", (0, 0), Ideal.max_ideal())
         base = GF2System(self.fspace.dim)
         if not base.add_columns(self.fspace.d_commutator_columns(chain_slot)):
             raise StructuralError("no chain maps at all; malformed complex")
@@ -415,7 +407,7 @@ def self_local_equivalences(C: Complex, iota: IotaData,
         f = sls.map_from_t(t)
         if not verify_almost_local(f, iota, iota):
             raise StructuralError("enumerated map fails re-verification")
-        out.append(SelfLocalMap(f, kernel_space(C, f, sls.cap)))
+        out.append(SelfLocalMap(f, kernel_space(C, f)))
     out.sort(key=lambda s: s.map.render())
     return out
 
@@ -491,8 +483,7 @@ def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
     f = sls.map_from_t(inner.particular_solution())
     if not verify_almost_local(f, iota, iota):
         raise StructuralError("maximal candidate fails re-verification")
-    note = (f"maximal within cap {sls.cap} over "
-            f"{len(candidates)} candidate vectors ({order} order)")
+    note = f"maximal over {len(candidates)} candidate vectors ({order} order)"
     return f, note
 
 
@@ -503,10 +494,10 @@ def maximal_self_local_map(C: Complex, iota: IotaData,
 
     Grows the kernel over a deterministic family of candidate vectors
     until no candidate can be added; the certificate string records that
-    maximality is relative to the truncation and candidate family.
+    maximality is relative to the candidate family.
     """
     f, note = _maximal_self_local(C, iota, budget, order)
-    return f, kernel_space(C, f, auto_cap(C)), note
+    return f, kernel_space(C, f), note
 
 
 def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:

@@ -140,24 +140,7 @@ class LinMap:
 
     def compose(self, inner: "LinMap") -> "LinMap":
         """self after inner."""
-        if inner.target is not self.source:
-            raise StructuralError("composition target/source mismatch")
-        if "linear" in (self.variance, inner.variance):
-            variance = "linear"
-        elif self.variance == inner.variance:
-            variance = "eq"
-        else:
-            variance = "skew"
-        bi = inner.bidegree
-        if self.variance == "skew":
-            bi = (bi[1], bi[0])
-        bidegree = (bi[0] + self.bidegree[0], bi[1] + self.bidegree[1])
-        if _ideal_leq(inner.ideal, self.ideal):
-            ideal = self.ideal
-        elif _ideal_leq(self.ideal, inner.ideal):
-            ideal = inner.ideal
-        else:
-            raise StructuralError("cannot compose maps over incomparable ideals")
+        variance, bidegree, ideal = _composite_shape(self, inner)
         outer, inner_rows = self.rows, inner.rows
         if variance == "linear":
             # no grading fixes a linear map's monomials: keep the unit terms
@@ -233,6 +216,31 @@ def _expected_grading(src_gr: tuple[int, int], variance: str,
     if variance == "skew":
         gu, gv = gv, gu
     return (gu + bidegree[0], gv + bidegree[1])
+
+
+def _composite_shape(outer, inner) -> tuple[str, Bidegree, Ideal]:
+    """Variance, bidegree and ideal of `outer` after `inner`, two maps or
+    map spaces.  A skew outer map exchanges U and V, so it swaps the
+    inner bidegree; the composite lives over the larger ideal."""
+    if inner.target is not outer.source:
+        raise StructuralError("composition target/source mismatch")
+    if _ideal_leq(inner.ideal, outer.ideal):
+        ideal = outer.ideal
+    elif _ideal_leq(outer.ideal, inner.ideal):
+        ideal = inner.ideal
+    else:
+        raise StructuralError("cannot compose maps over incomparable ideals")
+    if "linear" in (outer.variance, inner.variance):
+        variance = "linear"
+    elif outer.variance == inner.variance:
+        variance = "eq"
+    else:
+        variance = "skew"
+    bi = inner.bidegree
+    if outer.variance == "skew":
+        bi = (bi[1], bi[0])
+    return (variance, (bi[0] + outer.bidegree[0], bi[1] + outer.bidegree[1]),
+            ideal)
 
 
 def _masked(source: Complex, target: Complex, variance: str,
@@ -349,54 +357,20 @@ def is_chain_map(f: LinMap) -> bool:
 
 # -- finite map spaces ------------------------------------------------------
 
-def auto_cap(*complexes: Complex) -> int:
-    """Exponent bound guaranteed to contain all grading-compatible monomials.
-
-    1 + half the largest grading span over the generators involved; any
-    graded map of small bidegree between these complexes has exponents
-    below this, so searches over the capped space are exhaustive.
-    """
-    span = 0
-    for C in complexes:
-        if not len(C):
-            continue
-        us = [g.gr_u for g in C.basis]
-        vs = [g.gr_v for g in C.basis]
-        span = max(span, max(us) - min(us), max(vs) - min(vs))
-    return 1 + span // 2
-
-
-# A map given term by term: source gen -> [(target gen, U exp, V exp)].
-_Terms = dict[str, list[tuple[str, int, int]]]
-
-
-def _terms(f: LinMap) -> _Terms:
-    return {x.name: f.row_terms(s) for s, x in enumerate(f.source.basis)
-            if f.rows[s]}
-
-
-def _preimages(terms: _Terms) -> _Terms:
-    """target gen -> [(source gen, U exp, V exp)] of the same map."""
-    out: _Terms = {}
-    for src, row in terms.items():
-        for tgt, i, j in row:
-            out.setdefault(tgt, []).append((src, i, j))
-    return out
-
-
 @dataclass(frozen=True)
 class MapSpace:
     """Basis of all maps of one shape: (source gen, target gen, monomial).
 
-    The gradings fix the monomial on each (source, target) pair, so a map
-    is an int bitset over `pairs`.  The linear conditions of the solvers
-    are operators on this space, assembled column by column (one column
-    per basis map) by index arithmetic on the triples and the complexes'
-    differentials, without building maps: `d_commutator_columns`
+    The gradings fix the monomial on each (source, target) pair, so the
+    space is finite and holds every map of its shape: a map is an int
+    bitset over `pairs`.  The linear conditions of the solvers are
+    operators on this space, assembled column by column (one column per
+    basis map) by index arithmetic on the pairs and the rows of the maps
+    involved, without building maps: `d_commutator_columns`
     (f -> d f + f d), `precompose_columns` (u -> u g) and
     `postcompose_columns` (u -> g u) for a fixed map g.  Each writes its
-    columns in the coordinates of a slot space of the result's shape and
-    raises the `bits_from_map` error on a term outside the slot.
+    columns in the coordinates of a slot space, which must have the
+    composite's shape.
     """
 
     source: Complex
@@ -404,14 +378,11 @@ class MapSpace:
     variance: str
     bidegree: Bidegree
     ideal: Ideal
-    cap: int
     pairs: tuple[tuple[str, str, Mono], ...]
 
     @staticmethod
     def build(source: Complex, target: Complex, variance: str,
-              bidegree: Bidegree, ideal: Ideal, cap: int | None = None) -> "MapSpace":
-        if cap is None:
-            cap = auto_cap(source, target)
+              bidegree: Bidegree, ideal: Ideal) -> "MapSpace":
         pairs = []
         for x in source.basis:
             exp_u, exp_v = _expected_grading((x.gr_u, x.gr_v), variance, bidegree)
@@ -420,10 +391,9 @@ class MapSpace:
                 if du < 0 or dv < 0 or du % 2 or dv % 2:
                     continue
                 m = Mono(du // 2, dv // 2)
-                if m.i > cap or m.j > cap or ideal.contains(m):
-                    continue
-                pairs.append((x.name, y.name, m))
-        return MapSpace(source, target, variance, bidegree, ideal, cap,
+                if not ideal.contains(m):
+                    pairs.append((x.name, y.name, m))
+        return MapSpace(source, target, variance, bidegree, ideal,
                         tuple(pairs))
 
     @property
@@ -454,90 +424,80 @@ class MapSpace:
                     continue
                 hit = self.pair_bits.get((x.name, tgt))
                 if hit is None or hit[1:] != (i, j):
-                    raise _outside(Mono(i, j), tgt, x.name, self.cap)
+                    raise StructuralError(
+                        f"term {Mono(i, j).render()} {tgt} on {x.name} falls "
+                        f"outside the map space")
                 bits ^= hit[0]
         return bits
 
     # -- operators, one column per basis map ------------------------------
 
     def d_commutator_columns(self, slot: "MapSpace") -> list[int]:
-        """Columns of f -> d f + f d, over this space's ideal."""
-        return self._columns(
-            slot, (self.ideal, slot.ideal),
-            post=_terms(differential_map(self.target)),
-            pre=_preimages(_terms(differential_map(self.source))))
+        """Columns of f -> d f + f d, reduced modulo the slot's ideal."""
+        return self._columns(slot, post=differential_map(self.target),
+                             pre=differential_map(self.source))
 
     def precompose_columns(self, g: LinMap, slot: "MapSpace") -> list[int]:
-        """Columns of u -> u g, reduced modulo the larger ideal."""
-        return self._columns(slot, (self.ideal, g.ideal, slot.ideal),
-                             pre=_preimages(_terms(g)))
+        """Columns of u -> u g, reduced modulo the slot's ideal."""
+        return self._columns(slot, pre=g)
 
     def postcompose_columns(self, g: LinMap, slot: "MapSpace") -> list[int]:
-        """Columns of u -> g u, reduced modulo the larger ideal."""
-        return self._columns(slot, (self.ideal, g.ideal, slot.ideal),
-                             post=_terms(g),
-                             post_skew=g.variance == "skew")
+        """Columns of u -> g u, reduced modulo the slot's ideal."""
+        return self._columns(slot, post=g)
 
-    def _columns(self, slot: "MapSpace", ideals: tuple[Ideal, ...],
-                 post: _Terms | None = None, pre: _Terms | None = None,
-                 post_skew: bool = False) -> list[int]:
+    def _columns(self, slot: "MapSpace", post: LinMap | None = None,
+                 pre: LinMap | None = None) -> list[int]:
         """Columns of u -> post u + u pre over the basis maps u.
 
-        The basis map (x, y, m) sends x to m y.  post u sends x to
-        m' post(y), where m' is m transported through post's variance;
-        u pre sends each w with x in pre(w) (coefficient c) to c' m y,
-        c' transported through this space's variance.  Terms in any of
-        `ideals` vanish; any other term must be a pair of the slot.
+        The basis map (x, y) sends x to y times its pair's monomial; post u
+        sends x to post(y), and u pre sends each w with x in pre(w) to y.
+        The slot holds every map of the composite's shape, and the
+        gradings fix the monomial of each term, so a term without a slot
+        pair is one whose monomial lies in the slot's ideal.
         """
-        index = slot.pair_bits
-        # a term may hit the slot yet lie in a larger ideal than the slot's
-        extra = [I for I in ideals if not _ideal_leq(I, slot.ideal)]
-        swap = self.variance == "skew"
+        for outer, inner in ((post, self), (self, pre)):
+            if outer is not None and inner is not None:
+                _check_slot(slot, outer, inner)
+        hit = {(slot.source.index(x), slot.target.index(y)): 1 << k
+               for k, (x, y, _) in enumerate(slot.pairs)}
+        preimages: list[list[int]] = [[] for _ in self.source.basis]
+        if pre is not None:
+            for w, row in enumerate(pre.rows):
+                for x in bits_of(row):
+                    preimages[x].append(w)
         cols = []
-        for x, y, m in self.pairs:
-            a, b = m.i, m.j
-            terms = []
-            if post is not None:
-                pa, pb = (b, a) if post_skew else (a, b)
-                terms += [(x, z, pa + i, pb + j) for z, i, j in post.get(y, ())]
-            if pre is not None:
-                terms += [(w, y, a + (j if swap else i), b + (i if swap else j))
-                          for w, i, j in pre.get(x, ())]
+        for x, y, _ in self.pairs:
+            s, t = self.source.index(x), self.target.index(y)
             col = 0
-            missed: set[tuple[str, str, int, int]] = set()
-            for term in terms:
-                hit = index.get(term[:2])
-                if (hit is not None and hit[1] == term[2] and hit[2] == term[3]
-                        and not (extra and _in_any(extra, term))):
-                    col ^= hit[0]
-                else:
-                    missed ^= {term}
-            bad = [t for t in missed if not _in_any(ideals, t)]
-            if bad:
-                src, tgt, i, j = min(bad, key=lambda t: (
-                    slot.source.index(t[0]), slot.target.index(t[1]), t[2:]))
-                raise _outside(Mono(i, j), tgt, src, slot.cap)
+            if post is not None:
+                for z in bits_of(post.rows[t]):
+                    col ^= hit.get((s, z), 0)
+            for w in preimages[s]:
+                col ^= hit.get((w, t), 0)
             cols.append(col)
         return cols
 
 
-def _in_any(ideals, term) -> bool:
-    m = Mono(term[2], term[3])
-    return any(I.contains(m) for I in ideals)
+def _check_slot(slot: MapSpace, outer, inner) -> None:
+    """Raise unless `slot` holds maps of the shape of `outer` after `inner`,
+    over an ideal containing the composite's."""
+    variance, bidegree, ideal = _composite_shape(outer, inner)
+    if not (slot.source is inner.source and slot.target is outer.target
+            and slot.variance == variance and slot.bidegree == bidegree
+            and _ideal_leq(ideal, slot.ideal)):
+        raise StructuralError(
+            f"slot {slot.source.name} -> {slot.target.name} ({slot.variance}, "
+            f"bidegree {slot.bidegree}, ideal {slot.ideal.kind}) cannot hold "
+            f"the composite {inner.source.name} -> {outer.target.name} "
+            f"({variance}, bidegree {bidegree}, ideal {ideal.kind})")
 
 
-def _outside(m: Mono, tgt: str, src: str, cap: int) -> StructuralError:
-    return StructuralError(f"term {m.render()} {tgt} on {src} falls outside "
-                           f"the map space (cap {cap})")
-
-
-def solve_homotopy(f: LinMap, g: LinMap,
-                   cap: int | None = None) -> LinMap | None:
+def solve_homotopy(f: LinMap, g: LinMap) -> LinMap | None:
     """Find H with f + g = dH + Hd, or None (a certificate, not a timeout).
 
-    H has the variance of f and g and bidegree shifted by (+1,+1); the
-    capped space provably contains every grading-compatible monomial,
-    so inconsistency of the F2 system settles nonexistence.
+    H has the variance of f and g and bidegree shifted by (+1,+1); its
+    map space holds every map of that shape, so inconsistency of the F2
+    system settles nonexistence.
     """
     if (f.variance != g.variance or f.bidegree != g.bidegree
             or f.ideal != g.ideal or f.source is not g.source
@@ -545,10 +505,9 @@ def solve_homotopy(f: LinMap, g: LinMap,
         raise StructuralError("homotopy needs maps of identical shape")
     diff = f + g
     slot = MapSpace.build(f.source, f.target, f.variance, f.bidegree,
-                          f.ideal, cap)
+                          f.ideal)
     hspace = MapSpace.build(f.source, f.target, f.variance,
-                            (f.bidegree[0] + 1, f.bidegree[1] + 1),
-                            f.ideal, cap)
+                            (f.bidegree[0] + 1, f.bidegree[1] + 1), f.ideal)
     system = GF2System(hspace.dim)
     if not system.add_columns(hspace.d_commutator_columns(slot),
                               slot.bits_from_map(diff)):
@@ -606,21 +565,10 @@ def validate_iota(C: Complex, iota: IotaData) -> IotaReport:
     to be searched.  In full mode an equivariant homotopy from iota^2
     to 1 + Psi Phi is solved for and returned as a witness.
     """
-    if iota.map.source is not C and iota.map.source.names() != C.names():
-        raise StructuralError("iota is defined on a different basis")
-    messages: list[str] = []
-    skew = iota.map.variance == "skew" and iota.map.bidegree == (0, 0)
     if iota.mode == "almost":
-        if not C.is_reduced:
-            raise StructuralError("almost iota validation needs a reduced complex")
-        dmap = differential_map(C).reduce_to(_MAX)
-        defect = dmap.compose(iota.map) + iota.map.compose(dmap)
-        chain = defect.is_zero()
-        square = iota.map.compose(iota.map) + one_plus_psi_phi(C, _MAX)
-        squares = square.is_zero()
-        if not squares:
-            messages.append("iota^2 != 1 + Psi Phi mod (U,V)")
-        return IotaReport(skew, chain, squares, tuple(messages))
+        return next(_almost_reports(C, [iota]))
+    skew = _iota_shape(C, iota)
+    messages: list[str] = []
     chain = is_chain_map(iota.map)
     if not chain:
         messages.append("iota is not a chain map")
@@ -629,6 +577,35 @@ def validate_iota(C: Complex, iota: IotaData) -> IotaReport:
         messages.append("no equivariant homotopy from iota^2 to 1 + Psi Phi")
     return IotaReport(skew, chain, witness is not None, tuple(messages),
                       witness)
+
+
+def _iota_shape(C: Complex, iota: IotaData) -> bool:
+    """Whether iota is skew of bidegree (0,0); it must live on C's basis."""
+    if iota.map.source is not C and iota.map.source.names() != C.names():
+        raise StructuralError("iota is defined on a different basis")
+    return iota.map.variance == "skew" and iota.map.bidegree == (0, 0)
+
+
+def _almost_reports(C: Complex,
+                    iotas: Sequence[IotaData]) -> Iterator[IotaReport]:
+    """The almost-mode `validate_iota` report of each iota, in order.
+
+    d and 1 + Psi Phi mod (U,V) depend only on C, so they are built once,
+    when the first report is asked for.
+    """
+    dmap = square_target = None
+    for iota in iotas:
+        skew = _iota_shape(C, iota)
+        if dmap is None:
+            if not C.is_reduced:
+                raise StructuralError(
+                    "almost iota validation needs a reduced complex")
+            dmap = differential_map(C).reduce_to(_MAX)
+            square_target = one_plus_psi_phi(C, _MAX)
+        chain = (dmap.compose(iota.map) + iota.map.compose(dmap)).is_zero()
+        squares = (iota.map.compose(iota.map) + square_target).is_zero()
+        messages = () if squares else ("iota^2 != 1 + Psi Phi mod (U,V)",)
+        yield IotaReport(skew, chain, squares, messages)
 
 
 # -- exhaustive enumeration of almost involutions ---------------------------
@@ -660,12 +637,11 @@ class _SquareSystem:
 def _square_system(C: Complex) -> _SquareSystem | None:
     """The quadratic system of C, or None when no skew chain map meets
     the forced unit coordinates."""
-    cap = auto_cap(C)
-    iota_space = MapSpace.build(C, C, "skew", (0, 0), C.ring, cap)
+    iota_space = MapSpace.build(C, C, "skew", (0, 0), C.ring)
     u = iota_space.dim
 
     # chain-map condition: linear system over the iota coordinates
-    defect_slot = MapSpace.build(C, C, "skew", (-1, -1), C.ring, cap)
+    defect_slot = MapSpace.build(C, C, "skew", (-1, -1), C.ring)
     system = GF2System(u)
     system.add_columns(iota_space.d_commutator_columns(defect_slot))
 
@@ -695,14 +671,14 @@ def _square_system(C: Complex) -> _SquareSystem | None:
     null_basis = system.nullspace_basis()
 
     # null-homotopic skew maps: the subgroup to quotient out
-    hskew = MapSpace.build(C, C, "skew", (1, 1), C.ring, cap)
+    hskew = MapSpace.build(C, C, "skew", (1, 1), C.ring)
     b_rows, b_pivots = rref_basis(hskew.d_commutator_columns(iota_space))
     class_dirs = complement_basis(b_rows, b_pivots, null_basis)
     q = len(class_dirs)
 
     # equivariant homotopy images, for the squared-condition membership test
-    eq_slot = MapSpace.build(C, C, "eq", (0, 0), C.ring, cap)
-    heq = MapSpace.build(C, C, "eq", (1, 1), C.ring, cap)
+    eq_slot = MapSpace.build(C, C, "eq", (0, 0), C.ring)
+    heq = MapSpace.build(C, C, "eq", (1, 1), C.ring)
     eqb_rows, eqb_pivots = rref_basis(heq.d_commutator_columns(eq_slot))
 
     # maps[0] is the base map, maps[k + 1] class direction k; after[g][k]

@@ -58,10 +58,6 @@ def render_mono(i: int, j: int) -> str:
 
 _VALID_KINDS = ("zero", "uv", "box", "max", "principal_u", "principal_v")
 
-# Ideals available to degree-truncated searches.  The principal ideals (U)
-# and (V) only appear inside quotient complexes, never as a search ring.
-SEARCH_KINDS = ("zero", "uv", "box", "max")
-
 
 @dataclass(frozen=True)
 class Ideal:

@@ -8,7 +8,10 @@ graded Smith normal forms instead of one cancellation pass.  The
 localization-rank oracle row-reduces over the fraction field F2(U) with fraction-free
 cross-multiplication, representing F2[U] polynomials as int bitmasks.
 The almost-involution oracle walks every homotopy class of the squared
-condition instead of solving it over a vertex cover.  The map-space
+condition instead of solving it over a vertex cover.
+`grading_fitting_pairs` lists a map space by trying every exponent pair
+in a box around each pair of generators instead of solving the grading
+equations.  The map-space
 operator oracles build each column as a LinMap and compose maps instead
 of using index arithmetic.  The dict map algebra computes sums,
 composites, reductions, images and tensors of maps coefficient by
@@ -21,14 +24,15 @@ from such elements instead of bitsets over generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from knotfloer.complexes import (Complex, Element, Generator, _ideal_leq,
                                  add_term)
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.linalg import GF2System, bits_of
-from knotfloer.morphism import (IotaData, LinMap, MapSpace, auto_cap,
-                                chain_defect, derivative_maps,
-                                differential_map, identity_map)
+from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
+                                derivative_maps, differential_map,
+                                identity_map)
 from knotfloer.ring import Ideal, Mono, RingElt
 from knotfloer.tensorsum import pair_name
 
@@ -282,6 +286,27 @@ def gray_walk_almost_iotas(system, solutions):
     return [seen[k] for k in sorted(seen)]
 
 
+# -- map spaces by exhaustive exponent search ---------------------------------
+
+def grading_fitting_pairs(A: Complex, B: Complex, variance: str,
+                          bidegree: tuple[int, int],
+                          ideal: Ideal) -> tuple[tuple[str, str, Mono], ...]:
+    """Every (x, y, U^i V^j) outside the ideal with gr(U^i V^j y) equal to
+    the bidegree-shifted grading of x (U and V swapped when skew), found
+    by trying every exponent up to a bound above each pair's grading gap."""
+    out = []
+    for x in A.basis:
+        gu, gv = (x.gr_v, x.gr_u) if variance == "skew" else (x.gr_u, x.gr_v)
+        want = (gu + bidegree[0], gv + bidegree[1])
+        for y in B.basis:
+            top = max(abs(y.gr_u - want[0]), abs(y.gr_v - want[1])) // 2 + 1
+            for i, j in product(range(top + 1), repeat=2):
+                if ((y.gr_u - 2 * i, y.gr_v - 2 * j) == want
+                        and not ideal.contains(Mono(i, j))):
+                    out.append((x.name, y.name, Mono(i, j)))
+    return tuple(out)
+
+
 # -- map-space operators through composed LinMaps ---------------------------
 
 def linmap_d_commutator_columns(space: MapSpace, slot: MapSpace) -> list[int]:
@@ -428,13 +453,15 @@ def element_image_complex(C: Complex, f: LinMap,
                           name: str = "conn") -> Complex:
     """`image_complex` on elements, generator -> F2[U,V] coefficient,
     in coordinates (generator, a, b) truncated at an exponent bound."""
-    cap = auto_cap(C)
+    # 1 + half the largest grading span of C, then room for f's exponents
+    span = max(max(g.gr_u for g in C.basis) - min(g.gr_u for g in C.basis),
+               max(g.gr_v for g in C.basis) - min(g.gr_v for g in C.basis))
     max_exp = 0
     for row in f.action.values():
         for coeff in row.values():
             for m in coeff:
                 max_exp = max(max_exp, m.i, m.j)
-    bound = 2 * cap + max_exp + 2
+    bound = 2 * (1 + span // 2) + max_exp + 2
 
     gradings = sorted({(g.gr_u, g.gr_v) for g in C.basis}, reverse=True)
 

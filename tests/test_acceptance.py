@@ -27,7 +27,7 @@ from knotfloer.morphism import (MapSpace, chain_defect, derivative_maps,
 from knotfloer.ring import Ideal, RingElt
 from knotfloer.tensorsum import (pair_name, product_equivalence, product_iota,
                                  tensor)
-from oracles import hfk_minus_oracle
+from oracles import grading_fitting_pairs, hfk_minus_oracle
 
 ONE = RingElt.one()
 ALL_BUILDERS = [build_unknot, build_figure_eight] + [
@@ -98,10 +98,13 @@ def test_criterion_4_obstruction_instances():
     assert not down.exists and down.token.iota_pairs >= 2
     step = search_local_map(LocalSearchSpec((k3, None), (k2, None)))
     assert not step.exists and step.token.iota_pairs >= 8
+    # the searched spaces hold every grading-compatible map, so the
+    # tokens cover all candidates
     for cert, (s, t) in ((down, (k2, unknot)), (step, (k3, k2))):
-        again = search_local_map(LocalSearchSpec((s, None), (t, None),
-                                                 cap=cert.token.cap + 1))
-        assert not again.exists
+        fspace = MapSpace.build(s, t, "eq", (0, 0), s.ring)
+        assert fspace.pairs == grading_fitting_pairs(s, t, "eq", (0, 0),
+                                                     s.ring)
+        assert cert.token.unknowns == fspace.dim
     report(4, t0, 300.0)
 
 

@@ -240,17 +240,29 @@ def cables(tmp_path, capsys):
     return paths
 
 
-def test_search_local_mirror_outside_map_space_pinned(cables, capsys):
-    assert run(capsys, "search-local", str(cables["2*"]), str(cables[2])) == (
-        2, "", "error: term U^5 f0_1 on c0_1* falls outside the map space "
-               "(cap 4)\n")
+def test_search_local_mirror_exists_pinned(cables, tmp_path, capsys):
+    # the map space needs U^5 on (c0_1*, f0_1), more than a bound taken
+    # from either complex's own grading span (4) allows
+    out = tmp_path / "map.cfk"
+    assert run(capsys, "search-local", str(cables["2*"]), str(cables[2]),
+               "-o", str(out)) == (0, "", "")
+    assert out.read_text() == ("# map local: cable2* -> cable2 (eq, bidegree "
+                               "0 0)\nmap local variance eq : a* -> a\n")
+    from knotfloer.cfk import parse_cfk, parse_map_file
+    from knotfloer.localequiv import verify_almost_local
+    from knotfloer.morphism import enumerate_almost_iotas
+    src, tgt = (parse_cfk(cables[k].read_text()).complex for k in ("2*", 2))
+    f = parse_map_file(out.read_text(), src, tgt)
+    assert any(verify_almost_local(f, i1, i2)
+               for i1 in enumerate_almost_iotas(src)
+               for i2 in enumerate_almost_iotas(tgt))
 
 
 def test_search_local_k3_k2_records_pinned(cables, capsys):
     assert run(capsys, "search-local", str(cables[3]), str(cables[2]),
                "--format", "records") == (
         3, "exists=false\ntoken.unknowns=71\ntoken.equations=382\n"
-           "token.cap=6\ntoken.iota_pairs=8\n", "")
+           "token.iota_pairs=8\n", "")
 
 
 def test_connected_cable3_pinned(cables, capsys):
@@ -326,11 +338,11 @@ def test_non_utf8_input_exit_2(tmp_path, capsys):
 
 
 def test_search_local_bad_cap_exit_2(cables, capsys):
-    code, out, err = run(capsys, "search-local", str(cables[3]),
-                         str(cables[2]), "--cap", "abc")
-    assert (code, out) == (2, "")
-    assert err == ("knotfloer search-local: error: argument --cap: expected "
-                   "'auto' or an integer, got 'abc'\n")
+    # map spaces are complete, so there is no exponent cap to set
+    for value in ("abc", "40"):
+        assert run(capsys, "search-local", str(cables[3]), str(cables[2]),
+                   "--cap", value) == (
+            2, "", f"knotfloer: error: unrecognized arguments: --cap {value}\n")
 
 
 def test_bad_exponent_exit_2(tmp_path, capsys):

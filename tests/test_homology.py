@@ -223,7 +223,7 @@ def test_tower_basis_is_cycle_cocycle_pair(C):
 def _random_chain_maps(A: Complex, B: Complex, count: int, rng):
     """Random grading-preserving chain maps A -> B over the full ring."""
     space = MapSpace.build(A, B, "eq", (0, 0), A.ring)
-    slot = MapSpace.build(A, B, "eq", (-1, -1), A.ring, space.cap)
+    slot = MapSpace.build(A, B, "eq", (-1, -1), A.ring)
     system = GF2System(space.dim)
     assert system.add_columns(space.d_commutator_columns(slot))
     null = system.nullspace_basis()

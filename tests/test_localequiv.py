@@ -1,12 +1,14 @@
 """Local-map search, self-local equivalences, connected complexes."""
 
+import functools
 import random
 
 import pytest
 
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.homology import hfk_minus, torsion_order
-from knotfloer.knotlib import build_cable
+from knotfloer.complexes import dualize
+from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
 import knotfloer.localequiv as localequiv
 from knotfloer.localequiv import (KernelSpace, LocalSearchSpec,
                                   SelfLocalFamily, concordance_unknotting_bound,
@@ -14,8 +16,10 @@ from knotfloer.localequiv import (KernelSpace, LocalSearchSpec,
                                   kernel_space, maximal_self_local_map, omega,
                                   search_local_map, self_local_equivalences,
                                   verify_almost_local)
-from knotfloer.morphism import enumerate_almost_iotas
+from knotfloer.morphism import (IotaData, MapSpace, enumerate_almost_iotas,
+                                validate_iota, zero_map)
 from knotfloer.ring import Ideal, RingElt
+from oracles import grading_fitting_pairs
 
 ONE = RingElt.one()
 
@@ -42,13 +46,30 @@ def test_k3_to_k2_nonexistent(k2, k3):
 
 
 @pytest.mark.parametrize("direction", ["k2u", "k3k2"])
-def test_nonexistence_stable_under_cap_increase(unknot, k2, k3, direction):
+def test_nonexistence_over_complete_space(monkeypatch, unknot, k2, k3,
+                                          direction):
+    # every map space the search builds holds every grading-compatible
+    # monomial, so the token covers all maps, not a truncation of them
     src, tgt = (k2, unknot) if direction == "k2u" else (k3, k2)
-    base = search_local_map(LocalSearchSpec((src, None), (tgt, None)))
-    assert not base.exists
-    again = search_local_map(LocalSearchSpec((src, None), (tgt, None),
-                                             cap=base.token.cap + 1))
-    assert not again.exists
+    built = []
+    build = MapSpace.build
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(MapSpace, "build", staticmethod(recording))
+    cert = search_local_map(LocalSearchSpec((src, None), (tgt, None)))
+    assert not cert.exists
+    searched = [s for s in built if s.source is src and s.target is tgt]
+    assert [(s.variance, s.bidegree, s.ideal) for s in searched] == [
+        ("eq", (0, 0), src.ring), ("eq", (-1, -1), src.ring),
+        ("skew", (0, 0), Ideal.max_ideal())]
+    assert cert.token.unknowns == searched[0].dim
+    for space in built:
+        assert space.pairs == grading_fitting_pairs(
+            space.source, space.target, space.variance, space.bidegree,
+            space.ideal)
 
 
 def test_self_map_exists_and_reverifies(k2):
@@ -67,6 +88,119 @@ def test_asymmetry_of_local_classes(unknot, k2):
 def test_budget_guard(k2, k3):
     with pytest.raises(ResourceError):
         search_local_map(LocalSearchSpec((k3, None), (k2, None), budget=10))
+
+
+# Verdicts on every ordered pair of the library complexes and their duals,
+# involutions enumerated, recorded with the former exponent cap raised to 40
+# (then a complete space) before map spaces became complete by construction:
+# "exists", or the nonexistence token's (unknowns, equations, iota_pairs).
+VERDICTS = {
+    ("unknot", "unknot"): "exists",
+    ("unknot", "fig8"): (3, 6, 2),
+    ("unknot", "cable2"): "exists",
+    ("unknot", "cable3"): "exists",
+    ("unknot", "unknot*"): "exists",
+    ("unknot", "fig8*"): (3, 6, 2),
+    ("unknot", "cable2*"): (4, 9, 2),
+    ("unknot", "cable3*"): (6, 25, 4),
+    ("fig8", "unknot"): (3, 6, 2),
+    ("fig8", "fig8"): "exists",
+    ("fig8", "cable2"): "exists",
+    ("fig8", "cable3"): "exists",
+    ("fig8", "unknot*"): (3, 6, 2),
+    ("fig8", "fig8*"): "exists",
+    ("fig8", "cable2*"): (14, 71, 4),
+    ("fig8", "cable3*"): (20, 181, 8),
+    ("cable2", "unknot"): (4, 9, 2),
+    ("cable2", "fig8"): (14, 71, 4),
+    ("cable2", "cable2"): "exists",
+    ("cable2", "cable3"): "exists",
+    ("cable2", "unknot*"): (4, 9, 2),
+    ("cable2", "fig8*"): (14, 71, 4),
+    ("cable2", "cable2*"): (18, 96, 4),
+    ("cable2", "cable3*"): (26, 242, 8),
+    ("cable3", "unknot"): (6, 25, 4),
+    ("cable3", "fig8"): (20, 181, 8),
+    ("cable3", "cable2"): (71, 382, 8),
+    ("cable3", "cable3"): "exists",
+    ("cable3", "unknot*"): (6, 25, 4),
+    ("cable3", "fig8*"): (20, 181, 8),
+    ("cable3", "cable2*"): (26, 242, 8),
+    ("cable3", "cable3*"): (38, 656, 16),
+    ("unknot*", "unknot"): "exists",
+    ("unknot*", "fig8"): (3, 6, 2),
+    ("unknot*", "cable2"): "exists",
+    ("unknot*", "cable3"): "exists",
+    ("unknot*", "unknot*"): "exists",
+    ("unknot*", "fig8*"): (3, 6, 2),
+    ("unknot*", "cable2*"): (4, 9, 2),
+    ("unknot*", "cable3*"): (6, 25, 4),
+    ("fig8*", "unknot"): (3, 6, 2),
+    ("fig8*", "fig8"): "exists",
+    ("fig8*", "cable2"): "exists",
+    ("fig8*", "cable3"): "exists",
+    ("fig8*", "unknot*"): (3, 6, 2),
+    ("fig8*", "fig8*"): "exists",
+    ("fig8*", "cable2*"): (14, 71, 4),
+    ("fig8*", "cable3*"): (20, 181, 8),
+    ("cable2*", "unknot"): "exists",
+    ("cable2*", "fig8"): "exists",
+    ("cable2*", "cable2"): "exists",
+    ("cable2*", "cable3"): "exists",
+    ("cable2*", "unknot*"): "exists",
+    ("cable2*", "fig8*"): "exists",
+    ("cable2*", "cable2*"): "exists",
+    ("cable2*", "cable3*"): (71, 382, 8),
+    ("cable3*", "unknot"): "exists",
+    ("cable3*", "fig8"): "exists",
+    ("cable3*", "cable2"): "exists",
+    ("cable3*", "cable3"): "exists",
+    ("cable3*", "unknot*"): "exists",
+    ("cable3*", "fig8*"): "exists",
+    ("cable3*", "cable2*"): "exists",
+    ("cable3*", "cable3*"): "exists",
+}
+
+
+@functools.cache
+def _library(name):
+    base = {"unknot": build_unknot, "fig8": build_figure_eight,
+            "cable2": lambda: build_cable(2), "cable3": lambda: build_cable(3)}
+    if name.endswith("*"):
+        return dualize(_library(name[:-1]))
+    return base[name]()
+
+
+@pytest.mark.parametrize("src,tgt", list(VERDICTS))
+def test_verdict_table(src, tgt):
+    cert = search_local_map(LocalSearchSpec((_library(src), None),
+                                            (_library(tgt), None)))
+    if VERDICTS[src, tgt] == "exists":
+        assert cert.exists and cert.token is None
+        assert verify_almost_local(cert.found, *cert.iota_pair)
+    else:
+        assert not cert.exists
+        token = cert.token
+        assert ((token.unknowns, token.equations, token.iota_pairs)
+                == VERDICTS[src, tgt])
+
+
+def test_invalid_iota_in_list_raises_validation_text(k2, k2_iotas, k3_iotas):
+    # the list is validated with one d and one 1 + Psi Phi mod (U,V); each
+    # involution still gets the checks and the message of validate_iota
+    zero = IotaData(zero_map(k2, k2, "skew", (0, 0), Ideal.max_ideal()),
+                    "almost")
+    assert validate_iota(k2, zero).messages == (
+        "iota^2 != 1 + Psi Phi mod (U,V)",)
+    for data in ([zero], [k2_iotas[0], zero, k2_iotas[1]], [*k2_iotas, zero]):
+        with pytest.raises(StructuralError) as err:
+            search_local_map(LocalSearchSpec((k2, data), (k2, None)))
+        assert str(err.value) == ("involution fails validation: "
+                                  "iota^2 != 1 + Psi Phi mod (U,V)")
+    with pytest.raises(StructuralError) as err:
+        search_local_map(LocalSearchSpec((k2, [k2_iotas[0], k3_iotas[0]]),
+                                         (k2, None)))
+    assert str(err.value) == "iota is defined on a different basis"
 
 
 # -- omega -------------------------------------------------------------------
@@ -127,16 +261,15 @@ def test_maximality_restriction_injective(k2, k2_iotas):
     io = k2_iotas[0]
     f, ker_f, note = maximal_self_local_map(k2, io)
     fam = SelfLocalFamily(k2, io, 2_000_000)
-    cap = fam.cap
     conn = connected_complex(k2, io)
     im_names = {g.name for g in conn.basis}
     for g in fam.sample_members(6, seed=11):
-        ker_g = kernel_space(k2, g, cap)
+        ker_g = kernel_space(k2, g)
         # intersect: vectors of ker g supported on im f generators only
         # must be zero; approximate via kernel dim comparison after
         # composing: ker(g o f) = ker f for maximal f
         gf = g.compose(f)
-        assert kernel_space(k2, gf, cap).rows == ker_f.rows
+        assert kernel_space(k2, gf).rows == ker_f.rows
 
 
 # -- connected complex -------------------------------------------------------
@@ -177,9 +310,9 @@ def test_bound_values(unknot, fig8, fig8_iotas, k2, k2_iotas):
 def test_kernel_space_basics(k2, k2_iotas):
     io = k2_iotas[0]
     f, ker, note = maximal_self_local_map(k2, io)
-    assert "maximal within cap" in note
+    assert note.startswith("maximal over ")
     from knotfloer.morphism import identity_map
-    ker_id = kernel_space(k2, identity_map(k2), 4)
+    ker_id = kernel_space(k2, identity_map(k2))
     assert ker_id.dim == 0
     assert ker.contains(ker_id)
     assert ker.dim > 0
@@ -215,7 +348,7 @@ def _random_chain_maps(C, rng, count):
     from knotfloer.morphism import MapSpace, identity_map
 
     space = MapSpace.build(C, C, "eq", (0, 0), C.ring)
-    slot = MapSpace.build(C, C, "eq", (-1, -1), C.ring, space.cap)
+    slot = MapSpace.build(C, C, "eq", (-1, -1), C.ring)
     system = GF2System(space.dim)
     assert system.add_columns(space.d_commutator_columns(slot))
     null = system.nullspace_basis()

@@ -15,15 +15,15 @@ from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.knotlib import (build_cable, build_figure_eight, build_unknot,
                                forced_iota_constraints)
 from knotfloer.morphism import (IotaData, LinMap, MapSpace, _square_solutions,
-                                _square_system, auto_cap, chain_defect,
+                                _square_system, chain_defect,
                                 derivative_maps, enumerate_almost_iotas,
                                 identity_map, is_chain_map, solve_homotopy,
                                 validate_iota, zero_map)
 from knotfloer.ring import Ideal, Mono, RingElt
 from knotfloer.tensorsum import tensor
-from oracles import (gray_walk_almost_iotas, gray_walk_solutions,
-                     linmap_composition_columns, linmap_d_commutator_columns,
-                     linmap_intertwining_columns)
+from oracles import (grading_fitting_pairs, gray_walk_almost_iotas,
+                     gray_walk_solutions, linmap_composition_columns,
+                     linmap_d_commutator_columns, linmap_intertwining_columns)
 
 U, V = RingElt.mono(1, 0), RingElt.mono(0, 1)
 ONE = RingElt.one()
@@ -330,11 +330,23 @@ def test_enumeration_independent_of_hash_seed():
     assert outs[0].count("map e variance eq : a|a -> a|a") == 2
 
 
-def test_auto_cap_covers_gradings(k3):
-    cap = auto_cap(k3)
-    space = MapSpace.build(k3, k3, "skew", (0, 0), k3.ring, cap)
-    wider = MapSpace.build(k3, k3, "skew", (0, 0), k3.ring, cap + 1)
-    assert space.pairs == wider.pairs
+def test_map_space_is_grading_complete():
+    # the space holds every grading-compatible monomial, with no bound
+    lib = [build_unknot(), build_figure_eight(), build_cable(2), build_cable(3)]
+    lib += [dualize(C) for C in lib]
+    ideals = (Ideal.zero(), Ideal.max_ideal(), Ideal.uv())
+    bidegrees = list(itertools.product((-1, 0, 1), repeat=2))
+    largest = 0
+    for A, B in itertools.product(lib, repeat=2):
+        for variance, bi, ideal in itertools.product(("eq", "skew"),
+                                                     bidegrees, ideals):
+            space = MapSpace.build(A, B, variance, bi, ideal)
+            assert space.pairs == grading_fitting_pairs(A, B, variance, bi,
+                                                        ideal)
+            largest = max([largest] + [max(m.i, m.j) for _, _, m in space.pairs])
+    # cable2* -> cable2 needs U^5, more than a bound taken from either
+    # complex's own grading span (4) allows
+    assert largest >= 5
 
 
 # -- map-space operators against composed LinMaps ----------------------------
@@ -375,21 +387,32 @@ def test_d_commutator_columns_match_linmap_oracle(src, tgt):
 
 
 def test_d_commutator_outside_slot_message():
+    # the term U^5 f0_1 on c0_1* lands in the complete slot
     A, B = _oracle_complex("cable2*"), _oracle_complex("cable2")
     space = MapSpace.build(A, B, "eq", (0, 0), A.ring)
     slot = MapSpace.build(A, B, "eq", (-1, -1), A.ring)
+    assert (space.d_commutator_columns(slot)
+            == linmap_d_commutator_columns(space, slot))
+    assert ("c0_1*", "f0_1", Mono(5, 0)) in slot.pairs
+    # a slot of another shape, or over a smaller ideal, cannot hold them
+    wrong = MapSpace.build(A, B, "eq", (0, 0), A.ring)
     with pytest.raises(StructuralError) as err:
-        space.d_commutator_columns(slot)
-    assert str(err.value) == ("term U^5 f0_1 on c0_1* falls outside the map "
-                              "space (cap 4)")
+        space.d_commutator_columns(wrong)
+    assert str(err.value) == (
+        "slot cable2* -> cable2 (eq, bidegree (0, 0), ideal zero) cannot "
+        "hold the composite cable2* -> cable2 (eq, bidegree (-1, -1), "
+        "ideal zero)")
+    mod_uv = MapSpace.build(A, B, "eq", (0, 0), Ideal.max_ideal())
+    with pytest.raises(StructuralError, match=r"ideal zero\) cannot hold .* "
+                                              r"ideal max\)$"):
+        mod_uv.d_commutator_columns(slot)
 
 
 @pytest.mark.parametrize("src,tgt", ORDERED_PAIRS)
 def test_intertwining_columns_match_linmap_oracle(src, tgt):
     A, B = _oracle_complex(src), _oracle_complex(tgt)
     fspace = MapSpace.build(A, B, "eq", (0, 0), A.ring)
-    slot = MapSpace.build(A, B, "skew", (0, 0), Ideal.max_ideal(),
-                          auto_cap(A, B))
+    slot = MapSpace.build(A, B, "skew", (0, 0), Ideal.max_ideal())
     for i1 in _oracle_iotas(src):
         pre = fspace.precompose_columns(i1.map, slot)
         for i2 in _oracle_iotas(tgt):
@@ -430,13 +453,9 @@ def test_operator_columns_independent_of_hash_seed():
         "        for var in ('eq', 'skew'):\n"
         "            f = MapSpace.build(A, B, var, (0, 0), A.ring)\n"
         "            s = MapSpace.build(A, B, var, (-1, -1), A.ring)\n"
-        "            try:\n"
-        "                print(f.d_commutator_columns(s))\n"
-        "            except ValueError as err:\n"
-        "                print(err)\n"
+        "            print(f.d_commutator_columns(s))\n"
         "        f = MapSpace.build(A, B, 'eq', (0, 0), A.ring)\n"
-        "        s = MapSpace.build(A, B, 'skew', (0, 0), Ideal.max_ideal(),\n"
-        "                           f.cap)\n"
+        "        s = MapSpace.build(A, B, 'skew', (0, 0), Ideal.max_ideal())\n"
         "        for i in enumerate_almost_iotas(A):\n"
         "            print(f.precompose_columns(i.map, s))\n"
         "        for i in enumerate_almost_iotas(B):\n"
@@ -448,4 +467,5 @@ def test_operator_columns_independent_of_hash_seed():
         outs.append(subprocess.run([sys.executable, "-c", script], env=env,
                                    capture_output=True, text=True,
                                    check=True, timeout=120).stdout)
-    assert outs[0] == outs[1] and "falls outside the map space" in outs[0]
+    assert outs[0] == outs[1]
+    assert all(line.startswith("[") for line in outs[0].splitlines())
