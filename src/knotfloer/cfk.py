@@ -47,7 +47,7 @@ def _parse_sum(tokens: list[str], lineno: int) -> dict[str, RingElt]:
     """Parse `[mono] name + [mono] name + ...` into an action row."""
     if tokens == ["0"]:
         return {}
-    row: dict[str, RingElt] = {}
+    monos: dict[str, set] = {}  # target -> its monomials, repeats cancel
     term: list[str] = []
 
     def flush():
@@ -58,8 +58,7 @@ def _parse_sum(tokens: list[str], lineno: int) -> dict[str, RingElt]:
             mono = parse_mono(term[:-1])
         except ValueError as err:
             raise CfkParseError(str(err), lineno) from None
-        cur = row.get(name, RingElt.zero())
-        row[name] = cur + RingElt((mono,))
+        monos.setdefault(name, set()).symmetric_difference_update((mono,))
         term.clear()
 
     for tok in tokens:
@@ -68,7 +67,7 @@ def _parse_sum(tokens: list[str], lineno: int) -> dict[str, RingElt]:
         else:
             term.append(tok)
     flush()
-    return {k: v for k, v in row.items() if not v.is_zero()}
+    return {k: RingElt(v) for k, v in monos.items() if v}
 
 
 @dataclass(frozen=True)

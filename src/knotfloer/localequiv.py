@@ -4,8 +4,10 @@ Local maps are grading-preserving chain maps that intertwine the
 involutions up to skew homotopy and carry the free tower of the source
 to a generator of the target tower.  On reduced complexes the almost
 version turns the homotopy into an equality mod (U,V), so the whole
-search is affine-linear over F2: chain-map and intertwining equations,
-plus one locality equation evaluated on homology.
+search is affine-linear over F2: `_chain_maps` gives the chain maps as
+an affine family in parameters t with the locality equation over t, and
+`_local_system` adds the intertwining rows of one involution pair; the
+search runs it on every pair, `SelfLocalFamily` on (iota, iota).
 
 Nonexistence answers are certificates: a map space holds every map of
 its shape, because the gradings fix the monomial on each pair of
@@ -102,7 +104,7 @@ def _locality_bit(f: LinMap, tower: int, grading: int,
 
 
 def _locality_equation(fspace: MapSpace, family: AffineSpace,
-                       tower: int, grading: int,
+                       src_hom: UHomology,
                        tgt_hom: UHomology) -> tuple[int, int]:
     """(t-row, rhs): the members of a family of chain maps in fspace
     whose `_locality_bit` is 1.
@@ -110,6 +112,7 @@ def _locality_equation(fspace: MapSpace, family: AffineSpace,
     The image of the tower generator mod V is linear in the map: each
     basis map (x, y, m) adds y when x is in the generator and m has no V.
     """
+    tower, grading = src_hom.tower_generator()
     images = []
     for x, y, m in fspace.pairs:
         hit = tower >> fspace.source.index(x) & 1 and m.j == 0
@@ -125,6 +128,38 @@ def _locality_equation(fspace: MapSpace, family: AffineSpace,
     for idx, v in enumerate(family.null):
         row |= locality(v) << idx
     return row, 1 ^ locality(family.particular)
+
+
+def _chain_maps(src_hom: UHomology, tgt_hom: UHomology, budget: int
+                ) -> tuple[MapSpace, AffineSpace, tuple[int, int], int]:
+    """(fspace, family, locality, chain equation count): the space of
+    every equivariant map of bidegree (0,0) between the complexes of two
+    one-tower homologies, its chain maps as an affine family in
+    parameters t, and the locality equation over t."""
+    src, tgt = src_hom.C, tgt_hom.C
+    fspace = MapSpace.build(src, tgt, "eq", (0, 0), src.ring)
+    if fspace.dim > budget:
+        raise ResourceError(
+            f"{fspace.dim} unknowns exceed the budget {budget}", fspace.dim)
+    chain_slot = MapSpace.build(src, tgt, "eq", (-1, -1), src.ring)
+    base = GF2System(fspace.dim)
+    base.add_columns(fspace.d_commutator_columns(chain_slot))
+    family = AffineSpace(*base.solution_space())
+    locality = _locality_equation(fspace, family, src_hom, tgt_hom)
+    return fspace, family, locality, chain_slot.dim
+
+
+def _local_system(family: AffineSpace, locality: tuple[int, int],
+                  pre: list[int], post: list[int]) -> tuple[GF2System, int]:
+    """(system over t, intertwining row count) for one involution pair:
+    the rows of the columns `pre` + `post` of u -> u i1 + i2 u, then
+    locality; the system's `feasible` says whether a local map exists."""
+    raw_rows = transpose([a ^ b for a, b in zip(pre, post)])
+    system = GF2System(len(family.null))
+    if all(system.add_equation(*family.constraint(raw))
+           for raw in raw_rows.values()):
+        system.add_equation(*locality)
+    return system, len(raw_rows)
 
 
 def _iota_candidates(C: Complex, data: IotaInput) -> list[IotaData]:
@@ -145,16 +180,14 @@ def _iota_candidates(C: Complex, data: IotaInput) -> list[IotaData]:
 def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     """Decide existence of an almost local map, or produce a certificate.
 
-    Stage 1 solves the chain-map equations, whose columns come from the
-    map space's d-commutator operator, into an affine family of chain
-    maps.  The intertwining condition u i1 + i2 u mod (U,V) splits as
-    A(i1) + B(i2) with A the precomposition and B the postcomposition
-    operator, so A is assembled once per source completion and B once
-    per target completion, and each involution pair adds the rows of
-    A + B, translated into the family's parameters.  The locality
-    equation (the tower class goes to a tower generator) is linear on
-    the family and closes the system.  Any found map is re-verified from
-    scratch through composed maps before being returned.
+    The chain maps form an affine family, in parameters t, solved from
+    the map space's d-commutator equations.  The intertwining condition
+    u i1 + i2 u mod (U,V) splits as A(i1) + B(i2) with A the
+    precomposition and B the postcomposition operator, so A is assembled
+    once per source completion and B once per target completion; each
+    involution pair gives a system over t of the rows of A + B and the
+    locality equation (the tower class goes to a tower generator).  Any
+    found map is re-verified from scratch by `verify_almost_local`.
     """
     src, src_iota_in = spec.source
     tgt, tgt_iota_in = spec.target
@@ -165,68 +198,42 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     tgt_hom = UHomology(tgt)
     if src_hom.decomp.tower_count != 1 or tgt_hom.decomp.tower_count != 1:
         raise StructuralError("local maps need exactly one tower on each side")
-
-    fspace = MapSpace.build(src, tgt, "eq", (0, 0), src.ring)
-    width = fspace.dim
-    if width > spec.budget:
-        raise ResourceError(
-            f"{width} unknowns exceed the budget {spec.budget}", width)
+    fspace, family, locality, n_equations = _chain_maps(src_hom, tgt_hom,
+                                                        spec.budget)
 
     src_iotas = _iota_candidates(src, src_iota_in)
     tgt_iotas = _iota_candidates(tgt, tgt_iota_in)
 
-    # stage 1: chain-map equations on f
-    chain_slot = MapSpace.build(src, tgt, "eq", (-1, -1), src.ring)
-    base = GF2System(width)
-    n_equations = chain_slot.dim
-    if not base.add_columns(fspace.d_commutator_columns(chain_slot)):
-        return LocalCertificate(token=NonexistenceToken(width, n_equations, 0))
-    family = AffineSpace(*base.solution_space())
-
-    # locality, evaluated on the affine parameterization (each basis
-    # vector is a chain map, so its image class is defined)
-    tower, grading = src_hom.tower_generator()
-    locality = _locality_equation(fspace, family, tower, grading, tgt_hom)
-
-    # intertwining: A(i1) = u -> u i1 and B(i2) = u -> i2 u on f, mod (U,V)
     int_slot = MapSpace.build(src, tgt, "skew", (0, 0), Ideal.max_ideal())
     post_cols: dict[int, list[int]] = {}
-
-    n_pairs = len(src_iotas) * len(tgt_iotas)
     for i1 in src_iotas:
         pre = fspace.precompose_columns(i1.map, int_slot)
         for n2, i2 in enumerate(tgt_iotas):
             if n2 not in post_cols:
                 post_cols[n2] = fspace.postcompose_columns(i2.map, int_slot)
-            raw_rows = transpose([a ^ b for a, b in zip(pre, post_cols[n2])])
-            n_equations += len(raw_rows)
-            inner = GF2System(len(family.null))
-            if not (all(inner.add_equation(*family.constraint(raw))
-                        for raw in raw_rows.values())
-                    and inner.add_equation(*locality)):
+            system, n_rows = _local_system(family, locality, pre,
+                                           post_cols[n2])
+            n_equations += n_rows
+            if not system.feasible:
                 continue
             f = fspace.map_from_bits(
-                family.point(inner.particular_solution()))
-            if not (_almost_chain_intertwining(f, i1, i2)
-                    and _locality_bit(f, tower, grading, tgt_hom)):
+                family.point(system.particular_solution()))
+            if not verify_almost_local(f, i1, i2):
                 raise StructuralError("solver produced a map that fails "
                                       "re-verification")
             return LocalCertificate(found=f, iota_pair=(i1, i2))
     return LocalCertificate(token=NonexistenceToken(
-        width, n_equations, n_pairs))
-
-
-def _almost_chain_intertwining(f: LinMap, i1: IotaData, i2: IotaData) -> bool:
-    """Whether f is a chain map and f i1 = i2 f mod (U,V)."""
-    if not chain_defect(f).is_zero():
-        return False
-    u = f.reduce_to(Ideal.max_ideal())
-    return (u.compose(i1.map) + i2.map.compose(u)).is_zero()
+        fspace.dim, n_equations, len(src_iotas) * len(tgt_iotas)))
 
 
 def verify_almost_local(f: LinMap, i1: IotaData, i2: IotaData) -> bool:
-    """Re-check the three almost-local conditions for a candidate map."""
-    if not _almost_chain_intertwining(f, i1, i2):
+    """Re-check the three almost-local conditions for a candidate map:
+    f is a chain map, f i1 = i2 f mod (U,V), and f sends the tower class
+    to a tower generator."""
+    if not chain_defect(f).is_zero():
+        return False
+    u = f.reduce_to(Ideal.max_ideal())
+    if not (u.compose(i1.map) + i2.map.compose(u)).is_zero():
         return False
     return _locality_bit(f, *UHomology(f.source).tower_generator(),
                          UHomology(f.target))
@@ -297,11 +304,13 @@ def kernel_space(C: Complex, f: LinMap) -> KernelSpace:
 
 
 class SelfLocalFamily:
-    """Affine set of almost self-local maps of (C, iota), in t-coordinates.
+    """Affine set of almost self-local maps of (C, iota).
 
-    Exposes exact certificates over the whole family (for example that
-    a diagonal coefficient is constantly 1), which stay available when
-    the family is too large to enumerate member by member.
+    `family` holds the chain maps of C in parameters t, and the system
+    `inner` over t holds the rows that make them intertwine iota and be
+    local.  Exposes exact certificates over the whole set (for example
+    that a diagonal coefficient is constantly 1), which stay available
+    when it is too large to enumerate member by member.
     """
 
     def __init__(self, C: Complex, iota: IotaData, budget: int):
@@ -311,41 +320,17 @@ class SelfLocalFamily:
                 f"involution fails validation: {'; '.join(rep.messages)}")
         self.C = C
         self.iota = iota
-        self.hom = UHomology(C)
-        if self.hom.decomp.tower_count != 1:
+        hom = UHomology(C)
+        if hom.decomp.tower_count != 1:
             raise StructuralError("self-local maps need exactly one tower")
-        self.fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
-        if self.fspace.dim > budget:
-            raise ResourceError(
-                f"{self.fspace.dim} unknowns exceed the budget {budget}",
-                self.fspace.dim)
-        chain_slot = MapSpace.build(C, C, "eq", (-1, -1), C.ring)
-        int_slot = MapSpace.build(C, C, "skew", (0, 0), Ideal.max_ideal())
-        base = GF2System(self.fspace.dim)
-        if not base.add_columns(self.fspace.d_commutator_columns(chain_slot)):
-            raise StructuralError("no chain maps at all; malformed complex")
-        icols = zip(self.fspace.precompose_columns(iota.map, int_slot),
-                    self.fspace.postcompose_columns(iota.map, int_slot))
-        if not base.add_columns([a ^ b for a, b in icols]):
-            raise StructuralError("no involution-intertwining chain maps")
-        self.family = AffineSpace(*base.solution_space())
-        self.inner = GF2System(len(self.family.null))
-        if not self.inner.add_equation(*_locality_equation(
-                self.fspace, self.family, *self.hom.tower_generator(),
-                self.hom)):
+        self.fspace, self.family, locality, _ = _chain_maps(hom, hom, budget)
+        slot = MapSpace.build(C, C, "skew", (0, 0), Ideal.max_ideal())
+        self.inner, _ = _local_system(
+            self.family, locality,
+            self.fspace.precompose_columns(iota.map, slot),
+            self.fspace.postcompose_columns(iota.map, slot))
+        if not self.inner.feasible:
             raise StructuralError("no self-local equivalence exists at all")
-
-    def copy_inner(self) -> GF2System:
-        return self.inner.copy()
-
-    def bits_from_t(self, t_bits: int) -> int:
-        return self.family.point(t_bits)
-
-    def map_from_t(self, t_bits: int) -> LinMap:
-        return self.fspace.map_from_bits(self.bits_from_t(t_bits))
-
-    def free_dim(self, inner: GF2System) -> int:
-        return len(self.family.null) - inner.rank
 
     def unit_coefficient_constant(self, src: str, tgt: str) -> tuple[bool, int]:
         """Whether <f(src), tgt> takes one value over the whole family.
@@ -359,7 +344,7 @@ class SelfLocalFamily:
             return True, 0
         bit = hit[0]
         t_part = self.inner.particular_solution()
-        value = int(bool(self.bits_from_t(t_part) & bit))
+        value = int(bool(self.family.point(t_part) & bit))
         for w in self.inner.nullspace_basis():
             if (self.family.point(w) ^ self.family.particular) & bit:
                 return False, value
@@ -373,38 +358,39 @@ class SelfLocalFamily:
         rng = random.Random(seed)
         t_part = self.inner.particular_solution()
         t_null = self.inner.nullspace_basis()
-        out = [self.map_from_t(t_part)]
+        out = [self.fspace.map_from_bits(self.family.point(t_part))]
         for _ in range(max(0, count - 1)):
             t = t_part
             for w in t_null:
                 if rng.getrandbits(1):
                     t ^= w
-            out.append(self.map_from_t(t))
+            out.append(self.fspace.map_from_bits(self.family.point(t)))
         return out
 
 
+# Largest log2 of the number of self-local maps listed one by one.
+MAX_SELF_LOCAL_LOG2 = 14
+
+
 def self_local_equivalences(C: Complex, iota: IotaData,
-                            budget: int = DEFAULT_BUDGET,
-                            enumeration_log2: int = 14) -> list[SelfLocalMap]:
+                            budget: int = DEFAULT_BUDGET) -> list[SelfLocalMap]:
     """Enumerate verified almost self-local maps, paired with kernels.
 
-    Raises ResourceError when the solution space is larger than
-    2**enumeration_log2 or the unknown count exceeds the budget.
+    Raises ResourceError when there are more than 2**MAX_SELF_LOCAL_LOG2
+    of them or the unknown count exceeds the budget.
     """
     sls = SelfLocalFamily(C, iota, budget)
-    inner = sls.copy_inner()
-    dim = sls.free_dim(inner)
-    if dim > enumeration_log2:
+    t_part, t_null = sls.inner.solution_space()
+    if len(t_null) > MAX_SELF_LOCAL_LOG2:
         raise ResourceError(
-            f"2^{dim} self-local maps exceed the enumeration bound", dim)
-    t_part = inner.particular_solution()
-    t_null = inner.nullspace_basis()
+            f"2^{len(t_null)} self-local maps exceed the enumeration bound",
+            len(t_null))
     out = []
     for counter in range(1 << len(t_null)):
         t = t_part
         for idx in bits_of(counter):
             t ^= t_null[idx]
-        f = sls.map_from_t(t)
+        f = sls.fspace.map_from_bits(sls.family.point(t))
         if not verify_almost_local(f, iota, iota):
             raise StructuralError("enumerated map fails re-verification")
         out.append(SelfLocalMap(f, kernel_space(C, f)))
@@ -413,7 +399,7 @@ def self_local_equivalences(C: Complex, iota: IotaData,
 
 
 def _kill_candidates(C: Complex, fspace: MapSpace, order: str):
-    """Constraint rows for killing basis vectors, in a deterministic order.
+    """Per candidate, the rows r with r . f = 0 that kill it, in order.
 
     Singles first (killing any monomial multiple of a generator forces
     f(x) = 0 on the whole generator), then minimal two-term homogeneous
@@ -422,10 +408,7 @@ def _kill_candidates(C: Complex, fspace: MapSpace, order: str):
     by_source: dict[str, list[int]] = {}
     for k, (srcn, _, _) in enumerate(fspace.pairs):
         by_source.setdefault(srcn, []).append(k)
-    singles = []
-    for g in C.basis:
-        rows = [(1 << k, 0) for k in by_source.get(g.name, [])]
-        singles.append((f"gen {g.name}", rows))
+    singles = [[1 << k for k in by_source.get(g.name, [])] for g in C.basis]
     pairs = []
     names = C.names()
     for xi in range(len(names)):
@@ -448,8 +431,7 @@ def _kill_candidates(C: Complex, fspace: MapSpace, order: str):
                 _, tgt, m = fspace.pairs[k]
                 key = (tgt, a2 + m.i, b2 + m.j)
                 slots[key] = slots.get(key, 0) | (1 << k)
-            rows = [(row, 0) for row in slots.values()]
-            pairs.append((f"pair {x.name}+{y.name}", rows))
+            pairs.append(list(slots.values()))
     cands = singles + pairs
     if order == "reverse":
         cands = list(reversed(cands))
@@ -458,29 +440,19 @@ def _kill_candidates(C: Complex, fspace: MapSpace, order: str):
 
 def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
                         order: str) -> tuple[LinMap, str]:
-    """The map and certificate note of `maximal_self_local_map`."""
+    """The map and certificate note of `maximal_self_local_map`.  One
+    sweep suffices: equations only shrink the solution set, so a
+    rejected candidate stays rejected."""
     sls = SelfLocalFamily(C, iota, budget)
-    inner = sls.copy_inner()
+    inner = sls.inner
     candidates = _kill_candidates(C, sls.fspace, order)
-    accepted: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for label, rows in candidates:
-            if label in accepted:
-                continue
-            trial = inner.copy()
-            ok = True
-            for raw, rhs in rows:
-                trow, tr = sls.family.constraint(raw)
-                if not trial.add_equation(trow, tr ^ rhs):
-                    ok = False
-                    break
-            if ok and trial.feasible:
-                inner = trial
-                accepted.add(label)
-                changed = True
-    f = sls.map_from_t(inner.particular_solution())
+    for rows in candidates:
+        trial = inner.copy()
+        if all(trial.add_equation(*sls.family.constraint(raw))
+               for raw in rows):
+            inner = trial
+    f = sls.fspace.map_from_bits(
+        sls.family.point(inner.particular_solution()))
     if not verify_almost_local(f, iota, iota):
         raise StructuralError("maximal candidate fails re-verification")
     note = f"maximal over {len(candidates)} candidate vectors ({order} order)"

@@ -580,8 +580,9 @@ def validate_iota(C: Complex, iota: IotaData) -> IotaReport:
 
 
 def _iota_shape(C: Complex, iota: IotaData) -> bool:
-    """Whether iota is skew of bidegree (0,0); it must live on C's basis."""
-    if iota.map.source is not C and iota.map.source.names() != C.names():
+    """Whether iota is skew of bidegree (0,0); it must be a map of C itself,
+    not of a copy with the same names, or composites with C's maps fail."""
+    if iota.map.source is not C or iota.map.target is not C:
         raise StructuralError("iota is defined on a different basis")
     return iota.map.variance == "skew" and iota.map.bidegree == (0, 0)
 

@@ -19,6 +19,10 @@ coefficient in F2[U,V] from the `action` view, the way LinMap did before
 it stored bitset rows, and rebuilds each result through the validating
 constructor; `element_image_complex` builds the image of a chain map
 from such elements instead of bitsets over generators.
+`JointSelfLocalFamily` solves the chain-map and intertwining equations
+of the self-local maps together, leaving only locality for the
+parameters, and `fixpoint_maximal_self_local` repeats the kill-candidate
+sweep until nothing more is accepted, instead of sweeping once.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from itertools import product
 from knotfloer.complexes import (Complex, Element, Generator, _ideal_leq,
                                  add_term)
 from knotfloer.errors import ResourceError, StructuralError
+from knotfloer.homology import UHomology
 from knotfloer.linalg import GF2System, bits_of
+from knotfloer.localequiv import _kill_candidates, _locality_bit
 from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
                                 derivative_maps, differential_map,
                                 identity_map)
@@ -569,6 +575,89 @@ def element_image_complex(C: Complex, f: LinMap,
         if row_out:
             diff[lbl] = row_out
     return Complex(basis, diff, C.ring, name)
+
+
+# -- self-local maps from one joint chain-and-intertwining system -----------
+
+class JointSelfLocalFamily:
+    """Almost self-local maps of (C, iota) as one affine family of
+    intertwining chain maps: the chain-map and intertwining columns are
+    solved together, and only locality is left for the parameters t,
+    each row bit taken from `_locality_bit` of a basis map."""
+
+    def __init__(self, C: Complex, iota: IotaData):
+        self.fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
+        chain_slot = MapSpace.build(C, C, "eq", (-1, -1), C.ring)
+        int_slot = MapSpace.build(C, C, "skew", (0, 0), Ideal.max_ideal())
+        base = GF2System(self.fspace.dim)
+        base.add_columns(self.fspace.d_commutator_columns(chain_slot))
+        icols = zip(self.fspace.precompose_columns(iota.map, int_slot),
+                    self.fspace.postcompose_columns(iota.map, int_slot))
+        base.add_columns([a ^ b for a, b in icols])
+        self.particular, self.null = base.solution_space()
+        hom = UHomology(C)
+        tower, grading = hom.tower_generator()
+
+        def local(bits):
+            f = self.fspace.map_from_bits(bits)
+            return int(_locality_bit(f, tower, grading, hom))
+
+        row = sum(local(v) << k for k, v in enumerate(self.null))
+        self.inner = GF2System(len(self.null))
+        if not self.inner.add_equation(row, 1 ^ local(self.particular)):
+            raise StructuralError("no self-local equivalence exists at all")
+
+    def point(self, t: int) -> int:
+        x = self.particular
+        for k in bits_of(t):
+            x ^= self.null[k]
+        return x
+
+    def unit_coefficient_constant(self, src: str, tgt: str):
+        hit = self.fspace.pair_bits.get((src, tgt))
+        if hit is None or hit[1:] != (0, 0):
+            return True, 0
+        bit = hit[0]
+        value = int(bool(self.point(self.inner.particular_solution()) & bit))
+        for w in self.inner.nullspace_basis():
+            if (self.point(w) ^ self.particular) & bit:
+                return False, value
+        return True, value
+
+
+def fixpoint_maximal_self_local(C: Complex, iota: IotaData, order: str):
+    """(map, note) of the kill-candidate greedy over `JointSelfLocalFamily`,
+    sweeping the candidates again until a sweep accepts none."""
+    fam = JointSelfLocalFamily(C, iota)
+    candidates = _kill_candidates(C, fam.fspace, order)
+    by_unknown = {}
+    for k, v in enumerate(fam.null):
+        for b in bits_of(v):
+            by_unknown[b] = by_unknown.get(b, 0) | (1 << k)
+    inner = fam.inner.copy()
+    accepted = set()
+    changed = True
+    while changed:
+        changed = False
+        for label, rows in enumerate(candidates):
+            if label in accepted:
+                continue
+            trial = inner.copy()
+            ok = True
+            for raw in rows:
+                trow = 0
+                for b in bits_of(raw):
+                    trow ^= by_unknown.get(b, 0)
+                rhs = (raw & fam.particular).bit_count() & 1
+                if not trial.add_equation(trow, rhs):
+                    ok = False
+                    break
+            if ok and trial.feasible:
+                inner = trial
+                accepted.add(label)
+                changed = True
+    f = fam.fspace.map_from_bits(fam.point(inner.particular_solution()))
+    return f, f"maximal over {len(candidates)} candidate vectors ({order} order)"
 
 
 # -- U-module homology by three graded Smith forms --------------------------

@@ -322,6 +322,44 @@ def test_search_local_map_file_pinned(cables, tmp_path, capsys, src, tgt,
     assert out.read_text() == text
 
 
+@pytest.mark.parametrize("n,dual", [(4, False), (2, True), (3, True),
+                                    (4, True)])
+def test_connected_and_bound_every_completion_pinned(tmp_path, capsys, n,
+                                                     dual):
+    # the duals' images use synthesized x<k> labels, which depend on the
+    # exact self-local map chosen
+    path = tmp_path / "k.cfk"
+    run(capsys, "build", "--knot", f"cable:{n}", "-o", str(path))
+    label = f"cable{n}"
+    if dual:
+        run(capsys, "dual", str(path), "-o", str(tmp_path / "kd.cfk"))
+        path, label = tmp_path / "kd.cfk", label + "_dual"
+    text = ""
+    for k in range(2 ** (n - 1)):
+        code, out, err = run(capsys, "connected", str(path),
+                             "--iota-index", str(k))
+        assert (code, err) == (0, "")
+        text += f"# connected --iota-index {k}\n" + out
+        code, out, err = run(capsys, "bound", str(path), "--format",
+                             "records", "--iota-index", str(k))
+        assert (code, err) == (0, "")
+        text += f"# bound --format records --iota-index {k}\n" + out
+    assert text == (PINNED / f"connected_bound_{label}.txt").read_text()
+
+
+def test_self_local_two_towers_exit_2(tmp_path, capsys):
+    path = tmp_path / "two.cfk"
+    path.write_text("complex two ring full\ngen a gr 0 0\ngen b gr 0 0\n")
+    for argv in (("connected",), ("bound", "--format", "records")):
+        assert run(capsys, *argv, str(path)) == (
+            2, "", "error: self-local maps need exactly one tower\n")
+
+
+def test_connected_budget_exit_4(cables, capsys):
+    assert run(capsys, "connected", str(cables[2]), "--budget", "1") == (
+        4, "", "resource error: 53 unknowns exceed the budget 1\n")
+
+
 def test_search_local_mode_flag_removed_exit_2(cables, capsys):
     # only almost-local maps are searched; .cfk files carry no full iota
     assert run(capsys, "search-local", str(cables[2]), str(cables[2]),

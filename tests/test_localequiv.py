@@ -165,7 +165,8 @@ VERDICTS = {
 @functools.cache
 def _library(name):
     base = {"unknot": build_unknot, "fig8": build_figure_eight,
-            "cable2": lambda: build_cable(2), "cable3": lambda: build_cable(3)}
+            "cable2": lambda: build_cable(2), "cable3": lambda: build_cable(3),
+            "cable4": lambda: build_cable(4)}
     if name.endswith("*"):
         return dualize(_library(name[:-1]))
     return base[name]()
@@ -391,3 +392,78 @@ def test_image_complex_matches_element_oracle(name, request):
         for f in _random_chain_maps(C, rng, 5):
             assert (outcome(lambda: image_complex(C, f))
                     == outcome(lambda: element_image_complex(C, f)))
+
+
+# -- one system for the search and the self-local family -----------------------
+
+SELF_LOCAL_LIBRARY = ("unknot", "fig8", "cable2", "cable3", "cable4",
+                      "fig8*", "cable2*", "cable3*", "cable4*")
+
+
+@pytest.mark.parametrize("name", SELF_LOCAL_LIBRARY)
+def test_maximal_self_local_matches_fixpoint_oracle(name):
+    # chain maps first, intertwining and locality over their parameters,
+    # one greedy sweep: the same map and note as the joint family swept
+    # to a fixpoint, on every completion in both orders
+    from oracles import JointSelfLocalFamily, fixpoint_maximal_self_local
+
+    C = _library(name)
+    for io in enumerate_almost_iotas(C):
+        for order in ("forward", "reverse"):
+            f, note = localequiv._maximal_self_local(C, io, 2_000_000, order)
+            g, oracle_note = fixpoint_maximal_self_local(C, io, order)
+            assert f.rows == g.rows and note == oracle_note
+            if not name.startswith(("cable3", "cable4")):
+                # the public entry point too, where its kernel is cheap
+                f, _, note = maximal_self_local_map(C, io, order=order)
+                assert f.rows == g.rows and note == oracle_note
+        fam, joint = SelfLocalFamily(C, io, 2_000_000), JointSelfLocalFamily(C, io)
+        for x in C.names():
+            assert (fam.unit_coefficient_constant(x, x)
+                    == joint.unit_coefficient_constant(x, x))
+
+
+def test_iota_of_an_equal_copy_is_rejected(k2):
+    # an involution enumerated on a second build of the same complex
+    from knotfloer.morphism import LinMap
+
+    other = enumerate_almost_iotas(build_cable(2))[0]
+    full = IotaData(LinMap(other.map.source, other.map.source, "skew", (0, 0),
+                           other.map.action), "full")
+    calls = [lambda: validate_iota(k2, other),
+             lambda: validate_iota(k2, full),
+             lambda: search_local_map(LocalSearchSpec((k2, other), (k2, None))),
+             lambda: search_local_map(LocalSearchSpec((k2, None), (k2, [other]))),
+             lambda: SelfLocalFamily(k2, other, 2_000_000),
+             lambda: connected_complex(k2, other)]
+    for call in calls:
+        with pytest.raises(StructuralError) as err:
+            call()
+        assert str(err.value) == "iota is defined on a different basis"
+
+
+def test_self_local_outputs_independent_of_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    script = ("from knotfloer import build_cable, enumerate_almost_iotas\n"
+              "from knotfloer.cfk import render_cfk\n"
+              "from knotfloer.complexes import dualize\n"
+              "from knotfloer.localequiv import (_maximal_self_local,\n"
+              "                                  connected_complex)\n"
+              "for n in (2, 3, 4):\n"
+              "    for C in (build_cable(n), dualize(build_cable(n))):\n"
+              "        for io in enumerate_almost_iotas(C):\n"
+              "            print(render_cfk(connected_complex(C, io)))\n"
+              "            f, note = _maximal_self_local(C, io, 10**6,\n"
+              "                                          'reverse')\n"
+              "            print(f.rows, note)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True,
+                                   check=True, timeout=120).stdout)
+    assert outs[0] == outs[1] and outs[0].count("_conn ring full") == 28
