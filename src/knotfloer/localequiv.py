@@ -187,7 +187,7 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     once per source completion and B once per target completion; each
     involution pair gives a system over t of the rows of A + B and the
     locality equation (the tower class goes to a tower generator).  Any
-    found map is re-verified from scratch by `verify_almost_local`.
+    found map is re-verified by `_is_almost_local`, as in `verify_almost_local`.
     """
     src, src_iota_in = spec.source
     tgt, tgt_iota_in = spec.target
@@ -218,7 +218,7 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
                 continue
             f = fspace.map_from_bits(
                 family.point(system.particular_solution()))
-            if not verify_almost_local(f, i1, i2):
+            if not _is_almost_local(f, i1, i2, src_hom, tgt_hom):
                 raise StructuralError("solver produced a map that fails "
                                       "re-verification")
             return LocalCertificate(found=f, iota_pair=(i1, i2))
@@ -230,13 +230,16 @@ def verify_almost_local(f: LinMap, i1: IotaData, i2: IotaData) -> bool:
     """Re-check the three almost-local conditions for a candidate map:
     f is a chain map, f i1 = i2 f mod (U,V), and f sends the tower class
     to a tower generator."""
-    if not chain_defect(f).is_zero():
-        return False
+    return _is_almost_local(f, i1, i2, UHomology(f.source), UHomology(f.target))
+
+
+def _is_almost_local(f: LinMap, i1: IotaData, i2: IotaData,
+                     src_hom: UHomology, tgt_hom: UHomology) -> bool:
+    """`verify_almost_local` with the homologies of f's ends given."""
     u = f.reduce_to(Ideal.max_ideal())
-    if not (u.compose(i1.map) + i2.map.compose(u)).is_zero():
-        return False
-    return _locality_bit(f, *UHomology(f.source).tower_generator(),
-                         UHomology(f.target))
+    return (chain_defect(f).is_zero()
+            and (u.compose(i1.map) + i2.map.compose(u)).is_zero()
+            and _locality_bit(f, *src_hom.tower_generator(), tgt_hom))
 
 
 # -- self-local equivalences and the connected complex ----------------------
