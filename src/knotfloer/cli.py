@@ -16,8 +16,9 @@ from .complexes import Complex, dualize
 from .errors import CfkParseError, ResourceError, StructuralError
 from .homology import hfk_minus, locality_rank, torsion_order
 from .knotlib import build_cable, build_figure_eight, build_unknot
-from .localequiv import (LocalSearchSpec, concordance_unknotting_bound,
-                         connected_complex, search_local_map)
+from .localequiv import (DEFAULT_BUDGET, LocalSearchSpec,
+                         concordance_unknotting_bound, connected_complex,
+                         search_local_map)
 from .morphism import IotaData, derivative_maps, enumerate_almost_iotas
 
 EXIT_OK = 0
@@ -36,6 +37,14 @@ def _load(path: str) -> cfk.CfkFile:
     except UnicodeDecodeError:
         raise CfkParseError(f"cannot read {path}: not UTF-8 text", 0) from None
     return cfk.parse_cfk(text)
+
+
+def count(text: str) -> int:
+    """A --budget value: a number of unknowns, so never negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -305,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-local", help="decide local map existence")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=count, default=DEFAULT_BUDGET)
     p.add_argument("-o", "--output")
     fmt(p)
     p.set_defaults(func=cmd_search_local)
@@ -313,14 +322,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connected", help="connected subcomplex")
     p.add_argument("file")
     p.add_argument("--iota-index", type=int)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=count, default=DEFAULT_BUDGET)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_connected)
 
     p = sub.add_parser("bound", help="concordance unknotting bound")
     p.add_argument("file")
     p.add_argument("--iota-index", type=int)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=count, default=DEFAULT_BUDGET)
     fmt(p)
     p.set_defaults(func=cmd_bound)
 

@@ -194,22 +194,18 @@ def hfk_hat(C: Complex) -> HatRanks:
     buckets: dict[tuple[int, int], list[int]] = {}
     for k, g in enumerate(C.basis):
         buckets.setdefault((g.gr_u, g.gr_v), []).append(k)
-    pos = {}
-    for key, members in buckets.items():
-        for idx, k in enumerate(members):
-            pos[k] = idx
+    pos = {k: idx for members in buckets.values()
+           for idx, k in enumerate(members)}
 
     def bucket_matrix(key):
         """Unit-coefficient differential out of bucket `key`, as columns."""
-        p, q = key
         cols = []
         for k in buckets.get(key, []):
             col = 0
             row = C.d_of(C.basis[k].name)
             for tgt, coeff in row.items():
                 if any(m.i == 0 and m.j == 0 for m in coeff):
-                    t = C.index(tgt)
-                    col |= 1 << pos[t]
+                    col |= 1 << pos[C.index(tgt)]
             cols.append(col)
         return cols
 
@@ -217,8 +213,8 @@ def hfk_hat(C: Complex) -> HatRanks:
     for key in sorted(buckets):
         p, q = key
         dim = len(buckets[key])
-        rk_out = len(rref_basis(bucket_matrix(key))[0])
-        rk_in = len(rref_basis(bucket_matrix((p + 1, q + 1)))[0])
+        rk_out = rref_basis(bucket_matrix(key)).rank
+        rk_in = rref_basis(bucket_matrix((p + 1, q + 1))).rank
         h = dim - rk_out - rk_in
         if h:
             out.append((p, (p - q) // 2, h))

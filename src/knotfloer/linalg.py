@@ -1,9 +1,11 @@
 """F2 linear algebra on int bitsets.
 
 Vectors and equations are Python ints, bit k standing for coordinate or
-unknown k, so every row operation is one XOR.  `_echelon_insert` is the
-one echelon kernel: GF2System solves affine systems A x = b over F2 one
-equation at a time, `rref_basis` and `complement_basis` reduce spans,
+unknown k, so every row operation is one XOR.  `Echelon` is the one
+echelon kernel: a fully reduced basis keyed by pivot, so reducing a
+vector costs one XOR per pivot it hits, not a pass over every row.
+GF2System extends it to affine systems A x = b over F2, solved one
+equation at a time; `rref_basis` and `complement_basis` reduce spans,
 and AffineSpace parameterizes a solution set and rewrites further
 constraints in its parameters.  Graded modules over F2[U] reduce to this
 too: homogeneity fixes every monomial, so `homology` eliminates over the
@@ -21,41 +23,76 @@ def bits_of(x: int):
         x ^= low
 
 
-class GF2System:
+class Echelon:
+    """A fully reduced basis of a span, indexed by pivot.
+
+    `rows` maps each pivot (a row's leading bit) to its row and `mask`
+    holds the pivot bits.  No row holds another row's pivot bit, so a
+    vector is reduced by the rows of the pivots it hits, once each.
+    """
+
+    def __init__(self, reduced=()):
+        """The echelon of rows that already form a fully reduced basis."""
+        self.rows: dict[int, int] = {r.bit_length() - 1: r for r in reduced}
+        self.mask = sum(1 << piv for piv in self.rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: int) -> int:
+        """v minus its part in the span: no pivot bit left."""
+        rows = self.rows
+        hit = v & self.mask
+        while hit:
+            low = hit & -hit
+            v ^= rows[low.bit_length() - 1]
+            hit ^= low
+        return v
+
+    def insert(self, v: int, piv: int) -> None:
+        """Add v, already reduced, with pivot bit piv, clearing that bit
+        from the rows that hold it."""
+        rows = self.rows
+        for p in [p for p, r in rows.items() if (r >> piv) & 1]:
+            rows[p] ^= v
+        rows[piv] = v
+        self.mask |= 1 << piv
+
+    def add(self, v: int) -> int:
+        """Reduce v and insert the rest; returns it (0 if v was in the span)."""
+        v = self.reduce(v)
+        if v:
+            self.insert(v, v.bit_length() - 1)
+        return v
+
+
+class GF2System(Echelon):
     """Reduced row echelon form over F2, built one equation at a time.
 
     Equations are rows over `width` unknowns with a 0/1 right-hand side,
-    encoded as ints with the rhs in bit position `width`.
+    encoded as ints with the rhs in bit position `width`; the pivot of a
+    row is its leading unknown, never the rhs bit.
     """
 
     def __init__(self, width: int):
+        super().__init__()
         self.width = width
-        self.rows: list[int] = []       # augmented, in echelon order
-        self.pivots: list[int] = []     # pivot column of each row
         self.feasible = True
 
     def copy(self) -> "GF2System":
         other = GF2System(self.width)
-        other.rows = list(self.rows)
-        other.pivots = list(self.pivots)
-        other.feasible = self.feasible
+        other.__dict__.update(self.__dict__, rows=dict(self.rows))
         return other
 
     def add_equation(self, row: int, rhs: int) -> bool:
         """Add `row . x = rhs`; returns current feasibility."""
-        aug = reduce_mod_span(row | (rhs << self.width), self.rows, self.pivots)
+        aug = self.reduce(row | (rhs << self.width))
         if aug == 1 << self.width:
             self.feasible = False
             return False
         if aug:
-            # the pivot is the leading unknown, never the rhs bit
-            piv = (aug & ((1 << self.width) - 1)).bit_length() - 1
-            _echelon_insert(self.rows, self.pivots, aug, piv)
-        return self.feasible
-
-    def add_equations(self, eqs) -> bool:
-        for row, rhs in eqs:
-            self.add_equation(row, rhs)
+            self.insert(aug, (aug & ((1 << self.width) - 1)).bit_length() - 1)
         return self.feasible
 
     def add_columns(self, columns: list[int], rhs: int = 0) -> bool:
@@ -71,33 +108,24 @@ class GF2System:
                 return False
         return self.feasible
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def particular_solution(self) -> int:
         """One solution with all free unknowns set to zero."""
         if not self.feasible:
             raise ValueError("inconsistent system has no solution")
         x = 0
-        for piv, row in zip(self.pivots, self.rows):
+        for piv, row in self.rows.items():
             if (row >> self.width) & 1:
                 x |= 1 << piv
         return x
 
     def nullspace_basis(self) -> list[int]:
-        """Basis of homogeneous solutions, one vector per free unknown."""
-        pivot_set = set(self.pivots)
-        basis = []
-        for free in range(self.width):
-            if free in pivot_set:
-                continue
-            vec = 1 << free
-            for piv, row in zip(self.pivots, self.rows):
-                if (row >> free) & 1:
-                    vec |= 1 << piv
-            basis.append(vec)
-        return basis
+        """Basis of homogeneous solutions, one per free unknown, ascending."""
+        free = ((1 << self.width) - 1) & ~self.mask
+        vecs = {k: 1 << k for k in bits_of(free)}
+        for piv, row in self.rows.items():
+            for k in bits_of(row & free):
+                vecs[k] |= 1 << piv
+        return list(vecs.values())
 
     def solution_space(self) -> tuple[int, list[int]]:
         return self.particular_solution(), self.nullspace_basis()
@@ -114,50 +142,18 @@ def transpose(columns: list[int]) -> dict[int, int]:
     return rows
 
 
-def _echelon_insert(rows: list[int], pivots: list[int], v: int,
-                    piv: int) -> None:
-    """Insert v, already reduced by rows, with pivot bit piv; keeps the
-    basis fully reduced and sorted by descending pivot."""
-    for k, r in enumerate(rows):
-        if (r >> piv) & 1:
-            rows[k] = r ^ v
-    idx = 0
-    while idx < len(pivots) and pivots[idx] > piv:
-        idx += 1
-    rows.insert(idx, v)
-    pivots.insert(idx, piv)
-
-
-def rref_basis(vectors: list[int]) -> tuple[list[int], list[int]]:
-    """Reduced basis of the span of `vectors`; returns (rows, pivots)."""
-    rows: list[int] = []
-    pivots: list[int] = []
+def rref_basis(vectors: list[int]) -> Echelon:
+    """The reduced basis of the span of `vectors`."""
+    span = Echelon()
     for v in vectors:
-        v = reduce_mod_span(v, rows, pivots)
-        if v:
-            _echelon_insert(rows, pivots, v, v.bit_length() - 1)
-    return rows, pivots
+        span.add(v)
+    return span
 
 
-def reduce_mod_span(v: int, rows: list[int], pivots: list[int]) -> int:
-    for piv, row in zip(pivots, rows):
-        if (v >> piv) & 1:
-            v ^= row
-    return v
-
-
-def complement_basis(sub_rows: list[int], sub_pivots: list[int],
-                     space: list[int]) -> list[int]:
-    """Vectors of `space` extending the subspace to span(space), reduced."""
-    rows = list(sub_rows)
-    pivots = list(sub_pivots)
-    comp = []
-    for v in space:
-        red = reduce_mod_span(v, rows, pivots)
-        if red:
-            comp.append(red)
-            _echelon_insert(rows, pivots, red, red.bit_length() - 1)
-    return comp
+def complement_basis(sub: Echelon, space: list[int]) -> list[int]:
+    """Vectors of `space` extending span(sub) to span(space), reduced."""
+    span = Echelon(sub.rows.values())
+    return [red for red in map(span.add, space) if red]
 
 
 class AffineSpace:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .complexes import Complex, Generator, add_term
 from .errors import ResourceError, StructuralError
 from .homology import UHomology, hfk_minus, torsion_order
-from .linalg import (AffineSpace, GF2System, bits_of, reduce_mod_span,
-                     rref_basis, transpose)
+from .linalg import (AffineSpace, Echelon, GF2System, bits_of, rref_basis,
+                     transpose)
 from .morphism import (IotaData, LinMap, MapSpace, _almost_reports,
                        chain_defect, differential_map, enumerate_almost_iotas,
                        validate_iota)
@@ -258,8 +258,8 @@ class KernelSpace:
     def contains(self, other: "KernelSpace") -> bool:
         if self.terms != other.terms:
             raise StructuralError("kernel spaces over different truncations")
-        rows, pivots = rref_basis(list(self.rows))
-        return not any(reduce_mod_span(v, rows, pivots) for v in other.rows)
+        span = Echelon(self.rows)
+        return not any(span.reduce(v) for v in other.rows)
 
 
 @dataclass(frozen=True)
@@ -301,8 +301,7 @@ def kernel_space(C: Complex, f: LinMap) -> KernelSpace:
     # nullspace of the truncated matrix
     sys = GF2System(len(terms))
     sys.add_columns(columns)
-    basis = sys.nullspace_basis()
-    reduced, _ = rref_basis(basis)
+    reduced = rref_basis(sys.nullspace_basis()).rows.values()
     return KernelSpace(tuple(terms), tuple(sorted(reduced)))
 
 
@@ -505,7 +504,8 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
     used_names: set[str] = set()
     for (p, q) in sorted(set(gr), reverse=True):
         span = GF2System(len(C))
-        span.add_equations((v, 0) for v in images(p + 2, q) + images(p, q + 2))
+        for v in images(p + 2, q) + images(p, q + 2):
+            span.add_equation(v, 0)
         for vec in images(p, q):
             rank = span.rank
             span.add_equation(vec, 0)

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .complexes import Complex, Element, _ideal_leq, add_term
 from .errors import ResourceError, StructuralError
-from .linalg import GF2System, bits_of, complement_basis, reduce_mod_span, rref_basis
+from .linalg import GF2System, bits_of, complement_basis, rref_basis
 from .ring import Ideal, Mono, RingElt, render_mono
 
 Bidegree = tuple[int, int]
@@ -673,14 +673,14 @@ def _square_system(C: Complex) -> _SquareSystem | None:
 
     # null-homotopic skew maps: the subgroup to quotient out
     hskew = MapSpace.build(C, C, "skew", (1, 1), C.ring)
-    b_rows, b_pivots = rref_basis(hskew.d_commutator_columns(iota_space))
-    class_dirs = complement_basis(b_rows, b_pivots, null_basis)
+    class_dirs = complement_basis(
+        rref_basis(hskew.d_commutator_columns(iota_space)), null_basis)
     q = len(class_dirs)
 
     # equivariant homotopy images, for the squared-condition membership test
     eq_slot = MapSpace.build(C, C, "eq", (0, 0), C.ring)
     heq = MapSpace.build(C, C, "eq", (1, 1), C.ring)
-    eqb_rows, eqb_pivots = rref_basis(heq.d_commutator_columns(eq_slot))
+    eq_boundaries = rref_basis(heq.d_commutator_columns(eq_slot))
 
     # maps[0] is the base map, maps[k + 1] class direction k; after[g][k]
     # is (unit k) o maps[g], so maps[f] o maps[g] sums after[g] over f
@@ -696,10 +696,9 @@ def _square_system(C: Complex) -> _SquareSystem | None:
 
     def reduced_square_vec(f: int, g: int) -> int:
         vec = composite(f, f) if f == g else composite(f, g) ^ composite(g, f)
-        return reduce_mod_span(vec, eqb_rows, eqb_pivots)
+        return eq_boundaries.reduce(vec)
 
-    target = reduce_mod_span(
-        eq_slot.bits_from_map(one_plus_psi_phi(C)), eqb_rows, eqb_pivots)
+    target = eq_boundaries.reduce(eq_slot.bits_from_map(one_plus_psi_phi(C)))
 
     z0 = reduced_square_vec(0, 0) ^ target
     lin = tuple(reduced_square_vec(0, k + 1) ^ reduced_square_vec(k + 1, k + 1)

@@ -2,11 +2,11 @@
 
 The brute-force U-module homology oracle works one Maslov grading at a
 time with plain F2 Gaussian elimination and recovers the summand
-multiset from ranks of powers of U acting on homology; the Smith-form
-oracle computes the same module, with tower coordinates, by three
-graded Smith normal forms instead of one cancellation pass.  The
+multiset from ranks of powers of U acting on homology.  The
 localization-rank oracle row-reduces over the fraction field F2(U) with fraction-free
-cross-multiplication, representing F2[U] polynomials as int bitmasks.
+cross-multiplication, representing F2[U] polynomials as int bitmasks,
+and the tower-coefficient oracle asks whether a cycle survives
+inverting U.
 The almost-involution oracle walks every homotopy class of the squared
 condition instead of solving it over a vertex cover.
 `grading_fitting_pairs` lists a map space by trying every exponent pair
@@ -23,11 +23,13 @@ from such elements instead of bitsets over generators.
 of the self-local maps together, leaving only locality for the
 parameters, and `fixpoint_maximal_self_local` repeats the kill-candidate
 sweep until nothing more is accepted, instead of sweeping once.
+`ListGF2System`, `list_rref_basis` and `list_complement_basis` keep an
+echelon basis in parallel row and pivot lists and reduce a vector by
+visiting every row, instead of only the rows of the pivots it hits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from knotfloer.complexes import (Complex, Element, Generator, _ideal_leq,
@@ -243,6 +245,24 @@ def fraction_field_rank(C: Complex) -> int:
 def locality_rank_oracle(C: Complex) -> int:
     """Tower count via rank over the fraction field: n - 2 rank."""
     return len(C.basis) - 2 * fraction_field_rank(C)
+
+
+def tower_unit_coefficient_oracle(C: Complex, v) -> bool:
+    """`UHomology.tower_unit_coefficient` of a one-tower C, by inverting U.
+
+    Over F2[U, U^-1] every arrow of C/(V) is a unit, torsion and
+    boundaries die and the tower does not, so a cycle v = (bits, g) has
+    unit tower coefficient iff it is not in the span of the columns of
+    d there and g is the tower's grading.
+    """
+    bits, g = v
+    (tower_grading,), _ = hfk_minus_oracle(C)
+    gens, arrows = _v_quotient_data(C)
+    cols = [0] * len(gens)
+    for s, t, _ in arrows:
+        cols[s] ^= 1 << t
+    survives = _span_rank(cols + [bits])[0] > _span_rank(cols)[0]
+    return survives and g == tower_grading
 
 
 # -- almost involutions by a Gray-code walk over every class ---------------
@@ -523,7 +543,8 @@ def element_image_complex(C: Complex, f: LinMap,
                 shifted.append(vec_of_element(moved, terms, index))
         # pick image elements completing (U,V) * im inside this piece
         span = GF2System(len(terms))
-        span.add_equations((v, 0) for v in shifted)
+        for v in shifted:
+            span.add_equation(v, 0)
         for vec, elt in zip(vecs, elts):
             rank = span.rank
             span.add_equation(vec, 0)
@@ -660,186 +681,105 @@ def fixpoint_maximal_self_local(C: Complex, iota: IotaData, order: str):
     return f, f"maximal over {len(candidates)} candidate vectors ({order} order)"
 
 
-# -- U-module homology by three graded Smith forms --------------------------
+# -- the list-based echelon kernel ------------------------------------------
 
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def list_reduce_mod_span(v: int, rows: list[int], pivots: list[int]) -> int:
+    """Reduce v by every row in turn whose pivot bit v holds."""
+    for piv, row in zip(pivots, rows):
+        if (v >> piv) & 1:
+            v ^= row
+    return v
 
 
-class UMat:
-    """Homogeneous matrix over F2[U] with per-row and per-column gradings.
+def list_echelon_insert(rows: list[int], pivots: list[int], v: int,
+                        piv: int) -> None:
+    """Insert v, already reduced by rows, with pivot bit piv; keeps the
+    basis fully reduced and sorted by descending pivot."""
+    for k, r in enumerate(rows):
+        if (r >> piv) & 1:
+            rows[k] = r ^ v
+    idx = 0
+    while idx < len(pivots) and pivots[idx] > piv:
+        idx += 1
+    rows.insert(idx, v)
+    pivots.insert(idx, piv)
 
-    Entry (r, c), when set, is the monomial U^((row_gr[r]-col_gr[c])/2);
-    homogeneity makes every row and column operation a plain XOR.
-    """
 
-    def __init__(self, row_gr, col_gr, rows=None):
-        self.row_gr = list(row_gr)
-        self.col_gr = list(col_gr)
-        self.rows = list(rows) if rows is not None else [0] * len(row_gr)
+class ListGF2System:
+    """`GF2System` on parallel row and pivot lists, each reduction
+    visiting every row."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: list[int] = []       # augmented, in echelon order
+        self.pivots: list[int] = []     # pivot column of each row
+        self.feasible = True
+
+    def copy(self) -> "ListGF2System":
+        other = ListGF2System(self.width)
+        other.rows = list(self.rows)
+        other.pivots = list(self.pivots)
+        other.feasible = self.feasible
+        return other
+
+    def add_equation(self, row: int, rhs: int) -> bool:
+        aug = list_reduce_mod_span(row | (rhs << self.width), self.rows,
+                                   self.pivots)
+        if aug == 1 << self.width:
+            self.feasible = False
+            return False
+        if aug:
+            piv = (aug & ((1 << self.width) - 1)).bit_length() - 1
+            list_echelon_insert(self.rows, self.pivots, aug, piv)
+        return self.feasible
 
     @property
-    def nrows(self) -> int:
-        return len(self.row_gr)
+    def rank(self) -> int:
+        return len(self.rows)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.col_gr)
+    def particular_solution(self) -> int:
+        if not self.feasible:
+            raise ValueError("inconsistent system has no solution")
+        x = 0
+        for piv, row in zip(self.pivots, self.rows):
+            if (row >> self.width) & 1:
+                x |= 1 << piv
+        return x
 
-    @staticmethod
-    def identity(gradings) -> "UMat":
-        return UMat(gradings, gradings, [1 << k for k in range(len(gradings))])
-
-    def copy(self) -> "UMat":
-        return UMat(self.row_gr, self.col_gr, self.rows)
-
-    def get(self, r: int, c: int) -> bool:
-        return bool((self.rows[r] >> c) & 1)
-
-    def mul(self, other: "UMat") -> "UMat":
-        if self.col_gr != other.row_gr:
-            raise ValueError("grading mismatch in matrix product")
-        out = UMat(self.row_gr, other.col_gr)
-        for r, row in enumerate(self.rows):
-            acc = 0
-            for c in _bits(row):
-                acc ^= other.rows[c]
-            out.rows[r] = acc
-        return out
-
-
-@dataclass
-class SmithForm:
-    """P * A * Q = D with P, Q invertible over F2[U] and D diagonal."""
-
-    P: UMat
-    Pinv: UMat
-    Q: UMat
-    Qinv: UMat
-    D: UMat
-    rank: int
-    diag_degrees: list
-
-
-def smith_form(A: UMat) -> SmithForm:
-    """Graded Smith normal form, pivot = minimal-degree entry, ties
-    broken by column then row index."""
-    M = A.copy()
-    m, n = M.nrows, M.ncols
-    P = UMat.identity(M.row_gr)
-    Pinv = UMat.identity(M.row_gr)
-    Q = UMat.identity(M.col_gr)
-    Qinv = UMat.identity(M.col_gr)
-
-    def swap_rows(X, a, b):
-        X.rows[a], X.rows[b] = X.rows[b], X.rows[a]
-        X.row_gr[a], X.row_gr[b] = X.row_gr[b], X.row_gr[a]
-
-    def swap_cols(X, a, b):
-        ma, mb = 1 << a, 1 << b
-        for r, row in enumerate(X.rows):
-            if bool(row & ma) != bool(row & mb):
-                X.rows[r] = row ^ ma ^ mb
-        X.col_gr[a], X.col_gr[b] = X.col_gr[b], X.col_gr[a]
-
-    def add_col(X, src, dst):
-        msrc, mdst = 1 << src, 1 << dst
-        for r, row in enumerate(X.rows):
-            if row & msrc:
-                X.rows[r] = row ^ mdst
-
-    rank = 0
-    degrees = []
-    for k in range(min(m, n)):
-        best = None
-        for r in range(k, m):
-            row = M.rows[r] >> k
-            for c_off in _bits(row):
-                c = k + c_off
-                key = ((M.row_gr[r] - M.col_gr[c]) // 2, c, r)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        deg, c, r = best
-        if r != k:
-            swap_rows(M, k, r)
-            swap_rows(P, k, r)
-            swap_cols(Pinv, k, r)
-        if c != k:
-            swap_cols(M, k, c)
-            swap_cols(Q, k, c)
-            swap_rows(Qinv, k, c)
-        mask = 1 << k
-        for r2 in range(m):
-            if r2 != k and (M.rows[r2] & mask):
-                M.rows[r2] ^= M.rows[k]
-                P.rows[r2] ^= P.rows[k]
-                add_col(Pinv, r2, k)
-        for c2 in _bits(M.rows[k]):
-            if c2 == k:
+    def nullspace_basis(self) -> list[int]:
+        pivot_set = set(self.pivots)
+        basis = []
+        for free in range(self.width):
+            if free in pivot_set:
                 continue
-            add_col(M, k, c2)
-            add_col(Q, k, c2)
-            Qinv.rows[k] ^= Qinv.rows[c2]
-        rank += 1
-        degrees.append(deg)
-    return SmithForm(P, Pinv, Q, Qinv, M, rank, degrees)
+            vec = 1 << free
+            for piv, row in zip(self.pivots, self.rows):
+                if (row >> free) & 1:
+                    vec |= 1 << piv
+            basis.append(vec)
+        return basis
 
 
-def kernel_basis(A: UMat) -> UMat:
-    """Columns form a free basis of ker A (a direct summand of the source)."""
-    snf = smith_form(A)
-    sel = list(range(snf.rank, A.ncols))
-    out = UMat(A.col_gr, [snf.Q.col_gr[c] for c in sel])
-    for r in range(A.ncols):
-        out.rows[r] = sum(1 << idx for idx, c in enumerate(sel)
-                          if snf.Q.get(r, c))
-    return out
+def list_rref_basis(vectors: list[int]) -> tuple[list[int], list[int]]:
+    """Reduced basis of the span of `vectors`; returns (rows, pivots)."""
+    rows: list[int] = []
+    pivots: list[int] = []
+    for v in vectors:
+        v = list_reduce_mod_span(v, rows, pivots)
+        if v:
+            list_echelon_insert(rows, pivots, v, v.bit_length() - 1)
+    return rows, pivots
 
 
-def solve_with(snf: SmithForm, K: UMat, G: UMat) -> UMat:
-    """Solve K X = G given a Smith form of K with unit diagonal."""
-    if snf.rank != K.ncols or any(d != 0 for d in snf.diag_degrees):
-        raise ValueError("kernel basis does not span a direct summand")
-    PG = snf.P.mul(G)
-    X = snf.Q.mul(UMat(snf.D.row_gr[: K.ncols], G.col_gr, PG.rows[: K.ncols]))
-    if K.mul(X).rows != G.rows:
-        raise ValueError("vector is not in the kernel summand")
-    return X
-
-
-class SmithUHomology:
-    """Homology of C/(V) as the cokernel of the image in kernel
-    coordinates: Smith form of d (its kernel), of the kernel basis (to
-    solve in it), and of the solved image.  Cycles are (bits, grading)
-    as in `UHomology`."""
-
-    def __init__(self, C: Complex):
-        gr = [g.gr_u for g in C.basis]
-        self.D = UMat(gr, [g - 1 for g in gr])
-        for src, row in C.diff_items():
-            for tgt, coeff in row.items():
-                for m in coeff:
-                    if m.j == 0:
-                        self.D.rows[C.index(tgt)] ^= 1 << C.index(src)
-        ker = kernel_basis(self.D)
-        self.K = UMat(gr, [g + 1 for g in ker.col_gr], ker.rows)
-        self._ksnf = smith_form(self.K)
-        self._xsnf = smith_form(solve_with(self._ksnf, self.K, self.D))
-        rank, degs = self._xsnf.rank, self._xsnf.diag_degrees
-        row_gr = self._xsnf.D.row_gr
-        self.towers = list(range(rank, self.K.ncols))
-        self.tower_gradings = sorted(row_gr[l] for l in self.towers)
-        self.torsion = sorted((degs[l], row_gr[l]) for l in range(rank)
-                              if degs[l] > 0)
-
-    def tower_unit_coefficient(self, v) -> bool:
-        bits, g = v
-        col = UMat(self.D.row_gr, [g],
-                   [(bits >> r) & 1 for r in range(self.D.nrows)])
-        w = self._xsnf.P.mul(solve_with(self._ksnf, self.K, col))
-        return any(w.rows[l] & 1 and w.row_gr[l] == g for l in self.towers)
+def list_complement_basis(sub_rows: list[int], sub_pivots: list[int],
+                          space: list[int]) -> list[int]:
+    """Vectors of `space` extending the subspace to span(space), reduced."""
+    rows = list(sub_rows)
+    pivots = list(sub_pivots)
+    comp = []
+    for v in space:
+        red = list_reduce_mod_span(v, rows, pivots)
+        if red:
+            comp.append(red)
+            list_echelon_insert(rows, pivots, red, red.bit_length() - 1)
+    return comp

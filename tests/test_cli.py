@@ -360,6 +360,17 @@ def test_connected_budget_exit_4(cables, capsys):
         4, "", "resource error: 53 unknowns exceed the budget 1\n")
 
 
+@pytest.mark.parametrize("argv", [("search-local", 3, 2), ("connected", 3),
+                                  ("bound", 3)], ids=lambda a: a[0])
+def test_negative_budget_exit_2(argv, cables, capsys):
+    # a bad argument, not a resource overflow (exit 4)
+    cmd, *files = argv
+    assert run(capsys, cmd, *(str(cables[n]) for n in files),
+               "--budget", "-5") == (
+        2, "", f"knotfloer {cmd}: error: argument --budget: must not be "
+               "negative, got -5\n")
+
+
 def test_search_local_mode_flag_removed_exit_2(cables, capsys):
     # only almost-local maps are searched; .cfk files carry no full iota
     assert run(capsys, "search-local", str(cables[2]), str(cables[2]),
