@@ -84,13 +84,6 @@ def parse_cfk(text: str) -> CfkFile:
     diff: dict[str, dict[str, RingElt]] = {}
     iota_action: dict[str, dict[str, RingElt]] = {}
 
-    def checked_sum(tokens: list[str], lineno: int) -> dict[str, RingElt]:
-        row = _parse_sum(tokens, lineno)
-        for tgt in row:
-            if tgt not in known:
-                raise CfkParseError(f"unknown generator {tgt!r}", lineno)
-        return row
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -98,6 +91,8 @@ def parse_cfk(text: str) -> CfkFile:
         tokens = line.split()
         kind = tokens[0]
         if kind == "complex":
+            if name is not None:
+                raise CfkParseError("repeated complex header", lineno)
             if len(tokens) != 4 or tokens[2] != "ring":
                 raise CfkParseError("malformed complex header", lineno)
             if tokens[3] not in _TAG_RINGS:
@@ -111,18 +106,20 @@ def parse_cfk(text: str) -> CfkFile:
             except (ValueError, StructuralError) as err:
                 raise CfkParseError(str(err), lineno) from None
             known.add(tokens[1])
-        elif kind == "d":
+        elif kind in ("d", "iota"):
             if len(tokens) < 4 or tokens[2] != "=":
-                raise CfkParseError("malformed d line", lineno)
+                raise CfkParseError(f"malformed {kind} line", lineno)
+            rows = diff if kind == "d" else iota_action
             if tokens[1] not in known:
                 raise CfkParseError(f"unknown generator {tokens[1]!r}", lineno)
-            diff[tokens[1]] = checked_sum(tokens[3:], lineno)
-        elif kind == "iota":
-            if len(tokens) < 4 or tokens[2] != "=":
-                raise CfkParseError("malformed iota line", lineno)
-            if tokens[1] not in known:
-                raise CfkParseError(f"unknown generator {tokens[1]!r}", lineno)
-            iota_action[tokens[1]] = checked_sum(tokens[3:], lineno)
+            row = _parse_sum(tokens[3:], lineno)
+            for tgt in row:
+                if tgt not in known:
+                    raise CfkParseError(f"unknown generator {tgt!r}", lineno)
+            if tokens[1] in rows:
+                raise CfkParseError(f"repeated {kind} line for {tokens[1]!r}",
+                                    lineno)
+            rows[tokens[1]] = row
         else:
             raise CfkParseError(f"unknown directive {kind!r}", lineno)
     if name is None or ring is None:

@@ -1,19 +1,28 @@
 """Free bigraded chain complexes over F2[U,V] and its quotients.
 
 A complex is an ordered list of named generators with integer bigradings
-(gr_U, gr_V) and a differential given generator by generator.  Complexes
-are immutable once built and validate structural references eagerly;
-the mathematical checks (d^2 = 0, the grading law, reducedness and
-grading-multiset symmetry) live in `validate`.
+(gr_U, gr_V) and a differential of bidegree (-1, -1).  The grading law
+fixes the one monomial d can carry on each (source, target) pair, so d
+is stored as bitset rows: bit t of `rows[s]` is set when d(s) has that
+monomial on t, the convention of `LinMap.rows`.  `kept_targets` decides
+which pairs carry a monomial outside an ideal; quotients, the V-free and
+unit parts of d, map spaces and map reductions all mask by it.
+
+The coefficient-dict constructor is the input format.  It keeps the
+terms that break the grading law aside, in order; only `validate` and
+the RingElt views (`d_of`, `diff_items`, `apply_d`) read them, and
+asking such a complex for its rows raises.  Complexes are immutable, and
+`validate` (d^2 = 0, the grading law, reducedness and grading-multiset
+symmetry) is computed once per complex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceError, StructuralError
+from .linalg import bits_of, transpose
 from .ring import Ideal, Mono, RingElt
 
 # An element of a complex: generator name -> F2[U,V] coefficient.
@@ -62,35 +71,47 @@ class ValidationReport:
 class Complex:
     """A free bigraded chain complex with an ordered generator basis."""
 
-    __slots__ = ("name", "basis", "ring", "_diff", "_index")
+    __slots__ = ("name", "basis", "ring", "_rows", "_stray", "_index",
+                 "_report")
 
     def __init__(self, basis: Iterable[Generator],
                  diff: Mapping[str, Mapping[str, RingElt]],
                  ring: Ideal = Ideal.zero(), name: str = "C"):
         basis = tuple(basis)
-        index = {g.name: k for k, g in enumerate(basis)}
-        if len(index) != len(basis):
-            raise StructuralError("duplicate generator names")
-        clean: dict[str, dict[str, RingElt]] = {}
+        index = _index_of(basis)
+        rows = [0] * len(basis)
+        stray: list[tuple[int, str, str, Mono]] = []
         for src, targets in diff.items():
             if src not in index:
                 raise StructuralError(f"differential source {src!r} unknown")
-            row: dict[str, RingElt] = {}
+            s = index[src]
+            x = basis[s]
             for tgt, coeff in targets.items():
                 if tgt not in index:
                     raise StructuralError(
                         f"differential of {src!r} references unknown "
                         f"generator {tgt!r}")
-                red = coeff.reduce(ring)
-                if not red.is_zero():
-                    row[tgt] = red
-            if row:
-                clean[src] = row
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_diff", MappingProxyType(clean))
-        object.__setattr__(self, "_index", MappingProxyType(index))
+                t = index[tgt]
+                y = basis[t]
+                for m in coeff.reduce(ring):
+                    if (y.gr_u - 2 * m.i == x.gr_u - 1
+                            and y.gr_v - 2 * m.j == x.gr_v - 1):
+                        rows[s] |= 1 << t
+                    else:
+                        stray.append((s, src, tgt, m))
+        stray.sort(key=lambda term: term[0])
+        _fill(self, name, basis, ring, rows,
+              tuple(term[1:] for term in stray), index)
+
+    @classmethod
+    def of_rows(cls, basis: Iterable[Generator], rows: Sequence[int],
+                ring: Ideal = Ideal.zero(), name: str = "C") -> "Complex":
+        """The complex with these rows; every set bit must be a pair whose
+        grading-fixed monomial lies outside the ring's ideal."""
+        C = object.__new__(cls)
+        basis = tuple(basis)
+        _fill(C, name, basis, ring, rows, (), _index_of(basis))
+        return C
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("Complex is immutable")
@@ -112,67 +133,81 @@ class Complex:
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.basis)
 
+    def grading(self, name: str) -> tuple[int, int]:
+        g = self.generator(name)
+        return (g.gr_u, g.gr_v)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Bit t of rows[s]: d(s) has the grading-fixed monomial on t."""
+        if self._stray:
+            src, tgt, m = self._stray[0]
+            raise StructuralError(
+                f"map entry {m.render()} {tgt} on {src} breaks declared "
+                f"bidegree (-1, -1)")
+        return self._rows
+
+    def rows_mod(self, ideal: Ideal) -> list[int]:
+        """`rows` without the terms whose monomial lies in `ideal`."""
+        return _rows_mod(self.basis, self.rows, ideal)
+
+    @property
+    def is_reduced(self) -> bool:
+        """Whether no term of d, stray terms included, has monomial 1."""
+        return (not any(_rows_mod(self.basis, self._rows, _MAX))
+                and all(m.i or m.j for _, _, m in self._stray))
+
+    # -- RingElt views -----------------------------------------------------
+
     def d_of(self, name: str) -> dict[str, RingElt]:
-        self.index(name)
-        return dict(self._diff.get(name, {}))
+        s = self.index(name)
+        x = self.basis[s]
+        monos = {tgt: {Mono(i, j)} for tgt, i, j in _fixed_terms(
+            self.basis, (x.gr_u - 1, x.gr_v - 1), self._rows[s])}
+        for src, tgt, m in self._stray:
+            if src == name:
+                monos.setdefault(tgt, set()).add(m)
+        return {tgt: RingElt(ms) for tgt, ms in monos.items()}
 
     def diff_items(self):
         for g in self.basis:
-            row = self._diff.get(g.name)
+            row = self.d_of(g.name)
             if row:
                 yield g.name, row
 
     def apply_d(self, elt: Element) -> Element:
         out: Element = {}
         for src, coeff in elt.items():
-            for tgt, dc in self._diff.get(src, {}).items():
+            for tgt, dc in self.d_of(src).items():
                 add_term(out, tgt, (coeff * dc).reduce(self.ring))
         return out
-
-    def grading(self, name: str) -> tuple[int, int]:
-        g = self.generator(name)
-        return (g.gr_u, g.gr_v)
-
-    @property
-    def is_reduced(self) -> bool:
-        unit = Mono(0, 0)
-        for _, row in self.diff_items():
-            for coeff in row.values():
-                if unit in coeff.terms:
-                    return False
-        return True
 
     # -- checks ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """The structural checks.  They read the coefficients, stray
+        terms included, because they check input from outside."""
+        if self._report is None:
+            object.__setattr__(self, "_report", self._checks())
+        return self._report
+
+    def _checks(self) -> ValidationReport:
         messages: list[str] = []
         ok_d2 = True
         for g in self.basis:
-            dd = self.apply_d(self.apply_d({g.name: RingElt.one()}))
-            dd = {k: v for k, v in dd.items() if not v.is_zero()}
-            if dd:
+            if self.apply_d(self.apply_d({g.name: RingElt.one()})):
                 ok_d2 = False
                 messages.append(f"d^2({g.name}) != 0")
-        ok_grading = True
-        for src, row in self.diff_items():
-            gu, gv = self.grading(src)
-            for tgt, coeff in row.items():
-                tu, tv = self.grading(tgt)
-                for m in coeff:
-                    if tu - 2 * m.i != gu - 1 or tv - 2 * m.j != gv - 1:
-                        ok_grading = False
-                        messages.append(
-                            f"grading law fails on {m.render()} {tgt} "
-                            f"in d({src})")
-        reduced = self.is_reduced
+        messages += [f"grading law fails on {m.render()} {tgt} in d({src})"
+                     for src, tgt, m in self._stray]
         fwd = sorted((g.gr_u, g.gr_v) for g in self.basis)
         bwd = sorted((g.gr_v, g.gr_u) for g in self.basis)
         symmetric = fwd == bwd
         if not symmetric:
             messages.append("bigrading multiset is not swap-symmetric "
                             "(informational)")
-        return ValidationReport(ok_d2, ok_grading, reduced, symmetric,
-                                tuple(messages))
+        return ValidationReport(ok_d2, not self._stray, self.is_reduced,
+                                symmetric, tuple(messages))
 
     # -- comparisons -----------------------------------------------------
 
@@ -180,7 +215,8 @@ class Complex:
         if not isinstance(other, Complex):
             return NotImplemented
         return (self.basis == other.basis and self.ring == other.ring
-                and dict(self._diff) == dict(other._diff))
+                and self._rows == other._rows
+                and set(self._stray) == set(other._stray))
 
     def __hash__(self) -> int:
         return hash((self.basis, self.ring))
@@ -193,13 +229,87 @@ class Complex:
                 return False
         return True
 
-    def rename(self, mapping: Mapping[str, str], name: str | None = None) -> "Complex":
-        def nm(n: str) -> str:
-            return mapping.get(n, n)
-        basis = [Generator(nm(g.name), g.gr_u, g.gr_v) for g in self.basis]
-        diff = {nm(src): {nm(t): c for t, c in row.items()}
-                for src, row in self.diff_items()}
-        return Complex(basis, diff, self.ring, name or self.name)
+    def rename(self, mapping: Mapping[str, str],
+               name: str | None = None) -> "Complex":
+        basis = [Generator(mapping.get(g.name, g.name), g.gr_u, g.gr_v)
+                 for g in self.basis]
+        return Complex.of_rows(basis, self.rows, self.ring, name or self.name)
+
+
+_MAX = Ideal.max_ideal()
+
+
+def _index_of(basis: tuple[Generator, ...]) -> dict[str, int]:
+    index = {g.name: k for k, g in enumerate(basis)}
+    if len(index) != len(basis):
+        raise StructuralError("duplicate generator names")
+    return index
+
+
+def _fill(C: Complex, name: str, basis: tuple[Generator, ...], ring: Ideal,
+          rows: Sequence[int], stray: tuple, index: dict[str, int]) -> None:
+    for slot, value in (("name", name), ("basis", basis), ("ring", ring),
+                        ("_rows", tuple(rows)), ("_stray", stray),
+                        ("_index", index), ("_report", None)):
+        object.__setattr__(C, slot, value)
+
+
+# -- grading-fixed monomials -----------------------------------------------
+
+def kept_targets(targets: Sequence[Generator],
+                 ideal: Ideal) -> Callable[[tuple[int, int]], int]:
+    """kept(e): the bitset of the generators y of `targets` that a term of
+    grading e can reach, by the monomial U^i V^j with (i, j) = (gr(y) - e)
+    / 2, when that monomial exists and lies outside `ideal`.
+
+    Targets are grouped by bigrading, and each e is decided once.  Every
+    nonzero ideal here contains UV, so its kept monomials are powers of U
+    or of V: only the gradings on the two axes through e are tried.
+    """
+    by_grading: dict[tuple[int, int], int] = {}
+    for t, y in enumerate(targets):
+        key = (y.gr_u, y.gr_v)
+        by_grading[key] = by_grading.get(key, 0) | 1 << t
+    if ideal.kind == "max":
+        return lambda e: by_grading.get(e, 0)
+    on_axes = ideal.contains(Mono(1, 1))
+    axes: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
+    for (gu, gv), ys in by_grading.items() if on_axes else ():
+        axes.setdefault((0, gu), []).append(((gu, gv), ys))
+        axes.setdefault((1, gv), []).append(((gu, gv), ys))
+    kept: dict[tuple[int, int], int] = {}
+
+    def lookup(e: tuple[int, int]) -> int:
+        mask = kept.get(e)
+        if mask is None:
+            mask = 0
+            tried = (axes.get((0, e[0]), []) + axes.get((1, e[1]), [])
+                     if on_axes else by_grading.items())
+            for (gu, gv), ys in tried:
+                du, dv = gu - e[0], gv - e[1]
+                if (du >= 0 and dv >= 0 and not du % 2 and not dv % 2
+                        and not ideal.contains(Mono(du // 2, dv // 2))):
+                    mask |= ys
+            kept[e] = mask
+        return mask
+    return lookup
+
+
+def _fixed_terms(targets: Sequence[Generator], e: tuple[int, int],
+             row: int) -> list[tuple[str, int, int]]:
+    """(target, U exponent, V exponent) of each target in `row`, reached
+    from grading e by its grading-fixed monomial, in target order."""
+    return [(y.name, (y.gr_u - e[0]) // 2, (y.gr_v - e[1]) // 2)
+            for y in map(targets.__getitem__, bits_of(row))]
+
+
+def _rows_mod(basis: Sequence[Generator], rows: Sequence[int],
+              ideal: Ideal) -> list[int]:
+    if ideal.kind == "zero":
+        return list(rows)
+    kept = kept_targets(basis, ideal)
+    return [row and row & kept((x.gr_u - 1, x.gr_v - 1))
+            for x, row in zip(basis, rows)]
 
 
 # -- element helpers -----------------------------------------------------
@@ -216,13 +326,15 @@ def add_term(elt: Element, name: str, coeff: RingElt) -> None:
 # -- duals and quotients ---------------------------------------------------
 
 def dualize(C: Complex) -> Complex:
-    """Dual over the ground ring: negated bigradings, transposed d."""
+    """Dual over the ground ring: negated bigradings, transposed d.
+
+    d(x) = m y becomes d(y*) = m x*, and the negated gradings fix the
+    same monomial m on (y*, x*).
+    """
     basis = [Generator(g.name + "*", -g.gr_u, -g.gr_v) for g in C.basis]
-    diff: dict[str, dict[str, RingElt]] = {}
-    for src, row in C.diff_items():
-        for tgt, coeff in row.items():
-            diff.setdefault(tgt + "*", {})[src + "*"] = coeff
-    return Complex(basis, diff, C.ring, C.name + "*")
+    columns = transpose(C.rows)
+    return Complex.of_rows(basis, [columns.get(t, 0) for t in range(len(C))],
+                           C.ring, C.name + "*")
 
 
 def _ideal_leq(small: Ideal, big: Ideal) -> bool:
@@ -237,15 +349,13 @@ def _ideal_leq(small: Ideal, big: Ideal) -> bool:
 
 
 def quotient(C: Complex, ideal: Ideal) -> Complex:
-    """Quotient complex: differential coefficients reduced mod the ideal.
-
-    The ideal must contain the complex's current ring ideal.
+    """Quotient complex: the terms of d whose monomial lies in the ideal
+    are dropped.  The ideal must contain the complex's current ring ideal.
     """
     if not _ideal_leq(C.ring, ideal):
         raise StructuralError(
             f"cannot quotient a complex over {C.ring.kind} by {ideal.kind}")
-    diff = {src: dict(row) for src, row in C.diff_items()}
-    return Complex(C.basis, diff, ideal, C.name)
+    return Complex.of_rows(C.basis, C.rows_mod(ideal), ideal, C.name)
 
 
 # -- brute-force isomorphism over graded bijections -----------------------
@@ -259,50 +369,49 @@ def find_isomorphism(C1: Complex, C2: Complex,
     """
     if len(C1) != len(C2) or C1.ring != C2.ring:
         return None
-    buckets1: dict[tuple[int, int], list[str]] = {}
-    buckets2: dict[tuple[int, int], list[str]] = {}
-    for g in C1.basis:
-        buckets1.setdefault((g.gr_u, g.gr_v), []).append(g.name)
-    for g in C2.basis:
-        buckets2.setdefault((g.gr_u, g.gr_v), []).append(g.name)
-    if {k: len(v) for k, v in buckets1.items()} != \
-            {k: len(v) for k, v in buckets2.items()}:
-        return None
+    rows1, rows2 = C1.rows, C2.rows
 
-    order = [n for key in sorted(buckets1) for n in buckets1[key]]
+    def buckets(C: Complex) -> dict[tuple[int, int], list[int]]:
+        out: dict[tuple[int, int], list[int]] = {}
+        for k, g in enumerate(C.basis):
+            out.setdefault((g.gr_u, g.gr_v), []).append(k)
+        return out
+
+    buckets1, buckets2 = buckets(C1), buckets(C2)
+    if ({k: len(v) for k, v in buckets1.items()}
+            != {k: len(v) for k, v in buckets2.items()}):
+        return None
+    order = [s for key in sorted(buckets1) for s in buckets1[key]]
+    image: dict[int, int] = {}  # generator of C1 -> generator of C2
     nodes = 0
 
-    def compatible(partial: dict[str, str]) -> bool:
-        for src, tgt in partial.items():
-            row1 = C1.d_of(src)
-            if not all(t in partial for t in row1):
-                continue
-            row2 = C2.d_of(tgt)
-            if {partial[t]: c for t, c in row1.items()} != row2:
+    def compatible() -> bool:
+        """Whether every row of C1 whose targets are all mapped goes to the
+        row of C2 of its image."""
+        for s, t in image.items():
+            targets = list(bits_of(rows1[s]))
+            if (all(x in image for x in targets)
+                    and sum(1 << image[x] for x in targets) != rows2[t]):
                 return False
         return True
 
-    def backtrack(k: int, partial: dict[str, str], used: set[str]):
+    def backtrack(k: int):
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise ResourceError("isomorphism search exceeded node budget",
                                 nodes)
         if k == len(order):
-            return dict(partial)
-        src = order[k]
-        gu, gv = C1.grading(src)
-        for tgt in buckets2[(gu, gv)]:
-            if tgt in used:
+            return {C1.basis[s].name: C2.basis[t].name
+                    for s, t in image.items()}
+        g = C1.basis[order[k]]
+        for t in buckets2[(g.gr_u, g.gr_v)]:
+            if t in image.values():
                 continue
-            partial[src] = tgt
-            used.add(tgt)
-            if compatible(partial):
-                found = backtrack(k + 1, partial, used)
-                if found is not None:
-                    return found
-            used.discard(tgt)
-            del partial[src]
+            image[order[k]] = t
+            if compatible() and (found := backtrack(k + 1)) is not None:
+                return found
+            del image[order[k]]
         return None
 
-    return backtrack(0, {}, set())
+    return backtrack(0)

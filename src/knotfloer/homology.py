@@ -1,13 +1,15 @@
 """F2[U]-module homology of C/(V), torsion orders, and hat homology.
 
 C/(V) is a complex over F2[U] whose differential is homogeneous, so each
-entry is a single monomial fixed by the gradings and the differential is
-a list of bitset rows.  The U-module structure comes from one graded
-cancellation pass over those rows (`_cancel`): a minimal-degree entry
-d x = U^k y splits off F2[U]/(U^k) generated by y in y's Maslov grading
-(nothing when k = 0), and the generators left over span the free towers.
-The pass also tracks the tower basis vectors and their coordinate
-functionals, for tower generators and the locality test.
+entry is a single monomial fixed by the gradings: the differential of
+C/(V) is the V-free part of the complex's bitset rows, transposed.  The
+U-module structure comes from one graded cancellation pass over those
+rows (`_cancel`): a minimal-degree entry d x = U^k y splits off
+F2[U]/(U^k) generated by y in y's Maslov grading (nothing when k = 0),
+and the generators left over span the free towers.  The pass also tracks
+the tower basis vectors and their coordinate functionals, for tower
+generators and the locality test.  Hat homology ranks the unit-monomial
+rows of d one bigrading at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 from .complexes import Complex
 from .errors import StructuralError
-from .linalg import bits_of, rref_basis
+from .linalg import bits_of, rref_basis, transpose
+from .ring import Ideal
 
 
 @dataclass(frozen=True)
@@ -56,16 +59,10 @@ VVector = tuple[int, int]
 def _v_reduced_rows(C: Complex) -> list[int]:
     """Differential of C/(V) over F2[U]: bit s of row t is set when d(s)
     has a term U^k t.  The degree k = (gr(t) + 1 - gr(s)) / 2 is fixed
-    by the grading law, so the bit is the whole entry."""
-    rows = [0] * len(C.basis)
-    for src, row in C.diff_items():
-        s = C.index(src)
-        for tgt, coeff in row.items():
-            t = C.index(tgt)
-            for m in coeff:
-                if m.j == 0:
-                    rows[t] ^= 1 << s
-    return rows
+    by the grading law, so the bit is the whole entry: these are the
+    V-free rows of d, transposed."""
+    columns = transpose(C.rows_mod(Ideal.principal_v()))
+    return [columns.get(t, 0) for t in range(len(C))]
 
 
 def _cancel(rows: list[int], gr: list[int]):
@@ -190,32 +187,18 @@ def locality_rank(C: Complex) -> int:
 
 
 def hfk_hat(C: Complex) -> HatRanks:
-    """F2 homology of the fully reduced differential, by (Maslov, Alexander)."""
+    """F2 homology of the fully reduced differential, by (Maslov, Alexander).
+
+    The unit rows of d out of bigrading (p, q) all land in (p - 1, q - 1),
+    so the rank of each bucket's rows is the rank of d there.
+    """
     buckets: dict[tuple[int, int], list[int]] = {}
-    for k, g in enumerate(C.basis):
-        buckets.setdefault((g.gr_u, g.gr_v), []).append(k)
-    pos = {k: idx for members in buckets.values()
-           for idx, k in enumerate(members)}
-
-    def bucket_matrix(key):
-        """Unit-coefficient differential out of bucket `key`, as columns."""
-        cols = []
-        for k in buckets.get(key, []):
-            col = 0
-            row = C.d_of(C.basis[k].name)
-            for tgt, coeff in row.items():
-                if any(m.i == 0 and m.j == 0 for m in coeff):
-                    col |= 1 << pos[C.index(tgt)]
-            cols.append(col)
-        return cols
-
+    for g, row in zip(C.basis, C.rows_mod(Ideal.max_ideal())):
+        buckets.setdefault((g.gr_u, g.gr_v), []).append(row)
+    rank = {key: rref_basis(rows).rank for key, rows in buckets.items()}
     out = []
-    for key in sorted(buckets):
-        p, q = key
-        dim = len(buckets[key])
-        rk_out = rref_basis(bucket_matrix(key)).rank
-        rk_in = rref_basis(bucket_matrix((p + 1, q + 1))).rank
-        h = dim - rk_out - rk_in
+    for (p, q), rows in sorted(buckets.items()):
+        h = len(rows) - rank[(p, q)] - rank.get((p + 1, q + 1), 0)
         if h:
             out.append((p, (p - q) // 2, h))
     return HatRanks(tuple(out))

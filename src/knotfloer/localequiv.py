@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Complex, Generator, add_term
+from .complexes import Complex, Generator, kept_targets
 from .errors import ResourceError, StructuralError
 from .homology import UHomology, hfk_minus, torsion_order
 from .linalg import (AffineSpace, Echelon, GF2System, bits_of, rref_basis,
                      transpose)
 from .morphism import (IotaData, LinMap, MapSpace, _almost_reports,
-                       chain_defect, differential_map, enumerate_almost_iotas,
+                       chain_defect, enumerate_almost_iotas,
                        validate_iota)
-from .ring import Ideal, Mono, RingElt
+from .ring import Ideal
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -95,11 +95,10 @@ def _locality_bit(f: LinMap, tower: int, grading: int,
     sends it to the targets of x whose monomial has no V.  Only valid
     when f is a chain map (so the image is a cycle mod V).
     """
+    v_free = f.reduce_to(Ideal.principal_v()).rows
     vec = 0
     for s in bits_of(tower):
-        for tgt, _, j in f.row_terms(s):
-            if j == 0:
-                vec ^= 1 << f.target.index(tgt)
+        vec ^= v_free[s]
     return tgt_hom.tower_unit_coefficient((vec, grading))
 
 
@@ -281,28 +280,30 @@ def _exponent_bound(C: Complex) -> int:
 def kernel_space(C: Complex, f: LinMap) -> KernelSpace:
     """Kernel of f on the module truncated at U and V exponents up to
     `_exponent_bound(C)`; F2[U,V]-modules are infinite, so this is the
-    one place a truncation is needed."""
-    bound = _exponent_bound(C)
-    terms = [(g.name, a, b) for g in C.basis
-             for a in range(bound + 1) for b in range(bound + 1)]
-    images = {g.name: f.row_terms(s) for s, g in enumerate(C.basis)}
-    max_exp = max((max(i, j) for row in images.values() for _, i, j in row),
-                  default=0)
-    out_terms = [(g.name, a, b) for g in C.basis
-                 for a in range(bound + max_exp + 1)
-                 for b in range(bound + max_exp + 1)]
-    out_index = {t: k for k, t in enumerate(out_terms)}
-    columns = []
-    for (name, a, b) in terms:
-        col = 0
-        for tgt, i, j in images[name]:
-            col ^= 1 << out_index[(tgt, a + i, b + j)]
-        columns.append(col)
-    # nullspace of the truncated matrix
-    sys = GF2System(len(terms))
-    sys.add_columns(columns)
-    reduced = rref_basis(sys.nullspace_basis()).rows.values()
-    return KernelSpace(tuple(terms), tuple(sorted(reduced)))
+    one place a truncation is needed.
+
+    f has bidegree (0,0), so its matrix is block-diagonal by the
+    bigrading of each term U^a V^b x.  In one bigrading a term is fixed
+    by its generator x, and f sends it to the terms of the generators in
+    row x of f; each block is solved on its own, and the union of the
+    blocks' reduced kernel bases is the reduced basis of the kernel.
+    """
+    if f.variance != "eq" or f.bidegree != (0, 0):
+        raise StructuralError("kernel spaces need an eq map of bidegree (0,0)")
+    span = range(_exponent_bound(C) + 1)
+    terms = [(g.name, a, b) for g in C.basis for a in span for b in span]
+    per_gen = len(span) ** 2  # term k is a multiple of generator k // per_gen
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for k, (_, a, b) in enumerate(terms):
+        g = C.basis[k // per_gen]
+        blocks.setdefault((g.gr_u - 2 * a, g.gr_v - 2 * b), []).append(k)
+    rows = []
+    for members in blocks.values():
+        block = GF2System(len(members))
+        block.add_columns([f.rows[k // per_gen] for k in members])
+        for v in rref_basis(block.nullspace_basis()).rows.values():
+            rows.append(sum(1 << members[i] for i in bits_of(v)))
+    return KernelSpace(tuple(terms), tuple(sorted(rows)))
 
 
 class SelfLocalFamily:
@@ -341,10 +342,9 @@ class SelfLocalFamily:
         coefficient is the unit-monomial coordinate, an affine functional
         of the solution parameters, so constancy is decided exactly.
         """
-        hit = self.fspace.pair_bits.get((src, tgt))
-        if hit is None or hit[1:] != (0, 0):
-            return True, 0
-        bit = hit[0]
+        if self.C.grading(src) != self.C.grading(tgt):
+            return True, 0  # no unit-monomial pair
+        bit = self.fspace.pair_bits[(self.C.index(src), self.C.index(tgt))]
         t_part = self.inner.particular_solution()
         value = int(bool(self.family.point(t_part) & bit))
         for w in self.inner.nullspace_basis():
@@ -412,32 +412,22 @@ def _kill_candidates(C: Complex, fspace: MapSpace, order: str):
         by_source.setdefault(srcn, []).append(k)
     singles = [[1 << k for k in by_source.get(g.name, [])] for g in C.basis]
     pairs = []
-    names = C.names()
-    for xi in range(len(names)):
-        for yi in range(xi + 1, len(names)):
-            x, y = C.basis[xi], C.basis[yi]
+    for xi, x in enumerate(C.basis):
+        for y in C.basis[xi + 1:]:
             du, dv = x.gr_u - y.gr_u, x.gr_v - y.gr_v
             if du % 2 or dv % 2:
                 continue
-            a = max(0, -du // 2)
-            b = max(0, -dv // 2)
-            a2 = a + du // 2
-            b2 = b + dv // 2
+            a, b = max(0, -du // 2), max(0, -dv // 2)
             # constraint f(U^a V^b x + U^a2 V^b2 y) = 0, grouped by slot
             slots: dict[tuple[str, int, int], int] = {}
-            for k in by_source.get(x.name, []):
-                _, tgt, m = fspace.pairs[k]
-                key = (tgt, a + m.i, b + m.j)
-                slots[key] = slots.get(key, 0) | (1 << k)
-            for k in by_source.get(y.name, []):
-                _, tgt, m = fspace.pairs[k]
-                key = (tgt, a2 + m.i, b2 + m.j)
-                slots[key] = slots.get(key, 0) | (1 << k)
+            for g, ga, gb in ((x, a, b), (y, a + du // 2, b + dv // 2)):
+                for k in by_source.get(g.name, []):
+                    _, tgt, m = fspace.pairs[k]
+                    key = (tgt, ga + m.i, gb + m.j)
+                    slots[key] = slots.get(key, 0) | (1 << k)
             pairs.append(list(slots.values()))
     cands = singles + pairs
-    if order == "reverse":
-        cands = list(reversed(cands))
-    return cands
+    return cands[::-1] if order == "reverse" else cands
 
 
 def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
@@ -485,24 +475,17 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
     it is a bitset over C's generators, f(U^a V^b x) is row x of f, and
     multiplying by U or V keeps the bits.
     """
-    gr = [(g.gr_u, g.gr_v) for g in C.basis]
-
-    def exponents(g, p, q):
-        """(a, b) with U^a V^b times a generator of grading g in (p, q)."""
-        du, dv = g[0] - p, g[1] - q
-        if du < 0 or dv < 0 or du % 2 or dv % 2:
-            return None
-        return du // 2, dv // 2
+    zero = Ideal.zero()
+    reach = kept_targets(C.basis, zero)  # generators with a multiple in (p, q)
 
     def images(p, q):
         """f of the generators' multiples in bigrading (p, q)."""
-        return [row for g, row in zip(gr, f.rows)
-                if row and exponents(g, p, q) is not None]
+        return [f.rows[t] for t in bits_of(reach((p, q))) if f.rows[t]]
 
     # pick image elements completing (U,V) * im in each bigrading
     generators: list[tuple[str, int, int, int]] = []
     used_names: set[str] = set()
-    for (p, q) in sorted(set(gr), reverse=True):
+    for (p, q) in sorted({(g.gr_u, g.gr_v) for g in C.basis}, reverse=True):
         span = GF2System(len(C))
         for v in images(p + 2, q) + images(p, q + 2):
             span.add_equation(v, 0)
@@ -513,38 +496,35 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
                 continue
             t = vec.bit_length() - 1
             label = C.basis[t].name
-            if vec != 1 << t or gr[t] != (p, q) or label in used_names:
+            if (vec != 1 << t or C.grading(label) != (p, q)
+                    or label in used_names):
                 label = f"x{len(generators)}"
             used_names.add(label)
             generators.append((label, p, q, vec))
 
-    d_rows = differential_map(C).rows
-    diff: dict[str, dict[str, RingElt]] = {}
-    for (lbl, p, q, vec) in generators:
+    # d of a generator, written in the generators one bigrading lower
+    basis = [Generator(lbl, p, q) for (lbl, p, q, _) in generators]
+    kept, new_reach, new_kept = (kept_targets(C.basis, C.ring),
+                                 kept_targets(basis, zero),
+                                 kept_targets(basis, C.ring))
+    rows = []
+    for (_, p, q, vec) in generators:
         boundary = 0
         for t in bits_of(vec):
-            boundary ^= d_rows[t]
-        for t in bits_of(boundary):
-            if C.ring.contains(Mono(*exponents(gr[t], p - 1, q - 1))):
-                boundary ^= 1 << t
-        if not boundary:
-            continue
-        columns, meta = [], []
-        for (lbl2, p2, q2, vec2) in generators:
-            m = exponents((p2, q2), p - 1, q - 1)
-            if m is not None:
-                columns.append(vec2)
-                meta.append((lbl2, m))
-        sysq = GF2System(len(columns))
-        if not sysq.add_columns(columns, boundary):
-            raise StructuralError("image is not closed under d in the "
-                                  "computed generating set")
-        diff[lbl] = {}
-        for k in bits_of(sysq.particular_solution()):
-            lbl2, (a, b) = meta[k]
-            add_term(diff[lbl], lbl2, RingElt.mono(a, b))
-    basis = [Generator(lbl, p, q) for (lbl, p, q, _) in generators]
-    return Complex(basis, diff, C.ring, name)
+            boundary ^= C.rows[t]
+        e = (p - 1, q - 1)
+        row, boundary = 0, boundary & kept(e)
+        if boundary:
+            meta = list(bits_of(new_reach(e)))
+            sysq = GF2System(len(meta))
+            if not sysq.add_columns([generators[k][3] for k in meta],
+                                    boundary):
+                raise StructuralError("image is not closed under d in the "
+                                      "computed generating set")
+            row = sum(1 << meta[k]
+                      for k in bits_of(sysq.particular_solution()))
+        rows.append(row & new_kept(e))
+    return Complex.of_rows(basis, rows, C.ring, name)
 
 
 def connected_complex(C: Complex, iota: IotaData,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .complexes import Complex, Element, _ideal_leq, add_term
+from .complexes import (Complex, Element, _fixed_terms, _ideal_leq, add_term,
+                        kept_targets)
 from .errors import ResourceError, StructuralError
 from .linalg import GF2System, bits_of, complement_basis, rref_basis
 from .ring import Ideal, Mono, RingElt, render_mono
@@ -59,21 +60,16 @@ class LinMap:
         rows = [0] * len(source)
         for src, row in action.items():
             s = source.index(src)
-            exp_u, exp_v = _expected_grading(source.grading(src), variance,
-                                             bidegree)
+            eu, ev = _expected_grading(source.grading(src), variance, bidegree)
             for tgt, coeff in row.items():
                 t = target.index(tgt)
-                red = coeff.reduce(ideal)
-                if red.is_zero():
-                    continue
-                if variance != "linear":
-                    tu, tv = target.grading(tgt)
-                    for m in red:
-                        if tu - 2 * m.i != exp_u or tv - 2 * m.j != exp_v:
-                            raise StructuralError(
-                                f"map entry {m.render()} {tgt} on {src} breaks "
-                                f"declared bidegree {bidegree}")
-                rows[s] |= 1 << t
+                for m in coeff.reduce(ideal):
+                    if (variance != "linear" and target.grading(tgt)
+                            != (eu + 2 * m.i, ev + 2 * m.j)):
+                        raise StructuralError(
+                            f"map entry {m.render()} {tgt} on {src} breaks "
+                            f"declared bidegree {bidegree}")
+                    rows[s] |= 1 << t
         _fill(self, source, target, variance, bidegree, ideal, rows)
 
     @classmethod
@@ -93,14 +89,12 @@ class LinMap:
     def row_terms(self, s: int) -> list[tuple[str, int, int]]:
         """(target, U exponent, V exponent) of each term of f(source
         generator s), in target basis order."""
-        targets = [self.target.basis[t] for t in bits_of(self.rows[s])]
         if self.variance == "linear":
-            return [(y.name, 0, 0) for y in targets]
+            return [(self.target.basis[t].name, 0, 0)
+                    for t in bits_of(self.rows[s])]
         x = self.source.basis[s]
-        eu, ev = _expected_grading((x.gr_u, x.gr_v), self.variance,
-                                   self.bidegree)
-        return [(y.name, (y.gr_u - eu) // 2, (y.gr_v - ev) // 2)
-                for y in targets]
+        e = _expected_grading((x.gr_u, x.gr_v), self.variance, self.bidegree)
+        return _fixed_terms(self.target.basis, e, self.rows[s])
 
     def of_gen(self, name: str) -> Element:
         s = self.source._index.get(name)
@@ -144,7 +138,8 @@ class LinMap:
         outer, inner_rows = self.rows, inner.rows
         if variance == "linear":
             # no grading fixes a linear map's monomials: keep the unit terms
-            outer, inner_rows = _unit_rows(self), _unit_rows(inner)
+            outer, inner_rows = (self.reduce_to(_MAX).rows,
+                                 inner.reduce_to(_MAX).rows)
         rows = []
         for r in inner_rows:
             acc = 0
@@ -245,69 +240,14 @@ def _composite_shape(outer, inner) -> tuple[str, Bidegree, Ideal]:
 
 def _masked(source: Complex, target: Complex, variance: str,
             bidegree: Bidegree, ideal: Ideal, rows: Sequence[int]) -> Sequence[int]:
-    """Rows of an eq or skew map with the terms in `ideal` removed.
-
-    The monomial on (x, y) is (gr(y) - expected(x)) / 2, so the kept
-    targets of x depend only on x's expected grading; targets are
-    grouped by bigrading and each expected grading is decided once.
-    """
+    """Rows of an eq or skew map with the terms in `ideal` removed: the
+    kept targets of x depend only on x's expected grading."""
     if ideal.kind == "zero":
         return rows
-    by_grading: dict[tuple[int, int], int] = {}
-    for t, y in enumerate(target.basis):
-        key = (y.gr_u, y.gr_v)
-        by_grading[key] = by_grading.get(key, 0) | 1 << t
-    kept: dict[tuple[int, int], int] = {}
-    out = []
-    for x, row in zip(source.basis, rows):
-        if not row:
-            out.append(0)
-            continue
-        e = _expected_grading((x.gr_u, x.gr_v), variance, bidegree)
-        if e not in kept:
-            if ideal.kind == "max":
-                kept[e] = by_grading.get(e, 0)
-            else:
-                kept[e] = 0
-                for (gu, gv), ys in by_grading.items():
-                    du, dv = gu - e[0], gv - e[1]
-                    if (du >= 0 and dv >= 0 and not du % 2 and not dv % 2
-                            and not ideal.contains(Mono(du // 2, dv // 2))):
-                        kept[e] |= ys
-        out.append(row & kept[e])
-    return out
-
-
-def _unit_rows(f: LinMap) -> Sequence[int]:
-    """The rows of f's terms with monomial 1."""
-    if f.variance == "linear":
-        return f.rows
-    return _masked(f.source, f.target, f.variance, f.bidegree, _MAX, f.rows)
-
-
-def _d_rows(C: Complex, derivative: str | None = None) -> list[int]:
-    """Rows of d, or of its commutator with d/dU or d/dV.
-
-    Each term of d must obey the grading law, so that it is the one
-    monomial its pair allows.  Over F2 the derivative of U^i is U^(i-1)
-    for odd i and zero otherwise, so the derivative keeps the terms of
-    odd exponent.
-    """
-    where = {g.name: (k, g.gr_u, g.gr_v) for k, g in enumerate(C.basis)}
-    rows = [0] * len(C)
-    for src, row in C.diff_items():
-        s, gu, gv = where[src]
-        for tgt, coeff in row.items():
-            t, tu, tv = where[tgt]
-            for m in coeff.terms:
-                if tu - 2 * m.i != gu - 1 or tv - 2 * m.j != gv - 1:
-                    raise StructuralError(
-                        f"map entry {m.render()} {tgt} on {src} breaks "
-                        f"declared bidegree (-1, -1)")
-                if (derivative is None or derivative == "U" and m.i % 2
-                        or derivative == "V" and m.j % 2):
-                    rows[s] |= 1 << t
-    return rows
+    kept = kept_targets(target.basis, ideal)
+    return [row and row & kept(_expected_grading((x.gr_u, x.gr_v), variance,
+                                                 bidegree))
+            for x, row in zip(source.basis, rows)]
 
 
 def identity_map(C: Complex, ideal: Ideal | None = None) -> LinMap:
@@ -321,7 +261,7 @@ def zero_map(source: Complex, target: Complex, variance: str = "eq",
 
 
 def differential_map(C: Complex) -> LinMap:
-    return LinMap.of_rows(C, C, "eq", (-1, -1), C.ring, _d_rows(C))
+    return LinMap.of_rows(C, C, "eq", (-1, -1), C.ring, C.rows)
 
 
 # -- derivative maps -------------------------------------------------------
@@ -330,14 +270,23 @@ def derivative_maps(C: Complex) -> tuple[LinMap, LinMap]:
     """The commutators of d with the formal U- and V-derivatives.
 
     Both are equivariant chain maps; the first has bidegree (+1,-1),
-    the second (-1,+1).  On a basis element they are computed by
-    differentiating the coefficients of its differential (over F2 the
-    derivative of U^i is U^(i-1) when i is odd, zero otherwise).
+    the second (-1,+1).  Over F2 the derivative of U^i is U^(i-1) when
+    i is odd and zero otherwise, so each keeps the terms of d whose
+    exponent is odd: a parity mask over the rows.
     """
     if C.ring.kind != "zero":
         raise StructuralError("derivative maps need the full coefficient ring")
-    phi = LinMap.of_rows(C, C, "eq", (1, -1), C.ring, _d_rows(C, "U"))
-    psi = LinMap.of_rows(C, C, "eq", (-1, 1), C.ring, _d_rows(C, "V"))
+    rows = C.rows
+
+    def odd(gr: list[int]) -> list[int]:
+        # the exponent on (s, t) is (gr[t] - gr[s] + 1) / 2
+        return [sum(1 << t for t in bits_of(row) if (gr[t] - gr[s] + 1) & 2)
+                for s, row in enumerate(rows)]
+
+    phi = LinMap.of_rows(C, C, "eq", (1, -1), C.ring,
+                         odd([g.gr_u for g in C.basis]))
+    psi = LinMap.of_rows(C, C, "eq", (-1, 1), C.ring,
+                         odd([g.gr_v for g in C.basis]))
     return phi, psi
 
 
@@ -383,16 +332,12 @@ class MapSpace:
     @staticmethod
     def build(source: Complex, target: Complex, variance: str,
               bidegree: Bidegree, ideal: Ideal) -> "MapSpace":
+        kept = kept_targets(target.basis, ideal)
         pairs = []
         for x in source.basis:
-            exp_u, exp_v = _expected_grading((x.gr_u, x.gr_v), variance, bidegree)
-            for y in target.basis:
-                du, dv = y.gr_u - exp_u, y.gr_v - exp_v
-                if du < 0 or dv < 0 or du % 2 or dv % 2:
-                    continue
-                m = Mono(du // 2, dv // 2)
-                if not ideal.contains(m):
-                    pairs.append((x.name, y.name, m))
+            e = _expected_grading((x.gr_u, x.gr_v), variance, bidegree)
+            pairs += [(x.name, y, Mono(i, j))
+                      for y, i, j in _fixed_terms(target.basis, e, kept(e))]
         return MapSpace(source, target, variance, bidegree, ideal,
                         tuple(pairs))
 
@@ -401,10 +346,10 @@ class MapSpace:
         return len(self.pairs)
 
     @cached_property
-    def pair_bits(self) -> dict[tuple[str, str], tuple[int, int, int]]:
-        """(source, target) -> (bit of the pair, U exp, V exp)."""
-        return {(x, y): (1 << k, m.i, m.j)
-                for k, (x, y, m) in enumerate(self.pairs)}
+    def pair_bits(self) -> dict[tuple[int, int], int]:
+        """(source index, target index) -> bit of the pair."""
+        return {(self.source.index(x), self.target.index(y)): 1 << k
+                for k, (x, y, _) in enumerate(self.pairs)}
 
     def map_from_bits(self, bits: int) -> LinMap:
         rows = [0] * len(self.source)
@@ -416,18 +361,16 @@ class MapSpace:
                               self.bidegree, self.ideal, rows)
 
     def bits_from_map(self, f: LinMap) -> int:
-        """f reduced modulo this space's ideal, as bits over `pairs`."""
+        """f, a map of this space's shape, reduced modulo the space's
+        ideal, as bits over `pairs`."""
+        if (f.source is not self.source or f.target is not self.target
+                or (f.variance, f.bidegree) != (self.variance, self.bidegree)):
+            raise StructuralError("map falls outside the map space")
         bits = 0
-        for s, x in enumerate(f.source.basis):
-            for tgt, i, j in f.row_terms(s):
-                if self.ideal.contains(Mono(i, j)):
-                    continue
-                hit = self.pair_bits.get((x.name, tgt))
-                if hit is None or hit[1:] != (i, j):
-                    raise StructuralError(
-                        f"term {Mono(i, j).render()} {tgt} on {x.name} falls "
-                        f"outside the map space")
-                bits ^= hit[0]
+        for s, row in enumerate(_masked(self.source, self.target, f.variance,
+                                        f.bidegree, self.ideal, f.rows)):
+            for t in bits_of(row):
+                bits ^= self.pair_bits[(s, t)]
         return bits
 
     # -- operators, one column per basis map ------------------------------
@@ -458,8 +401,7 @@ class MapSpace:
         for outer, inner in ((post, self), (self, pre)):
             if outer is not None and inner is not None:
                 _check_slot(slot, outer, inner)
-        hit = {(slot.source.index(x), slot.target.index(y)): 1 << k
-               for k, (x, y, _) in enumerate(slot.pairs)}
+        hit = slot.pair_bits
         preimages: list[list[int]] = [[] for _ in self.source.basis]
         if pre is not None:
             for w, row in enumerate(pre.rows):
@@ -819,10 +761,8 @@ def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
     if system is None:
         return []
     space = system.iota_space
-    mask = 0
-    for k, (_, _, m) in enumerate(space.pairs):
-        if m.i == 0 and m.j == 0:
-            mask |= 1 << k
+    mask = sum(1 << k for k, (_, _, m) in enumerate(space.pairs)
+               if not (m.i or m.j))
     unit_dirs = [d & mask for d in system.class_dirs]
 
     def project(t: int) -> int:

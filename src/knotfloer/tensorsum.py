@@ -1,24 +1,26 @@
 """Connected-sum products: tensor complexes and product involutions.
 
 Generators of a tensor product are ordered pairs serialized as `x|y`, in
-the order x-major, so pair (x, y) has index x * len(C2) + y; gradings
-add and the differential follows the Leibniz rule.  A tensor of maps is
-an outer product of their bitset rows on that index, and the product
-involutions and their exchange maps are row sums and compositions of
-such tensors, reduced mod (U,V) by a grading mask.  The two involution
-products differ by a correction term built from the derivative maps of
-the factors; on reduced complexes they are exchanged by the explicit
-unit 1 + (derivative tensor), which `product_equivalence` constructs and
+the order x-major, so pair (x, y) has index x * len(C2) + y, and gradings
+add.  The differential d tensor 1 + 1 tensor d and every tensor of maps
+are outer products of bitset rows on that index.  The product involutions
+and their exchange maps are row sums and compositions of such tensors,
+reduced mod (U,V) by a grading mask.  The two involution products differ
+by a correction term built from the derivative maps of the factors; on
+reduced complexes they are exchanged by the explicit unit
+1 + (derivative tensor), which `product_equivalence` constructs and
 verifies.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .complexes import Complex, Generator
 from .errors import StructuralError
 from .linalg import bits_of
 from .morphism import IotaData, LinMap, derivative_maps, identity_map
-from .ring import Ideal, RingElt
+from .ring import Ideal
 
 PAIR_SEP = "|"
 
@@ -28,41 +30,43 @@ def pair_name(x: str, y: str) -> str:
 
 
 def tensor(C1: Complex, C2: Complex) -> Complex:
-    """Tensor product over the coefficient ring, with Leibniz differential."""
+    """Tensor product over the coefficient ring, with Leibniz differential
+    d tensor 1 + 1 tensor d."""
     if C1.ring != C2.ring:
         raise StructuralError("tensor factors live over different rings")
     basis = [Generator(pair_name(x.name, y.name), x.gr_u + y.gr_u,
                        x.gr_v + y.gr_v)
              for x in C1.basis for y in C2.basis]
-    diff: dict[str, dict[str, RingElt]] = {}
-    d2 = [C2.d_of(y.name) for y in C2.basis]
-    for x in C1.basis:
-        dx = C1.d_of(x.name)
-        for y, dy in zip(C2.basis, d2):
-            row: dict[str, RingElt] = {}
-            for tgt, coeff in dx.items():
-                row[pair_name(tgt, y.name)] = coeff
-            for tgt, coeff in dy.items():
-                key = pair_name(x.name, tgt)
-                if key in row:
-                    coeff = row[key] + coeff
-                if coeff.is_zero():
-                    row.pop(key, None)
-                else:
-                    row[key] = coeff
-            if row:
-                diff[pair_name(x.name, y.name)] = row
-    return Complex(basis, diff, C1.ring, f"{C1.name}{PAIR_SEP}{C2.name}")
+    n1, n2 = len(C1), len(C2)
+    ones1, ones2 = [1 << k for k in range(n1)], [1 << k for k in range(n2)]
+    rows = [a ^ b for a, b in zip(_outer(C1.rows, ones2, n2),
+                                  _outer(ones1, C2.rows, n2))]
+    return Complex.of_rows(basis, rows, C1.ring,
+                           f"{C1.name}{PAIR_SEP}{C2.name}")
+
+
+def _outer(frows: Sequence[int], grows: Sequence[int], n2: int) -> list[int]:
+    """Rows of f tensor g on the index x * n2 + y.
+
+    Row (x, y) has bit x' * n2 + y' for x' in row x of f and y' in row y
+    of g: row x of f spread to bits x' * n2, times row y of g, which is
+    below 2^n2, so the product has no carries.
+    """
+    out = []
+    for frow in frows:
+        spread = sum(1 << t * n2 for t in bits_of(frow))
+        out += [spread * grow for grow in grows]
+    return out
 
 
 def map_tensor(f: LinMap, g: LinMap, T: Complex | None = None) -> LinMap:
     """f tensor g as a map on the tensor complex.
 
     Variances must agree (equivariant with equivariant, skew with skew);
-    bidegrees add.  Pass T to reuse tensor(f.source, g.source).  Row
-    (x, y) is the outer product of row x of f and row y of g: target
-    pair (x', y') is bit x' * len(C2) + y', and its monomial is the
-    product of the factors' monomials, so only the ideal mask remains.
+    bidegrees add.  Pass T to reuse tensor(f.source, g.source).  The
+    rows are the outer product of the factors' rows; the monomial of
+    each term is the product of the factors' monomials, so only the
+    ideal mask remains.
     """
     if f.variance != g.variance or f.variance == "linear":
         raise StructuralError("tensor of maps needs matching eq/skew variance")
@@ -72,19 +76,10 @@ def map_tensor(f: LinMap, g: LinMap, T: Complex | None = None) -> LinMap:
         raise StructuralError("map_tensor currently supports endomorphisms")
     if T is None:
         T = tensor(f.source, g.source)
-    n2 = len(g.source)
-    rows = []
-    for frow in f.rows:
-        shifts = [t * n2 for t in bits_of(frow)]
-        for grow in g.rows:
-            acc = 0
-            if grow:
-                for sh in shifts:
-                    acc |= grow << sh
-            rows.append(acc)
     bidegree = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
     return LinMap.of_rows(T, T, f.variance, bidegree, Ideal.zero(),
-                          rows).reduce_to(f.ideal)
+                          _outer(f.rows, g.rows, len(g.source))
+                          ).reduce_to(f.ideal)
 
 
 def _lift_mod_uv(i: IotaData) -> LinMap:

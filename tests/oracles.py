@@ -26,6 +26,11 @@ sweep until nothing more is accepted, instead of sweeping once.
 `ListGF2System`, `list_rref_basis` and `list_complement_basis` keep an
 echelon basis in parallel row and pivot lists and reduce a vector by
 visiting every row, instead of only the rows of the pivots it hits.
+`dict_tensor`, `dict_dualize`, `dict_quotient` and `dict_rename` build
+complexes from coefficient dicts through the validating constructor,
+the way `Complex` did before it stored its differential as bitset rows.
+`kernel_space_oracle` solves one matrix over the whole truncated module
+instead of one block per bigrading.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from knotfloer.complexes import (Complex, Element, Generator, _ideal_leq,
                                  add_term)
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.homology import UHomology
-from knotfloer.linalg import GF2System, bits_of
-from knotfloer.localequiv import _kill_candidates, _locality_bit
+from knotfloer.linalg import GF2System, bits_of, rref_basis
+from knotfloer.localequiv import (_exponent_bound, _kill_candidates,
+                                  _locality_bit)
 from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
                                 derivative_maps, differential_map,
                                 identity_map)
@@ -635,10 +641,11 @@ class JointSelfLocalFamily:
         return x
 
     def unit_coefficient_constant(self, src: str, tgt: str):
-        hit = self.fspace.pair_bits.get((src, tgt))
-        if hit is None or hit[1:] != (0, 0):
+        units = [k for k, (x, y, m) in enumerate(self.fspace.pairs)
+                 if (x, y, m.i, m.j) == (src, tgt, 0, 0)]
+        if not units:
             return True, 0
-        bit = hit[0]
+        bit = 1 << units[0]
         value = int(bool(self.point(self.inner.particular_solution()) & bit))
         for w in self.inner.nullspace_basis():
             if (self.point(w) ^ self.particular) & bit:
@@ -783,3 +790,83 @@ def list_complement_basis(sub_rows: list[int], sub_pivots: list[int],
             comp.append(red)
             list_echelon_insert(rows, pivots, red, red.bit_length() - 1)
     return comp
+
+
+# -- complexes from coefficient dicts ----------------------------------------
+
+def dict_tensor(C1: Complex, C2: Complex) -> Complex:
+    """Tensor product with Leibniz differential, summed coefficient by
+    coefficient and rebuilt through the dict constructor."""
+    if C1.ring != C2.ring:
+        raise StructuralError("tensor factors live over different rings")
+    basis = [Generator(pair_name(x.name, y.name), x.gr_u + y.gr_u,
+                       x.gr_v + y.gr_v)
+             for x in C1.basis for y in C2.basis]
+    diff: dict[str, dict[str, RingElt]] = {}
+    d2 = [C2.d_of(y.name) for y in C2.basis]
+    for x in C1.basis:
+        dx = C1.d_of(x.name)
+        for y, dy in zip(C2.basis, d2):
+            row: Element = {}
+            for tgt, coeff in dx.items():
+                add_term(row, pair_name(tgt, y.name), coeff)
+            for tgt, coeff in dy.items():
+                add_term(row, pair_name(x.name, tgt), coeff)
+            if row:
+                diff[pair_name(x.name, y.name)] = row
+    return Complex(basis, diff, C1.ring, f"{C1.name}|{C2.name}")
+
+
+def dict_dualize(C: Complex) -> Complex:
+    """Negated bigradings and the transposed coefficient dict."""
+    basis = [Generator(g.name + "*", -g.gr_u, -g.gr_v) for g in C.basis]
+    diff: dict[str, dict[str, RingElt]] = {}
+    for src, row in C.diff_items():
+        for tgt, coeff in row.items():
+            diff.setdefault(tgt + "*", {})[src + "*"] = coeff
+    return Complex(basis, diff, C.ring, C.name + "*")
+
+
+def dict_quotient(C: Complex, ideal: Ideal) -> Complex:
+    """The coefficient dict reduced modulo the ideal by the constructor."""
+    if not _ideal_leq(C.ring, ideal):
+        raise StructuralError(
+            f"cannot quotient a complex over {C.ring.kind} by {ideal.kind}")
+    return Complex(C.basis, dict(C.diff_items()), ideal, C.name)
+
+
+def dict_rename(C: Complex, mapping, name=None) -> Complex:
+    """The coefficient dict with every generator name mapped."""
+    def nm(n):
+        return mapping.get(n, n)
+    basis = [Generator(nm(g.name), g.gr_u, g.gr_v) for g in C.basis]
+    diff = {nm(src): {nm(t): c for t, c in row.items()}
+            for src, row in C.diff_items()}
+    return Complex(basis, diff, C.ring, name or C.name)
+
+
+# -- the kernel of a map by one truncated matrix -----------------------------
+
+def kernel_space_oracle(C: Complex, f: LinMap) -> tuple[tuple, tuple]:
+    """(terms, rows) of `kernel_space`, from one matrix over every term
+    of the truncated module at once instead of one block per bigrading."""
+    bound = _exponent_bound(C)
+    terms = [(g.name, a, b) for g in C.basis
+             for a in range(bound + 1) for b in range(bound + 1)]
+    images = {g.name: f.row_terms(s) for s, g in enumerate(C.basis)}
+    max_exp = max((max(i, j) for row in images.values() for _, i, j in row),
+                  default=0)
+    out_terms = [(g.name, a, b) for g in C.basis
+                 for a in range(bound + max_exp + 1)
+                 for b in range(bound + max_exp + 1)]
+    out_index = {t: k for k, t in enumerate(out_terms)}
+    columns = []
+    for (name, a, b) in terms:
+        col = 0
+        for tgt, i, j in images[name]:
+            col ^= 1 << out_index[(tgt, a + i, b + j)]
+        columns.append(col)
+    system = GF2System(len(terms))
+    system.add_columns(columns)
+    reduced = rref_basis(system.nullspace_basis()).rows.values()
+    return tuple(terms), tuple(sorted(reduced))

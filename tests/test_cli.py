@@ -1,5 +1,6 @@
 """CLI pipelines and the exit-code contract."""
 
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -400,6 +401,37 @@ def test_bad_exponent_exit_2(tmp_path, capsys):
                    "d a = U^x b\n")
     assert run(capsys, "homology", str(bad)) == (
         2, "", "parse error: line 4: bad exponent in monomial token 'U^x'\n")
+
+
+ILL_GRADED = json.loads((PINNED / "validate_ill_graded.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(ILL_GRADED["inputs"]))
+def test_validate_ill_graded_pinned(tmp_path, capsys, case):
+    # terms off the grading law: stray terms, two monomials on one pair, a
+    # stray unit term, d^2 failing and passing, sources and targets listed
+    # out of basis order, a term killed by the mod-UV ring
+    path = tmp_path / f"{case}.cfk"
+    path.write_text(ILL_GRADED["inputs"][case])
+    for command, expected in ILL_GRADED["expected"][case].items():
+        cmd, *flags = command.split()
+        assert list(run(capsys, cmd, str(path), *flags)) == expected, command
+
+
+@pytest.mark.parametrize("text,line", [
+    ("complex x ring full\ngen a gr 0 0\ngen b gr -1 -1\nd a = b\n"
+     "d a = 0\n", 5),
+    ("complex x ring full\ngen a gr 0 0\niota a = a\niota a = 0\n", 4),
+    ("complex x ring full\ngen a gr 0 0\ncomplex y ring full\n", 3),
+], ids=["d", "iota", "complex"])
+def test_repeated_line_exit_2(tmp_path, capsys, text, line):
+    # a second d or iota line for a generator, or a second header, would
+    # silently replace the first
+    path = tmp_path / "twice.cfk"
+    path.write_text(text)
+    code, out, err = run(capsys, "homology", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: line {line}: ")
 
 
 # -- mutated input through the front door ------------------------------------
