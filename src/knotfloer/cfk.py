@@ -84,6 +84,13 @@ def parse_cfk(text: str) -> CfkFile:
     diff: dict[str, dict[str, RingElt]] = {}
     iota_action: dict[str, dict[str, RingElt]] = {}
 
+    def checked_sum(tokens: list[str], lineno: int) -> dict[str, RingElt]:
+        row = _parse_sum(tokens, lineno)
+        for tgt in row:
+            if tgt not in known:
+                raise CfkParseError(f"unknown generator {tgt!r}", lineno)
+        return row
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,20 +113,22 @@ def parse_cfk(text: str) -> CfkFile:
             except (ValueError, StructuralError) as err:
                 raise CfkParseError(str(err), lineno) from None
             known.add(tokens[1])
-        elif kind in ("d", "iota"):
+        elif kind == "d":
             if len(tokens) < 4 or tokens[2] != "=":
-                raise CfkParseError(f"malformed {kind} line", lineno)
-            rows = diff if kind == "d" else iota_action
+                raise CfkParseError("malformed d line", lineno)
             if tokens[1] not in known:
                 raise CfkParseError(f"unknown generator {tokens[1]!r}", lineno)
-            row = _parse_sum(tokens[3:], lineno)
-            for tgt in row:
-                if tgt not in known:
-                    raise CfkParseError(f"unknown generator {tgt!r}", lineno)
-            if tokens[1] in rows:
-                raise CfkParseError(f"repeated {kind} line for {tokens[1]!r}",
-                                    lineno)
-            rows[tokens[1]] = row
+            if tokens[1] in diff:
+                raise CfkParseError(f"repeated d line for {tokens[1]!r}", lineno)
+            diff[tokens[1]] = checked_sum(tokens[3:], lineno)
+        elif kind == "iota":
+            if len(tokens) < 4 or tokens[2] != "=":
+                raise CfkParseError("malformed iota line", lineno)
+            if tokens[1] not in known:
+                raise CfkParseError(f"unknown generator {tokens[1]!r}", lineno)
+            if tokens[1] in iota_action:
+                raise CfkParseError(f"repeated iota line for {tokens[1]!r}", lineno)
+            iota_action[tokens[1]] = checked_sum(tokens[3:], lineno)
         else:
             raise CfkParseError(f"unknown directive {kind!r}", lineno)
     if name is None or ring is None:

@@ -12,9 +12,9 @@ import argparse
 import sys
 
 from . import cfk
-from .complexes import dualize
+from .complexes import Complex, dualize
 from .errors import CfkParseError, ResourceError, StructuralError
-from .homology import hfk_minus, torsion_order
+from .homology import hfk_minus, locality_rank, torsion_order
 from .knotlib import build_cable, build_figure_eight, build_unknot
 from .localequiv import (DEFAULT_BUDGET, LocalSearchSpec,
                          concordance_unknotting_bound, connected_complex,
@@ -62,17 +62,12 @@ def _write_or_print(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _load_valid(*paths: str) -> list[cfk.CfkFile]:
-    """The parsed files, all read before any is checked; exit 5 with the
-    messages of the first invalid complex."""
-    entries = [_load(path) for path in paths]
-    for entry in entries:
-        report = entry.complex.validate()
-        if not report.ok:
-            for msg in report.messages:
-                print(f"invalid: {msg}", file=sys.stderr)
-            raise SystemExit(EXIT_INVALID)
-    return entries
+def _require_valid(C: Complex) -> None:
+    report = C.validate()
+    if not report.ok:
+        for msg in report.messages:
+            print(f"invalid: {msg}", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
 
 
 def _select_iota(cands: list[IotaData], index: int) -> IotaData:
@@ -133,7 +128,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    entry, = _load_valid(args.file)
+    entry = _load(args.file)
+    _require_valid(entry.complex)
     d = hfk_minus(entry.complex)
     if args.format == "records":
         print(f"tower.count={d.tower_count}")
@@ -150,7 +146,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_torsion_order(args) -> int:
-    entry, = _load_valid(args.file)
+    entry = _load(args.file)
+    _require_valid(entry.complex)
     value = torsion_order(hfk_minus(entry.complex))
     if args.format == "records":
         print(f"torsion_order={value}")
@@ -160,7 +157,8 @@ def cmd_torsion_order(args) -> int:
 
 
 def cmd_phi_psi(args) -> int:
-    entry, = _load_valid(args.file)
+    entry = _load(args.file)
+    _require_valid(entry.complex)
     phi, psi = derivative_maps(entry.complex)
     text = cfk.render_map_file(phi, "Phi") + cfk.render_map_file(psi, "Psi")
     _write_or_print(text, args.output)
@@ -170,7 +168,10 @@ def cmd_phi_psi(args) -> int:
 def cmd_tensor(args) -> int:
     from .tensorsum import product_iota, tensor
 
-    a, b = _load_valid(args.file_a, args.file_b)
+    a = _load(args.file_a)
+    b = _load(args.file_b)
+    _require_valid(a.complex)
+    _require_valid(b.complex)
     T = tensor(a.complex, b.complex)
     iota = None
     if a.iota is not None and b.iota is not None:
@@ -181,13 +182,15 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    entry, = _load_valid(args.file)
+    entry = _load(args.file)
+    _require_valid(entry.complex)
     _write_or_print(cfk.render_cfk(dualize(entry.complex)), args.output)
     return EXIT_OK
 
 
 def cmd_iota_enum(args) -> int:
-    entry, = _load_valid(args.file)
+    entry = _load(args.file)
+    _require_valid(entry.complex)
     cands = enumerate_almost_iotas(entry.complex)
     if args.output is not None:
         iota = _select_iota(cands, args.index or 0)
@@ -208,7 +211,10 @@ def cmd_iota_enum(args) -> int:
 
 
 def cmd_search_local(args) -> int:
-    a, b = _load_valid(args.file_a, args.file_b)
+    a = _load(args.file_a)
+    b = _load(args.file_b)
+    _require_valid(a.complex)
+    _require_valid(b.complex)
     spec = LocalSearchSpec((a.complex, a.iota), (b.complex, b.iota),
                            budget=args.budget)
     cert = search_local_map(spec)
@@ -229,7 +235,8 @@ def cmd_search_local(args) -> int:
 
 
 def cmd_connected(args) -> int:
-    entry, = _load_valid(args.file)
+    entry = _load(args.file)
+    _require_valid(entry.complex)
     iota = _pick_iota(entry, args.iota_index)
     conn = connected_complex(entry.complex, iota, budget=args.budget)
     _write_or_print(cfk.render_cfk(conn), args.output)
@@ -237,7 +244,8 @@ def cmd_connected(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    entry, = _load_valid(args.file)
+    entry = _load(args.file)
+    _require_valid(entry.complex)
     iota = _pick_iota(entry, args.iota_index)
     value = concordance_unknotting_bound(entry.complex, iota,
                                          budget=args.budget)

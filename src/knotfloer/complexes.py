@@ -1,19 +1,15 @@
 """Free bigraded chain complexes over F2[U,V] and its quotients.
 
 A complex is an ordered list of named generators with integer bigradings
-(gr_U, gr_V) and a differential of bidegree (-1, -1).  The grading law
-fixes the one monomial d can carry on each (source, target) pair, so d
-is stored as bitset rows: bit t of `rows[s]` is set when d(s) has that
-monomial on t, the convention of `LinMap.rows`.  `kept_targets` decides
-which pairs carry a monomial outside an ideal; quotients, the V-free and
-unit parts of d, map spaces and map reductions all mask by it.
-
-The coefficient-dict constructor is the input format.  It keeps the
-terms that break the grading law aside, in order; only `validate` and
-the RingElt views (`d_of`, `diff_items`, `apply_d`) read them, and
-asking such a complex for its rows raises.  Complexes are immutable, and
-`validate` (d^2 = 0, the grading law, reducedness and grading-multiset
-symmetry) is computed once per complex.
+(gr_U, gr_V) and a differential of bidegree (-1, -1).  The gradings fix
+the one monomial d can carry on each (source, target) pair, so d is
+stored as bitset rows: bit t of `rows[s]` is set when d(s) has that
+monomial on t, as in `LinMap.rows`.  `kept_targets` decides which pairs
+carry a monomial outside an ideal; quotients, the V-free and unit parts
+of d, map spaces and map reductions all mask by it.  The coefficient-dict
+constructor is the input format; terms that break the grading law are
+kept aside for `validate` and the RingElt views (`d_of`, `diff_items`,
+`apply_d`), and asking such a complex for its rows raises.
 """
 
 from __future__ import annotations
@@ -78,7 +74,9 @@ class Complex:
                  diff: Mapping[str, Mapping[str, RingElt]],
                  ring: Ideal = Ideal.zero(), name: str = "C"):
         basis = tuple(basis)
-        index = _index_of(basis)
+        index = {g.name: k for k, g in enumerate(basis)}
+        if len(index) != len(basis):
+            raise StructuralError("duplicate generator names")
         rows = [0] * len(basis)
         stray: list[tuple[int, str, str, Mono]] = []
         for src, targets in diff.items():
@@ -100,17 +98,19 @@ class Complex:
                     else:
                         stray.append((s, src, tgt, m))
         stray.sort(key=lambda term: term[0])
-        _fill(self, name, basis, ring, rows,
-              tuple(term[1:] for term in stray), index)
+        for slot, value in (("name", name), ("basis", basis), ("ring", ring),
+                            ("_rows", tuple(rows)), ("_index", index),
+                            ("_stray", tuple(term[1:] for term in stray)),
+                            ("_report", None)):
+            object.__setattr__(self, slot, value)
 
     @classmethod
     def of_rows(cls, basis: Iterable[Generator], rows: Sequence[int],
                 ring: Ideal = Ideal.zero(), name: str = "C") -> "Complex":
         """The complex with these rows; every set bit must be a pair whose
         grading-fixed monomial lies outside the ring's ideal."""
-        C = object.__new__(cls)
-        basis = tuple(basis)
-        _fill(C, name, basis, ring, rows, (), _index_of(basis))
+        C = cls(basis, {}, ring, name)
+        object.__setattr__(C, "_rows", tuple(rows))
         return C
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
@@ -149,12 +149,18 @@ class Complex:
 
     def rows_mod(self, ideal: Ideal) -> list[int]:
         """`rows` without the terms whose monomial lies in `ideal`."""
-        return _rows_mod(self.basis, self.rows, ideal)
+        if ideal.kind == "zero":
+            return list(self.rows)
+        kept = kept_targets(self.basis, ideal)
+        return [row and row & kept((x.gr_u - 1, x.gr_v - 1))
+                for x, row in zip(self.basis, self.rows)]
 
     @property
     def is_reduced(self) -> bool:
         """Whether no term of d, stray terms included, has monomial 1."""
-        return (not any(_rows_mod(self.basis, self._rows, _MAX))
+        unit = kept_targets(self.basis, _MAX)
+        return (not any(row & unit((x.gr_u - 1, x.gr_v - 1))
+                        for x, row in zip(self.basis, self._rows))
                 and all(m.i or m.j for _, _, m in self._stray))
 
     # -- RingElt views -----------------------------------------------------
@@ -162,8 +168,9 @@ class Complex:
     def d_of(self, name: str) -> dict[str, RingElt]:
         s = self.index(name)
         x = self.basis[s]
-        monos = {tgt: {Mono(i, j)} for tgt, i, j in _fixed_terms(
-            self.basis, (x.gr_u - 1, x.gr_v - 1), self._rows[s])}
+        monos = {y.name: {Mono((y.gr_u - x.gr_u + 1) // 2,
+                               (y.gr_v - x.gr_v + 1) // 2)}
+                 for y in map(self.basis.__getitem__, bits_of(self._rows[s]))}
         for src, tgt, m in self._stray:
             if src == name:
                 monos.setdefault(tgt, set()).add(m)
@@ -186,12 +193,10 @@ class Complex:
 
     def validate(self) -> ValidationReport:
         """The structural checks.  They read the coefficients, stray
-        terms included, because they check input from outside."""
-        if self._report is None:
-            object.__setattr__(self, "_report", self._checks())
-        return self._report
-
-    def _checks(self) -> ValidationReport:
+        terms included, because they check input from outside.  The
+        report is computed once and kept."""
+        if self._report is not None:
+            return self._report
         messages: list[str] = []
         ok_d2 = True
         for g in self.basis:
@@ -206,8 +211,10 @@ class Complex:
         if not symmetric:
             messages.append("bigrading multiset is not swap-symmetric "
                             "(informational)")
-        return ValidationReport(ok_d2, not self._stray, self.is_reduced,
-                                symmetric, tuple(messages))
+        object.__setattr__(self, "_report", ValidationReport(
+            ok_d2, not self._stray, self.is_reduced, symmetric,
+            tuple(messages)))
+        return self._report
 
     # -- comparisons -----------------------------------------------------
 
@@ -239,21 +246,6 @@ class Complex:
 _MAX = Ideal.max_ideal()
 
 
-def _index_of(basis: tuple[Generator, ...]) -> dict[str, int]:
-    index = {g.name: k for k, g in enumerate(basis)}
-    if len(index) != len(basis):
-        raise StructuralError("duplicate generator names")
-    return index
-
-
-def _fill(C: Complex, name: str, basis: tuple[Generator, ...], ring: Ideal,
-          rows: Sequence[int], stray: tuple, index: dict[str, int]) -> None:
-    for slot, value in (("name", name), ("basis", basis), ("ring", ring),
-                        ("_rows", tuple(rows)), ("_stray", stray),
-                        ("_index", index), ("_report", None)):
-        object.__setattr__(C, slot, value)
-
-
 # -- grading-fixed monomials -----------------------------------------------
 
 def kept_targets(targets: Sequence[Generator],
@@ -262,9 +254,7 @@ def kept_targets(targets: Sequence[Generator],
     grading e can reach, by the monomial U^i V^j with (i, j) = (gr(y) - e)
     / 2, when that monomial exists and lies outside `ideal`.
 
-    Targets are grouped by bigrading, and each e is decided once.  Every
-    nonzero ideal here contains UV, so its kept monomials are powers of U
-    or of V: only the gradings on the two axes through e are tried.
+    Targets are grouped by bigrading, and each e is decided once.
     """
     by_grading: dict[tuple[int, int], int] = {}
     for t, y in enumerate(targets):
@@ -272,44 +262,22 @@ def kept_targets(targets: Sequence[Generator],
         by_grading[key] = by_grading.get(key, 0) | 1 << t
     if ideal.kind == "max":
         return lambda e: by_grading.get(e, 0)
-    on_axes = ideal.contains(Mono(1, 1))
-    axes: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-    for (gu, gv), ys in by_grading.items() if on_axes else ():
-        axes.setdefault((0, gu), []).append(((gu, gv), ys))
-        axes.setdefault((1, gv), []).append(((gu, gv), ys))
+    every = ideal.kind == "zero"
     kept: dict[tuple[int, int], int] = {}
 
     def lookup(e: tuple[int, int]) -> int:
         mask = kept.get(e)
         if mask is None:
             mask = 0
-            tried = (axes.get((0, e[0]), []) + axes.get((1, e[1]), [])
-                     if on_axes else by_grading.items())
-            for (gu, gv), ys in tried:
+            for (gu, gv), ys in by_grading.items():
                 du, dv = gu - e[0], gv - e[1]
                 if (du >= 0 and dv >= 0 and not du % 2 and not dv % 2
-                        and not ideal.contains(Mono(du // 2, dv // 2))):
+                        and (every or not ideal.contains(
+                            Mono(du // 2, dv // 2)))):
                     mask |= ys
             kept[e] = mask
         return mask
     return lookup
-
-
-def _fixed_terms(targets: Sequence[Generator], e: tuple[int, int],
-             row: int) -> list[tuple[str, int, int]]:
-    """(target, U exponent, V exponent) of each target in `row`, reached
-    from grading e by its grading-fixed monomial, in target order."""
-    return [(y.name, (y.gr_u - e[0]) // 2, (y.gr_v - e[1]) // 2)
-            for y in map(targets.__getitem__, bits_of(row))]
-
-
-def _rows_mod(basis: Sequence[Generator], rows: Sequence[int],
-              ideal: Ideal) -> list[int]:
-    if ideal.kind == "zero":
-        return list(rows)
-    kept = kept_targets(basis, ideal)
-    return [row and row & kept((x.gr_u - 1, x.gr_v - 1))
-            for x, row in zip(basis, rows)]
 
 
 # -- element helpers -----------------------------------------------------
@@ -326,11 +294,8 @@ def add_term(elt: Element, name: str, coeff: RingElt) -> None:
 # -- duals and quotients ---------------------------------------------------
 
 def dualize(C: Complex) -> Complex:
-    """Dual over the ground ring: negated bigradings, transposed d.
-
-    d(x) = m y becomes d(y*) = m x*, and the negated gradings fix the
-    same monomial m on (y*, x*).
-    """
+    """Dual over the ground ring: negated bigradings, transposed d (the
+    negated gradings fix the monomial of (x, y) on (y*, x*))."""
     basis = [Generator(g.name + "*", -g.gr_u, -g.gr_v) for g in C.basis]
     columns = transpose(C.rows)
     return Complex.of_rows(basis, [columns.get(t, 0) for t in range(len(C))],
@@ -383,6 +348,7 @@ def find_isomorphism(C1: Complex, C2: Complex,
         return None
     order = [s for key in sorted(buckets1) for s in buckets1[key]]
     image: dict[int, int] = {}  # generator of C1 -> generator of C2
+    used: set[int] = set()
     nodes = 0
 
     def compatible() -> bool:
@@ -406,11 +372,13 @@ def find_isomorphism(C1: Complex, C2: Complex,
                     for s, t in image.items()}
         g = C1.basis[order[k]]
         for t in buckets2[(g.gr_u, g.gr_v)]:
-            if t in image.values():
+            if t in used:
                 continue
             image[order[k]] = t
+            used.add(t)
             if compatible() and (found := backtrack(k + 1)) is not None:
                 return found
+            used.discard(t)
             del image[order[k]]
         return None
 

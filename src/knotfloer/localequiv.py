@@ -412,22 +412,32 @@ def _kill_candidates(C: Complex, fspace: MapSpace, order: str):
         by_source.setdefault(srcn, []).append(k)
     singles = [[1 << k for k in by_source.get(g.name, [])] for g in C.basis]
     pairs = []
-    for xi, x in enumerate(C.basis):
-        for y in C.basis[xi + 1:]:
+    names = C.names()
+    for xi in range(len(names)):
+        for yi in range(xi + 1, len(names)):
+            x, y = C.basis[xi], C.basis[yi]
             du, dv = x.gr_u - y.gr_u, x.gr_v - y.gr_v
             if du % 2 or dv % 2:
                 continue
-            a, b = max(0, -du // 2), max(0, -dv // 2)
+            a = max(0, -du // 2)
+            b = max(0, -dv // 2)
+            a2 = a + du // 2
+            b2 = b + dv // 2
             # constraint f(U^a V^b x + U^a2 V^b2 y) = 0, grouped by slot
             slots: dict[tuple[str, int, int], int] = {}
-            for g, ga, gb in ((x, a, b), (y, a + du // 2, b + dv // 2)):
-                for k in by_source.get(g.name, []):
-                    _, tgt, m = fspace.pairs[k]
-                    key = (tgt, ga + m.i, gb + m.j)
-                    slots[key] = slots.get(key, 0) | (1 << k)
+            for k in by_source.get(x.name, []):
+                _, tgt, m = fspace.pairs[k]
+                key = (tgt, a + m.i, b + m.j)
+                slots[key] = slots.get(key, 0) | (1 << k)
+            for k in by_source.get(y.name, []):
+                _, tgt, m = fspace.pairs[k]
+                key = (tgt, a2 + m.i, b2 + m.j)
+                slots[key] = slots.get(key, 0) | (1 << k)
             pairs.append(list(slots.values()))
     cands = singles + pairs
-    return cands[::-1] if order == "reverse" else cands
+    if order == "reverse":
+        cands = list(reversed(cands))
+    return cands
 
 
 def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
@@ -475,6 +485,7 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
     it is a bitset over C's generators, f(U^a V^b x) is row x of f, and
     multiplying by U or V keeps the bits.
     """
+    gr = [(g.gr_u, g.gr_v) for g in C.basis]
     zero = Ideal.zero()
     reach = kept_targets(C.basis, zero)  # generators with a multiple in (p, q)
 
@@ -485,7 +496,7 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
     # pick image elements completing (U,V) * im in each bigrading
     generators: list[tuple[str, int, int, int]] = []
     used_names: set[str] = set()
-    for (p, q) in sorted({(g.gr_u, g.gr_v) for g in C.basis}, reverse=True):
+    for (p, q) in sorted(set(gr), reverse=True):
         span = GF2System(len(C))
         for v in images(p + 2, q) + images(p, q + 2):
             span.add_equation(v, 0)
@@ -496,8 +507,7 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
                 continue
             t = vec.bit_length() - 1
             label = C.basis[t].name
-            if (vec != 1 << t or C.grading(label) != (p, q)
-                    or label in used_names):
+            if vec != 1 << t or gr[t] != (p, q) or label in used_names:
                 label = f"x{len(generators)}"
             used_names.add(label)
             generators.append((label, p, q, vec))

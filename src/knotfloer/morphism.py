@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .complexes import (Complex, Element, _fixed_terms, _ideal_leq, add_term,
-                        kept_targets)
+from .complexes import Complex, Element, _ideal_leq, add_term, kept_targets
 from .errors import ResourceError, StructuralError
 from .linalg import GF2System, bits_of, complement_basis, rref_basis
 from .ring import Ideal, Mono, RingElt, render_mono
@@ -60,16 +59,21 @@ class LinMap:
         rows = [0] * len(source)
         for src, row in action.items():
             s = source.index(src)
-            eu, ev = _expected_grading(source.grading(src), variance, bidegree)
+            exp_u, exp_v = _expected_grading(source.grading(src), variance,
+                                             bidegree)
             for tgt, coeff in row.items():
                 t = target.index(tgt)
-                for m in coeff.reduce(ideal):
-                    if (variance != "linear" and target.grading(tgt)
-                            != (eu + 2 * m.i, ev + 2 * m.j)):
-                        raise StructuralError(
-                            f"map entry {m.render()} {tgt} on {src} breaks "
-                            f"declared bidegree {bidegree}")
-                    rows[s] |= 1 << t
+                red = coeff.reduce(ideal)
+                if red.is_zero():
+                    continue
+                if variance != "linear":
+                    tu, tv = target.grading(tgt)
+                    for m in red:
+                        if tu - 2 * m.i != exp_u or tv - 2 * m.j != exp_v:
+                            raise StructuralError(
+                                f"map entry {m.render()} {tgt} on {src} breaks "
+                                f"declared bidegree {bidegree}")
+                rows[s] |= 1 << t
         _fill(self, source, target, variance, bidegree, ideal, rows)
 
     @classmethod
@@ -89,12 +93,14 @@ class LinMap:
     def row_terms(self, s: int) -> list[tuple[str, int, int]]:
         """(target, U exponent, V exponent) of each term of f(source
         generator s), in target basis order."""
+        targets = [self.target.basis[t] for t in bits_of(self.rows[s])]
         if self.variance == "linear":
-            return [(self.target.basis[t].name, 0, 0)
-                    for t in bits_of(self.rows[s])]
+            return [(y.name, 0, 0) for y in targets]
         x = self.source.basis[s]
-        e = _expected_grading((x.gr_u, x.gr_v), self.variance, self.bidegree)
-        return _fixed_terms(self.target.basis, e, self.rows[s])
+        eu, ev = _expected_grading((x.gr_u, x.gr_v), self.variance,
+                                   self.bidegree)
+        return [(y.name, (y.gr_u - eu) // 2, (y.gr_v - ev) // 2)
+                for y in targets]
 
     def of_gen(self, name: str) -> Element:
         s = self.source._index.get(name)
@@ -276,12 +282,10 @@ def derivative_maps(C: Complex) -> tuple[LinMap, LinMap]:
     """
     if C.ring.kind != "zero":
         raise StructuralError("derivative maps need the full coefficient ring")
-    rows = C.rows
-
     def odd(gr: list[int]) -> list[int]:
         # the exponent on (s, t) is (gr[t] - gr[s] + 1) / 2
         return [sum(1 << t for t in bits_of(row) if (gr[t] - gr[s] + 1) & 2)
-                for s, row in enumerate(rows)]
+                for s, row in enumerate(C.rows)]
 
     phi = LinMap.of_rows(C, C, "eq", (1, -1), C.ring,
                          odd([g.gr_u for g in C.basis]))
@@ -335,9 +339,11 @@ class MapSpace:
         kept = kept_targets(target.basis, ideal)
         pairs = []
         for x in source.basis:
-            e = _expected_grading((x.gr_u, x.gr_v), variance, bidegree)
-            pairs += [(x.name, y, Mono(i, j))
-                      for y, i, j in _fixed_terms(target.basis, e, kept(e))]
+            exp_u, exp_v = _expected_grading((x.gr_u, x.gr_v), variance, bidegree)
+            for t in bits_of(kept((exp_u, exp_v))):
+                y = target.basis[t]
+                pairs.append((x.name, y.name, Mono((y.gr_u - exp_u) // 2,
+                                                   (y.gr_v - exp_v) // 2)))
         return MapSpace(source, target, variance, bidegree, ideal,
                         tuple(pairs))
 
@@ -761,8 +767,10 @@ def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
     if system is None:
         return []
     space = system.iota_space
-    mask = sum(1 << k for k, (_, _, m) in enumerate(space.pairs)
-               if not (m.i or m.j))
+    mask = 0
+    for k, (_, _, m) in enumerate(space.pairs):
+        if m.i == 0 and m.j == 0:
+            mask |= 1 << k
     unit_dirs = [d & mask for d in system.class_dirs]
 
     def project(t: int) -> int:
