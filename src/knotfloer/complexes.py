@@ -5,11 +5,12 @@ A complex is an ordered list of named generators with integer bigradings
 the one monomial d can carry on each (source, target) pair, so d is
 stored as bitset rows: bit t of `rows[s]` is set when d(s) has that
 monomial on t, as in `LinMap.rows`.  `kept_targets` decides which pairs
-carry a monomial outside an ideal; quotients, the V-free and unit parts
-of d, map spaces and map reductions all mask by it.  The coefficient-dict
-constructor is the input format; terms that break the grading law are
-kept aside for `validate` and the RingElt views (`d_of`, `diff_items`,
-`apply_d`), and asking such a complex for its rows raises.
+carry a monomial outside an ideal, by the complex's bigrading index;
+quotients, the V-free and unit parts of d, d^2, map spaces and map
+reductions all mask by it.  The coefficient-dict constructor is the
+input format; terms that break the grading law are kept aside for
+`validate` and the RingElt views (`d_of`, `diff_items`, `apply_d`), and
+asking such a complex for its rows raises.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Complex:
     """A free bigraded chain complex with an ordered generator basis."""
 
     __slots__ = ("name", "basis", "ring", "_rows", "_stray", "_index",
-                 "_report")
+                 "_report", "_grading_index")
 
     def __init__(self, basis: Iterable[Generator],
                  diff: Mapping[str, Mapping[str, RingElt]],
@@ -101,7 +102,7 @@ class Complex:
         for slot, value in (("name", name), ("basis", basis), ("ring", ring),
                             ("_rows", tuple(rows)), ("_index", index),
                             ("_stray", tuple(term[1:] for term in stray)),
-                            ("_report", None)):
+                            ("_report", None), ("_grading_index", None)):
             object.__setattr__(self, slot, value)
 
     @classmethod
@@ -147,19 +148,27 @@ class Complex:
                 f"bidegree (-1, -1)")
         return self._rows
 
+    @property
+    def grading_index(self) -> "GradingIndex":
+        """The basis by bigrading, built on first use and kept."""
+        if self._grading_index is None:
+            index = GradingIndex(self.basis)
+            object.__setattr__(self, "_grading_index", index)
+        return self._grading_index
+
     def rows_mod(self, ideal: Ideal) -> list[int]:
         """`rows` without the terms whose monomial lies in `ideal`."""
         if ideal.kind == "zero":
             return list(self.rows)
-        kept = kept_targets(self.basis, ideal)
+        kept = kept_targets(self.grading_index, ideal)
         return [row and row & kept((x.gr_u - 1, x.gr_v - 1))
                 for x, row in zip(self.basis, self.rows)]
 
     @property
     def is_reduced(self) -> bool:
         """Whether no term of d, stray terms included, has monomial 1."""
-        unit = kept_targets(self.basis, _MAX)
-        return (not any(row & unit((x.gr_u - 1, x.gr_v - 1))
+        unit = self.grading_index.cells.get  # the targets by monomial 1
+        return (not any(row & unit((x.gr_u - 1, x.gr_v - 1), 0)
                         for x, row in zip(self.basis, self._rows))
                 and all(m.i or m.j for _, _, m in self._stray))
 
@@ -194,25 +203,34 @@ class Complex:
     def validate(self) -> ValidationReport:
         """The structural checks.  They read the coefficients, stray
         terms included, because they check input from outside.  The
-        report is computed once and kept."""
+        report is computed once and kept.  Without stray terms, d^2(s) is
+        the XOR of the rows of d(s)'s targets: the gradings fix the one
+        monomial of all paths s -> t -> u, and the ring may drop it."""
         if self._report is not None:
             return self._report
-        messages: list[str] = []
-        ok_d2 = True
-        for g in self.basis:
-            if self.apply_d(self.apply_d({g.name: RingElt.one()})):
-                ok_d2 = False
-                messages.append(f"d^2({g.name}) != 0")
+        if self._stray:
+            failed = [g for g in self.basis
+                      if self.apply_d(self.apply_d({g.name: RingElt.one()}))]
+        else:
+            kept = kept_targets(self.grading_index, self.ring)
+            failed, rows = [], self._rows
+            for x, row in zip(self.basis, rows):
+                d2 = 0
+                for t in bits_of(row):
+                    d2 ^= rows[t]
+                if d2 and (self.ring.kind == "zero"
+                           or d2 & kept((x.gr_u - 2, x.gr_v - 2))):
+                    failed.append(x)
+        messages = [f"d^2({g.name}) != 0" for g in failed]
         messages += [f"grading law fails on {m.render()} {tgt} in d({src})"
                      for src, tgt, m in self._stray]
-        fwd = sorted((g.gr_u, g.gr_v) for g in self.basis)
-        bwd = sorted((g.gr_v, g.gr_u) for g in self.basis)
-        symmetric = fwd == bwd
+        symmetric = (sorted((g.gr_u, g.gr_v) for g in self.basis)
+                     == sorted((g.gr_v, g.gr_u) for g in self.basis))
         if not symmetric:
             messages.append("bigrading multiset is not swap-symmetric "
                             "(informational)")
         object.__setattr__(self, "_report", ValidationReport(
-            ok_d2, not self._stray, self.is_reduced, symmetric,
+            not failed, not self._stray, self.is_reduced, symmetric,
             tuple(messages)))
         return self._report
 
@@ -243,34 +261,43 @@ class Complex:
         return Complex.of_rows(basis, self.rows, self.ring, name or self.name)
 
 
-_MAX = Ideal.max_ideal()
-
-
 # -- grading-fixed monomials -----------------------------------------------
 
-def kept_targets(targets: Sequence[Generator],
+class GradingIndex:
+    """A basis as bitsets by bigrading (`cells`), and the cells on each
+    line of constant gr_V (`u_axis`) and of constant gr_U (`v_axis`)."""
+
+    def __init__(self, basis: Iterable[Generator]):
+        self.cells: dict[tuple[int, int], int] = {}
+        for t, y in enumerate(basis):
+            key = (y.gr_u, y.gr_v)
+            self.cells[key] = self.cells.get(key, 0) | 1 << t
+        self.u_axis, self.v_axis = {}, {}
+        for key, ys in self.cells.items():
+            self.u_axis.setdefault(key[1], {})[key] = ys
+            self.v_axis.setdefault(key[0], {})[key] = ys
+
+
+def kept_targets(targets: GradingIndex,
                  ideal: Ideal) -> Callable[[tuple[int, int]], int]:
     """kept(e): the bitset of the generators y of `targets` that a term of
     grading e can reach, by the monomial U^i V^j with (i, j) = (gr(y) - e)
     / 2, when that monomial exists and lies outside `ideal`.
 
-    Targets are grouped by bigrading, and each e is decided once.
+    Each e is decided once.  Every nonzero ideal here contains UV, so it
+    keeps pure powers of U or V only, on the two axes through e.
     """
-    by_grading: dict[tuple[int, int], int] = {}
-    for t, y in enumerate(targets):
-        key = (y.gr_u, y.gr_v)
-        by_grading[key] = by_grading.get(key, 0) | 1 << t
-    if ideal.kind == "max":
-        return lambda e: by_grading.get(e, 0)
     every = ideal.kind == "zero"
     kept: dict[tuple[int, int], int] = {}
 
     def lookup(e: tuple[int, int]) -> int:
         mask = kept.get(e)
         if mask is None:
-            mask = 0
-            for (gu, gv), ys in by_grading.items():
-                du, dv = gu - e[0], gv - e[1]
+            (eu, ev), mask = e, 0
+            cells = (targets.cells if every else
+                     targets.u_axis.get(ev, {}) | targets.v_axis.get(eu, {}))
+            for (gu, gv), ys in cells.items():
+                du, dv = gu - eu, gv - ev
                 if (du >= 0 and dv >= 0 and not du % 2 and not dv % 2
                         and (every or not ideal.contains(
                             Mono(du // 2, dv // 2)))):
@@ -335,18 +362,11 @@ def find_isomorphism(C1: Complex, C2: Complex,
     if len(C1) != len(C2) or C1.ring != C2.ring:
         return None
     rows1, rows2 = C1.rows, C2.rows
-
-    def buckets(C: Complex) -> dict[tuple[int, int], list[int]]:
-        out: dict[tuple[int, int], list[int]] = {}
-        for k, g in enumerate(C.basis):
-            out.setdefault((g.gr_u, g.gr_v), []).append(k)
-        return out
-
-    buckets1, buckets2 = buckets(C1), buckets(C2)
-    if ({k: len(v) for k, v in buckets1.items()}
-            != {k: len(v) for k, v in buckets2.items()}):
+    cells1, cells2 = C1.grading_index.cells, C2.grading_index.cells
+    if ({k: v.bit_count() for k, v in cells1.items()}
+            != {k: v.bit_count() for k, v in cells2.items()}):
         return None
-    order = [s for key in sorted(buckets1) for s in buckets1[key]]
+    order = [s for key in sorted(cells1) for s in bits_of(cells1[key])]
     image: dict[int, int] = {}  # generator of C1 -> generator of C2
     used: set[int] = set()
     nodes = 0
@@ -371,7 +391,7 @@ def find_isomorphism(C1: Complex, C2: Complex,
             return {C1.basis[s].name: C2.basis[t].name
                     for s, t in image.items()}
         g = C1.basis[order[k]]
-        for t in buckets2[(g.gr_u, g.gr_v)]:
+        for t in bits_of(cells2[(g.gr_u, g.gr_v)]):
             if t in used:
                 continue
             image[order[k]] = t

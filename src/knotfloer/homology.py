@@ -4,12 +4,12 @@ C/(V) is a complex over F2[U] whose differential is homogeneous, so each
 entry is a single monomial fixed by the gradings: the differential of
 C/(V) is the V-free part of the complex's bitset rows, transposed.  The
 U-module structure comes from one graded cancellation pass over those
-rows (`_cancel`): a minimal-degree entry d x = U^k y splits off
-F2[U]/(U^k) generated by y in y's Maslov grading (nothing when k = 0),
-and the generators left over span the free towers.  The pass also tracks
-the tower basis vectors and their coordinate functionals, for tower
-generators and the locality test.  Hat homology ranks the unit-monomial
-rows of d one bigrading at a time.
+rows (`_cancel`), indexed by column: a minimal-degree entry d x = U^k y
+splits off F2[U]/(U^k) generated by y in y's Maslov grading (nothing
+when k = 0), and the generators left over span the free towers.  The
+pass also tracks the tower basis vectors and their coordinate
+functionals, for tower generators and the locality test.  Hat homology
+ranks the unit-monomial rows of d one bigrading at a time.
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ def _v_reduced_rows(C: Complex) -> list[int]:
     """Differential of C/(V) over F2[U]: bit s of row t is set when d(s)
     has a term U^k t.  The degree k = (gr(t) + 1 - gr(s)) / 2 is fixed
     by the grading law, so the bit is the whole entry: these are the
-    V-free rows of d, transposed."""
+    V-free rows of d, transposed, the rows `_cancel` eliminates."""
     columns = transpose(C.rows_mod(Ideal.principal_v()))
     return [columns.get(t, 0) for t in range(len(C))]
 
 
-def _cancel(rows: list[int], gr: list[int]):
-    """Graded cancellation of the differential given by `rows`.
+def _cancel(cols: list[int], gr: list[int]):
+    """Graded cancellation of the differential with columns `cols`.
 
     Works degree by degree, k = 0, 1, 2, ...: a live degree-k entry
     (y, x) of minimal degree is a pivot.  Adding U^(...) times row y to
@@ -76,6 +76,8 @@ def _cancel(rows: list[int], gr: list[int]):
     operations are done, and x and y are retired.  The added rows create
     entries of degree >= k only, and a row without a live degree-k entry
     never gains one, so one scan of the rows per degree finds every pivot.
+    The columns (the V-free rows of d) index the rows that hit them, so
+    adding row y flips one bitset per column of row y.
 
     Returns (pairs, towers, vec, cov): the (k, y) of every pivot, the
     generators still live at the end, and for each live generator t the
@@ -84,12 +86,13 @@ def _cancel(rows: list[int], gr: list[int]):
     a row operation updates cov[t]).
     """
     n = len(gr)
-    rows = list(rows)
+    by_row = transpose(cols)
+    rows = [by_row.get(t, 0) for t in range(n)]
+    cols = list(cols)
     of_grading: dict[int, int] = {}
     for s, g in enumerate(gr):
         of_grading[g] = of_grading.get(g, 0) | 1 << s
     alive = (1 << n) - 1
-    live = list(range(n))
     cov = [1 << t for t in range(n)]
     vec = list(cov)
     pairs = []
@@ -105,18 +108,17 @@ def _cancel(rows: list[int], gr: list[int]):
                 continue
             x = (hits & -hits).bit_length() - 1
             row_y, cov_y, col_x = rows[y], cov[y], 1 << x
-            for t in live:
-                if rows[t] & col_x and t != y:
-                    rows[t] ^= row_y
-                    cov[t] ^= cov_y
+            hitters = cols[x] & alive ^ 1 << y
+            for t in bits_of(hitters):
+                rows[t] ^= row_y
+                cov[t] ^= cov_y
             vec_x = vec[x]
             for c in bits_of(row_y & alive ^ col_x):
                 vec[c] ^= vec_x
+                cols[c] ^= hitters
             alive ^= col_x | 1 << y
-            live.remove(x)
-            live.remove(y)
             pairs.append((k, y))
-    return pairs, live, vec, cov
+    return pairs, list(bits_of(alive)), vec, cov
 
 
 class UHomology:
@@ -129,7 +131,7 @@ class UHomology:
         self.C = C
         self._gr = [g.gr_u for g in C.basis]
         pairs, self._towers, self._vec, self._cov = _cancel(
-            _v_reduced_rows(C), self._gr)
+            C.rows_mod(Ideal.principal_v()), self._gr)
         self.decomp = FUDecomp(
             tower_count=len(self._towers),
             tower_gradings=tuple(sorted(self._gr[t] for t in self._towers)),
@@ -192,13 +194,12 @@ def hfk_hat(C: Complex) -> HatRanks:
     The unit rows of d out of bigrading (p, q) all land in (p - 1, q - 1),
     so the rank of each bucket's rows is the rank of d there.
     """
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for g, row in zip(C.basis, C.rows_mod(Ideal.max_ideal())):
-        buckets.setdefault((g.gr_u, g.gr_v), []).append(row)
-    rank = {key: rref_basis(rows).rank for key, rows in buckets.items()}
+    rows, cells = C.rows_mod(Ideal.max_ideal()), C.grading_index.cells
+    rank = {key: rref_basis([rows[s] for s in bits_of(ys)]).rank
+            for key, ys in cells.items()}
     out = []
-    for (p, q), rows in sorted(buckets.items()):
-        h = len(rows) - rank[(p, q)] - rank.get((p + 1, q + 1), 0)
+    for (p, q), ys in sorted(cells.items()):
+        h = ys.bit_count() - rank[(p, q)] - rank.get((p + 1, q + 1), 0)
         if h:
             out.append((p, (p - q) // 2, h))
     return HatRanks(tuple(out))

@@ -2,17 +2,19 @@
 
 Vectors and equations are Python ints, bit k standing for coordinate or
 unknown k, so every row operation is one XOR.  `Echelon` is the one
-echelon kernel: a fully reduced basis keyed by pivot, so reducing a
-vector costs one XOR per pivot it hits, not a pass over every row.
-GF2System extends it to affine systems A x = b over F2, solved one
-equation at a time; `rref_basis` and `complement_basis` reduce spans,
-and AffineSpace parameterizes a solution set and rewrites further
-constraints in its parameters.  Graded modules over F2[U] reduce to this
-too: homogeneity fixes every monomial, so `homology` eliminates over the
-same bitsets.
+echelon kernel: a semi-echelon basis keyed by pivot, so inserting a row
+clears nothing and reducing a vector costs one XOR per pivot it meets,
+not a pass over every row.  GF2System extends it to affine systems
+A x = b over F2, solved one equation at a time; `rref_basis` and
+`complement_basis` reduce spans, and AffineSpace parameterizes a
+solution set and rewrites further constraints in its parameters.
+Graded modules over F2[U] reduce to this too: homogeneity fixes every
+monomial, so `homology` eliminates over the same bitsets.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 
 def bits_of(x: int):
@@ -24,40 +26,47 @@ def bits_of(x: int):
 
 
 class Echelon:
-    """A fully reduced basis of a span, indexed by pivot.
+    """A semi-echelon basis of a span: rows keyed by their leading bit,
+    the pivot, with `mask` holding the pivots.  A vector is reduced by
+    the row of its highest pivot bit until none is left, which gives the
+    one vector of its coset with no pivot bit.  `rows` is the fully
+    reduced basis by pivot, back-substituted when read after an insert;
+    its length, the rank, is read without it."""
 
-    `rows` maps each pivot (a row's leading bit) to its row and `mask`
-    holds the pivot bits.  No row holds another row's pivot bit, so a
-    vector is reduced by the rows of the pivots it hits, once each.
-    """
-
-    def __init__(self, reduced=()):
-        """The echelon of rows that already form a fully reduced basis."""
-        self.rows: dict[int, int] = {r.bit_length() - 1: r for r in reduced}
-        self.mask = sum(1 << piv for piv in self.rows)
+    def __init__(self, vectors=()):
+        self._semi: dict[int, int] = {}
+        self._reduced: dict[int, int] | None = {}
+        self.mask = 0
+        for v in vectors:
+            self.add(v)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._semi)
+
+    @property
+    def rows(self) -> Mapping[int, int]:
+        return _ReducedRows(self)
+
+    def copy(self):
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__, _semi=dict(self._semi))
+        return other
 
     def reduce(self, v: int) -> int:
         """v minus its part in the span: no pivot bit left."""
-        rows = self.rows
-        hit = v & self.mask
+        rows, mask = self._semi, self.mask
+        hit = v & mask
         while hit:
-            low = hit & -hit
-            v ^= rows[low.bit_length() - 1]
-            hit ^= low
+            v ^= rows[hit.bit_length() - 1]
+            hit = v & mask
         return v
 
     def insert(self, v: int, piv: int) -> None:
-        """Add v, already reduced, with pivot bit piv, clearing that bit
-        from the rows that hold it."""
-        rows = self.rows
-        for p in [p for p, r in rows.items() if (r >> piv) & 1]:
-            rows[p] ^= v
-        rows[piv] = v
+        """Add v, already reduced, with pivot bit piv, its leading bit."""
+        self._semi[piv] = v
         self.mask |= 1 << piv
+        self._reduced = None
 
     def add(self, v: int) -> int:
         """Reduce v and insert the rest; returns it (0 if v was in the span)."""
@@ -66,9 +75,34 @@ class Echelon:
             self.insert(v, v.bit_length() - 1)
         return v
 
+    def _back_substituted(self) -> dict[int, int]:
+        if self._reduced is None:
+            self._reduced = red = {}
+            for piv, row in sorted(self._semi.items()):  # lower rows first
+                for q in bits_of(row & self.mask ^ 1 << piv):
+                    row ^= red[q]
+                red[piv] = row
+        return self._reduced
+
+
+class _ReducedRows(Mapping):
+    """`Echelon.rows`: the fully reduced basis, built on first read."""
+
+    def __init__(self, echelon: Echelon):
+        self._echelon = echelon
+
+    def __len__(self) -> int:
+        return self._echelon.rank
+
+    def __getitem__(self, piv: int) -> int:
+        return self._echelon._back_substituted()[piv]
+
+    def __iter__(self):
+        return iter(self._echelon._back_substituted())
+
 
 class GF2System(Echelon):
-    """Reduced row echelon form over F2, built one equation at a time.
+    """An echelon of augmented equations over F2, built one at a time.
 
     Equations are rows over `width` unknowns with a 0/1 right-hand side,
     encoded as ints with the rhs in bit position `width`; the pivot of a
@@ -81,9 +115,8 @@ class GF2System(Echelon):
         self.feasible = True
 
     def copy(self) -> "GF2System":
-        other = GF2System(self.width)
-        other.__dict__.update(self.__dict__, rows=dict(self.rows))
-        return other
+        """Echelon.copy, here so that the benchmark tracer times it."""
+        return super().copy()
 
     def add_equation(self, row: int, rhs: int) -> bool:
         """Add `row . x = rhs`; returns current feasibility."""
@@ -113,8 +146,8 @@ class GF2System(Echelon):
         if not self.feasible:
             raise ValueError("inconsistent system has no solution")
         x = 0
-        for piv, row in self.rows.items():
-            if (row >> self.width) & 1:
+        for piv, row in sorted(self._semi.items()):  # lower pivots first
+            if (row >> self.width ^ (row & x).bit_count()) & 1:
                 x |= 1 << piv
         return x
 
@@ -122,7 +155,7 @@ class GF2System(Echelon):
         """Basis of homogeneous solutions, one per free unknown, ascending."""
         free = ((1 << self.width) - 1) & ~self.mask
         vecs = {k: 1 << k for k in bits_of(free)}
-        for piv, row in self.rows.items():
+        for piv, row in self._back_substituted().items():
             for k in bits_of(row & free):
                 vecs[k] |= 1 << piv
         return list(vecs.values())
@@ -144,15 +177,12 @@ def transpose(columns: list[int]) -> dict[int, int]:
 
 def rref_basis(vectors: list[int]) -> Echelon:
     """The reduced basis of the span of `vectors`."""
-    span = Echelon()
-    for v in vectors:
-        span.add(v)
-    return span
+    return Echelon(vectors)
 
 
 def complement_basis(sub: Echelon, space: list[int]) -> list[int]:
     """Vectors of `space` extending span(sub) to span(space), reduced."""
-    span = Echelon(sub.rows.values())
+    span = sub.copy()
     return [red for red in map(span.add, space) if red]
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import Complex, Generator, kept_targets
+from .complexes import Complex, Generator, GradingIndex, kept_targets
 from .errors import ResourceError, StructuralError
 from .homology import UHomology, hfk_minus, torsion_order
 from .linalg import (AffineSpace, Echelon, GF2System, bits_of, rref_basis,
@@ -487,7 +487,7 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
     """
     gr = [(g.gr_u, g.gr_v) for g in C.basis]
     zero = Ideal.zero()
-    reach = kept_targets(C.basis, zero)  # generators with a multiple in (p, q)
+    reach = kept_targets(C.grading_index, zero)  # multiples in (p, q)
 
     def images(p, q):
         """f of the generators' multiples in bigrading (p, q)."""
@@ -514,9 +514,10 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
 
     # d of a generator, written in the generators one bigrading lower
     basis = [Generator(lbl, p, q) for (lbl, p, q, _) in generators]
-    kept, new_reach, new_kept = (kept_targets(C.basis, C.ring),
-                                 kept_targets(basis, zero),
-                                 kept_targets(basis, C.ring))
+    index = GradingIndex(basis)
+    kept, new_reach, new_kept = (kept_targets(C.grading_index, C.ring),
+                                 kept_targets(index, zero),
+                                 kept_targets(index, C.ring))
     rows = []
     for (_, p, q, vec) in generators:
         boundary = 0

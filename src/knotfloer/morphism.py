@@ -250,7 +250,7 @@ def _masked(source: Complex, target: Complex, variance: str,
     kept targets of x depend only on x's expected grading."""
     if ideal.kind == "zero":
         return rows
-    kept = kept_targets(target.basis, ideal)
+    kept = kept_targets(target.grading_index, ideal)
     return [row and row & kept(_expected_grading((x.gr_u, x.gr_v), variance,
                                                  bidegree))
             for x, row in zip(source.basis, rows)]
@@ -336,7 +336,7 @@ class MapSpace:
     @staticmethod
     def build(source: Complex, target: Complex, variance: str,
               bidegree: Bidegree, ideal: Ideal) -> "MapSpace":
-        kept = kept_targets(target.basis, ideal)
+        kept = kept_targets(target.grading_index, ideal)
         pairs = []
         for x in source.basis:
             exp_u, exp_v = _expected_grading((x.gr_u, x.gr_v), variance, bidegree)

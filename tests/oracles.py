@@ -31,14 +31,19 @@ complexes from coefficient dicts through the validating constructor,
 the way `Complex` did before it stored its differential as bitset rows.
 `kernel_space_oracle` solves one matrix over the whole truncated module
 instead of one block per bigrading.
+`scan_cancel` finds the rows to clear at each pivot of the cancellation
+pass by visiting every live row instead of reading a column index;
+`scan_kept_targets` decides each expected grading by a scan of every
+target bigrading instead of the two axes through it; `ringelt_validate`
+checks d^2 through the RingElt views instead of XORing rows.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from knotfloer.complexes import (Complex, Element, Generator, _ideal_leq,
-                                 add_term)
+from knotfloer.complexes import (Complex, Element, Generator,
+                                 ValidationReport, _ideal_leq, add_term)
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.homology import UHomology
 from knotfloer.linalg import GF2System, bits_of, rref_basis
@@ -870,3 +875,86 @@ def kernel_space_oracle(C: Complex, f: LinMap) -> tuple[tuple, tuple]:
     system.add_columns(columns)
     reduced = rref_basis(system.nullspace_basis()).rows.values()
     return tuple(terms), tuple(sorted(reduced))
+
+
+# -- the scans the indexes replaced ------------------------------------------
+
+def scan_cancel(rows: list[int], gr: list[int]):
+    """`homology._cancel` from the rows of the differential of C/(V)
+    (`_v_reduced_rows`), finding the rows that hit each pivot column by
+    visiting every live row, and keeping the live generators in a list."""
+    n = len(gr)
+    rows = list(rows)
+    of_grading: dict[int, int] = {}
+    for s, g in enumerate(gr):
+        of_grading[g] = of_grading.get(g, 0) | 1 << s
+    alive = (1 << n) - 1
+    live = list(range(n))
+    cov = [1 << t for t in range(n)]
+    vec = list(cov)
+    pairs = []
+    degrees = {(a + 1 - b) // 2 for a in of_grading for b in of_grading
+               if a + 1 - b >= 0 and (a + 1 - b) % 2 == 0}
+    for k in sorted(degrees):
+        for y in range(n):
+            if not alive >> y & 1:
+                continue
+            hits = rows[y] & alive & of_grading.get(gr[y] + 1 - 2 * k, 0)
+            if not hits:
+                continue
+            x = (hits & -hits).bit_length() - 1
+            row_y, cov_y, col_x = rows[y], cov[y], 1 << x
+            for t in live:
+                if rows[t] & col_x and t != y:
+                    rows[t] ^= row_y
+                    cov[t] ^= cov_y
+            vec_x = vec[x]
+            for c in bits_of(row_y & alive ^ col_x):
+                vec[c] ^= vec_x
+            alive ^= col_x | 1 << y
+            live.remove(x)
+            live.remove(y)
+            pairs.append((k, y))
+    return pairs, live, vec, cov
+
+
+def scan_kept_targets(targets, ideal: Ideal):
+    """`complexes.kept_targets` over a list of generators, deciding each
+    expected grading by a scan of every target bigrading."""
+    by_grading: dict[tuple[int, int], int] = {}
+    for t, y in enumerate(targets):
+        key = (y.gr_u, y.gr_v)
+        by_grading[key] = by_grading.get(key, 0) | 1 << t
+    kept: dict[tuple[int, int], int] = {}
+
+    def lookup(e):
+        if e not in kept:
+            mask = 0
+            for (gu, gv), ys in by_grading.items():
+                du, dv = gu - e[0], gv - e[1]
+                if (du >= 0 and dv >= 0 and not du % 2 and not dv % 2
+                        and not ideal.contains(Mono(du // 2, dv // 2))):
+                    mask |= ys
+            kept[e] = mask
+        return kept[e]
+    return lookup
+
+
+def ringelt_validate(C: Complex) -> ValidationReport:
+    """`Complex.validate` with d^2 taken through `apply_d` and its RingElt
+    views on every complex, computed afresh."""
+    messages = [f"d^2({g.name}) != 0" for g in C.basis
+                if C.apply_d(C.apply_d({g.name: RingElt.one()}))]
+    ok_d2 = not messages
+    stray = C._stray
+    messages += [f"grading law fails on {m.render()} {tgt} in d({src})"
+                 for src, tgt, m in stray]
+    symmetric = (sorted((g.gr_u, g.gr_v) for g in C.basis)
+                 == sorted((g.gr_v, g.gr_u) for g in C.basis))
+    if not symmetric:
+        messages.append("bigrading multiset is not swap-symmetric "
+                        "(informational)")
+    reduced = all(m.i or m.j for _, row in C.diff_items()
+                  for coeff in row.values() for m in coeff)
+    return ValidationReport(ok_d2, not stray, reduced, symmetric,
+                            tuple(messages))

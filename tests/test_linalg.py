@@ -219,3 +219,42 @@ def test_copy_leaves_the_original_unchanged():
             trial.add_equation(0, 1)
             assert not trial.feasible
             assert (dict(system.rows), system.mask, system.feasible) == before
+
+
+# -- the semi-echelon kernel and its reduced view ----------------------------
+
+def test_constructor_keeps_rows_sharing_a_leading_bit():
+    span = Echelon([0b11, 0b10])
+    assert span.rank == len(span.rows) == 2
+    assert span.reduce(0b01) == 0
+    assert dict(span.rows) == {1: 0b10, 0: 0b01}
+
+
+@pytest.mark.parametrize("seed,width,dense,consistent", RANDOM_CASES)
+def test_reduced_rows_read_between_equations(seed, width, dense, consistent):
+    rng = random.Random(9200 + 4 * seed + 2 * dense + consistent)
+    system, oracle = GF2System(width), ListGF2System(width)
+    for row, rhs in _random_equations(rng, width, dense, consistent):
+        system.add_equation(row, rhs)
+        oracle.add_equation(row, rhs)
+        if rng.random() < 0.3:
+            _assert_same_system(system, oracle)
+    _assert_same_system(system, oracle)
+
+
+def test_copy_then_insert_leaves_the_reduced_view():
+    rng = random.Random(9300)
+    for width in (1, 9, 40):
+        for k in range(20):
+            system, oracle = GF2System(width), ListGF2System(width)
+            for row, rhs in _random_equations(rng, width, False, True):
+                system.add_equation(row, rhs)
+                oracle.add_equation(row, rhs)
+            if k % 2:  # the original's reduced view is already built
+                _assert_same_system(system, oracle)
+            trial, trial_oracle = system.copy(), oracle.copy()
+            for row, rhs in _random_equations(rng, width, True, True):
+                trial.add_equation(row, rhs)
+                trial_oracle.add_equation(row, rhs)
+            _assert_same_system(trial, trial_oracle)
+            _assert_same_system(system, oracle)
