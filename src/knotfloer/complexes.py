@@ -264,15 +264,15 @@ class Complex:
 # -- grading-fixed monomials -----------------------------------------------
 
 class GradingIndex:
-    """A basis as bitsets by bigrading (`cells`), and the cells on each
-    line of constant gr_V (`u_axis`) and of constant gr_U (`v_axis`)."""
+    """A basis as bitsets by bigrading (`cells`), by line of constant gr_V
+    (`u_axis`) or gr_U (`v_axis`), and its `kept_targets` masks (`kept`)."""
 
     def __init__(self, basis: Iterable[Generator]):
         self.cells: dict[tuple[int, int], int] = {}
         for t, y in enumerate(basis):
             key = (y.gr_u, y.gr_v)
             self.cells[key] = self.cells.get(key, 0) | 1 << t
-        self.u_axis, self.v_axis = {}, {}
+        self.u_axis, self.v_axis, self.kept = {}, {}, {}
         for key, ys in self.cells.items():
             self.u_axis.setdefault(key[1], {})[key] = ys
             self.v_axis.setdefault(key[0], {})[key] = ys
@@ -284,11 +284,11 @@ def kept_targets(targets: GradingIndex,
     grading e can reach, by the monomial U^i V^j with (i, j) = (gr(y) - e)
     / 2, when that monomial exists and lies outside `ideal`.
 
-    Each e is decided once.  Every nonzero ideal here contains UV, so it
-    keeps pure powers of U or V only, on the two axes through e.
+    Each e is decided once per index.  Every nonzero ideal here contains
+    UV, so it keeps pure powers of U or V only, on the two axes through e.
     """
     every = ideal.kind == "zero"
-    kept: dict[tuple[int, int], int] = {}
+    kept: dict[tuple[int, int], int] = targets.kept.setdefault(ideal, {})
 
     def lookup(e: tuple[int, int]) -> int:
         mask = kept.get(e)
