@@ -17,12 +17,11 @@ from .knotlib import (CableParams, build_cable, build_figure_eight,
 from .localequiv import (KernelSpace, LocalCertificate, LocalSearchSpec,
                          NonexistenceToken, SelfLocalFamily,
                          concordance_unknotting_bound, connected_complex,
-                         kernel_space, maximal_self_local_map, omega,
-                         search_local_map, self_local_equivalences,
-                         verify_almost_local)
+                         kernel_space, maximal_self_local_map,
+                         search_local_map, verify_almost_local)
 from .morphism import (IotaData, IotaReport, LinMap, MapSpace, chain_defect,
                        derivative_maps, enumerate_almost_iotas, identity_map,
-                       is_chain_map, solve_homotopy, validate_iota, zero_map)
+                       is_chain_map, validate_iota, zero_map)
 from .ring import Ideal, Mono, RingElt, mul, reduce
 from .tensorsum import (map_tensor, pair_name, product_equivalence,
                         product_iota, tensor, tensor_many)

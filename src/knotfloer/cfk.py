@@ -36,15 +36,15 @@ def render_cfk(C: Complex, iota: IotaData | None = None) -> str:
         lines.append(f"gen {g.name} gr {g.gr_u} {g.gr_v}")
     body = [differential_map(C).render_rows("d ", "=")]
     if iota is not None:
-        if iota.mode != "almost":
-            raise StructuralError("only almost involutions serialize in .cfk")
         body.append(iota.render())
     lines += [text for text in body if text]
     return "\n".join(lines) + "\n"
 
 
-def _parse_sum(tokens: list[str], lineno: int) -> dict[str, RingElt]:
-    """Parse `[mono] name + [mono] name + ...` into an action row."""
+def _parse_sum(tokens: list[str], lineno: int,
+               known: set[str]) -> dict[str, RingElt]:
+    """Parse `[mono] name + [mono] name + ...`, over the generators in
+    `known`, into an action row."""
     if tokens == ["0"]:
         return {}
     monos: dict[str, set] = {}  # target -> its monomials, repeats cancel
@@ -67,7 +67,11 @@ def _parse_sum(tokens: list[str], lineno: int) -> dict[str, RingElt]:
         else:
             term.append(tok)
     flush()
-    return {k: RingElt(v) for k, v in monos.items() if v}
+    row = {k: RingElt(v) for k, v in monos.items() if v}
+    for name in row:
+        if name not in known:
+            raise CfkParseError(f"unknown generator {name!r}", lineno)
+    return row
 
 
 @dataclass(frozen=True)
@@ -83,13 +87,6 @@ def parse_cfk(text: str) -> CfkFile:
     known: set[str] = set()
     diff: dict[str, dict[str, RingElt]] = {}
     iota_action: dict[str, dict[str, RingElt]] = {}
-
-    def checked_sum(tokens: list[str], lineno: int) -> dict[str, RingElt]:
-        row = _parse_sum(tokens, lineno)
-        for tgt in row:
-            if tgt not in known:
-                raise CfkParseError(f"unknown generator {tgt!r}", lineno)
-        return row
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -120,7 +117,7 @@ def parse_cfk(text: str) -> CfkFile:
                 raise CfkParseError(f"unknown generator {tokens[1]!r}", lineno)
             if tokens[1] in diff:
                 raise CfkParseError(f"repeated d line for {tokens[1]!r}", lineno)
-            diff[tokens[1]] = checked_sum(tokens[3:], lineno)
+            diff[tokens[1]] = _parse_sum(tokens[3:], lineno, known)
         elif kind == "iota":
             if len(tokens) < 4 or tokens[2] != "=":
                 raise CfkParseError("malformed iota line", lineno)
@@ -128,7 +125,7 @@ def parse_cfk(text: str) -> CfkFile:
                 raise CfkParseError(f"unknown generator {tokens[1]!r}", lineno)
             if tokens[1] in iota_action:
                 raise CfkParseError(f"repeated iota line for {tokens[1]!r}", lineno)
-            iota_action[tokens[1]] = checked_sum(tokens[3:], lineno)
+            iota_action[tokens[1]] = _parse_sum(tokens[3:], lineno, known)
         else:
             raise CfkParseError(f"unknown directive {kind!r}", lineno)
     if name is None or ring is None:
@@ -141,7 +138,7 @@ def parse_cfk(text: str) -> CfkFile:
     if iota_action:
         try:
             m = LinMap(C, C, "skew", (0, 0), iota_action, Ideal.max_ideal())
-            iota = IotaData(m, "almost")
+            iota = IotaData(m)
         except StructuralError as err:
             raise CfkParseError(f"bad iota data: {err}", 1) from None
     return CfkFile(C, iota)
@@ -157,6 +154,7 @@ def render_map_file(f: LinMap, name: str = "f") -> str:
 def parse_map_file(text: str, source: Complex, target: Complex) -> LinMap:
     action: dict[str, dict[str, RingElt]] = {}
     variance = None
+    sources, targets = set(source.names()), set(target.names())
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -172,7 +170,11 @@ def parse_map_file(text: str, source: Complex, target: Complex) -> LinMap:
             variance = tag
         elif variance != tag:
             raise CfkParseError("mixed variances in one map file", lineno)
-        action[tokens[5]] = _parse_sum(tokens[7:], lineno)
+        if tokens[5] not in sources:
+            raise CfkParseError(f"unknown generator {tokens[5]!r}", lineno)
+        if tokens[5] in action:
+            raise CfkParseError(f"repeated map line for {tokens[5]!r}", lineno)
+        action[tokens[5]] = _parse_sum(tokens[7:], lineno, targets)
     if variance is None:
         variance = "eq"
     bidegree = _infer_bidegree(action, source, target, variance)

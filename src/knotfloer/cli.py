@@ -14,7 +14,7 @@ import sys
 from . import cfk
 from .complexes import Complex, dualize
 from .errors import CfkParseError, ResourceError, StructuralError
-from .homology import hfk_minus, locality_rank, torsion_order
+from .homology import hfk_minus, torsion_order
 from .knotlib import build_cable, build_figure_eight, build_unknot
 from .localequiv import (DEFAULT_BUDGET, LocalSearchSpec,
                          concordance_unknotting_bound, connected_complex,

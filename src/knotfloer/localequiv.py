@@ -1,4 +1,4 @@
-"""Local-map search, self-local equivalences, and the connected complex.
+"""Local-map search, maximal self-local maps, and the connected complex.
 
 Local maps are grading-preserving chain maps that intertwine the
 involutions up to skew homotopy and carry the free tower of the source
@@ -70,18 +70,6 @@ class LocalCertificate:
     @property
     def exists(self) -> bool:
         return self.found is not None
-
-
-def omega(i: IotaData) -> LinMap:
-    """1 + iota as an F2-linear map mod (U,V).
-
-    The sum of the identity with a skew map is neither equivariant nor
-    skew over the full ring, so omega always lives mod (U,V); full-mode
-    data is reduced first.
-    """
-    m = i.map.reduce_to(Ideal.max_ideal())
-    return LinMap.of_rows(m.source, m.target, "linear", (0, 0), m.ideal,
-                          [(1 << k) ^ row for k, row in enumerate(m.rows)])
 
 
 # -- the affine search core -------------------------------------------------
@@ -166,14 +154,11 @@ def _iota_candidates(C: Complex, data: IotaInput) -> list[IotaData]:
         return enumerate_almost_iotas(C)
     if isinstance(data, IotaData):
         data = [data]
-    out = [i if i.mode == "almost"
-           else IotaData(i.map.reduce_to(Ideal.max_ideal()), "almost")
-           for i in data]
-    for rep in _almost_reports(C, out):
+    for rep in _almost_reports(C, data):
         if not rep.ok:
             raise StructuralError(
                 f"involution fails validation: {'; '.join(rep.messages)}")
-    return out
+    return data
 
 
 def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
@@ -261,12 +246,6 @@ class KernelSpace:
         return not any(span.reduce(v) for v in other.rows)
 
 
-@dataclass(frozen=True)
-class SelfLocalMap:
-    map: LinMap
-    kernel: KernelSpace
-
-
 def _exponent_bound(C: Complex) -> int:
     """1 + half the largest U or V grading span of C's generators."""
     span = 0
@@ -311,9 +290,9 @@ class SelfLocalFamily:
 
     `family` holds the chain maps of C in parameters t, and the system
     `inner` over t holds the rows that make them intertwine iota and be
-    local.  Exposes exact certificates over the whole set (for example
-    that a diagonal coefficient is constantly 1), which stay available
-    when it is too large to enumerate member by member.
+    local.  Exposes exact certificates over the whole set, for example
+    that a diagonal coefficient is constantly 1, without listing its
+    members.
     """
 
     def __init__(self, C: Complex, iota: IotaData, budget: int):
@@ -351,53 +330,6 @@ class SelfLocalFamily:
             if (self.family.point(w) ^ self.family.particular) & bit:
                 return False, value
         return True, value
-
-    def sample_members(self, count: int, seed: int = 0) -> list[LinMap]:
-        """Deterministic sample of family members (first one is the
-        particular solution)."""
-        import random
-
-        rng = random.Random(seed)
-        t_part = self.inner.particular_solution()
-        t_null = self.inner.nullspace_basis()
-        out = [self.fspace.map_from_bits(self.family.point(t_part))]
-        for _ in range(max(0, count - 1)):
-            t = t_part
-            for w in t_null:
-                if rng.getrandbits(1):
-                    t ^= w
-            out.append(self.fspace.map_from_bits(self.family.point(t)))
-        return out
-
-
-# Largest log2 of the number of self-local maps listed one by one.
-MAX_SELF_LOCAL_LOG2 = 14
-
-
-def self_local_equivalences(C: Complex, iota: IotaData,
-                            budget: int = DEFAULT_BUDGET) -> list[SelfLocalMap]:
-    """Enumerate verified almost self-local maps, paired with kernels.
-
-    Raises ResourceError when there are more than 2**MAX_SELF_LOCAL_LOG2
-    of them or the unknown count exceeds the budget.
-    """
-    sls = SelfLocalFamily(C, iota, budget)
-    t_part, t_null = sls.inner.solution_space()
-    if len(t_null) > MAX_SELF_LOCAL_LOG2:
-        raise ResourceError(
-            f"2^{len(t_null)} self-local maps exceed the enumeration bound",
-            len(t_null))
-    out = []
-    for counter in range(1 << len(t_null)):
-        t = t_part
-        for idx in bits_of(counter):
-            t ^= t_null[idx]
-        f = sls.fspace.map_from_bits(sls.family.point(t))
-        if not verify_almost_local(f, iota, iota):
-            raise StructuralError("enumerated map fails re-verification")
-        out.append(SelfLocalMap(f, kernel_space(C, f)))
-    out.sort(key=lambda s: s.map.render())
-    return out
 
 
 def _kill_candidates(C: Complex, fspace: MapSpace, order: str):

@@ -1,4 +1,4 @@
-"""Module maps between complexes: chain maps, homotopies, involutions.
+"""Module maps between complexes: chain maps, map spaces, involutions.
 
 A LinMap stores one int bitset row per source generator: bit t of row s
 says that generator s maps to target generator t times the one monomial
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 from .complexes import Complex, Element, _ideal_leq, add_term, kept_targets
 from .errors import ResourceError, StructuralError
@@ -28,17 +28,16 @@ from .ring import Ideal, Mono, RingElt, render_mono
 
 Bidegree = tuple[int, int]
 
-_VARIANCES = ("eq", "skew", "linear")
+_VARIANCES = ("eq", "skew")
 _MAX = Ideal.max_ideal()
 
 
 class LinMap:
     """A module map, one bitset row per source generator.
 
-    variance "eq" extends F2[U,V]-linearly, "skew" exchanges U and V,
-    and "linear" is a plain F2-linear map on basis classes, only
-    meaningful over the maximal ideal (used for 1 + iota style sums);
-    its only monomial is 1.  The constructor takes an action dict
+    variance "eq" extends F2[U,V]-linearly and "skew" exchanges U and
+    V; either way the gradings fix the monomial of every term.  The
+    constructor takes an action dict
     (source -> target -> coefficient), reduces it modulo the ideal and
     checks every term against the bidegree; `of_rows` wraps rows that
     are already valid.
@@ -54,8 +53,6 @@ class LinMap:
             raise StructuralError(f"unknown variance {variance!r}")
         if ideal is None:
             ideal = source.ring
-        if variance == "linear" and ideal.kind != "max":
-            raise StructuralError("linear variance is only defined mod (U,V)")
         rows = [0] * len(source)
         for src, row in action.items():
             s = source.index(src)
@@ -66,13 +63,12 @@ class LinMap:
                 red = coeff.reduce(ideal)
                 if red.is_zero():
                     continue
-                if variance != "linear":
-                    tu, tv = target.grading(tgt)
-                    for m in red:
-                        if tu - 2 * m.i != exp_u or tv - 2 * m.j != exp_v:
-                            raise StructuralError(
-                                f"map entry {m.render()} {tgt} on {src} breaks "
-                                f"declared bidegree {bidegree}")
+                tu, tv = target.grading(tgt)
+                for m in red:
+                    if tu - 2 * m.i != exp_u or tv - 2 * m.j != exp_v:
+                        raise StructuralError(
+                            f"map entry {m.render()} {tgt} on {src} breaks "
+                            f"declared bidegree {bidegree}")
                 rows[s] |= 1 << t
         _fill(self, source, target, variance, bidegree, ideal, rows)
 
@@ -94,8 +90,6 @@ class LinMap:
         """(target, U exponent, V exponent) of each term of f(source
         generator s), in target basis order."""
         targets = [self.target.basis[t] for t in bits_of(self.rows[s])]
-        if self.variance == "linear":
-            return [(y.name, 0, 0) for y in targets]
         x = self.source.basis[s]
         eu, ev = _expected_grading((x.gr_u, x.gr_v), self.variance,
                                    self.bidegree)
@@ -141,31 +135,21 @@ class LinMap:
     def compose(self, inner: "LinMap") -> "LinMap":
         """self after inner."""
         variance, bidegree, ideal = _composite_shape(self, inner)
-        outer, inner_rows = self.rows, inner.rows
-        if variance == "linear":
-            # no grading fixes a linear map's monomials: keep the unit terms
-            outer, inner_rows = (self.reduce_to(_MAX).rows,
-                                 inner.reduce_to(_MAX).rows)
+        outer = self.rows
         rows = []
-        for r in inner_rows:
+        for r in inner.rows:
             acc = 0
             while r:
                 low = r & -r
                 acc ^= outer[low.bit_length() - 1]
                 r ^= low
             rows.append(acc)
-        if variance != "linear":
-            rows = _masked(inner.source, self.target, variance, bidegree,
-                           ideal, rows)
+        rows = _masked(inner.source, self.target, variance, bidegree, ideal,
+                       rows)
         return LinMap.of_rows(inner.source, self.target, variance, bidegree,
                               ideal, rows)
 
     def reduce_to(self, ideal: Ideal) -> "LinMap":
-        if self.variance == "linear":
-            if ideal.kind != "max":
-                raise StructuralError(
-                    "linear variance is only defined mod (U,V)")
-            return self
         return LinMap.of_rows(self.source, self.target, self.variance,
                               self.bidegree, ideal,
                               _masked(self.source, self.target, self.variance,
@@ -187,8 +171,8 @@ class LinMap:
     # -- serialization ------------------------------------------------------
 
     def render(self, name: str = "f") -> str:
-        tag = {"eq": "eq", "skew": "skew", "linear": "lin"}[self.variance]
-        return self.render_rows(f"map {name} variance {tag} : ", "->")
+        return self.render_rows(f"map {name} variance {self.variance} : ",
+                                "->")
 
     def render_rows(self, head: str, arrow: str) -> str:
         """One line `<head><x> <arrow> <terms>` per nonzero row x, terms
@@ -231,12 +215,7 @@ def _composite_shape(outer, inner) -> tuple[str, Bidegree, Ideal]:
         ideal = inner.ideal
     else:
         raise StructuralError("cannot compose maps over incomparable ideals")
-    if "linear" in (outer.variance, inner.variance):
-        variance = "linear"
-    elif outer.variance == inner.variance:
-        variance = "eq"
-    else:
-        variance = "skew"
+    variance = "eq" if outer.variance == inner.variance else "skew"
     bi = inner.bidegree
     if outer.variance == "skew":
         bi = (bi[1], bi[0])
@@ -246,14 +225,24 @@ def _composite_shape(outer, inner) -> tuple[str, Bidegree, Ideal]:
 
 def _masked(source: Complex, target: Complex, variance: str,
             bidegree: Bidegree, ideal: Ideal, rows: Sequence[int]) -> Sequence[int]:
-    """Rows of an eq or skew map with the terms in `ideal` removed: the
-    kept targets of x depend only on x's expected grading."""
+    """Rows of a map with the terms in `ideal` removed: the kept targets
+    of x depend only on x's bigrading, so each bigrading of a nonzero row
+    takes one mask (zero rows, most rows of a sparse map, take none)."""
     if ideal.kind == "zero":
         return rows
     kept = kept_targets(target.grading_index, ideal)
-    return [row and row & kept(_expected_grading((x.gr_u, x.gr_v), variance,
-                                                 bidegree))
-            for x, row in zip(source.basis, rows)]
+    masks: dict[tuple[int, int], int] = {}
+    out = []
+    for x, row in zip(source.basis, rows):
+        if row:
+            gr = (x.gr_u, x.gr_v)
+            mask = masks.get(gr)
+            if mask is None:
+                mask = masks[gr] = kept(_expected_grading(gr, variance,
+                                                          bidegree))
+            row &= mask
+        out.append(row)
+    return out
 
 
 def identity_map(C: Complex, ideal: Ideal | None = None) -> LinMap:
@@ -440,44 +429,19 @@ def _check_slot(slot: MapSpace, outer, inner) -> None:
             f"({variance}, bidegree {bidegree}, ideal {ideal.kind})")
 
 
-def solve_homotopy(f: LinMap, g: LinMap) -> LinMap | None:
-    """Find H with f + g = dH + Hd, or None (a certificate, not a timeout).
-
-    H has the variance of f and g and bidegree shifted by (+1,+1); its
-    map space holds every map of that shape, so inconsistency of the F2
-    system settles nonexistence.
-    """
-    if (f.variance != g.variance or f.bidegree != g.bidegree
-            or f.ideal != g.ideal or f.source is not g.source
-            or f.target is not g.target):
-        raise StructuralError("homotopy needs maps of identical shape")
-    diff = f + g
-    slot = MapSpace.build(f.source, f.target, f.variance, f.bidegree,
-                          f.ideal)
-    hspace = MapSpace.build(f.source, f.target, f.variance,
-                            (f.bidegree[0] + 1, f.bidegree[1] + 1), f.ideal)
-    system = GF2System(hspace.dim)
-    if not system.add_columns(hspace.d_commutator_columns(slot),
-                              slot.bits_from_map(diff)):
-        return None
-    return hspace.map_from_bits(system.particular_solution())
-
-
 # -- involutions ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class IotaData:
-    """A candidate involution: full over F2[U,V], or almost (mod (U,V))."""
+    """A candidate almost involution: a skew map mod (U,V)."""
 
     map: LinMap
-    mode: str  # "full" | "almost"
+    mode: ClassVar[str] = "almost"  # a constant; perfbench's tracer reads it
 
     def __post_init__(self) -> None:
-        if self.mode not in ("full", "almost"):
-            raise StructuralError(f"unknown iota mode {self.mode!r}")
         if self.map.variance != "skew" or self.map.bidegree != (0, 0):
             raise StructuralError("iota must be skew of bidegree (0,0)")
-        if self.mode == "almost" and self.map.ideal.kind != "max":
+        if self.map.ideal.kind != "max":
             raise StructuralError("almost iota must be reduced mod (U,V)")
 
     def render(self) -> str:
@@ -486,13 +450,12 @@ class IotaData:
 
 @dataclass(frozen=True)
 class IotaReport:
-    """Outcome of the involution axioms, with a witness when one exists."""
+    """Outcome of the involution axioms."""
 
     skew_graded: bool
     chain_map: bool
     squares: bool
     messages: tuple[str, ...] = ()
-    witness: LinMap | None = None
 
     @property
     def ok(self) -> bool:
@@ -506,25 +469,11 @@ def one_plus_psi_phi(C: Complex, ideal: Ideal | None = None) -> LinMap:
 
 
 def validate_iota(C: Complex, iota: IotaData) -> IotaReport:
-    """Check skew-grading, the chain-map law, and the squared condition.
-
-    In almost mode the squared condition is equality mod (U,V): on
-    reduced complexes, homotopic maps agree there, so no homotopy has
-    to be searched.  In full mode an equivariant homotopy from iota^2
-    to 1 + Psi Phi is solved for and returned as a witness.
-    """
-    if iota.mode == "almost":
-        return next(_almost_reports(C, [iota]))
-    skew = _iota_shape(C, iota)
-    messages: list[str] = []
-    chain = is_chain_map(iota.map)
-    if not chain:
-        messages.append("iota is not a chain map")
-    witness = solve_homotopy(iota.map.compose(iota.map), one_plus_psi_phi(C))
-    if witness is None:
-        messages.append("no equivariant homotopy from iota^2 to 1 + Psi Phi")
-    return IotaReport(skew, chain, witness is not None, tuple(messages),
-                      witness)
+    """Check skew-grading, the chain-map law, and the squared condition,
+    all mod (U,V): on reduced complexes homotopic maps agree there, so
+    iota^2 is compared with 1 + Psi Phi directly, with no homotopy to
+    search for."""
+    return next(_almost_reports(C, [iota]))
 
 
 def _iota_shape(C: Complex, iota: IotaData) -> bool:
@@ -537,7 +486,7 @@ def _iota_shape(C: Complex, iota: IotaData) -> bool:
 
 def _almost_reports(C: Complex,
                     iotas: Sequence[IotaData]) -> Iterator[IotaReport]:
-    """The almost-mode `validate_iota` report of each iota, in order.
+    """The `validate_iota` report of each iota, in order.
 
     d and 1 + Psi Phi mod (U,V) depend only on C, so they are built once,
     when the first report is asked for.
@@ -786,7 +735,7 @@ def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
             step = project(v)
             points |= {p ^ step for p in points}
         found |= points
-    out = [IotaData(space.map_from_bits(bits).reduce_to(_MAX), "almost")
+    out = [IotaData(space.map_from_bits(bits).reduce_to(_MAX))
            for bits in found]
     out.sort(key=IotaData.render)
     return out

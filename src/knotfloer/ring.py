@@ -220,20 +220,3 @@ def parse_mono(tokens: list[str]) -> Mono:
         else:
             raise ValueError(f"bad monomial token {tok!r}")
     return Mono(i, j)
-
-
-def parse_ring_elt(text: str) -> RingElt:
-    """Parse the rendering produced by RingElt.render."""
-    text = text.strip()
-    if text == "0":
-        return RingElt.zero()
-    terms = []
-    for chunk in text.split("+"):
-        tokens = chunk.split()
-        if not tokens:
-            raise ValueError("empty term in ring element")
-        terms.append(parse_mono(tokens))
-    out = RingElt()
-    for t in terms:
-        out = out + RingElt((t,))
-    return out

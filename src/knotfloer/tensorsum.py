@@ -68,7 +68,7 @@ def map_tensor(f: LinMap, g: LinMap, T: Complex | None = None) -> LinMap:
     each term is the product of the factors' monomials, so only the
     ideal mask remains.
     """
-    if f.variance != g.variance or f.variance == "linear":
+    if f.variance != g.variance:
         raise StructuralError("tensor of maps needs matching eq/skew variance")
     if f.ideal != g.ideal:
         raise StructuralError("tensor of maps needs a common ideal")
@@ -93,26 +93,19 @@ def product_iota(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
     """Involution of the tensor product, variant 1 or 2.
 
     Variant 1 adds the correction (Phi_1 tensor Psi_2) after the raw
-    tensor involution, variant 2 uses (Psi_1 tensor Phi_2).  In almost
-    mode the formula is evaluated literally with the basis-level lift
-    of the factors and then reduced mod (U,V).
+    tensor involution, variant 2 uses (Psi_1 tensor Phi_2).  The formula
+    is evaluated literally with the basis-level lift of the factors and
+    then reduced mod (U,V).
     """
-    if i1.mode != i2.mode:
-        raise StructuralError("product needs involutions in the same mode")
     if variant not in (1, 2):
         raise StructuralError(f"unknown product variant {variant}")
     if T is None:
         T = tensor(C1, C2)
     phi1, psi1 = derivative_maps(C1)
     phi2, psi2 = derivative_maps(C2)
-    m1 = _lift_mod_uv(i1) if i1.mode == "almost" else i1.map
-    m2 = _lift_mod_uv(i2) if i2.mode == "almost" else i2.map
-    raw = map_tensor(m1, m2, T)
+    raw = map_tensor(_lift_mod_uv(i1), _lift_mod_uv(i2), T)
     corr = map_tensor(phi1, psi2, T) if variant == 1 else map_tensor(psi1, phi2, T)
-    total = raw + corr.compose(raw)
-    if i1.mode == "almost":
-        total = total.reduce_to(Ideal.max_ideal())
-    return IotaData(total, i1.mode)
+    return IotaData((raw + corr.compose(raw)).reduce_to(Ideal.max_ideal()))
 
 
 def product_equivalence(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,

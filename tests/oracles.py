@@ -11,7 +11,9 @@ The almost-involution oracle walks every homotopy class of the squared
 condition instead of solving it over a vertex cover.
 `grading_fitting_pairs` lists a map space by trying every exponent pair
 in a box around each pair of generators instead of solving the grading
-equations.  The map-space
+equations.  `solve_homotopy` finds a homotopy between two maps over the
+whole map space of its shape, so a None is a proof that none exists.
+The map-space
 operator oracles build each column as a LinMap and compose maps instead
 of using index arithmetic.  The dict map algebra computes sums,
 composites, reductions, images and tensors of maps coefficient by
@@ -318,7 +320,7 @@ def gray_walk_almost_iotas(system, solutions):
             if (t >> k) & 1:
                 bits ^= d
         full = system.iota_space.map_from_bits(bits)
-        data = IotaData(full.reduce_to(Ideal.max_ideal()), "almost")
+        data = IotaData(full.reduce_to(Ideal.max_ideal()))
         seen.setdefault(data.render(), data)
     return [seen[k] for k in sorted(seen)]
 
@@ -342,6 +344,31 @@ def grading_fitting_pairs(A: Complex, B: Complex, variance: str,
                         and not ideal.contains(Mono(i, j))):
                     out.append((x.name, y.name, Mono(i, j)))
     return tuple(out)
+
+
+# -- homotopies -------------------------------------------------------------
+
+def solve_homotopy(f: LinMap, g: LinMap) -> LinMap | None:
+    """Find H with f + g = dH + Hd, or None (a certificate, not a timeout).
+
+    H has the variance of f and g and bidegree shifted by (+1,+1); its
+    map space holds every map of that shape, so inconsistency of the F2
+    system settles nonexistence.
+    """
+    if (f.variance != g.variance or f.bidegree != g.bidegree
+            or f.ideal != g.ideal or f.source is not g.source
+            or f.target is not g.target):
+        raise StructuralError("homotopy needs maps of identical shape")
+    diff = f + g
+    slot = MapSpace.build(f.source, f.target, f.variance, f.bidegree,
+                          f.ideal)
+    hspace = MapSpace.build(f.source, f.target, f.variance,
+                            (f.bidegree[0] + 1, f.bidegree[1] + 1), f.ideal)
+    system = GF2System(hspace.dim)
+    if not system.add_columns(hspace.d_commutator_columns(slot),
+                              slot.bits_from_map(diff)):
+        return None
+    return hspace.map_from_bits(system.particular_solution())
 
 
 # -- map-space operators through composed LinMaps ---------------------------
@@ -407,12 +434,7 @@ def dict_add(f: LinMap, g: LinMap) -> LinMap:
 def dict_compose(outer: LinMap, inner: LinMap) -> LinMap:
     """outer after inner."""
     assert inner.target is outer.source
-    if "linear" in (outer.variance, inner.variance):
-        variance = "linear"
-    elif outer.variance == inner.variance:
-        variance = "eq"
-    else:
-        variance = "skew"
+    variance = "eq" if outer.variance == inner.variance else "skew"
     bi = inner.bidegree
     if outer.variance == "skew":
         bi = (bi[1], bi[0])

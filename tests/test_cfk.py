@@ -6,7 +6,8 @@ from knotfloer.cfk import (parse_cfk, parse_map_file, render_cfk,
                            render_map_file)
 from knotfloer.errors import CfkParseError
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
-from knotfloer.morphism import derivative_maps, enumerate_almost_iotas
+from knotfloer.morphism import (derivative_maps, enumerate_almost_iotas,
+                                identity_map)
 
 
 @pytest.mark.parametrize("builder", [build_unknot, build_figure_eight]
@@ -73,3 +74,20 @@ def test_map_file_round_trip(k2):
     assert back.action == phi.action
     assert back.bidegree == phi.bidegree
     assert back.variance == "eq"
+
+
+def test_map_file_repeated_line_is_error(k2):
+    # a second line for a would silently replace the first
+    text = render_map_file(identity_map(k2)) + "map f variance eq : a -> 0\n"
+    with pytest.raises(CfkParseError) as err:
+        parse_map_file(text, k2, k2)
+    assert str(err.value) == f"line {len(text.splitlines())}: repeated map line for 'a'"
+
+
+@pytest.mark.parametrize("line", ["map f variance eq : zz -> a",
+                                  "map f variance eq : a -> a + zz"])
+def test_map_file_unknown_generator_is_error(k2, line):
+    text = "# map f\n" + line + "\n"
+    with pytest.raises(CfkParseError) as err:
+        parse_map_file(text, k2, k2)
+    assert str(err.value) == "line 2: unknown generator 'zz'"

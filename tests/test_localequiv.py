@@ -1,4 +1,4 @@
-"""Local-map search, self-local equivalences, connected complexes."""
+"""Local-map search, self-local families, connected complexes."""
 
 import functools
 import random
@@ -13,9 +13,8 @@ import knotfloer.localequiv as localequiv
 from knotfloer.localequiv import (KernelSpace, LocalSearchSpec,
                                   SelfLocalFamily, concordance_unknotting_bound,
                                   connected_complex, image_complex,
-                                  kernel_space, maximal_self_local_map, omega,
-                                  search_local_map, self_local_equivalences,
-                                  verify_almost_local)
+                                  kernel_space, maximal_self_local_map,
+                                  search_local_map, verify_almost_local)
 from knotfloer.morphism import (IotaData, MapSpace, enumerate_almost_iotas,
                                 validate_iota, zero_map)
 from knotfloer.ring import Ideal, RingElt
@@ -189,8 +188,7 @@ def test_verdict_table(src, tgt):
 def test_invalid_iota_in_list_raises_validation_text(k2, k2_iotas, k3_iotas):
     # the list is validated with one d and one 1 + Psi Phi mod (U,V); each
     # involution still gets the checks and the message of validate_iota
-    zero = IotaData(zero_map(k2, k2, "skew", (0, 0), Ideal.max_ideal()),
-                    "almost")
+    zero = IotaData(zero_map(k2, k2, "skew", (0, 0), Ideal.max_ideal()))
     assert validate_iota(k2, zero).messages == (
         "iota^2 != 1 + Psi Phi mod (U,V)",)
     for data in ([zero], [k2_iotas[0], zero, k2_iotas[1]], [*k2_iotas, zero]):
@@ -204,32 +202,30 @@ def test_invalid_iota_in_list_raises_validation_text(k2, k2_iotas, k3_iotas):
     assert str(err.value) == "iota is defined on a different basis"
 
 
-# -- omega -------------------------------------------------------------------
+# -- self-local families -----------------------------------------------------
 
-def test_omega_unknot(unknot):
-    iu = enumerate_almost_iotas(unknot)[0]
-    assert omega(iu).is_zero()
+def _sample_members(fam, count, seed):
+    """The family's particular member, then count - 1 random members."""
+    rng = random.Random(seed)
+    t_part, t_null = fam.inner.solution_space()
+    out = []
+    for k in range(count):
+        t = t_part
+        for w in t_null:
+            if k and rng.getrandbits(1):
+                t ^= w
+        out.append(fam.fspace.map_from_bits(fam.family.point(t)))
+    return out
 
-
-def test_omega_k2_values(k2, k2_iotas):
-    w = omega(k2_iotas[0])
-    assert w.of_gen("b") == {"a": ONE}
-    assert w.of_gen("a") == {}
-    assert w.of_gen("f") == {"f": ONE, "g": ONE}
-
-
-# -- self-local equivalences -------------------------------------------------
 
 def test_unknot_self_local_is_identity(unknot):
     iu = enumerate_almost_iotas(unknot)[0]
-    maps = self_local_equivalences(unknot, iu)
-    assert len(maps) == 1
-    assert maps[0].map.action == {"a": {"a": ONE}}
-
-
-def test_k2_family_too_large_to_enumerate(k2, k2_iotas):
-    with pytest.raises(ResourceError):
-        self_local_equivalences(k2, k2_iotas[0])
+    fam = SelfLocalFamily(unknot, iu, 2_000_000)
+    assert fam.inner.nullspace_basis() == []
+    f = fam.fspace.map_from_bits(
+        fam.family.point(fam.inner.particular_solution()))
+    assert f.action == {"a": {"a": ONE}}
+    assert verify_almost_local(f, iu, iu)
 
 
 def test_k2_diagonal_coefficients_forced(k2, k2_iotas):
@@ -243,7 +239,7 @@ def test_k2_diagonal_coefficients_forced(k2, k2_iotas):
 
 def test_k2_sampled_members_verify(k2, k2_iotas):
     fam = SelfLocalFamily(k2, k2_iotas[0], 2_000_000)
-    for f in fam.sample_members(12, seed=7):
+    for f in _sample_members(fam, 12, seed=7):
         assert verify_almost_local(f, k2_iotas[0], k2_iotas[0])
         assert f.of_gen("b").get("b") == ONE
         assert f.of_gen("c").get("c") == ONE
@@ -264,7 +260,7 @@ def test_maximality_restriction_injective(k2, k2_iotas):
     fam = SelfLocalFamily(k2, io, 2_000_000)
     conn = connected_complex(k2, io)
     im_names = {g.name for g in conn.basis}
-    for g in fam.sample_members(6, seed=11):
+    for g in _sample_members(fam, 6, seed=11):
         ker_g = kernel_space(k2, g)
         # intersect: vectors of ker g supported on im f generators only
         # must be zero; approximate via kernel dim comparison after
@@ -425,13 +421,8 @@ def test_maximal_self_local_matches_fixpoint_oracle(name):
 
 def test_iota_of_an_equal_copy_is_rejected(k2):
     # an involution enumerated on a second build of the same complex
-    from knotfloer.morphism import LinMap
-
     other = enumerate_almost_iotas(build_cable(2))[0]
-    full = IotaData(LinMap(other.map.source, other.map.source, "skew", (0, 0),
-                           other.map.action), "full")
     calls = [lambda: validate_iota(k2, other),
-             lambda: validate_iota(k2, full),
              lambda: search_local_map(LocalSearchSpec((k2, other), (k2, None))),
              lambda: search_local_map(LocalSearchSpec((k2, None), (k2, [other]))),
              lambda: SelfLocalFamily(k2, other, 2_000_000),

@@ -17,13 +17,14 @@ from knotfloer.knotlib import (build_cable, build_figure_eight, build_unknot,
 from knotfloer.morphism import (IotaData, LinMap, MapSpace, _square_solutions,
                                 _square_system, chain_defect,
                                 derivative_maps, enumerate_almost_iotas,
-                                identity_map, is_chain_map, solve_homotopy,
-                                validate_iota, zero_map)
+                                identity_map, is_chain_map, validate_iota,
+                                zero_map)
 from knotfloer.ring import Ideal, Mono, RingElt
 from knotfloer.tensorsum import tensor
 from oracles import (grading_fitting_pairs, gray_walk_almost_iotas,
                      gray_walk_solutions, linmap_composition_columns,
-                     linmap_d_commutator_columns, linmap_intertwining_columns)
+                     linmap_d_commutator_columns, linmap_intertwining_columns,
+                     solve_homotopy)
 
 U, V = RingElt.mono(1, 0), RingElt.mono(0, 1)
 ONE = RingElt.one()
@@ -199,7 +200,7 @@ def test_phi_independent_of_basis_up_to_homotopy(k2, seed):
 
 def test_unknot_iota_identity_valid(unknot):
     iota = IotaData(LinMap(unknot, unknot, "skew", (0, 0),
-                           {"a": {"a": ONE}}, Ideal.max_ideal()), "almost")
+                           {"a": {"a": ONE}}, Ideal.max_ideal()))
     assert validate_iota(unknot, iota).ok
 
 
@@ -212,8 +213,7 @@ def test_unknot_enumeration_is_identity_only(unknot):
 def test_zero_on_tower_is_rejected(k2, k2_iotas):
     action = {k: dict(v) for k, v in k2_iotas[0].map.action.items()}
     del action["a"]
-    bad = IotaData(LinMap(k2, k2, "skew", (0, 0), action, Ideal.max_ideal()),
-                   "almost")
+    bad = IotaData(LinMap(k2, k2, "skew", (0, 0), action, Ideal.max_ideal()))
     assert not validate_iota(k2, bad).ok
 
 
@@ -237,21 +237,27 @@ def test_enumerated_iotas_validate(k2, k2_iotas, fig8, fig8_iotas):
             assert validate_iota(C, data).ok
 
 
-def test_fig8_full_iotas_found_and_validate(fig8):
-    # the skew homotopy space of fig8 is zero, so almost actions lift
-    # uniquely; check one lift as a genuine involution
-    action = {"a": {"a": ONE, "e": ONE}, "b": {"b": ONE, "a": ONE},
-              "c": {"d": ONE}, "d": {"c": ONE}, "e": {"e": ONE}}
-    iota = IotaData(LinMap(fig8, fig8, "skew", (0, 0), action), "full")
-    rep = validate_iota(fig8, iota)
-    assert rep.ok and rep.witness is not None
-
-
 def test_fig8_identity_not_a_valid_involution(fig8):
     action = {"a": {"a": ONE}, "b": {"b": ONE}, "c": {"d": ONE},
               "d": {"c": ONE}, "e": {"e": ONE}}
-    iota = IotaData(LinMap(fig8, fig8, "skew", (0, 0), action), "full")
-    assert not validate_iota(fig8, iota).ok
+    iota = IotaData(LinMap(fig8, fig8, "skew", (0, 0), action,
+                           Ideal.max_ideal()))
+    rep = validate_iota(fig8, iota)
+    assert not rep.ok and not rep.squares
+    assert rep.messages == ("iota^2 != 1 + Psi Phi mod (U,V)",)
+
+
+def test_iota_over_the_full_ring_is_rejected(unknot):
+    with pytest.raises(StructuralError) as err:
+        IotaData(LinMap(unknot, unknot, "skew", (0, 0), {"a": {"a": ONE}}))
+    assert str(err.value) == "almost iota must be reduced mod (U,V)"
+
+
+def test_linear_variance_is_rejected(unknot):
+    with pytest.raises(StructuralError) as err:
+        LinMap(unknot, unknot, "linear", (0, 0), {"a": {"a": ONE}},
+               Ideal.max_ideal())
+    assert str(err.value) == "unknown variance 'linear'"
 
 
 def test_enumeration_size_guard():

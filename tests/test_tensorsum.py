@@ -114,16 +114,6 @@ def test_product_variants_equivalent(k2, k2_iotas):
         assert verify_almost_local(g, ib, ia)
 
 
-def test_mode_mismatch_rejected(k2, k2_iotas, fig8):
-    from knotfloer.morphism import IotaData, LinMap
-    full = IotaData(LinMap(fig8, fig8, "skew", (0, 0),
-                           {"a": {"a": ONE, "e": ONE}, "b": {"b": ONE, "a": ONE},
-                            "c": {"d": ONE}, "d": {"c": ONE}, "e": {"e": ONE}}),
-                    "full")
-    with pytest.raises(StructuralError):
-        product_iota(fig8, full, k2, k2_iotas[0], 1)
-
-
 def test_tensor_many_left_associates(unknot, fig8):
     T = tensor_many([fig8, unknot, unknot])
     assert len(T) == 5
