@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .complexes import Complex, Generator
 from .errors import CfkParseError, StructuralError
-from .morphism import IotaData, LinMap, differential_map
+from .morphism import IotaData, LinMap, _action_row, differential_map
 from .ring import Ideal, RingElt, parse_mono
 
 _RING_TAGS = {"zero": "full", "uv": "modUV"}
@@ -152,8 +152,11 @@ def render_map_file(f: LinMap, name: str = "f") -> str:
 
 
 def parse_map_file(text: str, source: Complex, target: Complex) -> LinMap:
-    action: dict[str, dict[str, RingElt]] = {}
-    variance = None
+    """The map of a map file.  Its bidegree is that of the first term;
+    every line is checked against it as it is read."""
+    rows = [0] * len(source)
+    seen: set[str] = set()
+    variance = bidegree = None
     sources, targets = set(source.names()), set(target.names())
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -163,32 +166,40 @@ def parse_map_file(text: str, source: Complex, target: Complex) -> LinMap:
         if (len(tokens) < 7 or tokens[0] != "map" or tokens[2] != "variance"
                 or tokens[4] != ":" or tokens[6] != "->"):
             raise CfkParseError("malformed map line", lineno)
-        tag = tokens[3]
+        tag, src = tokens[3], tokens[5]
         if tag not in ("eq", "skew"):
             raise CfkParseError(f"unknown variance {tag!r}", lineno)
         if variance is None:
             variance = tag
         elif variance != tag:
             raise CfkParseError("mixed variances in one map file", lineno)
-        if tokens[5] not in sources:
-            raise CfkParseError(f"unknown generator {tokens[5]!r}", lineno)
-        if tokens[5] in action:
-            raise CfkParseError(f"repeated map line for {tokens[5]!r}", lineno)
-        action[tokens[5]] = _parse_sum(tokens[7:], lineno, targets)
-    if variance is None:
-        variance = "eq"
-    bidegree = _infer_bidegree(action, source, target, variance)
-    return LinMap(source, target, variance, bidegree, action, source.ring)
+        if src not in sources:
+            raise CfkParseError(f"unknown generator {src!r}", lineno)
+        if src in seen:
+            raise CfkParseError(f"repeated map line for {src!r}", lineno)
+        seen.add(src)
+        row = _parse_sum(tokens[7:], lineno, targets)
+        if bidegree is None:
+            bidegree = _first_term_bidegree(src, row, source, target, variance)
+        if row:
+            try:
+                rows[source.index(src)] = _action_row(
+                    source, target, variance, bidegree, source.ring, src,
+                    row)
+            except StructuralError as err:
+                raise CfkParseError(str(err), lineno) from None
+    return LinMap.of_rows(source, target, variance or "eq", bidegree or (0, 0),
+                          source.ring, rows)
 
 
-def _infer_bidegree(action, source: Complex, target: Complex,
-                    variance: str) -> tuple[int, int]:
-    for src, row in action.items():
-        gu, gv = source.grading(src)
-        if variance == "skew":
-            gu, gv = gv, gu
-        for tgt, coeff in row.items():
-            tu, tv = target.grading(tgt)
-            for m in coeff:
-                return (tu - 2 * m.i - gu, tv - 2 * m.j - gv)
-    return (0, 0)
+def _first_term_bidegree(src: str, row, source: Complex, target: Complex,
+                         variance: str) -> tuple[int, int] | None:
+    """The bidegree of the first term of f(src) = `row`, if it has one."""
+    gu, gv = source.grading(src)
+    if variance == "skew":
+        gu, gv = gv, gu
+    for tgt, coeff in row.items():
+        tu, tv = target.grading(tgt)
+        for m in coeff:
+            return (tu - 2 * m.i - gu, tv - 2 * m.j - gv)
+    return None

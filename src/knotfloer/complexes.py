@@ -16,11 +16,14 @@ asking such a complex for its rows raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceError, StructuralError
 from .linalg import bits_of, transpose
 from .ring import Ideal, Mono, RingElt
+
+if TYPE_CHECKING:
+    from .homology import UHomology
 
 # An element of a complex: generator name -> F2[U,V] coefficient.
 Element = dict[str, RingElt]
@@ -69,7 +72,7 @@ class Complex:
     """A free bigraded chain complex with an ordered generator basis."""
 
     __slots__ = ("name", "basis", "ring", "_rows", "_stray", "_index",
-                 "_report", "_grading_index")
+                 "_report", "_grading_index", "_u_homology")
 
     def __init__(self, basis: Iterable[Generator],
                  diff: Mapping[str, Mapping[str, RingElt]],
@@ -102,7 +105,8 @@ class Complex:
         for slot, value in (("name", name), ("basis", basis), ("ring", ring),
                             ("_rows", tuple(rows)), ("_index", index),
                             ("_stray", tuple(term[1:] for term in stray)),
-                            ("_report", None), ("_grading_index", None)):
+                            ("_report", None), ("_grading_index", None),
+                            ("_u_homology", None)):
             object.__setattr__(self, slot, value)
 
     @classmethod
@@ -155,6 +159,15 @@ class Complex:
             index = GradingIndex(self.basis)
             object.__setattr__(self, "_grading_index", index)
         return self._grading_index
+
+    @property
+    def u_homology(self) -> "UHomology":
+        """The homology of C/(V), built on first use and kept; a ring it
+        does not support raises on every call."""
+        if self._u_homology is None:
+            from .homology import UHomology
+            object.__setattr__(self, "_u_homology", UHomology(self))
+        return self._u_homology
 
     def rows_mod(self, ideal: Ideal) -> list[int]:
         """`rows` without the terms whose monomial lies in `ideal`."""

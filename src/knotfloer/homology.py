@@ -122,7 +122,9 @@ def _cancel(cols: list[int], gr: list[int]):
 
 
 class UHomology:
-    """Homology of C/(V) with an explicit tower basis and its coordinates."""
+    """Homology of C/(V) with an explicit tower basis and its coordinates.
+
+    `Complex.u_homology` builds it once per complex and keeps it."""
 
     def __init__(self, C: Complex):
         if C.ring.kind not in ("zero", "uv"):
@@ -171,7 +173,7 @@ class UHomology:
 
 def hfk_minus(C: Complex) -> FUDecomp:
     """U-module decomposition of the homology of C/(V)."""
-    return UHomology(C).decomp
+    return C.u_homology.decomp
 
 
 def torsion_order(d: FUDecomp) -> int:

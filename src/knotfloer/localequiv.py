@@ -25,7 +25,7 @@ from .homology import UHomology, hfk_minus, torsion_order
 from .linalg import (AffineSpace, Echelon, GF2System, bits_of, rref_basis,
                      transpose)
 from .morphism import (IotaData, LinMap, MapSpace, _almost_reports,
-                       chain_defect, enumerate_almost_iotas,
+                       _iota_shape, chain_defect, enumerate_almost_iotas,
                        validate_iota)
 from .ring import Ideal
 
@@ -171,15 +171,14 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     once per source completion and B once per target completion; each
     involution pair gives a system over t of the rows of A + B and the
     locality equation (the tower class goes to a tower generator).  Any
-    found map is re-verified by `_is_almost_local`, as in `verify_almost_local`.
+    found map is re-verified by `verify_almost_local`.
     """
     src, src_iota_in = spec.source
     tgt, tgt_iota_in = spec.target
     for C in (src, tgt):
         if not C.validate().ok:
             raise StructuralError(f"complex {C.name} fails validation")
-    src_hom = UHomology(src)
-    tgt_hom = UHomology(tgt)
+    src_hom, tgt_hom = src.u_homology, tgt.u_homology
     if src_hom.decomp.tower_count != 1 or tgt_hom.decomp.tower_count != 1:
         raise StructuralError("local maps need exactly one tower on each side")
     fspace, family, locality, n_equations = _chain_maps(src_hom, tgt_hom,
@@ -202,7 +201,7 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
                 continue
             f = fspace.map_from_bits(
                 family.point(system.particular_solution()))
-            if not _is_almost_local(f, i1, i2, src_hom, tgt_hom):
+            if not verify_almost_local(f, i1, i2):
                 raise StructuralError("solver produced a map that fails "
                                       "re-verification")
             return LocalCertificate(found=f, iota_pair=(i1, i2))
@@ -214,16 +213,11 @@ def verify_almost_local(f: LinMap, i1: IotaData, i2: IotaData) -> bool:
     """Re-check the three almost-local conditions for a candidate map:
     f is a chain map, f i1 = i2 f mod (U,V), and f sends the tower class
     to a tower generator."""
-    return _is_almost_local(f, i1, i2, UHomology(f.source), UHomology(f.target))
-
-
-def _is_almost_local(f: LinMap, i1: IotaData, i2: IotaData,
-                     src_hom: UHomology, tgt_hom: UHomology) -> bool:
-    """`verify_almost_local` with the homologies of f's ends given."""
     u = f.reduce_to(Ideal.max_ideal())
     return (chain_defect(f).is_zero()
             and (u.compose(i1.map) + i2.map.compose(u)).is_zero()
-            and _locality_bit(f, *src_hom.tower_generator(), tgt_hom))
+            and _locality_bit(f, *f.source.u_homology.tower_generator(),
+                              f.target.u_homology))
 
 
 # -- self-local equivalences and the connected complex ----------------------
@@ -302,7 +296,7 @@ class SelfLocalFamily:
                 f"involution fails validation: {'; '.join(rep.messages)}")
         self.C = C
         self.iota = iota
-        hom = UHomology(C)
+        hom = C.u_homology
         if hom.decomp.tower_count != 1:
             raise StructuralError("self-local maps need exactly one tower")
         self.fspace, self.family, locality, _ = _chain_maps(hom, hom, budget)
@@ -374,9 +368,14 @@ def _kill_candidates(C: Complex, fspace: MapSpace, order: str):
 
 def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
                         order: str) -> tuple[LinMap, str]:
-    """The map and certificate note of `maximal_self_local_map`.  One
-    sweep suffices: equations only shrink the solution set, so a
-    rejected candidate stays rejected."""
+    """The map and certificate note of `maximal_self_local_map`, kept on
+    iota by (budget, order); iota must be a map of C itself.  One sweep
+    suffices: equations only shrink the solution set, so a rejected
+    candidate stays rejected."""
+    _iota_shape(C, iota)
+    kept = iota._self_local.get((budget, order))
+    if kept is not None:
+        return kept
     sls = SelfLocalFamily(C, iota, budget)
     inner = sls.inner
     candidates = _kill_candidates(C, sls.fspace, order)
@@ -390,6 +389,7 @@ def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
     if not verify_almost_local(f, iota, iota):
         raise StructuralError("maximal candidate fails re-verification")
     note = f"maximal over {len(candidates)} candidate vectors ({order} order)"
+    iota._self_local[budget, order] = f, note
     return f, note
 
 

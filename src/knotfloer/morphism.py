@@ -17,7 +17,7 @@ truncation artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Iterator, Mapping, Sequence
 
@@ -55,21 +55,8 @@ class LinMap:
             ideal = source.ring
         rows = [0] * len(source)
         for src, row in action.items():
-            s = source.index(src)
-            exp_u, exp_v = _expected_grading(source.grading(src), variance,
-                                             bidegree)
-            for tgt, coeff in row.items():
-                t = target.index(tgt)
-                red = coeff.reduce(ideal)
-                if red.is_zero():
-                    continue
-                tu, tv = target.grading(tgt)
-                for m in red:
-                    if tu - 2 * m.i != exp_u or tv - 2 * m.j != exp_v:
-                        raise StructuralError(
-                            f"map entry {m.render()} {tgt} on {src} breaks "
-                            f"declared bidegree {bidegree}")
-                rows[s] |= 1 << t
+            rows[source.index(src)] = _action_row(
+                source, target, variance, bidegree, ideal, src, row)
         _fill(self, source, target, variance, bidegree, ideal, rows)
 
     @classmethod
@@ -193,6 +180,28 @@ def _fill(f: LinMap, source: Complex, target: Complex, variance: str,
                         ("variance", variance), ("bidegree", tuple(bidegree)),
                         ("ideal", ideal), ("rows", tuple(rows))):
         object.__setattr__(f, slot, value)
+
+
+def _action_row(source: Complex, target: Complex, variance: str,
+               bidegree: Bidegree, ideal: Ideal, src: str,
+               row: Mapping[str, RingElt]) -> int:
+    """The bitset row of f(src) = `row`, reduced modulo the ideal; raises
+    on a term that breaks the bidegree."""
+    exp_u, exp_v = _expected_grading(source.grading(src), variance, bidegree)
+    bits = 0
+    for tgt, coeff in row.items():
+        t = target.index(tgt)
+        red = coeff.reduce(ideal)
+        if red.is_zero():
+            continue
+        tu, tv = target.grading(tgt)
+        for m in red:
+            if tu - 2 * m.i != exp_u or tv - 2 * m.j != exp_v:
+                raise StructuralError(
+                    f"map entry {m.render()} {tgt} on {src} breaks "
+                    f"declared bidegree {bidegree}")
+        bits |= 1 << t
+    return bits
 
 
 def _expected_grading(src_gr: tuple[int, int], variance: str,
@@ -433,10 +442,18 @@ def _check_slot(slot: MapSpace, outer, inner) -> None:
 
 @dataclass(frozen=True)
 class IotaData:
-    """A candidate almost involution: a skew map mod (U,V)."""
+    """A candidate almost involution: a skew map mod (U,V).
+
+    It keeps what depends on it alone: its `validate_iota` report, and
+    the maximal self-local maps of `localequiv` by (budget, order).
+    """
 
     map: LinMap
     mode: ClassVar[str] = "almost"  # a constant; perfbench's tracer reads it
+    _report: IotaReport | None = field(default=None, init=False,
+                                       repr=False, compare=False)
+    _self_local: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self) -> None:
         if self.map.variance != "skew" or self.map.bidegree != (0, 0):
@@ -488,22 +505,27 @@ def _almost_reports(C: Complex,
                     iotas: Sequence[IotaData]) -> Iterator[IotaReport]:
     """The `validate_iota` report of each iota, in order.
 
-    d and 1 + Psi Phi mod (U,V) depend only on C, so they are built once,
-    when the first report is asked for.
+    Each iota is checked to be a map of C itself on every call; its report
+    is computed once and kept on it.  d and 1 + Psi Phi mod (U,V) depend
+    only on C, so they are built once, when the first report is computed.
     """
     dmap = square_target = None
     for iota in iotas:
         skew = _iota_shape(C, iota)
-        if dmap is None:
-            if not C.is_reduced:
-                raise StructuralError(
-                    "almost iota validation needs a reduced complex")
-            dmap = differential_map(C).reduce_to(_MAX)
-            square_target = one_plus_psi_phi(C, _MAX)
-        chain = (dmap.compose(iota.map) + iota.map.compose(dmap)).is_zero()
-        squares = (iota.map.compose(iota.map) + square_target).is_zero()
-        messages = () if squares else ("iota^2 != 1 + Psi Phi mod (U,V)",)
-        yield IotaReport(skew, chain, squares, messages)
+        if iota._report is None:
+            if dmap is None:
+                if not C.is_reduced:
+                    raise StructuralError(
+                        "almost iota validation needs a reduced complex")
+                dmap = differential_map(C).reduce_to(_MAX)
+                square_target = one_plus_psi_phi(C, _MAX)
+            chain = (dmap.compose(iota.map)
+                     + iota.map.compose(dmap)).is_zero()
+            squares = (iota.map.compose(iota.map) + square_target).is_zero()
+            messages = () if squares else ("iota^2 != 1 + Psi Phi mod (U,V)",)
+            object.__setattr__(iota, "_report",
+                               IotaReport(skew, chain, squares, messages))
+        yield iota._report
 
 
 # -- exhaustive enumeration of almost involutions ---------------------------

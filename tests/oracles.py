@@ -7,8 +7,6 @@ localization-rank oracle row-reduces over the fraction field F2(U) with fraction
 cross-multiplication, representing F2[U] polynomials as int bitmasks,
 and the tower-coefficient oracle asks whether a cycle survives
 inverting U.
-The almost-involution oracle walks every homotopy class of the squared
-condition instead of solving it over a vertex cover.
 `grading_fitting_pairs` lists a map space by trying every exponent pair
 in a box around each pair of generators instead of solving the grading
 equations.  `solve_homotopy` finds a homotopy between two maps over the
@@ -276,53 +274,6 @@ def tower_unit_coefficient_oracle(C: Complex, v) -> bool:
         cols[s] ^= 1 << t
     survives = _span_rank(cols + [bits])[0] > _span_rank(cols)[0]
     return survives and g == tower_grading
-
-
-# -- almost involutions by a Gray-code walk over every class ---------------
-
-def gray_walk_solutions(z0, lin, cross):
-    """Every class t in F2^q with z(t) = 0, walking all 2^q classes.
-
-    z(t) = z0 + sum t_k lin[k] + sum_{k<l} t_k t_l cross[k, l]; a Gray
-    code flips one t_j per step, and W[j] keeps the cross terms that the
-    next flip of t_j adds, so each step costs one vector XOR per
-    neighbour of j.  The exhaustive search of Bouillaguet et al., "Fast
-    exhaustive search for polynomial systems in F2".
-    """
-    q = len(lin)
-    neighbours = [[] for _ in range(q)]
-    for (k, l), v in cross.items():
-        neighbours[k].append((l, v))
-        neighbours[l].append((k, v))
-    found = []
-    z = z0
-    W = [0] * q
-    t = 0
-    if z == 0:
-        found.append(0)
-    for step in range(1, 1 << q):
-        j = (step & -step).bit_length() - 1
-        z ^= lin[j] ^ W[j]
-        t ^= 1 << j
-        for k, v in neighbours[j]:
-            W[k] ^= v
-        if z == 0:
-            found.append(t)
-    return found
-
-
-def gray_walk_almost_iotas(system, solutions):
-    """The sorted almost involutions of the given solution classes."""
-    seen = {}
-    for t in solutions:
-        bits = system.base_bits
-        for k, d in enumerate(system.class_dirs):
-            if (t >> k) & 1:
-                bits ^= d
-        full = system.iota_space.map_from_bits(bits)
-        data = IotaData(full.reduce_to(Ideal.max_ideal()))
-        seen.setdefault(data.render(), data)
-    return [seen[k] for k in sorted(seen)]
 
 
 # -- map spaces by exhaustive exponent search ---------------------------------

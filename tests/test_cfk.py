@@ -91,3 +91,12 @@ def test_map_file_unknown_generator_is_error(k2, line):
     with pytest.raises(CfkParseError) as err:
         parse_map_file(text, k2, k2)
     assert str(err.value) == "line 2: unknown generator 'zz'"
+
+
+def test_map_file_off_bidegree_term_names_its_line(k2):
+    # the first term fixes the bidegree (0, 0); U c on b breaks it
+    text = "map f variance eq : a -> a\nmap f variance eq : b -> U c\n"
+    with pytest.raises(CfkParseError) as err:
+        parse_map_file(text, k2, k2)
+    assert str(err.value) == ("line 2: map entry U c on b breaks declared "
+                              "bidegree (0, 0)")

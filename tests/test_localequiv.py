@@ -420,13 +420,18 @@ def test_maximal_self_local_matches_fixpoint_oracle(name):
 
 
 def test_iota_of_an_equal_copy_is_rejected(k2):
-    # an involution enumerated on a second build of the same complex
-    other = enumerate_almost_iotas(build_cable(2))[0]
+    # an involution enumerated on a second build of the same complex, with
+    # its report and its maximal self-local map already kept there
+    copy = build_cable(2)
+    other = enumerate_almost_iotas(copy)[0]
+    assert validate_iota(copy, other).ok
+    connected_complex(copy, other)
     calls = [lambda: validate_iota(k2, other),
              lambda: search_local_map(LocalSearchSpec((k2, other), (k2, None))),
              lambda: search_local_map(LocalSearchSpec((k2, None), (k2, [other]))),
              lambda: SelfLocalFamily(k2, other, 2_000_000),
-             lambda: connected_complex(k2, other)]
+             lambda: connected_complex(k2, other),
+             lambda: concordance_unknotting_bound(k2, other)]
     for call in calls:
         with pytest.raises(StructuralError) as err:
             call()
