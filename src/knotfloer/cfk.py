@@ -17,14 +17,17 @@ order), so parse/render round trips are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
-from .complexes import Complex, Generator
+from .complexes import (Complex, Generator, _bidegree_error, _graded_row,
+                        _image_grading)
 from .errors import CfkParseError, StructuralError
-from .morphism import IotaData, LinMap, _action_row, differential_map
-from .ring import Ideal, RingElt, parse_mono
+from .morphism import IotaData, LinMap, differential_map
+from .ring import Ideal, Mono, parse_mono
 
 _RING_TAGS = {"zero": "full", "uv": "modUV"}
 _TAG_RINGS = {"full": Ideal.zero(), "modUV": Ideal.uv()}
+_MAX = Ideal.max_ideal()
 
 
 def render_cfk(C: Complex, iota: IotaData | None = None) -> str:
@@ -42,12 +45,12 @@ def render_cfk(C: Complex, iota: IotaData | None = None) -> str:
 
 
 def _parse_sum(tokens: list[str], lineno: int,
-               known: set[str]) -> dict[str, RingElt]:
+               index: Mapping[str, int]) -> dict[str, set[Mono]]:
     """Parse `[mono] name + [mono] name + ...`, over the generators in
-    `known`, into an action row."""
+    `index`, into each target's monomials; repeated terms cancel."""
     if tokens == ["0"]:
         return {}
-    monos: dict[str, set] = {}  # target -> its monomials, repeats cancel
+    monos: dict[str, set[Mono]] = {}
     term: list[str] = []
 
     def flush():
@@ -67,9 +70,9 @@ def _parse_sum(tokens: list[str], lineno: int,
         else:
             term.append(tok)
     flush()
-    row = {k: RingElt(v) for k, v in monos.items() if v}
+    row = {k: v for k, v in monos.items() if v}
     for name in row:
-        if name not in known:
+        if name not in index:
             raise CfkParseError(f"unknown generator {name!r}", lineno)
     return row
 
@@ -81,12 +84,13 @@ class CfkFile:
 
 
 def parse_cfk(text: str) -> CfkFile:
-    name = None
-    ring = None
+    """The complex and involution of a .cfk text.  Terms of d off the
+    grading rule are kept for `validate`; iota terms off it raise."""
+    name = ring = None
     gens: list[Generator] = []
-    known: set[str] = set()
-    diff: dict[str, dict[str, RingElt]] = {}
-    iota_action: dict[str, dict[str, RingElt]] = {}
+    index: dict[str, int] = {}
+    actions: dict[str, dict[str, dict[str, set[Mono]]]] = {"d": {}, "iota": {}}
+    iota_rows: dict[int, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -106,41 +110,39 @@ def parse_cfk(text: str) -> CfkFile:
             if len(tokens) != 5 or tokens[2] != "gr":
                 raise CfkParseError("malformed gen line", lineno)
             try:
-                gens.append(Generator(tokens[1], int(tokens[3]), int(tokens[4])))
+                g = Generator(tokens[1], int(tokens[3]), int(tokens[4]))
             except (ValueError, StructuralError) as err:
                 raise CfkParseError(str(err), lineno) from None
-            known.add(tokens[1])
-        elif kind == "d":
+            if g.name in index:
+                raise CfkParseError("duplicate generator names", lineno)
+            index[g.name] = len(gens)
+            gens.append(g)
+        elif kind in actions:
             if len(tokens) < 4 or tokens[2] != "=":
-                raise CfkParseError("malformed d line", lineno)
-            if tokens[1] not in known:
-                raise CfkParseError(f"unknown generator {tokens[1]!r}", lineno)
-            if tokens[1] in diff:
-                raise CfkParseError(f"repeated d line for {tokens[1]!r}", lineno)
-            diff[tokens[1]] = _parse_sum(tokens[3:], lineno, known)
-        elif kind == "iota":
-            if len(tokens) < 4 or tokens[2] != "=":
-                raise CfkParseError("malformed iota line", lineno)
-            if tokens[1] not in known:
-                raise CfkParseError(f"unknown generator {tokens[1]!r}", lineno)
-            if tokens[1] in iota_action:
-                raise CfkParseError(f"repeated iota line for {tokens[1]!r}", lineno)
-            iota_action[tokens[1]] = _parse_sum(tokens[3:], lineno, known)
+                raise CfkParseError(f"malformed {kind} line", lineno)
+            src = tokens[1]
+            if src not in index:
+                raise CfkParseError(f"unknown generator {src!r}", lineno)
+            if src in actions[kind]:
+                raise CfkParseError(f"repeated {kind} line for {src!r}", lineno)
+            terms = actions[kind][src] = _parse_sum(tokens[3:], lineno, index)
+            if kind == "iota":
+                s = index[src]
+                iota_rows[s], off = _graded_row(
+                    terms, _image_grading(gens[s], "skew", (0, 0)), _MAX, gens,
+                    index.__getitem__)
+                if off:
+                    err = _bidegree_error(src, *off[0], (0, 0))
+                    raise CfkParseError(f"bad iota data: {err}", lineno)
         else:
             raise CfkParseError(f"unknown directive {kind!r}", lineno)
     if name is None or ring is None:
         raise CfkParseError("missing complex header", 1)
-    try:
-        C = Complex(gens, diff, ring, name)
-    except StructuralError as err:
-        raise CfkParseError(str(err), 1) from None
+    C = Complex(gens, actions["d"], ring, name)
     iota = None
-    if iota_action:
-        try:
-            m = LinMap(C, C, "skew", (0, 0), iota_action, Ideal.max_ideal())
-            iota = IotaData(m)
-        except StructuralError as err:
-            raise CfkParseError(f"bad iota data: {err}", 1) from None
+    if actions["iota"]:
+        rows = [iota_rows.get(s, 0) for s in range(len(gens))]
+        iota = IotaData(LinMap.of_rows(C, C, "skew", (0, 0), _MAX, rows))
     return CfkFile(C, iota)
 
 
@@ -157,7 +159,6 @@ def parse_map_file(text: str, source: Complex, target: Complex) -> LinMap:
     rows = [0] * len(source)
     seen: set[str] = set()
     variance = bidegree = None
-    sources, targets = set(source.names()), set(target.names())
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -173,33 +174,25 @@ def parse_map_file(text: str, source: Complex, target: Complex) -> LinMap:
             variance = tag
         elif variance != tag:
             raise CfkParseError("mixed variances in one map file", lineno)
-        if src not in sources:
+        s = source._index.get(src)
+        if s is None:
             raise CfkParseError(f"unknown generator {src!r}", lineno)
         if src in seen:
             raise CfkParseError(f"repeated map line for {src!r}", lineno)
         seen.add(src)
-        row = _parse_sum(tokens[7:], lineno, targets)
+        terms = _parse_sum(tokens[7:], lineno, target._index)
+        if not terms:
+            continue
         if bidegree is None:
-            bidegree = _first_term_bidegree(src, row, source, target, variance)
-        if row:
-            try:
-                rows[source.index(src)] = _action_row(
-                    source, target, variance, bidegree, source.ring, src,
-                    row)
-            except StructuralError as err:
-                raise CfkParseError(str(err), lineno) from None
+            tgt, monos = next(iter(terms.items()))
+            y, m = target.generator(tgt), min(monos)
+            eu, ev = _image_grading(source.basis[s], variance, (0, 0))
+            bidegree = (y.gr_u - 2 * m.i - eu, y.gr_v - 2 * m.j - ev)
+        rows[s], off = _graded_row(
+            terms, _image_grading(source.basis[s], variance, bidegree),
+            source.ring, target.basis, target.index)
+        if off:
+            raise CfkParseError(
+                str(_bidegree_error(src, *off[0], bidegree)), lineno)
     return LinMap.of_rows(source, target, variance or "eq", bidegree or (0, 0),
                           source.ring, rows)
-
-
-def _first_term_bidegree(src: str, row, source: Complex, target: Complex,
-                         variance: str) -> tuple[int, int] | None:
-    """The bidegree of the first term of f(src) = `row`, if it has one."""
-    gu, gv = source.grading(src)
-    if variance == "skew":
-        gu, gv = gv, gu
-    for tgt, coeff in row.items():
-        tu, tv = target.grading(tgt)
-        for m in coeff:
-            return (tu - 2 * m.i - gu, tv - 2 * m.j - gv)
-    return None

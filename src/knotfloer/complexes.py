@@ -7,8 +7,11 @@ stored as bitset rows: bit t of `rows[s]` is set when d(s) has that
 monomial on t, as in `LinMap.rows`.  `kept_targets` decides which pairs
 carry a monomial outside an ideal, by the complex's bigrading index;
 quotients, the V-free and unit parts of d, d^2, map spaces and map
-reductions all mask by it.  The coefficient-dict constructor is the
-input format; terms that break the grading law are kept aside for
+reductions all mask by it.  The rule itself, that a term U^i V^j y of
+f(x) has gr(y) - (2i, 2j) = gr_v(x) + b for f of variance v and
+bidegree b, is coded here once for complexes and maps alike, from
+`_image_grading` to `_mask_rows`.  The coefficient-dict constructor is
+the input format; terms that break the rule are kept aside for
 `validate` and the RingElt views (`d_of`, `diff_items`, `apply_d`), and
 asking such a complex for its rows raises.
 """
@@ -16,6 +19,7 @@ asking such a complex for its rows raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceError, StructuralError
@@ -75,7 +79,7 @@ class Complex:
                  "_report", "_grading_index", "_u_homology")
 
     def __init__(self, basis: Iterable[Generator],
-                 diff: Mapping[str, Mapping[str, RingElt]],
+                 diff: Mapping[str, Mapping[str, Iterable[Mono]]],
                  ring: Ideal = Ideal.zero(), name: str = "C"):
         basis = tuple(basis)
         index = {g.name: k for k, g in enumerate(basis)}
@@ -86,21 +90,15 @@ class Complex:
         for src, targets in diff.items():
             if src not in index:
                 raise StructuralError(f"differential source {src!r} unknown")
+            if not targets.keys() <= index.keys():
+                tgt = next(tgt for tgt in targets if tgt not in index)
+                raise StructuralError(f"differential of {src!r} references "
+                                      f"unknown generator {tgt!r}")
             s = index[src]
-            x = basis[s]
-            for tgt, coeff in targets.items():
-                if tgt not in index:
-                    raise StructuralError(
-                        f"differential of {src!r} references unknown "
-                        f"generator {tgt!r}")
-                t = index[tgt]
-                y = basis[t]
-                for m in coeff.reduce(ring):
-                    if (y.gr_u - 2 * m.i == x.gr_u - 1
-                            and y.gr_v - 2 * m.j == x.gr_v - 1):
-                        rows[s] |= 1 << t
-                    else:
-                        stray.append((s, src, tgt, m))
+            rows[s], off = _graded_row(
+                targets, _image_grading(basis[s], "eq", (-1, -1)), ring,
+                basis, index.__getitem__)
+            stray += [(s, src, tgt, m) for tgt, m in off]
         stray.sort(key=lambda term: term[0])
         for slot, value in (("name", name), ("basis", basis), ("ring", ring),
                             ("_rows", tuple(rows)), ("_index", index),
@@ -146,10 +144,7 @@ class Complex:
     def rows(self) -> tuple[int, ...]:
         """Bit t of rows[s]: d(s) has the grading-fixed monomial on t."""
         if self._stray:
-            src, tgt, m = self._stray[0]
-            raise StructuralError(
-                f"map entry {m.render()} {tgt} on {src} breaks declared "
-                f"bidegree (-1, -1)")
+            raise _bidegree_error(*self._stray[0], (-1, -1))
         return self._rows
 
     @property
@@ -171,17 +166,13 @@ class Complex:
 
     def rows_mod(self, ideal: Ideal) -> list[int]:
         """`rows` without the terms whose monomial lies in `ideal`."""
-        if ideal.kind == "zero":
-            return list(self.rows)
-        kept = kept_targets(self.grading_index, ideal)
-        return [row and row & kept((x.gr_u - 1, x.gr_v - 1))
-                for x, row in zip(self.basis, self.rows)]
+        return list(_mask_rows(self, self, "eq", (-1, -1), ideal, self.rows))
 
     @property
     def is_reduced(self) -> bool:
         """Whether no term of d, stray terms included, has monomial 1."""
         unit = self.grading_index.cells.get  # the targets by monomial 1
-        return (not any(row & unit((x.gr_u - 1, x.gr_v - 1), 0)
+        return (not any(row & unit(_image_grading(x, "eq", (-1, -1)), 0)
                         for x, row in zip(self.basis, self._rows))
                 and all(m.i or m.j for _, _, m in self._stray))
 
@@ -189,10 +180,9 @@ class Complex:
 
     def d_of(self, name: str) -> dict[str, RingElt]:
         s = self.index(name)
-        x = self.basis[s]
-        monos = {y.name: {Mono((y.gr_u - x.gr_u + 1) // 2,
-                               (y.gr_v - x.gr_v + 1) // 2)}
-                 for y in map(self.basis.__getitem__, bits_of(self._rows[s]))}
+        monos = {tgt: {Mono(i, j)} for tgt, i, j in _row_terms(
+            self.basis, self._rows[s],
+            _image_grading(self.basis[s], "eq", (-1, -1)))}
         for src, tgt, m in self._stray:
             if src == name:
                 monos.setdefault(tgt, set()).add(m)
@@ -225,15 +215,10 @@ class Complex:
             failed = [g for g in self.basis
                       if self.apply_d(self.apply_d({g.name: RingElt.one()}))]
         else:
-            kept = kept_targets(self.grading_index, self.ring)
-            failed, rows = [], self._rows
-            for x, row in zip(self.basis, rows):
-                d2 = 0
-                for t in bits_of(row):
-                    d2 ^= rows[t]
-                if d2 and (self.ring.kind == "zero"
-                           or d2 & kept((x.gr_u - 2, x.gr_v - 2))):
-                    failed.append(x)
+            d2 = [reduce(int.__xor__, map(self._rows.__getitem__, bits_of(r)),
+                         0) for r in self._rows]
+            failed = [x for x, row in zip(self.basis, _mask_rows(
+                self, self, "eq", (-2, -2), self.ring, d2)) if row]
         messages = [f"d^2({g.name}) != 0" for g in failed]
         messages += [f"grading law fails on {m.render()} {tgt} in d({src})"
                      for src, tgt, m in self._stray]
@@ -318,6 +303,74 @@ def kept_targets(targets: GradingIndex,
             kept[e] = mask
         return mask
     return lookup
+
+
+def _image_grading(x: Generator, variance: str,
+                   bidegree: tuple[int, int]) -> tuple[int, int]:
+    """gr_v(x) + b, the grading gr(y) - (2i, 2j) of every term U^i V^j y
+    of f(x); gr_eq(x) is gr(x), gr_skew(x) exchanges its two gradings."""
+    gu, gv = (x.gr_v, x.gr_u) if variance == "skew" else (x.gr_u, x.gr_v)
+    return (gu + bidegree[0], gv + bidegree[1])
+
+
+def _graded_row(terms: Mapping[str, Iterable[Mono]], e: tuple[int, int],
+                ideal: Ideal, basis: Sequence[Generator],
+                locate: Callable[[str], int]) -> tuple[int, list]:
+    """The row of the terms {target: monomials} of a generator of image
+    grading e, and its terms off the rule as (target, monomial), in input
+    target order, then monomial order.  Terms in `ideal` are dropped;
+    `locate` gives a target's index in `basis`, or raises."""
+    eu, ev = e
+    every = ideal.kind == "zero"
+    row, off = 0, []
+    for tgt, monos in terms.items():
+        t = locate(tgt)
+        du, dv = basis[t].gr_u - eu, basis[t].gr_v - ev
+        for m in sorted(monos):
+            if every or not ideal.contains(m):
+                if 2 * m.i == du and 2 * m.j == dv:
+                    row |= 1 << t
+                else:
+                    off.append((tgt, m))
+    return row, off
+
+
+def _row_terms(basis: Sequence[Generator], row: int,
+               e: tuple[int, int]) -> list[tuple[str, int, int]]:
+    """(target, i, j) of each term U^i V^j y of a row of image grading e,
+    in basis order."""
+    eu, ev = e
+    return [(y.name, (y.gr_u - eu) // 2, (y.gr_v - ev) // 2)
+            for y in map(basis.__getitem__, bits_of(row))]
+
+
+def _mask_rows(source: Complex, target: Complex, variance: str,
+               bidegree: tuple[int, int], ideal: Ideal,
+               rows: Sequence[int]) -> Sequence[int]:
+    """Rows of a map with the terms in `ideal` removed: the kept targets
+    of x depend only on x's bigrading, so each bigrading of a nonzero row
+    takes one mask (zero rows, most rows of a sparse map, take none)."""
+    if ideal.kind == "zero":
+        return rows
+    kept = kept_targets(target.grading_index, ideal)
+    masks: dict[tuple[int, int], int] = {}
+    out = []
+    for x, row in zip(source.basis, rows):
+        if row:
+            gr = (x.gr_u, x.gr_v)
+            mask = masks.get(gr)
+            if mask is None:
+                mask = masks[gr] = kept(_image_grading(x, variance, bidegree))
+            row &= mask
+        out.append(row)
+    return out
+
+
+def _bidegree_error(src: str, tgt: str, m: Mono,
+                    bidegree: tuple[int, int]) -> StructuralError:
+    """The error for the term m tgt of f(src) off the grading rule."""
+    return StructuralError(f"map entry {m.render()} {tgt} on {src} breaks "
+                           f"declared bidegree {bidegree}")
 
 
 # -- element helpers -----------------------------------------------------

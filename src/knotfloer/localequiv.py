@@ -18,6 +18,8 @@ quantified over all enumerated involution completions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
 from .complexes import Complex, Generator, GradingIndex, kept_targets
 from .errors import ResourceError, StructuralError
@@ -326,44 +328,44 @@ class SelfLocalFamily:
         return True, value
 
 
-def _kill_candidates(C: Complex, fspace: MapSpace, order: str):
-    """Per candidate, the rows r with r . f = 0 that kill it, in order.
-
-    Singles first (killing any monomial multiple of a generator forces
-    f(x) = 0 on the whole generator), then minimal two-term homogeneous
-    combinations.
-    """
-    by_source: dict[str, list[int]] = {}
+def _kill_candidates(C: Complex, fspace: MapSpace,
+                     order: str) -> tuple[int, Iterator[list[int]]]:
+    """The number of candidates, and the candidates in `order`: per
+    candidate, the rows r with r . f = 0 that kill it.  Singles first
+    (killing any monomial multiple of a generator forces f(x) = 0 on the
+    whole generator), then minimal two-term homogeneous combinations of
+    each pair x < y whose gradings differ by even amounts; "reverse" is
+    the same sequence backwards.  A candidate is as wide as the map space
+    and there are about n^2 / 4, so each is built when the sweep asks."""
+    by_source: list[list[int]] = [[] for _ in C.basis]
     for k, (srcn, _, _) in enumerate(fspace.pairs):
-        by_source.setdefault(srcn, []).append(k)
-    singles = [[1 << k for k in by_source.get(g.name, [])] for g in C.basis]
-    pairs = []
-    names = C.names()
-    for xi in range(len(names)):
-        for yi in range(xi + 1, len(names)):
-            x, y = C.basis[xi], C.basis[yi]
-            du, dv = x.gr_u - y.gr_u, x.gr_v - y.gr_v
-            if du % 2 or dv % 2:
-                continue
-            a = max(0, -du // 2)
-            b = max(0, -dv // 2)
-            a2 = a + du // 2
-            b2 = b + dv // 2
-            # constraint f(U^a V^b x + U^a2 V^b2 y) = 0, grouped by slot
-            slots: dict[tuple[str, int, int], int] = {}
-            for k in by_source.get(x.name, []):
-                _, tgt, m = fspace.pairs[k]
-                key = (tgt, a + m.i, b + m.j)
-                slots[key] = slots.get(key, 0) | (1 << k)
-            for k in by_source.get(y.name, []):
-                _, tgt, m = fspace.pairs[k]
-                key = (tgt, a2 + m.i, b2 + m.j)
-                slots[key] = slots.get(key, 0) | (1 << k)
-            pairs.append(list(slots.values()))
-    cands = singles + pairs
-    if order == "reverse":
-        cands = list(reversed(cands))
-    return cands
+        by_source[C.index(srcn)].append(k)
+    n = len(C)
+    ordered = reversed if order == "reverse" else iter
+
+    def pairs() -> Iterator[list[int]]:
+        # gr_U - gr_V is even on every generator, so gr_U's parity decides
+        for xi in ordered(range(n)):
+            for yi in ordered(range(xi + 1, n)):
+                du = C.basis[xi].gr_u - C.basis[yi].gr_u
+                dv = C.basis[xi].gr_v - C.basis[yi].gr_v
+                if du % 2:
+                    continue
+                a, b = max(0, -du // 2), max(0, -dv // 2)
+                # f(U^a V^b x + U^(a + du/2) V^(b + dv/2) y) = 0, by slot
+                slots: dict[tuple[str, int, int], int] = {}
+                for g, ea, eb in ((xi, a, b), (yi, a + du // 2, b + dv // 2)):
+                    for k in by_source[g]:
+                        _, tgt, m = fspace.pairs[k]
+                        key = (tgt, ea + m.i, eb + m.j)
+                        slots[key] = slots.get(key, 0) | (1 << k)
+                yield list(slots.values())
+
+    singles = ([1 << k for k in by_source[x]] for x in ordered(range(n)))
+    odd = sum(g.gr_u % 2 for g in C.basis)
+    count = n + (odd * (odd - 1) + (n - odd) * (n - odd - 1)) // 2
+    return count, (chain(pairs(), singles) if order == "reverse"
+                   else chain(singles, pairs()))
 
 
 def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
@@ -378,7 +380,7 @@ def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
         return kept
     sls = SelfLocalFamily(C, iota, budget)
     inner = sls.inner
-    candidates = _kill_candidates(C, sls.fspace, order)
+    count, candidates = _kill_candidates(C, sls.fspace, order)
     for rows in candidates:
         trial = inner.copy()
         if all(trial.add_equation(*sls.family.constraint(raw))
@@ -388,7 +390,7 @@ def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
         sls.family.point(inner.particular_solution()))
     if not verify_almost_local(f, iota, iota):
         raise StructuralError("maximal candidate fails re-verification")
-    note = f"maximal over {len(candidates)} candidate vectors ({order} order)"
+    note = f"maximal over {count} candidate vectors ({order} order)"
     iota._self_local[budget, order] = f, note
     return f, note
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
-from .complexes import Complex, Element, _ideal_leq, add_term, kept_targets
+from .complexes import (Complex, Element, _bidegree_error, _graded_row,
+                        _ideal_leq, _image_grading, _mask_rows, _row_terms,
+                        add_term, kept_targets)
 from .errors import ResourceError, StructuralError
 from .linalg import GF2System, bits_of, complement_basis, rref_basis
 from .ring import Ideal, Mono, RingElt, render_mono
@@ -37,26 +39,30 @@ class LinMap:
 
     variance "eq" extends F2[U,V]-linearly and "skew" exchanges U and
     V; either way the gradings fix the monomial of every term.  The
-    constructor takes an action dict
-    (source -> target -> coefficient), reduces it modulo the ideal and
-    checks every term against the bidegree; `of_rows` wraps rows that
-    are already valid.
+    constructor takes an action dict (source -> target -> coefficient, a
+    RingElt or a set of monomials), reduces it modulo the ideal and raises
+    on the first term off the bidegree; `of_rows` wraps rows that are
+    already valid.
     """
 
     __slots__ = ("source", "target", "variance", "bidegree", "ideal", "rows")
 
     def __init__(self, source: Complex, target: Complex, variance: str,
                  bidegree: Bidegree,
-                 action: Mapping[str, Mapping[str, RingElt]],
+                 action: Mapping[str, Mapping[str, Iterable[Mono]]],
                  ideal: Ideal | None = None):
         if variance not in _VARIANCES:
             raise StructuralError(f"unknown variance {variance!r}")
         if ideal is None:
             ideal = source.ring
         rows = [0] * len(source)
-        for src, row in action.items():
-            rows[source.index(src)] = _action_row(
-                source, target, variance, bidegree, ideal, src, row)
+        for src, terms in action.items():
+            s = source.index(src)
+            rows[s], off = _graded_row(
+                terms, _image_grading(source.basis[s], variance, bidegree),
+                ideal, target.basis, target.index)
+            if off:
+                raise _bidegree_error(src, *off[0], bidegree)
         _fill(self, source, target, variance, bidegree, ideal, rows)
 
     @classmethod
@@ -76,12 +82,8 @@ class LinMap:
     def row_terms(self, s: int) -> list[tuple[str, int, int]]:
         """(target, U exponent, V exponent) of each term of f(source
         generator s), in target basis order."""
-        targets = [self.target.basis[t] for t in bits_of(self.rows[s])]
-        x = self.source.basis[s]
-        eu, ev = _expected_grading((x.gr_u, x.gr_v), self.variance,
-                                   self.bidegree)
-        return [(y.name, (y.gr_u - eu) // 2, (y.gr_v - ev) // 2)
-                for y in targets]
+        return _row_terms(self.target.basis, self.rows[s], _image_grading(
+            self.source.basis[s], self.variance, self.bidegree))
 
     def of_gen(self, name: str) -> Element:
         s = self.source._index.get(name)
@@ -131,16 +133,16 @@ class LinMap:
                 acc ^= outer[low.bit_length() - 1]
                 r ^= low
             rows.append(acc)
-        rows = _masked(inner.source, self.target, variance, bidegree, ideal,
-                       rows)
+        rows = _mask_rows(inner.source, self.target, variance, bidegree,
+                          ideal, rows)
         return LinMap.of_rows(inner.source, self.target, variance, bidegree,
                               ideal, rows)
 
     def reduce_to(self, ideal: Ideal) -> "LinMap":
+        rows = _mask_rows(self.source, self.target, self.variance,
+                          self.bidegree, ideal, self.rows)
         return LinMap.of_rows(self.source, self.target, self.variance,
-                              self.bidegree, ideal,
-                              _masked(self.source, self.target, self.variance,
-                                      self.bidegree, ideal, self.rows))
+                              self.bidegree, ideal, rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinMap):
@@ -182,36 +184,6 @@ def _fill(f: LinMap, source: Complex, target: Complex, variance: str,
         object.__setattr__(f, slot, value)
 
 
-def _action_row(source: Complex, target: Complex, variance: str,
-               bidegree: Bidegree, ideal: Ideal, src: str,
-               row: Mapping[str, RingElt]) -> int:
-    """The bitset row of f(src) = `row`, reduced modulo the ideal; raises
-    on a term that breaks the bidegree."""
-    exp_u, exp_v = _expected_grading(source.grading(src), variance, bidegree)
-    bits = 0
-    for tgt, coeff in row.items():
-        t = target.index(tgt)
-        red = coeff.reduce(ideal)
-        if red.is_zero():
-            continue
-        tu, tv = target.grading(tgt)
-        for m in red:
-            if tu - 2 * m.i != exp_u or tv - 2 * m.j != exp_v:
-                raise StructuralError(
-                    f"map entry {m.render()} {tgt} on {src} breaks "
-                    f"declared bidegree {bidegree}")
-        bits |= 1 << t
-    return bits
-
-
-def _expected_grading(src_gr: tuple[int, int], variance: str,
-                      bidegree: Bidegree) -> tuple[int, int]:
-    gu, gv = src_gr
-    if variance == "skew":
-        gu, gv = gv, gu
-    return (gu + bidegree[0], gv + bidegree[1])
-
-
 def _composite_shape(outer, inner) -> tuple[str, Bidegree, Ideal]:
     """Variance, bidegree and ideal of `outer` after `inner`, two maps or
     map spaces.  A skew outer map exchanges U and V, so it swaps the
@@ -230,28 +202,6 @@ def _composite_shape(outer, inner) -> tuple[str, Bidegree, Ideal]:
         bi = (bi[1], bi[0])
     return (variance, (bi[0] + outer.bidegree[0], bi[1] + outer.bidegree[1]),
             ideal)
-
-
-def _masked(source: Complex, target: Complex, variance: str,
-            bidegree: Bidegree, ideal: Ideal, rows: Sequence[int]) -> Sequence[int]:
-    """Rows of a map with the terms in `ideal` removed: the kept targets
-    of x depend only on x's bigrading, so each bigrading of a nonzero row
-    takes one mask (zero rows, most rows of a sparse map, take none)."""
-    if ideal.kind == "zero":
-        return rows
-    kept = kept_targets(target.grading_index, ideal)
-    masks: dict[tuple[int, int], int] = {}
-    out = []
-    for x, row in zip(source.basis, rows):
-        if row:
-            gr = (x.gr_u, x.gr_v)
-            mask = masks.get(gr)
-            if mask is None:
-                mask = masks[gr] = kept(_expected_grading(gr, variance,
-                                                          bidegree))
-            row &= mask
-        out.append(row)
-    return out
 
 
 def identity_map(C: Complex, ideal: Ideal | None = None) -> LinMap:
@@ -335,13 +285,14 @@ class MapSpace:
     def build(source: Complex, target: Complex, variance: str,
               bidegree: Bidegree, ideal: Ideal) -> "MapSpace":
         kept = kept_targets(target.grading_index, ideal)
-        pairs = []
+        pairs, terms = [], {}  # terms: (target, monomial)s by bigrading
         for x in source.basis:
-            exp_u, exp_v = _expected_grading((x.gr_u, x.gr_v), variance, bidegree)
-            for t in bits_of(kept((exp_u, exp_v))):
-                y = target.basis[t]
-                pairs.append((x.name, y.name, Mono((y.gr_u - exp_u) // 2,
-                                                   (y.gr_v - exp_v) // 2)))
+            gr = (x.gr_u, x.gr_v)
+            if gr not in terms:
+                e = _image_grading(x, variance, bidegree)
+                terms[gr] = [(tgt, Mono(i, j)) for tgt, i, j
+                             in _row_terms(target.basis, kept(e), e)]
+            pairs += [(x.name, tgt, m) for tgt, m in terms[gr]]
         return MapSpace(source, target, variance, bidegree, ideal,
                         tuple(pairs))
 
@@ -371,8 +322,7 @@ class MapSpace:
                 or (f.variance, f.bidegree) != (self.variance, self.bidegree)):
             raise StructuralError("map falls outside the map space")
         bits = 0
-        for s, row in enumerate(_masked(self.source, self.target, f.variance,
-                                        f.bidegree, self.ideal, f.rows)):
+        for s, row in enumerate(f.reduce_to(self.ideal).rows):
             for t in bits_of(row):
                 bits ^= self.pair_bits[(s, t)]
         return bits

@@ -635,7 +635,7 @@ def fixpoint_maximal_self_local(C: Complex, iota: IotaData, order: str):
     """(map, note) of the kill-candidate greedy over `JointSelfLocalFamily`,
     sweeping the candidates again until a sweep accepts none."""
     fam = JointSelfLocalFamily(C, iota)
-    candidates = _kill_candidates(C, fam.fspace, order)
+    candidates = list(_kill_candidates(C, fam.fspace, order)[1])
     by_unknown = {}
     for k, v in enumerate(fam.null):
         for b in bits_of(v):
@@ -664,6 +664,32 @@ def fixpoint_maximal_self_local(C: Complex, iota: IotaData, order: str):
                 changed = True
     f = fam.fspace.map_from_bits(fam.point(inner.particular_solution()))
     return f, f"maximal over {len(candidates)} candidate vectors ({order} order)"
+
+
+def kill_candidates_list(C: Complex, fspace: MapSpace, order: str):
+    """Every kill candidate of `localequiv._kill_candidates`, built into
+    one list up front: singles, then same-parity pairs x < y."""
+    by_source: dict[str, list[int]] = {}
+    for k, (srcn, _, _) in enumerate(fspace.pairs):
+        by_source.setdefault(srcn, []).append(k)
+    singles = [[1 << k for k in by_source.get(g.name, [])] for g in C.basis]
+    pairs = []
+    for xi in range(len(C)):
+        for yi in range(xi + 1, len(C)):
+            x, y = C.basis[xi], C.basis[yi]
+            du, dv = x.gr_u - y.gr_u, x.gr_v - y.gr_v
+            if du % 2 or dv % 2:
+                continue
+            a, b = max(0, -du // 2), max(0, -dv // 2)
+            slots: dict[tuple[str, int, int], int] = {}
+            for g, ea, eb in ((x, a, b), (y, a + du // 2, b + dv // 2)):
+                for k in by_source.get(g.name, []):
+                    _, tgt, m = fspace.pairs[k]
+                    key = (tgt, ea + m.i, eb + m.j)
+                    slots[key] = slots.get(key, 0) | (1 << k)
+            pairs.append(list(slots.values()))
+    cands = singles + pairs
+    return cands[::-1] if order == "reverse" else cands
 
 
 # -- the list-based echelon kernel ------------------------------------------

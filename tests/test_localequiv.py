@@ -18,7 +18,8 @@ from knotfloer.localequiv import (KernelSpace, LocalSearchSpec,
 from knotfloer.morphism import (IotaData, MapSpace, enumerate_almost_iotas,
                                 validate_iota, zero_map)
 from knotfloer.ring import Ideal, RingElt
-from oracles import grading_fitting_pairs
+from knotfloer.tensorsum import tensor
+from oracles import grading_fitting_pairs, kill_candidates_list
 
 ONE = RingElt.one()
 
@@ -463,3 +464,36 @@ def test_self_local_outputs_independent_of_hash_seed():
                                    capture_output=True, text=True,
                                    check=True, timeout=120).stdout)
     assert outs[0] == outs[1] and outs[0].count("_conn ring full") == 28
+
+
+# -- the kill candidates, one at a time ---------------------------------------
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_kill_candidates_match_the_list_reference(n, order):
+    C = build_cable(n)
+    fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
+    count, candidates = localequiv._kill_candidates(C, fspace, order)
+    reference = kill_candidates_list(C, fspace, order)
+    assert list(candidates) == reference and count == len(reference)
+
+
+def test_kill_candidates_are_built_on_demand():
+    # cable2 x cable3: 405 generators, 22,573 map-space coordinates and
+    # 41,209 candidates, which, built as one list, exhaust 1.5 GB
+    import itertools
+    import tracemalloc
+
+    C = tensor(build_cable(2), build_cable(3))
+    fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
+    for order in ("forward", "reverse"):  # singles first, then pairs first
+        tracemalloc.start()
+        try:
+            count, candidates = localequiv._kill_candidates(C, fspace, order)
+            first = list(itertools.islice(candidates, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(C), fspace.dim, count, len(first)) == (405, 22_573,
+                                                           41_209, 10)
+        assert peak < 32 * 2**20
