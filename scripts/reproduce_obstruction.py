@@ -51,8 +51,8 @@ def main() -> None:
               f"({time.time() - t0:.2f}s); forced values on a, b, f, g:")
         sample = iotas[n][0]
         for g in ("a", "b", "f", "g"):
-            targets = " + ".join(t for t in C.names()
-                                 if t in sample.map.of_gen(g))
+            targets = " + ".join(
+                t for t, _, _ in sample.map.row_terms(C.index(g)))
             print(f"    iota({g}) = {targets}   mod (U,V)")
 
     print("\n== local-map decisions (almost mode) ==")

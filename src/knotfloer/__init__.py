@@ -22,7 +22,7 @@ from .localequiv import (KernelSpace, LocalCertificate, LocalSearchSpec,
 from .morphism import (IotaData, IotaReport, LinMap, MapSpace, chain_defect,
                        derivative_maps, enumerate_almost_iotas, identity_map,
                        is_chain_map, validate_iota, zero_map)
-from .ring import Ideal, Mono, RingElt, mul, reduce
+from .ring import Ideal, Mono
 from .tensorsum import (map_tensor, pair_name, product_equivalence,
                         product_iota, tensor, tensor_many)
 

@@ -142,7 +142,7 @@ def parse_cfk(text: str) -> CfkFile:
     iota = None
     if actions["iota"]:
         rows = [iota_rows.get(s, 0) for s in range(len(gens))]
-        iota = IotaData(LinMap.of_rows(C, C, "skew", (0, 0), _MAX, rows))
+        iota = IotaData(LinMap(C, C, "skew", (0, 0), _MAX, rows))
     return CfkFile(C, iota)
 
 
@@ -194,5 +194,5 @@ def parse_map_file(text: str, source: Complex, target: Complex) -> LinMap:
         if off:
             raise CfkParseError(
                 str(_bidegree_error(src, *off[0], bidegree)), lineno)
-    return LinMap.of_rows(source, target, variance or "eq", bidegree or (0, 0),
-                          source.ring, rows)
+    return LinMap(source, target, variance or "eq", bidegree or (0, 0),
+                  source.ring, rows)

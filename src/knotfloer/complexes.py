@@ -10,10 +10,9 @@ quotients, the V-free and unit parts of d, d^2, map spaces and map
 reductions all mask by it.  The rule itself, that a term U^i V^j y of
 f(x) has gr(y) - (2i, 2j) = gr_v(x) + b for f of variance v and
 bidegree b, is coded here once for complexes and maps alike, from
-`_image_grading` to `_mask_rows`.  The coefficient-dict constructor is
-the input format; terms that break the rule are kept aside for
-`validate` and the RingElt views (`d_of`, `diff_items`, `apply_d`), and
-asking such a complex for its rows raises.
+`_image_grading` to `_mask_rows`.  The constructor takes d as monomial
+sets, {source: {target: monomials}}; terms that break the rule are kept
+aside for `validate`, and asking such a complex for its rows raises.
 """
 
 from __future__ import annotations
@@ -24,13 +23,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceError, StructuralError
 from .linalg import bits_of, transpose
-from .ring import Ideal, Mono, RingElt
+from .ring import Ideal, Mono
 
 if TYPE_CHECKING:
     from .homology import UHomology
-
-# An element of a complex: generator name -> F2[U,V] coefficient.
-Element = dict[str, RingElt]
 
 
 @dataclass(frozen=True)
@@ -176,31 +172,6 @@ class Complex:
                         for x, row in zip(self.basis, self._rows))
                 and all(m.i or m.j for _, _, m in self._stray))
 
-    # -- RingElt views -----------------------------------------------------
-
-    def d_of(self, name: str) -> dict[str, RingElt]:
-        s = self.index(name)
-        monos = {tgt: {Mono(i, j)} for tgt, i, j in _row_terms(
-            self.basis, self._rows[s],
-            _image_grading(self.basis[s], "eq", (-1, -1)))}
-        for src, tgt, m in self._stray:
-            if src == name:
-                monos.setdefault(tgt, set()).add(m)
-        return {tgt: RingElt(ms) for tgt, ms in monos.items()}
-
-    def diff_items(self):
-        for g in self.basis:
-            row = self.d_of(g.name)
-            if row:
-                yield g.name, row
-
-    def apply_d(self, elt: Element) -> Element:
-        out: Element = {}
-        for src, coeff in elt.items():
-            for tgt, dc in self.d_of(src).items():
-                add_term(out, tgt, (coeff * dc).reduce(self.ring))
-        return out
-
     # -- checks ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -208,12 +179,24 @@ class Complex:
         terms included, because they check input from outside.  The
         report is computed once and kept.  Without stray terms, d^2(s) is
         the XOR of the rows of d(s)'s targets: the gradings fix the one
-        monomial of all paths s -> t -> u, and the ring may drop it."""
+        monomial of all paths s -> t -> u, and the ring may drop it.  With
+        them, d^2(s) is taken on sets of (target, monomial) terms: a path
+        multiplies its monomials, and an F2 sum is a symmetric difference."""
         if self._report is not None:
             return self._report
         if self._stray:
-            failed = [g for g in self.basis
-                      if self.apply_d(self.apply_d({g.name: RingElt.one()}))]
+            d = [{(self._index[t], Mono(i, j)) for t, i, j in _row_terms(
+                self.basis, row, _image_grading(x, "eq", (-1, -1)))}
+                 for x, row in zip(self.basis, self._rows)]
+            for src, tgt, m in self._stray:
+                d[self._index[src]].add((self._index[tgt], m))
+            failed = []
+            for x, terms in zip(self.basis, d):
+                square: set[tuple[int, Mono]] = set()
+                for t, m in terms:
+                    square ^= {(u, m * n) for u, n in d[t]}
+                if any(not self.ring.contains(p) for _, p in square):
+                    failed.append(x)
         else:
             d2 = [reduce(int.__xor__, map(self._rows.__getitem__, bits_of(r)),
                          0) for r in self._rows]
@@ -245,12 +228,12 @@ class Complex:
         return hash((self.basis, self.ring))
 
     def equal_up_to_reorder(self, other: "Complex") -> bool:
-        if self.ring != other.ring or set(self.basis) != set(other.basis):
+        """Equality up to the order of the basis: with the gradings equal,
+        each generator's target names fix its row."""
+        if (self.ring != other.ring or set(self.basis) != set(other.basis)
+                or set(self._stray) != set(other._stray)):
             return False
-        for g in self.basis:
-            if self.d_of(g.name) != other.d_of(g.name):
-                return False
-        return True
+        return _named_rows(self) == _named_rows(other)
 
     def rename(self, mapping: Mapping[str, str],
                name: str | None = None) -> "Complex":
@@ -344,6 +327,12 @@ def _row_terms(basis: Sequence[Generator], row: int,
             for y in map(basis.__getitem__, bits_of(row))]
 
 
+def _named_rows(C: Complex) -> dict[str, frozenset[str]]:
+    """The target names of each generator's row, by generator name."""
+    return {x.name: frozenset(C.basis[t].name for t in bits_of(row))
+            for x, row in zip(C.basis, C._rows)}
+
+
 def _mask_rows(source: Complex, target: Complex, variance: str,
                bidegree: tuple[int, int], ideal: Ideal,
                rows: Sequence[int]) -> Sequence[int]:
@@ -371,17 +360,6 @@ def _bidegree_error(src: str, tgt: str, m: Mono,
     """The error for the term m tgt of f(src) off the grading rule."""
     return StructuralError(f"map entry {m.render()} {tgt} on {src} breaks "
                            f"declared bidegree {bidegree}")
-
-
-# -- element helpers -----------------------------------------------------
-
-def add_term(elt: Element, name: str, coeff: RingElt) -> None:
-    cur = elt.get(name)
-    new = coeff if cur is None else cur + coeff
-    if new.is_zero():
-        elt.pop(name, None)
-    else:
-        elt[name] = new
 
 
 # -- duals and quotients ---------------------------------------------------

@@ -160,16 +160,6 @@ class UHomology:
         return any(self._gr[t] == g and (self._cov[t] & bits).bit_count() & 1
                    for t in self._towers)
 
-    def vector_from_element(self, elt: dict, grading: int) -> VVector:
-        """An element of C/(V), given as gen -> U-power set, in `grading`."""
-        bits = 0
-        for name, coeff in elt.items():
-            t = self.C.index(name)
-            for m in coeff:
-                if m.j == 0:
-                    bits ^= 1 << t
-        return bits, grading
-
 
 def hfk_minus(C: Complex) -> FUDecomp:
     """U-module decomposition of the homology of C/(V)."""

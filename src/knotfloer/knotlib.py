@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import Complex, Generator
-from .ring import Ideal, RingElt
+from .ring import Ideal, Mono
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def build_figure_eight() -> Complex:
 
     d(b) = U c + V d, d(c) = V e, d(d) = U e; a and e are cycles.
     """
-    U, V = RingElt.mono(1, 0), RingElt.mono(0, 1)
+    U, V = {Mono(1, 0)}, {Mono(0, 1)}
     basis = [
         Generator("a", 0, 0),
         Generator("b", 0, 0),
@@ -63,11 +63,11 @@ def build_cable(params: CableParams | int) -> Complex:
         params = CableParams(params)
     n = params.n
 
-    def mono(i: int, j: int) -> RingElt:
-        return RingElt.mono(i, j)
+    def mono(i: int, j: int) -> set[Mono]:
+        return {Mono(i, j)}
 
     basis: list[Generator] = [Generator("a", 0, 0)]
-    diff: dict[str, dict[str, RingElt]] = {}
+    diff: dict[str, dict[str, set[Mono]]] = {}
 
     def add_full_piece(b, c, d, e, f, g, uc: int, ve: int,
                        cu: int, cv: int, eu: int, ev: int,

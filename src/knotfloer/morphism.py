@@ -8,9 +8,7 @@ and because it has a fixed bidegree, products of monomials land on the
 monomial the gradings fix for the composite.  So map algebra is bit
 algebra: `+` is XOR, `compose` XORs the outer rows over the set bits of
 each inner row, and reduction modulo a monomial ideal is an AND with a
-mask of the targets whose fixed monomial lies outside the ideal.  The
-RingElt views (`action`, `of_gen`, `apply`) and the validating
-constructor from an action dict serve the text formats and the tests.
+mask of the targets whose fixed monomial lies outside the ideal.
 Map spaces are finite-dimensional over F2 for the same reason, with no
 truncation artifacts.
 """
@@ -19,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterator, Mapping, Sequence
 
-from .complexes import (Complex, Element, _bidegree_error, _graded_row,
-                        _ideal_leq, _image_grading, _mask_rows, _row_terms,
-                        add_term, kept_targets)
+from .complexes import (Complex, _ideal_leq, _image_grading, _mask_rows,
+                        _row_terms, kept_targets)
 from .errors import ResourceError, StructuralError
 from .linalg import GF2System, bits_of, complement_basis, rref_basis
 from .ring import Ideal, Mono, RingElt, render_mono
@@ -38,41 +35,22 @@ class LinMap:
     """A module map, one bitset row per source generator.
 
     variance "eq" extends F2[U,V]-linearly and "skew" exchanges U and
-    V; either way the gradings fix the monomial of every term.  The
-    constructor takes an action dict (source -> target -> coefficient, a
-    RingElt or a set of monomials), reduces it modulo the ideal and raises
-    on the first term off the bidegree; `of_rows` wraps rows that are
-    already valid.
+    V; either way the gradings fix the monomial of every term.  Every set
+    bit of `rows` must be a pair whose fixed monomial lies outside the
+    ideal.  `of_gen` and `action` read the rows back as monomial sets.
     """
 
     __slots__ = ("source", "target", "variance", "bidegree", "ideal", "rows")
 
     def __init__(self, source: Complex, target: Complex, variance: str,
-                 bidegree: Bidegree,
-                 action: Mapping[str, Mapping[str, Iterable[Mono]]],
-                 ideal: Ideal | None = None):
+                 bidegree: Bidegree, ideal: Ideal, rows: Sequence[int]):
         if variance not in _VARIANCES:
             raise StructuralError(f"unknown variance {variance!r}")
-        if ideal is None:
-            ideal = source.ring
-        rows = [0] * len(source)
-        for src, terms in action.items():
-            s = source.index(src)
-            rows[s], off = _graded_row(
-                terms, _image_grading(source.basis[s], variance, bidegree),
-                ideal, target.basis, target.index)
-            if off:
-                raise _bidegree_error(src, *off[0], bidegree)
-        _fill(self, source, target, variance, bidegree, ideal, rows)
-
-    @classmethod
-    def of_rows(cls, source: Complex, target: Complex, variance: str,
-                bidegree: Bidegree, ideal: Ideal, rows: Sequence[int]) -> "LinMap":
-        """The map with these rows; every set bit must be a pair whose
-        fixed monomial lies outside the ideal."""
-        f = object.__new__(cls)
-        _fill(f, source, target, variance, bidegree, ideal, rows)
-        return f
+        for slot, value in (("source", source), ("target", target),
+                            ("variance", variance),
+                            ("bidegree", tuple(bidegree)), ("ideal", ideal),
+                            ("rows", tuple(rows))):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("LinMap is immutable")
@@ -85,27 +63,16 @@ class LinMap:
         return _row_terms(self.target.basis, self.rows[s], _image_grading(
             self.source.basis[s], self.variance, self.bidegree))
 
-    def of_gen(self, name: str) -> Element:
+    def of_gen(self, name: str) -> dict[str, RingElt]:
         s = self.source._index.get(name)
         if s is None:
             return {}
         return {tgt: RingElt.mono(i, j) for tgt, i, j in self.row_terms(s)}
 
     @property
-    def action(self) -> dict[str, Element]:
+    def action(self) -> dict[str, dict[str, RingElt]]:
         return {x.name: self.of_gen(x.name)
                 for x, row in zip(self.source.basis, self.rows) if row}
-
-    def apply(self, elt: Element) -> Element:
-        out: Element = {}
-        for src, coeff in elt.items():
-            s = self.source._index.get(src)
-            if s is None:
-                continue
-            transported = coeff.swap() if self.variance == "skew" else coeff
-            for tgt, i, j in self.row_terms(s):
-                add_term(out, tgt, transported.scale(Mono(i, j)).reduce(self.ideal))
-        return out
 
     def is_zero(self) -> bool:
         return not any(self.rows)
@@ -117,9 +84,9 @@ class LinMap:
                 or self.variance != other.variance
                 or self.bidegree != other.bidegree or self.ideal != other.ideal):
             raise StructuralError("can only add maps of matching shape")
-        return LinMap.of_rows(self.source, self.target, self.variance,
-                              self.bidegree, self.ideal,
-                              [a ^ b for a, b in zip(self.rows, other.rows)])
+        return LinMap(self.source, self.target, self.variance,
+                      self.bidegree, self.ideal,
+                      [a ^ b for a, b in zip(self.rows, other.rows)])
 
     def compose(self, inner: "LinMap") -> "LinMap":
         """self after inner."""
@@ -135,14 +102,14 @@ class LinMap:
             rows.append(acc)
         rows = _mask_rows(inner.source, self.target, variance, bidegree,
                           ideal, rows)
-        return LinMap.of_rows(inner.source, self.target, variance, bidegree,
-                              ideal, rows)
+        return LinMap(inner.source, self.target, variance, bidegree,
+                      ideal, rows)
 
     def reduce_to(self, ideal: Ideal) -> "LinMap":
         rows = _mask_rows(self.source, self.target, self.variance,
                           self.bidegree, ideal, self.rows)
-        return LinMap.of_rows(self.source, self.target, self.variance,
-                              self.bidegree, ideal, rows)
+        return LinMap(self.source, self.target, self.variance,
+                      self.bidegree, ideal, rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinMap):
@@ -152,7 +119,7 @@ class LinMap:
             return False
         if self.source is other.source and self.target is other.target:
             return self.rows == other.rows
-        return self.action == other.action
+        return _named_terms(self) == _named_terms(other)
 
     def __hash__(self) -> int:
         return hash(self.render())
@@ -176,12 +143,10 @@ class LinMap:
         return "\n".join(lines)
 
 
-def _fill(f: LinMap, source: Complex, target: Complex, variance: str,
-          bidegree: Bidegree, ideal: Ideal, rows: Sequence[int]) -> None:
-    for slot, value in (("source", source), ("target", target),
-                        ("variance", variance), ("bidegree", tuple(bidegree)),
-                        ("ideal", ideal), ("rows", tuple(rows))):
-        object.__setattr__(f, slot, value)
+def _named_terms(f: LinMap) -> dict[str, set[tuple[str, int, int]]]:
+    """The terms of each nonzero row of f, by source generator name."""
+    return {x.name: set(f.row_terms(s))
+            for s, x in enumerate(f.source.basis) if f.rows[s]}
 
 
 def _composite_shape(outer, inner) -> tuple[str, Bidegree, Ideal]:
@@ -205,17 +170,18 @@ def _composite_shape(outer, inner) -> tuple[str, Bidegree, Ideal]:
 
 
 def identity_map(C: Complex, ideal: Ideal | None = None) -> LinMap:
-    return LinMap.of_rows(C, C, "eq", (0, 0), ideal or C.ring,
-                          [1 << k for k in range(len(C))])
+    return LinMap(C, C, "eq", (0, 0), ideal or C.ring,
+                  [1 << k for k in range(len(C))])
 
 
 def zero_map(source: Complex, target: Complex, variance: str = "eq",
              bidegree: Bidegree = (0, 0), ideal: Ideal | None = None) -> LinMap:
-    return LinMap(source, target, variance, bidegree, {}, ideal or source.ring)
+    return LinMap(source, target, variance, bidegree, ideal or source.ring,
+                  [0] * len(source))
 
 
 def differential_map(C: Complex) -> LinMap:
-    return LinMap.of_rows(C, C, "eq", (-1, -1), C.ring, C.rows)
+    return LinMap(C, C, "eq", (-1, -1), C.ring, C.rows)
 
 
 # -- derivative maps -------------------------------------------------------
@@ -235,10 +201,10 @@ def derivative_maps(C: Complex) -> tuple[LinMap, LinMap]:
         return [sum(1 << t for t in bits_of(row) if (gr[t] - gr[s] + 1) & 2)
                 for s, row in enumerate(C.rows)]
 
-    phi = LinMap.of_rows(C, C, "eq", (1, -1), C.ring,
-                         odd([g.gr_u for g in C.basis]))
-    psi = LinMap.of_rows(C, C, "eq", (-1, 1), C.ring,
-                         odd([g.gr_v for g in C.basis]))
+    phi = LinMap(C, C, "eq", (1, -1), C.ring,
+                 odd([g.gr_u for g in C.basis]))
+    psi = LinMap(C, C, "eq", (-1, 1), C.ring,
+                 odd([g.gr_v for g in C.basis]))
     return phi, psi
 
 
@@ -312,8 +278,8 @@ class MapSpace:
         for k in bits_of(bits):
             src, tgt, _ = self.pairs[k]
             rows[index[src]] ^= 1 << tindex[tgt]
-        return LinMap.of_rows(self.source, self.target, self.variance,
-                              self.bidegree, self.ideal, rows)
+        return LinMap(self.source, self.target, self.variance,
+                      self.bidegree, self.ideal, rows)
 
     def bits_from_map(self, f: LinMap) -> int:
         """f, a map of this space's shape, reduced modulo the space's

@@ -1,9 +1,9 @@
-"""Exact arithmetic in F2[U,V] and its quotients.
+"""Monomials of F2[U,V] and the monomial ideals of its quotients.
 
-Elements are finite sets of monomials U^i V^j with coefficient 1 in F2;
-addition is symmetric difference.  Quotients are taken by deleting every
-monomial that lies in the ideal, which gives the canonical coset
-representative because all ideals used here are monomial ideals.
+A monomial U^i V^j lies in a quotient's ideal or outside it; every ideal
+used here is a monomial ideal, so deleting the monomials in it gives the
+canonical coset representative.  Complexes and maps carry no ring
+elements: the gradings fix the one monomial on each pair of generators.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -26,15 +26,8 @@ class Mono:
         if self.i < 0 or self.j < 0:
             raise ValueError(f"negative exponent in monomial ({self.i}, {self.j})")
 
-    def grading(self) -> tuple[int, int]:
-        return (-2 * self.i, -2 * self.j)
-
     def __mul__(self, other: "Mono") -> "Mono":
         return Mono(self.i + other.i, self.j + other.j)
-
-    def swap(self) -> "Mono":
-        """Exchange the roles of U and V (used by skew-equivariant maps)."""
-        return Mono(self.j, self.i)
 
     def render(self) -> str:
         return render_mono(self.i, self.j)
@@ -121,7 +114,8 @@ class Ideal:
 
 
 class RingElt:
-    """A finite F2-combination of monomials, stored as a frozenset."""
+    """A finite set of monomials, the value of the `LinMap.of_gen` and
+    `LinMap.action` views; it does no arithmetic."""
 
     __slots__ = ("terms",)
 
@@ -131,30 +125,13 @@ class RingElt:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("RingElt is immutable")
 
-    @staticmethod
-    def zero() -> "RingElt":
-        return RingElt()
-
-    @staticmethod
-    def one() -> "RingElt":
-        return RingElt((Mono(0, 0),))
-
-    @staticmethod
-    def mono(i: int, j: int) -> "RingElt":
-        return RingElt((Mono(i, j),))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == frozenset((Mono(0, 0),))
+    @classmethod
+    def mono(cls, i: int, j: int) -> "RingElt":
+        return cls((Mono(i, j),))
 
     def __iter__(self) -> Iterator[Mono]:
         # canonical lexicographic (i, then j) order for serialization
         return iter(sorted(self.terms))
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RingElt) and self.terms == other.terms
@@ -162,44 +139,11 @@ class RingElt:
     def __hash__(self) -> int:
         return hash(self.terms)
 
-    def __add__(self, other: "RingElt") -> "RingElt":
-        return RingElt(self.terms ^ other.terms)
-
-    def __mul__(self, other: "RingElt") -> "RingElt":
-        acc: set[Mono] = set()
-        for m1 in self.terms:
-            for m2 in other.terms:
-                acc ^= {m1 * m2}
-        return RingElt(acc)
-
-    def scale(self, m: Mono) -> "RingElt":
-        return RingElt(m * t for t in self.terms)
-
-    def swap(self) -> "RingElt":
-        return RingElt(t.swap() for t in self.terms)
-
-    def reduce(self, ideal: Ideal) -> "RingElt":
-        if ideal.kind == "zero":
-            return self
-        return RingElt(t for t in self.terms if not ideal.contains(t))
-
     def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        return " + ".join(m.render() for m in self)
+        return " + ".join(m.render() for m in self) or "0"
 
     def __repr__(self) -> str:
         return f"RingElt({self.render()})"
-
-
-def reduce(e: RingElt, ideal: Ideal) -> RingElt:
-    """Delete every monomial of e that lies in the ideal."""
-    return e.reduce(ideal)
-
-
-def mul(e1: RingElt, e2: RingElt, ideal: Ideal) -> RingElt:
-    """F2 polynomial product followed by reduction mod the ideal."""
-    return (e1 * e2).reduce(ideal)
 
 
 def parse_mono(tokens: list[str]) -> Mono:

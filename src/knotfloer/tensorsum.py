@@ -77,15 +77,15 @@ def map_tensor(f: LinMap, g: LinMap, T: Complex | None = None) -> LinMap:
     if T is None:
         T = tensor(f.source, g.source)
     bidegree = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
-    return LinMap.of_rows(T, T, f.variance, bidegree, Ideal.zero(),
-                          _outer(f.rows, g.rows, len(g.source))
-                          ).reduce_to(f.ideal)
+    return LinMap(T, T, f.variance, bidegree, Ideal.zero(),
+                  _outer(f.rows, g.rows, len(g.source))
+                  ).reduce_to(f.ideal)
 
 
 def _lift_mod_uv(i: IotaData) -> LinMap:
     """View an almost involution's basis-level action over the full ring."""
-    return LinMap.of_rows(i.map.source, i.map.target, "skew", (0, 0),
-                          Ideal.zero(), i.map.rows)
+    return LinMap(i.map.source, i.map.target, "skew", (0, 0),
+                  Ideal.zero(), i.map.rows)
 
 
 def product_iota(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,

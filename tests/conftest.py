@@ -9,7 +9,8 @@ import pytest
 from knotfloer.complexes import Complex, Generator
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
 from knotfloer.morphism import LinMap, enumerate_almost_iotas
-from knotfloer.ring import Ideal, Mono, RingElt
+from knotfloer.ring import Ideal, Mono
+from oracles import RingElt, apply_d, map_of_action
 
 
 @pytest.fixture(scope="session")
@@ -135,7 +136,7 @@ def _apply_transvection(C: Complex, x: str, y: str, m: Mono) -> Complex:
         start = {g.name: RingElt.one()}
         if g.name == x:
             start[y] = coeff
-        de = C.apply_d(start)
+        de = apply_d(C, start)
         de = t(de)
         de = {k: v for k, v in de.items() if not v.is_zero()}
         if de:
@@ -170,6 +171,6 @@ def transvection_maps(C_old: Complex, C_new: Complex, x: str, y: str,
     coeff = RingElt((m,))
     action = {g.name: {g.name: RingElt.one()} for g in C_old.basis}
     action[x] = {x: RingElt.one(), y: coeff}
-    fwd = LinMap(C_old, C_new, "eq", (0, 0), action, C_old.ring)
-    bwd = LinMap(C_new, C_old, "eq", (0, 0), action, C_old.ring)
+    fwd = map_of_action(C_old, C_new, "eq", (0, 0), action, C_old.ring)
+    bwd = map_of_action(C_new, C_old, "eq", (0, 0), action, C_old.ring)
     return fwd, bwd

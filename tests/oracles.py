@@ -35,15 +35,26 @@ instead of one block per bigrading.
 pass by visiting every live row instead of reading a column index;
 `scan_kept_targets` decides each expected grading by a scan of every
 target bigrading instead of the two axes through it; `ringelt_validate`
-checks d^2 through the RingElt views instead of XORing rows.
+checks d^2 through the element views instead of XORing rows, or
+instead of the monomial sets of a complex with stray terms.
+
+The reference algebra comes first: `RingElt` with its arithmetic, `mul`
+and `reduce` on F2[U,V] and its quotients, the element views of a
+complex (`d_of`, `diff_items`, `apply_d`) and of a map (`action`,
+`linmap_apply`), `map_of_action`, which builds a map from an action dict
+and raises on a term off the bidegree, and `vector_from_element`.  The
+package keeps none of them; the oracles below and the tests compute
+with them.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from knotfloer.complexes import (Complex, Element, Generator,
-                                 ValidationReport, _ideal_leq, add_term)
+from knotfloer import ring
+from knotfloer.complexes import (Complex, Generator, ValidationReport,
+                                 _bidegree_error, _graded_row, _ideal_leq,
+                                 _image_grading, _row_terms)
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.homology import UHomology
 from knotfloer.linalg import GF2System, bits_of, rref_basis
@@ -52,8 +63,156 @@ from knotfloer.localequiv import (_exponent_bound, _kill_candidates,
 from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
                                 derivative_maps, differential_map,
                                 identity_map)
-from knotfloer.ring import Ideal, Mono, RingElt
+from knotfloer.ring import Ideal, Mono
 from knotfloer.tensorsum import pair_name
+
+
+# -- the reference algebra ----------------------------------------------------
+
+class RingElt(ring.RingElt):
+    """An element of F2[U,V] with its arithmetic: `+` is the symmetric
+    difference of the monomial sets, `*` multiplies them out over F2, and
+    `reduce` deletes the monomials in an ideal.  It equals the package's
+    `RingElt` value (of `LinMap.of_gen` and `LinMap.action`) with the same
+    monomials."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls) -> "RingElt":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "RingElt":
+        return cls((Mono(0, 0),))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_one(self) -> bool:
+        return self.terms == frozenset((Mono(0, 0),))
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __add__(self, other: ring.RingElt) -> "RingElt":
+        return RingElt(self.terms ^ other.terms)
+
+    def __mul__(self, other: ring.RingElt) -> "RingElt":
+        acc: set[Mono] = set()
+        for m1 in self.terms:
+            for m2 in other.terms:
+                acc ^= {m1 * m2}
+        return RingElt(acc)
+
+    def scale(self, m: Mono) -> "RingElt":
+        return RingElt(m * t for t in self.terms)
+
+    def swap(self) -> "RingElt":
+        return RingElt(Mono(t.j, t.i) for t in self.terms)
+
+    def reduce(self, ideal: Ideal) -> "RingElt":
+        if ideal.kind == "zero":
+            return self
+        return RingElt(t for t in self.terms if not ideal.contains(t))
+
+
+def reduce(e: RingElt, ideal: Ideal) -> RingElt:
+    """Delete every monomial of e that lies in the ideal."""
+    return e.reduce(ideal)
+
+
+def mul(e1: RingElt, e2: RingElt, ideal: Ideal) -> RingElt:
+    """F2 polynomial product followed by reduction mod the ideal."""
+    return (e1 * e2).reduce(ideal)
+
+
+# An element of a complex: generator name -> F2[U,V] coefficient.
+Element = dict[str, RingElt]
+
+
+def add_term(elt: Element, name: str, coeff: RingElt) -> None:
+    new = elt.get(name, RingElt.zero()) + coeff
+    if new.is_zero():
+        elt.pop(name, None)
+    else:
+        elt[name] = new
+
+
+def d_of(C: Complex, name: str) -> Element:
+    """d(name) with its stray terms, target -> coefficient."""
+    s = C.index(name)
+    monos = {tgt: {Mono(i, j)} for tgt, i, j in _row_terms(
+        C.basis, C._rows[s], _image_grading(C.basis[s], "eq", (-1, -1)))}
+    for src, tgt, m in C._stray:
+        if src == name:
+            monos.setdefault(tgt, set()).add(m)
+    return {tgt: RingElt(ms) for tgt, ms in monos.items()}
+
+
+def diff_items(C: Complex):
+    """(generator, d(generator)) for every generator with d nonzero."""
+    for g in C.basis:
+        row = d_of(C, g.name)
+        if row:
+            yield g.name, row
+
+
+def apply_d(C: Complex, elt: Element) -> Element:
+    out: Element = {}
+    for src, coeff in elt.items():
+        for tgt, dc in d_of(C, src).items():
+            add_term(out, tgt, (coeff * dc).reduce(C.ring))
+    return out
+
+
+def action(f: LinMap) -> dict[str, Element]:
+    """`LinMap.action` with coefficients of the reference algebra."""
+    return {x.name: {tgt: RingElt.mono(i, j) for tgt, i, j in f.row_terms(s)}
+            for s, x in enumerate(f.source.basis) if f.rows[s]}
+
+
+def linmap_apply(f: LinMap, elt: Element) -> Element:
+    """f(elt) from the rows of f: each coefficient is transported (U and V
+    exchanged for a skew map) and scaled by each term's monomial."""
+    out: Element = {}
+    for src, coeff in elt.items():
+        s = f.source._index.get(src)
+        if s is None:
+            continue
+        transported = coeff.swap() if f.variance == "skew" else coeff
+        for tgt, i, j in f.row_terms(s):
+            add_term(out, tgt, transported.scale(Mono(i, j)).reduce(f.ideal))
+    return out
+
+
+def map_of_action(source: Complex, target: Complex, variance: str,
+                  bidegree: tuple[int, int], terms_of,
+                  ideal: Ideal | None = None) -> LinMap:
+    """The map given as source -> target -> coefficient (a RingElt or a
+    set of monomials), reduced modulo the ideal (the source's ring by
+    default); raises on the first term off the bidegree."""
+    ideal = source.ring if ideal is None else ideal
+    rows = [0] * len(source)
+    for src, terms in terms_of.items():
+        s = source.index(src)
+        rows[s], off = _graded_row(
+            terms, _image_grading(source.basis[s], variance, bidegree),
+            ideal, target.basis, target.index)
+        if off:
+            raise _bidegree_error(src, *off[0], bidegree)
+    return LinMap(source, target, variance, bidegree, ideal, rows)
+
+
+def vector_from_element(hom: UHomology, elt: Element, grading: int):
+    """An element of C/(V), given as gen -> U-power set, in `grading`, as
+    a vector of `hom`."""
+    bits = 0
+    for name, coeff in elt.items():
+        for m in coeff:
+            if m.j == 0:
+                bits ^= 1 << hom.C.index(name)
+    return bits, grading
 
 
 # -- F2 span helpers (rows are int bitmasks) ------------------------------
@@ -116,7 +275,7 @@ def _v_quotient_data(C: Complex):
     gens = [(g.name, g.gr_u) for g in C.basis]
     index = {name: k for k, (name, _) in enumerate(gens)}
     arrows = []  # (src_idx, tgt_idx, upower)
-    for src, row in C.diff_items():
+    for src, row in diff_items(C):
         for tgt, coeff in row.items():
             for m in coeff:
                 if m.j == 0:
@@ -353,13 +512,13 @@ def linmap_composition_columns(space: MapSpace, g: LinMap, slot: MapSpace,
 
 # -- map algebra on dictionaries of RingElt coefficients ----------------------
 
-def dict_apply(f: LinMap, elt: Element, action=None) -> Element:
-    """f(elt); pass f.action to reuse it across calls."""
-    action = f.action if action is None else action
+def dict_apply(f: LinMap, elt: Element, terms_of=None) -> Element:
+    """f(elt); pass action(f) to reuse it across calls."""
+    terms_of = action(f) if terms_of is None else terms_of
     out: Element = {}
     for src, coeff in elt.items():
         transported = coeff.swap() if f.variance == "skew" else coeff
-        for tgt, val in action.get(src, {}).items():
+        for tgt, val in terms_of.get(src, {}).items():
             add_term(out, tgt, (transported * val).reduce(f.ideal))
     return out
 
@@ -368,8 +527,8 @@ def dict_add(f: LinMap, g: LinMap) -> LinMap:
     assert (f.source is g.source and f.target is g.target
             and (f.variance, f.bidegree, f.ideal)
             == (g.variance, g.bidegree, g.ideal))
-    fa, ga = f.action, g.action
-    action = {}
+    fa, ga = action(f), action(g)
+    terms_of = {}
     for src in set(fa) | set(ga):
         row = {}
         for tgt in set(fa.get(src, {})) | set(ga.get(src, {})):
@@ -378,8 +537,9 @@ def dict_add(f: LinMap, g: LinMap) -> LinMap:
             if not coeff.is_zero():
                 row[tgt] = coeff
         if row:
-            action[src] = row
-    return LinMap(f.source, f.target, f.variance, f.bidegree, action, f.ideal)
+            terms_of[src] = row
+    return map_of_action(f.source, f.target, f.variance, f.bidegree, terms_of,
+                         f.ideal)
 
 
 def dict_compose(outer: LinMap, inner: LinMap) -> LinMap:
@@ -391,29 +551,30 @@ def dict_compose(outer: LinMap, inner: LinMap) -> LinMap:
         bi = (bi[1], bi[0])
     bidegree = (bi[0] + outer.bidegree[0], bi[1] + outer.bidegree[1])
     ideal = outer.ideal if _ideal_leq(inner.ideal, outer.ideal) else inner.ideal
-    action = {}
-    outer_action = outer.action
-    for src, row in inner.action.items():
+    terms_of = {}
+    outer_action = action(outer)
+    for src, row in action(inner).items():
         out = {k: v.reduce(ideal)
                for k, v in dict_apply(outer, row, outer_action).items()}
         out = {k: v for k, v in out.items() if not v.is_zero()}
         if out:
-            action[src] = out
-    return LinMap(inner.source, outer.target, variance, bidegree, action,
-                  ideal)
+            terms_of[src] = out
+    return map_of_action(inner.source, outer.target, variance, bidegree,
+                         terms_of, ideal)
 
 
 def dict_reduce_to(f: LinMap, ideal: Ideal) -> LinMap:
-    action = {src: {t: c.reduce(ideal) for t, c in row.items()}
-              for src, row in f.action.items()}
-    return LinMap(f.source, f.target, f.variance, f.bidegree, action, ideal)
+    terms_of = {src: {t: c.reduce(ideal) for t, c in row.items()}
+                for src, row in action(f).items()}
+    return map_of_action(f.source, f.target, f.variance, f.bidegree, terms_of,
+                         ideal)
 
 
 def dict_map_tensor(f: LinMap, g: LinMap, T: Complex) -> LinMap:
     """f tensor g on T = tensor(f.source, g.source), both endomorphisms."""
-    action = {}
-    ga = g.action
-    for x, frow in f.action.items():
+    terms_of = {}
+    ga = action(g)
+    for x, frow in action(f).items():
         for y, grow in ga.items():
             out = {}
             for xt, cf in frow.items():
@@ -422,15 +583,15 @@ def dict_map_tensor(f: LinMap, g: LinMap, T: Complex) -> LinMap:
                     if not coeff.is_zero():
                         add_term(out, pair_name(xt, yt), coeff)
             if out:
-                action[pair_name(x, y)] = out
+                terms_of[pair_name(x, y)] = out
     bidegree = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
-    return LinMap(T, T, f.variance, bidegree, action, f.ideal)
+    return map_of_action(T, T, f.variance, bidegree, terms_of, f.ideal)
 
 
 def dict_lift(i: IotaData) -> LinMap:
     """An almost involution's unit terms as a skew map over the full ring."""
-    return LinMap(i.map.source, i.map.target, "skew", (0, 0), i.map.action,
-                  Ideal.zero())
+    return map_of_action(i.map.source, i.map.target, "skew", (0, 0),
+                         i.map.action, Ideal.zero())
 
 
 def dict_product_iota(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
@@ -467,7 +628,8 @@ def element_image_complex(C: Complex, f: LinMap,
     span = max(max(g.gr_u for g in C.basis) - min(g.gr_u for g in C.basis),
                max(g.gr_v for g in C.basis) - min(g.gr_v for g in C.basis))
     max_exp = 0
-    for row in f.action.values():
+    f_action = action(f)
+    for row in f_action.values():
         for coeff in row.values():
             for m in coeff:
                 max_exp = max(max_exp, m.i, m.j)
@@ -502,7 +664,7 @@ def element_image_complex(C: Complex, f: LinMap,
         vecs = []
         elts = []
         for (gname, a, b) in terms:
-            img = f.of_gen(gname)
+            img = f_action.get(gname, {})
             if not img:
                 continue
             elt: Element = {}
@@ -549,7 +711,7 @@ def element_image_complex(C: Complex, f: LinMap,
 
     diff: dict[str, dict[str, RingElt]] = {}
     for (lbl, p, q, elt) in generators:
-        boundary = C.apply_d(elt)
+        boundary = apply_d(C, elt)
         if not boundary:
             continue
         tp, tq = p - 1, q - 1
@@ -807,9 +969,9 @@ def dict_tensor(C1: Complex, C2: Complex) -> Complex:
                        x.gr_v + y.gr_v)
              for x in C1.basis for y in C2.basis]
     diff: dict[str, dict[str, RingElt]] = {}
-    d2 = [C2.d_of(y.name) for y in C2.basis]
+    d2 = [d_of(C2, y.name) for y in C2.basis]
     for x in C1.basis:
-        dx = C1.d_of(x.name)
+        dx = d_of(C1, x.name)
         for y, dy in zip(C2.basis, d2):
             row: Element = {}
             for tgt, coeff in dx.items():
@@ -825,7 +987,7 @@ def dict_dualize(C: Complex) -> Complex:
     """Negated bigradings and the transposed coefficient dict."""
     basis = [Generator(g.name + "*", -g.gr_u, -g.gr_v) for g in C.basis]
     diff: dict[str, dict[str, RingElt]] = {}
-    for src, row in C.diff_items():
+    for src, row in diff_items(C):
         for tgt, coeff in row.items():
             diff.setdefault(tgt + "*", {})[src + "*"] = coeff
     return Complex(basis, diff, C.ring, C.name + "*")
@@ -836,7 +998,7 @@ def dict_quotient(C: Complex, ideal: Ideal) -> Complex:
     if not _ideal_leq(C.ring, ideal):
         raise StructuralError(
             f"cannot quotient a complex over {C.ring.kind} by {ideal.kind}")
-    return Complex(C.basis, dict(C.diff_items()), ideal, C.name)
+    return Complex(C.basis, dict(diff_items(C)), ideal, C.name)
 
 
 def dict_rename(C: Complex, mapping, name=None) -> Complex:
@@ -845,7 +1007,7 @@ def dict_rename(C: Complex, mapping, name=None) -> Complex:
         return mapping.get(n, n)
     basis = [Generator(nm(g.name), g.gr_u, g.gr_v) for g in C.basis]
     diff = {nm(src): {nm(t): c for t, c in row.items()}
-            for src, row in C.diff_items()}
+            for src, row in diff_items(C)}
     return Complex(basis, diff, C.ring, name or C.name)
 
 
@@ -940,10 +1102,10 @@ def scan_kept_targets(targets, ideal: Ideal):
 
 
 def ringelt_validate(C: Complex) -> ValidationReport:
-    """`Complex.validate` with d^2 taken through `apply_d` and its RingElt
-    views on every complex, computed afresh."""
+    """`Complex.validate` with d^2 taken through `apply_d` and the
+    reference algebra on every complex, computed afresh."""
     messages = [f"d^2({g.name}) != 0" for g in C.basis
-                if C.apply_d(C.apply_d({g.name: RingElt.one()}))]
+                if apply_d(C, apply_d(C, {g.name: RingElt.one()}))]
     ok_d2 = not messages
     stray = C._stray
     messages += [f"grading law fails on {m.render()} {tgt} in d({src})"
@@ -953,7 +1115,7 @@ def ringelt_validate(C: Complex) -> ValidationReport:
     if not symmetric:
         messages.append("bigrading multiset is not swap-symmetric "
                         "(informational)")
-    reduced = all(m.i or m.j for _, row in C.diff_items()
+    reduced = all(m.i or m.j for _, row in diff_items(C)
                   for coeff in row.values() for m in coeff)
     return ValidationReport(ok_d2, not stray, reduced, symmetric,
                             tuple(messages))

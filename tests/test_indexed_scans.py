@@ -7,14 +7,15 @@ import random
 import pytest
 
 from conftest import random_reduced_complex
-from oracles import ringelt_validate, scan_cancel, scan_kept_targets
+from oracles import (RingElt, diff_items, ringelt_validate, scan_cancel,
+                     scan_kept_targets)
 from test_homology import (LIBRARY, PRODUCT_SUMS, TWISTED, _complex,
                            _random_products)
 from knotfloer.complexes import (Complex, Generator, GradingIndex, dualize,
                                  kept_targets, quotient)
 from knotfloer.homology import _cancel, _v_reduced_rows
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
-from knotfloer.ring import Ideal, RingElt
+from knotfloer.ring import Ideal, Mono
 
 CABLES = [build_cable(n) for n in range(2, 13)]
 KNOTS = [build_unknot(), build_figure_eight()] + CABLES
@@ -128,3 +129,69 @@ def test_d_squared_failures_are_reported_by_rows():
         assert _fresh(C).validate() == ringelt_validate(C)
     assert not STRAY.validate().grading_law
     assert STRAY.validate() == ringelt_validate(STRAY)
+
+
+# -- d^2 on monomial sets, with stray terms ----------------------------------
+
+def _random_stray_complex(rng: random.Random, ring: Ideal) -> Complex:
+    """Random d as monomial sets of up to three terms per target: the
+    grading-fixed monomial, when the pair has one, with probability 1/2,
+    and up to two arbitrary monomials, most of them off the rule."""
+    basis = _random_generators(rng, rng.randint(2, 7))
+    diff = {}
+    for x in basis:
+        targets = {}
+        for y in rng.sample(basis, rng.randint(0, min(3, len(basis)))):
+            du, dv = y.gr_u - x.gr_u + 1, y.gr_v - x.gr_v + 1
+            monos = {Mono(rng.randint(0, 2), rng.randint(0, 2))
+                     for _ in range(rng.randint(0, 2))}
+            if du >= 0 and dv >= 0 and not du % 2 and rng.random() < 0.5:
+                monos.add(Mono(du // 2, dv // 2))
+            if monos:
+                targets[y.name] = monos
+        if targets:
+            diff[x.name] = targets
+    return Complex(basis, diff, ring, "stray")
+
+
+def test_stray_d_squared_matches_ringelt_report():
+    """Every flag and every message, in order, on random complexes with
+    stray terms, over the full ring and mod UV."""
+    seen = {"failing": 0, "passing": 0, "multi": 0}
+    for seed in range(400):
+        for ring in (Ideal.zero(), Ideal.uv()):
+            C = _random_stray_complex(random.Random(900 + seed), ring)
+            report = C.validate()
+            assert report == ringelt_validate(C)
+            if C._stray:
+                seen["failing" if not report.d_squared else "passing"] += 1
+                seen["multi"] += any(len(c) > 1 for _, row in diff_items(C)
+                                     for c in row.values())
+    assert min(seen.values()) >= 50, seen
+
+
+def test_stray_d_squared_cases():
+    """d^2 through stray terms: nonzero, cancelling, and zero mod UV."""
+    basis = [Generator("a", 0, 0), Generator("b", 1, -1),
+             Generator("e", 1, -1), Generator("c", 0, -2)]
+    u, v = Mono(1, 0), Mono(0, 1)
+    # on (a, b) and (a, e) the rule fixes U; on (b, c) and (e, c) it fixes 1
+    cancel = {"a": {"b": {u, v}, "e": {v}}, "b": {"c": {v}},
+              "e": {"c": {u, v}}}
+    through = {"a": {"b": {v}}, "b": {"c": {u}}}
+    mod_uv = {"a": {"b": {u}}, "b": {"c": {v}}}
+    informational = ("bigrading multiset is not swap-symmetric "
+                     "(informational)",)
+    for diff, ring, d_squared in ((cancel, Ideal.zero(), True),
+                                  (through, Ideal.zero(), False),
+                                  (through, Ideal.uv(), True),
+                                  (mod_uv, Ideal.zero(), False),
+                                  (mod_uv, Ideal.uv(), True)):
+        C = Complex(basis, diff, ring)
+        report = C.validate()
+        assert report == ringelt_validate(C)
+        assert report.d_squared == d_squared and not report.grading_law
+        strays = tuple(f"grading law fails on {m.render()} {tgt} in d({src})"
+                       for src, tgt, m in C._stray)
+        assert report.messages == (
+            () if d_squared else ("d^2(a) != 0",)) + strays + informational

@@ -20,12 +20,13 @@ from knotfloer.morphism import (MapSpace, chain_defect,
                                 derivative_maps, differential_map,
                                 enumerate_almost_iotas, identity_map,
                                 validate_iota)
-from knotfloer.ring import Ideal, RingElt
+from knotfloer.ring import Ideal
 from knotfloer.tensorsum import (map_tensor, product_equivalence, product_iota,
                                  tensor)
-from oracles import (dict_add, dict_almost_iota_checks, dict_apply,
+from oracles import (RingElt, dict_add, dict_almost_iota_checks, dict_apply,
                      dict_compose, dict_lift, dict_map_tensor,
-                     dict_product_iota, dict_reduce_to)
+                     dict_product_iota, dict_reduce_to, diff_items,
+                     linmap_apply)
 
 MAX = Ideal.max_ideal()
 REDUCTIONS = (Ideal.zero(), Ideal.uv(), Ideal.box(1, 2), Ideal.box(2, 1), MAX)
@@ -73,13 +74,13 @@ def test_library_maps_match_dict_oracle(name):
     C = _complex(name)
     rng = random.Random(name)
     d = differential_map(C)
-    assert d.action == {src: dict(row) for src, row in C.diff_items()}
+    assert d.action == {src: dict(row) for src, row in diff_items(C)}
     phi, psi = derivative_maps(C)
     maps = [d, phi, psi, identity_map(C)]
     for f in maps:
         _check_reductions(f)
         elt = _random_element(rng, C)
-        assert f.apply(elt) == dict_apply(f, elt)
+        assert linmap_apply(f, elt) == dict_apply(f, elt)
     for outer, inner in itertools.product(maps, repeat=2):
         assert outer.compose(inner) == dict_compose(outer, inner)
     for f in (phi, psi):
@@ -91,8 +92,9 @@ def test_library_maps_match_dict_oracle(name):
         for outer, inner in ((i, i), (dmax, i), (i, dmax), (phi, i), (i, psi)):
             assert outer.compose(inner) == dict_compose(outer, inner)
         elt = _random_element(rng, C)
-        assert i.apply(elt) == dict_apply(i, elt)
-        assert dict_lift(iota).apply(elt) == dict_apply(dict_lift(iota), elt)
+        assert linmap_apply(i, elt) == dict_apply(i, elt)
+        lift = dict_lift(iota)
+        assert linmap_apply(lift, elt) == dict_apply(lift, elt)
         rep = validate_iota(C, iota)
         assert (rep.chain_map, rep.squares) == dict_almost_iota_checks(C, iota)
     if len(C) <= 7:
@@ -168,7 +170,7 @@ def test_random_maps_match_dict_oracle(seed):
     for m in (f, h):
         _check_reductions(m)
         elt = _random_element(rng, m.source)
-        assert m.apply(elt) == dict_apply(m, elt)
+        assert linmap_apply(m, elt) == dict_apply(m, elt)
     assert h.compose(f) == dict_compose(h, f)
 
     small = [D for D in pool if len(D) <= 7]

@@ -17,9 +17,9 @@ from knotfloer.localequiv import (KernelSpace, LocalSearchSpec,
                                   search_local_map, verify_almost_local)
 from knotfloer.morphism import (IotaData, MapSpace, enumerate_almost_iotas,
                                 validate_iota, zero_map)
-from knotfloer.ring import Ideal, RingElt
+from knotfloer.ring import Ideal
 from knotfloer.tensorsum import tensor
-from oracles import grading_fitting_pairs, kill_candidates_list
+from oracles import RingElt, grading_fitting_pairs, kill_candidates_list
 
 ONE = RingElt.one()
 

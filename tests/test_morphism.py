@@ -19,10 +19,11 @@ from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
                                 derivative_maps, enumerate_almost_iotas,
                                 identity_map, is_chain_map, validate_iota,
                                 zero_map)
-from knotfloer.ring import Ideal, Mono, RingElt
+from knotfloer.ring import Ideal, Mono
 from knotfloer.tensorsum import tensor
-from oracles import (grading_fitting_pairs, linmap_composition_columns,
-                     linmap_d_commutator_columns, linmap_intertwining_columns,
+from oracles import (RingElt, diff_items, grading_fitting_pairs,
+                     linmap_composition_columns, linmap_d_commutator_columns,
+                     linmap_intertwining_columns, map_of_action,
                      solve_homotopy)
 
 U, V = RingElt.mono(1, 0), RingElt.mono(0, 1)
@@ -53,7 +54,7 @@ def test_unknot_derivatives_vanish(unknot):
 def _commutator_with_derivative(C, var):
     """Independent recomputation of [d, D_var] on basis elements."""
     out = {}
-    for src, row in C.diff_items():
+    for src, row in diff_items(C):
         acc = {}
         for tgt, coeff in row.items():
             terms = []
@@ -106,18 +107,35 @@ def test_identity_is_chain_map(k2):
 
 
 def test_unknot_to_k2_inclusion(unknot, k2):
-    f = LinMap(unknot, k2, "eq", (0, 0), {"a": {"a": ONE}})
+    f = map_of_action(unknot, k2, "eq", (0, 0), {"a": {"a": ONE}})
     assert is_chain_map(f)
 
 
 def test_fig8_projection_counterexample(fig8):
-    f = LinMap(fig8, fig8, "eq", (-1, 1), {"c": {"a": ONE}})
+    f = map_of_action(fig8, fig8, "eq", (-1, 1), {"c": {"a": ONE}})
     assert not is_chain_map(f)
 
 
 def test_bidegree_mismatch_is_structural_error(fig8):
     with pytest.raises(StructuralError):
-        LinMap(fig8, fig8, "eq", (0, 0), {"c": {"a": ONE}})
+        map_of_action(fig8, fig8, "eq", (0, 0), {"c": {"a": ONE}})
+
+
+def test_maps_on_equal_but_distinct_complexes_compare_by_rows(fig8):
+    A, B = build_cable(2), build_cable(2)
+    assert A == B and A is not B
+    phi_a, phi_b = derivative_maps(A)[0], derivative_maps(B)[0]
+    assert phi_a == phi_b and phi_b == phi_a
+    space = MapSpace.build(B, B, "eq", (1, -1), B.ring)
+    for k in (0, space.dim - 1):
+        changed = space.map_from_bits(space.bits_from_map(phi_b) ^ 1 << k)
+        assert sum(a != b for a, b in zip(changed.rows, phi_b.rows)) == 1
+        assert phi_a != changed and changed != phi_a
+    # a reordered basis: the rows differ, the terms by name do not
+    shuffled = Complex(list(fig8.basis)[::-1],
+                       {s: dict(r) for s, r in diff_items(fig8)})
+    assert identity_map(fig8) == identity_map(shuffled)
+    assert derivative_maps(fig8)[1] == derivative_maps(shuffled)[1]
 
 
 # -- homotopies -------------------------------------------------------------
@@ -132,8 +150,8 @@ def test_equal_maps_have_zero_homotopy(k2):
 def test_corner_difference_is_null_homotopic(n):
     C = build_cable(n)
     f = zero_map(C, C, "skew", (0, 0))
-    g = LinMap(C, C, "skew", (0, 0),
-               {"b": {"f": RingElt.mono(n - 1, 0), "g": RingElt.mono(0, n - 1)}})
+    g = map_of_action(C, C, "skew", (0, 0), {"b": {
+        "f": RingElt.mono(n - 1, 0), "g": RingElt.mono(0, n - 1)}})
     H = solve_homotopy(f, g)
     assert H is not None
     assert H.of_gen("b") == {"d": ONE}
@@ -144,8 +162,8 @@ def test_corner_difference_is_null_homotopic(n):
 def test_single_corner_not_homotopic_mod_box(n):
     C = quotient(build_cable(n), Ideal.box(n, n))
     f = zero_map(C, C, "skew", (0, 0), Ideal.box(n, n))
-    g = LinMap(C, C, "skew", (0, 0), {"b": {"f": RingElt.mono(n - 1, 0)}},
-               Ideal.box(n, n))
+    g = map_of_action(C, C, "skew", (0, 0),
+                      {"b": {"f": RingElt.mono(n - 1, 0)}}, Ideal.box(n, n))
     assert solve_homotopy(f, g) is None
 
 
@@ -198,8 +216,8 @@ def test_phi_independent_of_basis_up_to_homotopy(k2, seed):
 # -- involutions ------------------------------------------------------------
 
 def test_unknot_iota_identity_valid(unknot):
-    iota = IotaData(LinMap(unknot, unknot, "skew", (0, 0),
-                           {"a": {"a": ONE}}, Ideal.max_ideal()))
+    iota = IotaData(map_of_action(unknot, unknot, "skew", (0, 0),
+                                  {"a": {"a": ONE}}, Ideal.max_ideal()))
     assert validate_iota(unknot, iota).ok
 
 
@@ -212,7 +230,8 @@ def test_unknot_enumeration_is_identity_only(unknot):
 def test_zero_on_tower_is_rejected(k2, k2_iotas):
     action = {k: dict(v) for k, v in k2_iotas[0].map.action.items()}
     del action["a"]
-    bad = IotaData(LinMap(k2, k2, "skew", (0, 0), action, Ideal.max_ideal()))
+    bad = IotaData(map_of_action(k2, k2, "skew", (0, 0), action,
+                                 Ideal.max_ideal()))
     assert not validate_iota(k2, bad).ok
 
 
@@ -239,8 +258,8 @@ def test_enumerated_iotas_validate(k2, k2_iotas, fig8, fig8_iotas):
 def test_fig8_identity_not_a_valid_involution(fig8):
     action = {"a": {"a": ONE}, "b": {"b": ONE}, "c": {"d": ONE},
               "d": {"c": ONE}, "e": {"e": ONE}}
-    iota = IotaData(LinMap(fig8, fig8, "skew", (0, 0), action,
-                           Ideal.max_ideal()))
+    iota = IotaData(map_of_action(fig8, fig8, "skew", (0, 0), action,
+                                  Ideal.max_ideal()))
     rep = validate_iota(fig8, iota)
     assert not rep.ok and not rep.squares
     assert rep.messages == ("iota^2 != 1 + Psi Phi mod (U,V)",)
@@ -255,14 +274,14 @@ def test_fig8_identity_not_a_valid_involution(fig8):
 
 def test_iota_over_the_full_ring_is_rejected(unknot):
     with pytest.raises(StructuralError) as err:
-        IotaData(LinMap(unknot, unknot, "skew", (0, 0), {"a": {"a": ONE}}))
+        IotaData(map_of_action(unknot, unknot, "skew", (0, 0),
+                               {"a": {"a": ONE}}))
     assert str(err.value) == "almost iota must be reduced mod (U,V)"
 
 
 def test_linear_variance_is_rejected(unknot):
     with pytest.raises(StructuralError) as err:
-        LinMap(unknot, unknot, "linear", (0, 0), {"a": {"a": ONE}},
-               Ideal.max_ideal())
+        LinMap(unknot, unknot, "linear", (0, 0), Ideal.max_ideal(), [1])
     assert str(err.value) == "unknown variance 'linear'"
 
 

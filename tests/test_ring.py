@@ -1,9 +1,11 @@
-"""Arithmetic in F2[U,V] and its quotients."""
+"""Monomials, ideals, and the reference algebra of F2[U,V] and its
+quotients (`tests/oracles.py`)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from knotfloer.ring import Ideal, Mono, RingElt, mul, parse_mono, reduce
+from knotfloer.ring import Ideal, Mono, parse_mono
+from oracles import RingElt, mul, reduce
 
 U = RingElt.mono(1, 0)
 V = RingElt.mono(0, 1)
