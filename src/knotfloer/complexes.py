@@ -265,8 +265,8 @@ def kept_targets(targets: GradingIndex,
     grading e can reach, by the monomial U^i V^j with (i, j) = (gr(y) - e)
     / 2, when that monomial exists and lies outside `ideal`.
 
-    Each e is decided once per index.  Every nonzero ideal here contains
-    UV, so it keeps pure powers of U or V only, on the two axes through e.
+    Each e is decided once per index.  A nonzero ideal contains UV, so it
+    keeps pure powers of U or V only, on the two axes through e.
     """
     every = ideal.kind == "zero"
     kept: dict[tuple[int, int], int] = targets.kept.setdefault(ideal, {})
@@ -304,13 +304,12 @@ def _graded_row(terms: Mapping[str, Iterable[Mono]], e: tuple[int, int],
     target order, then monomial order.  Terms in `ideal` are dropped;
     `locate` gives a target's index in `basis`, or raises."""
     eu, ev = e
-    every = ideal.kind == "zero"
     row, off = 0, []
     for tgt, monos in terms.items():
         t = locate(tgt)
         du, dv = basis[t].gr_u - eu, basis[t].gr_v - ev
         for m in sorted(monos):
-            if every or not ideal.contains(m):
+            if not ideal.contains(m):
                 if 2 * m.i == du and 2 * m.j == dv:
                     row |= 1 << t
                 else:
@@ -373,22 +372,11 @@ def dualize(C: Complex) -> Complex:
                            C.ring, C.name + "*")
 
 
-def _ideal_leq(small: Ideal, big: Ideal) -> bool:
-    """Whether the monomial ideal `small` is contained in `big`."""
-    if small.kind == "zero" or small == big or big.kind == "max":
-        return True
-    if small.kind == "uv":
-        return big.kind in ("uv", "box", "principal_u", "principal_v")
-    if small.kind == "box" and big.kind == "box":
-        return big.a <= small.a and big.b <= small.b
-    return False
-
-
 def quotient(C: Complex, ideal: Ideal) -> Complex:
     """Quotient complex: the terms of d whose monomial lies in the ideal
     are dropped.  The ideal must contain the complex's current ring ideal.
     """
-    if not _ideal_leq(C.ring, ideal):
+    if not C.ring <= ideal:
         raise StructuralError(
             f"cannot quotient a complex over {C.ring.kind} by {ideal.kind}")
     return Complex.of_rows(C.basis, C.rows_mod(ideal), ideal, C.name)

@@ -127,7 +127,7 @@ class UHomology:
     `Complex.u_homology` builds it once per complex and keeps it."""
 
     def __init__(self, C: Complex):
-        if C.ring.kind not in ("zero", "uv"):
+        if not C.ring <= Ideal.uv():
             raise StructuralError(
                 "U-module homology needs a complex over the full ring or mod UV")
         self.C = C

@@ -27,8 +27,7 @@ from .homology import UHomology, hfk_minus, torsion_order
 from .linalg import (AffineSpace, Echelon, GF2System, bits_of, rref_basis,
                      transpose)
 from .morphism import (IotaData, LinMap, MapSpace, _almost_reports,
-                       _iota_shape, chain_defect, enumerate_almost_iotas,
-                       validate_iota)
+                       _iota_shape, chain_defect, enumerate_almost_iotas)
 from .ring import Ideal
 
 DEFAULT_BUDGET = 2_000_000
@@ -292,10 +291,7 @@ class SelfLocalFamily:
     """
 
     def __init__(self, C: Complex, iota: IotaData, budget: int):
-        rep = validate_iota(C, iota)
-        if not rep.ok:
-            raise StructuralError(
-                f"involution fails validation: {'; '.join(rep.messages)}")
+        _iota_candidates(C, iota)  # raises unless iota validates
         self.C = C
         self.iota = iota
         hom = C.u_homology

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Iterator, Mapping, Sequence
 
-from .complexes import (Complex, _ideal_leq, _image_grading, _mask_rows,
+from .complexes import (Complex, _image_grading, _mask_rows,
                         _row_terms, kept_targets)
 from .errors import ResourceError, StructuralError
 from .linalg import GF2System, bits_of, complement_basis, rref_basis
@@ -155,9 +155,9 @@ def _composite_shape(outer, inner) -> tuple[str, Bidegree, Ideal]:
     inner bidegree; the composite lives over the larger ideal."""
     if inner.target is not outer.source:
         raise StructuralError("composition target/source mismatch")
-    if _ideal_leq(inner.ideal, outer.ideal):
+    if inner.ideal <= outer.ideal:
         ideal = outer.ideal
-    elif _ideal_leq(outer.ideal, inner.ideal):
+    elif outer.ideal <= inner.ideal:
         ideal = inner.ideal
     else:
         raise StructuralError("cannot compose maps over incomparable ideals")
@@ -346,7 +346,7 @@ def _check_slot(slot: MapSpace, outer, inner) -> None:
     variance, bidegree, ideal = _composite_shape(outer, inner)
     if not (slot.source is inner.source and slot.target is outer.target
             and slot.variance == variance and slot.bidegree == bidegree
-            and _ideal_leq(ideal, slot.ideal)):
+            and ideal <= slot.ideal):
         raise StructuralError(
             f"slot {slot.source.name} -> {slot.target.name} ({slot.variance}, "
             f"bidegree {slot.bidegree}, ideal {slot.ideal.kind}) cannot hold "
@@ -374,7 +374,7 @@ class IotaData:
     def __post_init__(self) -> None:
         if self.map.variance != "skew" or self.map.bidegree != (0, 0):
             raise StructuralError("iota must be skew of bidegree (0,0)")
-        if self.map.ideal.kind != "max":
+        if self.map.ideal != _MAX:
             raise StructuralError("almost iota must be reduced mod (U,V)")
 
     def render(self) -> str:

@@ -1,9 +1,10 @@
 """Monomials of F2[U,V] and the monomial ideals of its quotients.
 
-A monomial U^i V^j lies in a quotient's ideal or outside it; every ideal
-used here is a monomial ideal, so deleting the monomials in it gives the
-canonical coset representative.  Complexes and maps carry no ring
-elements: the gradings fix the one monomial on each pair of generators.
+A monomial U^i V^j lies in a quotient's ideal or outside it.  Every ideal
+used here is zero or (U^a, V^b, UV), given by its two exponent bounds; it
+is a monomial ideal, so deleting the monomials in it gives the canonical
+coset representative.  Complexes and maps carry no ring elements: the
+gradings fix the one monomial on each pair of generators.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -12,6 +13,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Iterator
 
 
@@ -49,68 +51,63 @@ def render_mono(i: int, j: int) -> str:
     return " ".join(parts)
 
 
-_VALID_KINDS = ("zero", "uv", "box", "max", "principal_u", "principal_v")
-
-
 @dataclass(frozen=True)
 class Ideal:
-    """A monomial ideal of F2[U,V] used for quotient arithmetic.
+    """The zero ideal (bounds None), or the monomial ideal (U^a, V^b, UV)
+    of F2[U,V] with bounds 1 <= a, b <= inf.
 
-    kind:
-      zero        -- the zero ideal (full ring, nothing deleted)
-      uv          -- (UV)
-      box         -- (U^a, V^b, UV)
-      max         -- (U, V)
-      principal_u -- (U); quotient-complex use only
-      principal_v -- (V); quotient-complex use only
+    (UV) has bounds (inf, inf), (U,V) has (1, 1), (U) has (1, inf) and
+    (V) has (inf, 1).  `kind` names an ideal in messages and .cfk tags.
     """
 
-    kind: str
-    a: int = 0
-    b: int = 0
+    a: float | None = None
+    b: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _VALID_KINDS:
-            raise ValueError(f"unknown ideal kind {self.kind!r}")
-        if self.kind == "box" and (self.a < 1 or self.b < 1):
+        if self.a is not None and min(self.a, self.b) < 1:
             raise ValueError("box ideal needs exponents >= 1")
 
     @staticmethod
     def zero() -> "Ideal":
-        return Ideal("zero")
+        return Ideal()
 
     @staticmethod
     def uv() -> "Ideal":
-        return Ideal("uv")
+        return Ideal(inf, inf)
 
     @staticmethod
     def box(a: int, b: int) -> "Ideal":
-        return Ideal("box", a, b)
+        return Ideal(a, b)
 
     @staticmethod
     def max_ideal() -> "Ideal":
-        return Ideal("max")
+        return Ideal(1, 1)
 
     @staticmethod
     def principal_u() -> "Ideal":
-        return Ideal("principal_u")
+        return Ideal(1, inf)
 
     @staticmethod
     def principal_v() -> "Ideal":
-        return Ideal("principal_v")
+        return Ideal(inf, 1)
+
+    @property
+    def kind(self) -> str:
+        return _KINDS.get((self.a, self.b), "box")
 
     def contains(self, m: Mono) -> bool:
-        if self.kind == "zero":
-            return False
-        if self.kind == "uv":
-            return m.i >= 1 and m.j >= 1
-        if self.kind == "box":
-            return m.i >= self.a or m.j >= self.b or (m.i >= 1 and m.j >= 1)
-        if self.kind == "max":
-            return m.i + m.j >= 1
-        if self.kind == "principal_u":
-            return m.i >= 1
-        return m.j >= 1
+        return self.a is not None and (m.i >= self.a or m.j >= self.b
+                                       or (m.i > 0 and m.j > 0))
+
+    def __le__(self, other: "Ideal") -> bool:
+        """Containment: the zero ideal lies in every ideal, a nonzero one
+        in each nonzero ideal whose bounds are no larger than its own."""
+        return self.a is None or (other.a is not None and other.a <= self.a
+                                  and other.b <= self.b)
+
+
+_KINDS = {(None, None): "zero", (inf, inf): "uv", (1, 1): "max",
+          (1, inf): "principal_u", (inf, 1): "principal_v"}
 
 
 class RingElt:

@@ -53,7 +53,7 @@ from itertools import product
 
 from knotfloer import ring
 from knotfloer.complexes import (Complex, Generator, ValidationReport,
-                                 _bidegree_error, _graded_row, _ideal_leq,
+                                 _bidegree_error, _graded_row,
                                  _image_grading, _row_terms)
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.homology import UHomology
@@ -550,7 +550,7 @@ def dict_compose(outer: LinMap, inner: LinMap) -> LinMap:
     if outer.variance == "skew":
         bi = (bi[1], bi[0])
     bidegree = (bi[0] + outer.bidegree[0], bi[1] + outer.bidegree[1])
-    ideal = outer.ideal if _ideal_leq(inner.ideal, outer.ideal) else inner.ideal
+    ideal = outer.ideal if inner.ideal <= outer.ideal else inner.ideal
     terms_of = {}
     outer_action = action(outer)
     for src, row in action(inner).items():
@@ -995,7 +995,7 @@ def dict_dualize(C: Complex) -> Complex:
 
 def dict_quotient(C: Complex, ideal: Ideal) -> Complex:
     """The coefficient dict reduced modulo the ideal by the constructor."""
-    if not _ideal_leq(C.ring, ideal):
+    if not C.ring <= ideal:
         raise StructuralError(
             f"cannot quotient a complex over {C.ring.kind} by {ideal.kind}")
     return Complex(C.basis, dict(diff_items(C)), ideal, C.name)

@@ -112,6 +112,15 @@ def test_quotient_containment_guard(k2):
         quotient(small, Ideal.uv())
 
 
+@pytest.mark.parametrize("first,then", [
+    (Ideal.principal_v(), Ideal.box(3, 1)),
+    (Ideal.max_ideal(), Ideal.box(1, 1)),
+], ids=["v-then-box31", "max-then-box11"])
+def test_quotient_by_a_larger_ideal(k2, first, then):
+    Q = quotient(quotient(k2, first), then)
+    assert Q.ring == then and Q.rows == quotient(k2, then).rows
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_alexander_preserved_termwise(seed):
     rng = random.Random(100 + seed)

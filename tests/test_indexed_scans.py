@@ -19,9 +19,12 @@ from knotfloer.ring import Ideal, Mono
 
 CABLES = [build_cable(n) for n in range(2, 13)]
 KNOTS = [build_unknot(), build_figure_eight()] + CABLES
-IDEALS = ([Ideal.zero(), Ideal.uv(), Ideal.max_ideal(), Ideal.principal_u(),
-           Ideal.principal_v()]
-          + [Ideal.box(a, b) for a in (1, 2, 3) for b in (1, 2, 3)])
+# by test id; box(1, 1) equals the maximal ideal, so ids name the factory
+IDEALS = ({"zero": Ideal.zero(), "uv": Ideal.uv(), "max": Ideal.max_ideal(),
+           "principal_u": Ideal.principal_u(),
+           "principal_v": Ideal.principal_v()}
+          | {f"box{a}{b}": Ideal.box(a, b) for a in (1, 2, 3)
+             for b in (1, 2, 3)})
 
 
 # -- graded cancellation -----------------------------------------------------
@@ -60,8 +63,7 @@ MASK_CASES = ([list(C.basis) for C in KNOTS[:6]]
                  for s in range(8)])
 
 
-@pytest.mark.parametrize("ideal", IDEALS,
-                         ids=lambda I: f"{I.kind}{I.a or ''}{I.b or ''}")
+@pytest.mark.parametrize("ideal", IDEALS.values(), ids=IDEALS.keys())
 def test_kept_targets_match_grading_scan(ideal):
     for basis in MASK_CASES:
         kept = kept_targets(GradingIndex(basis), ideal)

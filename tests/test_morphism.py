@@ -138,6 +138,19 @@ def test_maps_on_equal_but_distinct_complexes_compare_by_rows(fig8):
     assert derivative_maps(fig8)[1] == derivative_maps(shuffled)[1]
 
 
+@pytest.mark.parametrize("outer_ideal,inner_ideal", [
+    (Ideal.principal_v(), Ideal.box(3, 1)),
+    (Ideal.box(3, 1), Ideal.principal_v()),
+], ids=["v-after-box31", "box31-after-v"])
+def test_compose_over_nested_ideals(k3, outer_ideal, inner_ideal):
+    # (V) lies in (U^3, V, UV): the composite lives over the larger ideal
+    phi, psi = derivative_maps(k3)
+    f = psi.reduce_to(outer_ideal).compose(phi.reduce_to(inner_ideal))
+    assert f.ideal == Ideal.box(3, 1)
+    assert f == psi.compose(phi).reduce_to(Ideal.box(3, 1))
+    assert not f.is_zero()
+
+
 # -- homotopies -------------------------------------------------------------
 
 def test_equal_maps_have_zero_homotopy(k2):

@@ -101,3 +101,27 @@ def test_negative_exponent_rejected():
 def test_box_needs_positive_exponents():
     with pytest.raises(ValueError):
         Ideal.box(0, 1)
+
+
+def test_box_1_1_is_the_maximal_ideal():
+    assert Ideal.box(1, 1) == Ideal.max_ideal()
+    assert hash(Ideal.box(1, 1)) == hash(Ideal.max_ideal())
+
+
+named_or_box = st.one_of(
+    st.sampled_from([Ideal.zero(), Ideal.uv(), Ideal.max_ideal(),
+                     Ideal.principal_u(), Ideal.principal_v()]),
+    st.builds(Ideal.box, st.integers(1, 4), st.integers(1, 4)),
+)
+
+
+def _members(ideal):
+    """The monomials U^i V^j with i, j <= 6 in the ideal."""
+    return {(i, j) for i in range(7) for j in range(7)
+            if ideal.contains(Mono(i, j))}
+
+
+@given(named_or_box, named_or_box)
+def test_containment_and_equality_match_the_monomials(I, J):
+    assert (I <= J) == (_members(I) <= _members(J))
+    assert (I == J) == (_members(I) == _members(J))
