@@ -11,7 +11,7 @@ completions.
 Every step covers each cable up to --max-n: involutions (cable 6 has 32
 completions), the decisions cable n -> cable n-1 and back, and the
 connected complex and bound of each completion.  --max-n 5 runs in about
-0.7 s and --max-n 6 in about 2.4 s on one core.
+0.6 s and --max-n 6 in about 1.5 s on one core.
 
 Usage:
   python scripts/reproduce_obstruction.py [--max-n 3]

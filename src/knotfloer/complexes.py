@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import inf
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import ResourceError, StructuralError
@@ -265,24 +266,25 @@ def kept_targets(targets: GradingIndex,
     grading e can reach, by the monomial U^i V^j with (i, j) = (gr(y) - e)
     / 2, when that monomial exists and lies outside `ideal`.
 
-    Each e is decided once per index.  A nonzero ideal contains UV, so it
-    keeps pure powers of U or V only, on the two axes through e.
+    Each e is decided once per index.  A nonzero ideal (U^a, V^b, UV)
+    keeps U^i with i < a and V^j with j < b, on the two axes through e.
     """
-    every = ideal.kind == "zero"
+    zero = ideal.a is None
+    bound_u, bound_v = (inf, inf) if zero else (2 * ideal.a, 2 * ideal.b)
     kept: dict[tuple[int, int], int] = targets.kept.setdefault(ideal, {})
 
     def lookup(e: tuple[int, int]) -> int:
         mask = kept.get(e)
         if mask is None:
             (eu, ev), mask = e, 0
-            cells = (targets.cells if every else
-                     targets.u_axis.get(ev, {}) | targets.v_axis.get(eu, {}))
-            for (gu, gv), ys in cells.items():
-                du, dv = gu - eu, gv - ev
-                if (du >= 0 and dv >= 0 and not du % 2 and not dv % 2
-                        and (every or not ideal.contains(
-                            Mono(du // 2, dv // 2)))):
-                    mask |= ys
+            lines = ((targets.cells,) if zero else
+                     (targets.u_axis.get(ev, {}), targets.v_axis.get(eu, {})))
+            for line in lines:
+                for (gu, gv), ys in line.items():
+                    du, dv = gu - eu, gv - ev
+                    if (0 <= du < bound_u and 0 <= dv < bound_v
+                            and not du % 2 and not dv % 2):
+                        mask |= ys
             kept[e] = mask
         return mask
     return lookup

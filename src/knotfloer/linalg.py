@@ -7,7 +7,7 @@ clears nothing and reducing a vector costs one XOR per pivot it meets,
 not a pass over every row.  GF2System extends it to affine systems
 A x = b over F2, solved one equation at a time; `rref_basis` and
 `complement_basis` reduce spans, and AffineSpace parameterizes a
-solution set and rewrites further constraints in its parameters.
+solution set and rewrites each unknown in its parameters.
 Graded modules over F2[U] reduce to this too: homogeneity fixes every
 monomial, so `homology` eliminates over the same bitsets.
 """
@@ -114,10 +114,6 @@ class GF2System(Echelon):
         self.width = width
         self.feasible = True
 
-    def copy(self) -> "GF2System":
-        """Echelon.copy, here so that the benchmark tracer times it."""
-        return super().copy()
-
     def add_equation(self, row: int, rhs: int) -> bool:
         """Add `row . x = rhs`; returns current feasibility."""
         aug = self.reduce(row | (rhs << self.width))
@@ -127,6 +123,23 @@ class GF2System(Echelon):
         if aug:
             self.insert(aug, (aug & ((1 << self.width) - 1)).bit_length() - 1)
         return self.feasible
+
+    def add_equations(self, equations: list[int]) -> bool:
+        """Add every equation, each a row with its rhs at bit `width`, or,
+        if they are inconsistent with a feasible system, none of them and
+        leave it feasible; returns whether they were added."""
+        added, mask = [], self.mask
+        for aug in equations:
+            aug = self.reduce(aug)
+            if aug == 1 << self.width:
+                for piv in added:
+                    del self._semi[piv]
+                self.mask = mask
+                return False
+            if aug:
+                added.append((aug & ((1 << self.width) - 1)).bit_length() - 1)
+                self.insert(aug, added[-1])
+        return True
 
     def add_columns(self, columns: list[int], rhs: int = 0) -> bool:
         """Add `M x = rhs` for the matrix M whose k-th column is columns[k].
@@ -187,26 +200,21 @@ def complement_basis(sub: Echelon, space: list[int]) -> list[int]:
 
 
 class AffineSpace:
-    """The points x = particular + sum of t_i null[i] over F2.
+    """The points x = particular + sum of t_i null[i] over F2.  Unknown
+    k of x (of `width`) in the parameters t is `equations[k]`, its t-row
+    with bit k of particular as rhs, so row . x = 0 is the XOR of the
+    equations[k] over the k in row."""
 
-    Translates a constraint on x into one on the parameters t through one
-    transposed table of the null basis, and maps parameters back to x.
-    """
-
-    def __init__(self, particular: int, null: list[int]):
+    def __init__(self, particular: int, null: list[int], width: int):
         self.particular = particular
         self.null = null
-        self._by_unknown = transpose(null)  # unknown k -> the i with bit k
+        by_unknown = transpose(null)  # unknown k -> the i with bit k
+        self.equations = [by_unknown.get(k, 0)
+                          | (particular >> k & 1) << len(null)
+                          for k in range(width)]
 
     def point(self, t: int) -> int:
         x = self.particular
         for i in bits_of(t):
             x ^= self.null[i]
         return x
-
-    def constraint(self, row: int) -> tuple[int, int]:
-        """(t-row, rhs) with t-row . t = rhs equivalent to row . x = 0."""
-        trow = 0
-        for k in bits_of(row):
-            trow ^= self._by_unknown.get(k, 0)
-        return trow, (row & self.particular).bit_count() & 1

@@ -24,8 +24,7 @@ from typing import Iterator
 from .complexes import Complex, Generator, GradingIndex, kept_targets
 from .errors import ResourceError, StructuralError
 from .homology import UHomology, hfk_minus, torsion_order
-from .linalg import (AffineSpace, Echelon, GF2System, bits_of, rref_basis,
-                     transpose)
+from .linalg import AffineSpace, Echelon, GF2System, bits_of, rref_basis
 from .morphism import (IotaData, LinMap, MapSpace, _almost_reports,
                        _iota_shape, chain_defect, enumerate_almost_iotas)
 from .ring import Ideal
@@ -132,22 +131,37 @@ def _chain_maps(src_hom: UHomology, tgt_hom: UHomology, budget: int
     chain_slot = MapSpace.build(src, tgt, "eq", (-1, -1), src.ring)
     base = GF2System(fspace.dim)
     base.add_columns(fspace.d_commutator_columns(chain_slot))
-    family = AffineSpace(*base.solution_space())
+    family = AffineSpace(*base.solution_space(), fspace.dim)
     locality = _locality_equation(fspace, family, src_hom, tgt_hom)
     return fspace, family, locality, chain_slot.dim
 
 
-def _local_system(family: AffineSpace, locality: tuple[int, int],
-                  pre: list[int], post: list[int]) -> tuple[GF2System, int]:
-    """(system over t, intertwining row count) for one involution pair:
-    the rows of the columns `pre` + `post` of u -> u i1 + i2 u, then
-    locality; the system's `feasible` says whether a local map exists."""
-    raw_rows = transpose([a ^ b for a, b in zip(pre, post)])
+def _slot_rows(family: AffineSpace,
+               columns: list[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """The rows of an operator on the map space with these columns, by
+    slot coordinate: as rows over the map space, and rewritten in the
+    parameters t of the family."""
+    raw: dict[int, int] = {}
+    eqs: dict[int, int] = {}
+    for k, col in enumerate(columns):
+        bit, eq = 1 << k, family.equations[k]
+        for e in bits_of(col):
+            raw[e] = raw.get(e, 0) | bit
+            eqs[e] = eqs.get(e, 0) ^ eq
+    return raw, eqs
+
+
+def _local_system(family: AffineSpace, locality: tuple[int, int], pre: tuple,
+                  post: tuple) -> tuple[GF2System | None, int]:
+    """(system over t, intertwining row count) for one involution pair
+    from the `_slot_rows` of u -> u i1 and u -> i2 u: their sum's nonzero
+    rows, then locality; the system is None if no local map exists."""
+    (raw1, eqs1), (raw2, eqs2) = pre, post
+    rows = [eqs1.get(e, 0) ^ eqs2.get(e, 0) for e in raw1.keys() | raw2.keys()
+            if raw1.get(e, 0) != raw2.get(e, 0)]
     system = GF2System(len(family.null))
-    if all(system.add_equation(*family.constraint(raw))
-           for raw in raw_rows.values()):
-        system.add_equation(*locality)
-    return system, len(raw_rows)
+    feasible = system.add_equations(rows) and system.add_equation(*locality)
+    return (system if feasible else None), len(rows)
 
 
 def _iota_candidates(C: Complex, data: IotaInput) -> list[IotaData]:
@@ -168,11 +182,12 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     The chain maps form an affine family, in parameters t, solved from
     the map space's d-commutator equations.  The intertwining condition
     u i1 + i2 u mod (U,V) splits as A(i1) + B(i2) with A the
-    precomposition and B the postcomposition operator, so A is assembled
-    once per source completion and B once per target completion; each
-    involution pair gives a system over t of the rows of A + B and the
-    locality equation (the tower class goes to a tower generator).  Any
-    found map is re-verified by `verify_almost_local`.
+    precomposition and B the postcomposition operator, so the rows of A,
+    rewritten in t, are built once per source completion and those of B
+    once per target completion; each involution pair gives a system over
+    t of the rows of A + B and the locality equation (the tower class
+    goes to a tower generator).  Any found map is re-verified by
+    `verify_almost_local`.
     """
     src, src_iota_in = spec.source
     tgt, tgt_iota_in = spec.target
@@ -189,16 +204,17 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     tgt_iotas = _iota_candidates(tgt, tgt_iota_in)
 
     int_slot = MapSpace.build(src, tgt, "skew", (0, 0), Ideal.max_ideal())
-    post_cols: dict[int, list[int]] = {}
+    post_rows: dict[int, tuple] = {}
     for i1 in src_iotas:
-        pre = fspace.precompose_columns(i1.map, int_slot)
+        pre = _slot_rows(family, fspace.precompose_columns(i1.map, int_slot))
         for n2, i2 in enumerate(tgt_iotas):
-            if n2 not in post_cols:
-                post_cols[n2] = fspace.postcompose_columns(i2.map, int_slot)
+            if n2 not in post_rows:
+                post_rows[n2] = _slot_rows(
+                    family, fspace.postcompose_columns(i2.map, int_slot))
             system, n_rows = _local_system(family, locality, pre,
-                                           post_cols[n2])
+                                           post_rows[n2])
             n_equations += n_rows
-            if not system.feasible:
+            if system is None:
                 continue
             f = fspace.map_from_bits(
                 family.point(system.particular_solution()))
@@ -299,11 +315,11 @@ class SelfLocalFamily:
             raise StructuralError("self-local maps need exactly one tower")
         self.fspace, self.family, locality, _ = _chain_maps(hom, hom, budget)
         slot = MapSpace.build(C, C, "skew", (0, 0), Ideal.max_ideal())
-        self.inner, _ = _local_system(
-            self.family, locality,
-            self.fspace.precompose_columns(iota.map, slot),
-            self.fspace.postcompose_columns(iota.map, slot))
-        if not self.inner.feasible:
+        self.inner, _ = _local_system(self.family, locality, *(
+            _slot_rows(self.family, columns(iota.map, slot)) for columns
+            in (self.fspace.precompose_columns,
+                self.fspace.postcompose_columns)))
+        if self.inner is None:
             raise StructuralError("no self-local equivalence exists at all")
 
     def unit_coefficient_constant(self, src: str, tgt: str) -> tuple[bool, int]:
@@ -325,17 +341,18 @@ class SelfLocalFamily:
 
 
 def _kill_candidates(C: Complex, fspace: MapSpace,
-                     order: str) -> tuple[int, Iterator[list[int]]]:
+                     order: str) -> tuple[int, Iterator[list[tuple]]]:
     """The number of candidates, and the candidates in `order`: per
-    candidate, the rows r with r . f = 0 that kill it.  Singles first
+    candidate, the rows r with r . f = 0 that kill it, each the tuple of
+    its one or two map-space coordinates, ascending.  Singles first
     (killing any monomial multiple of a generator forces f(x) = 0 on the
     whole generator), then minimal two-term homogeneous combinations of
     each pair x < y whose gradings differ by even amounts; "reverse" is
-    the same sequence backwards.  A candidate is as wide as the map space
-    and there are about n^2 / 4, so each is built when the sweep asks."""
-    by_source: list[list[int]] = [[] for _ in C.basis]
-    for k, (srcn, _, _) in enumerate(fspace.pairs):
-        by_source[C.index(srcn)].append(k)
+    the same sequence backwards.  There are about n^2 / 4 candidates, so
+    each is built when the sweep asks."""
+    by_source: list[dict[str, int]] = [{} for _ in C.basis]  # target: k
+    for k, (srcn, tgt, _) in enumerate(fspace.pairs):
+        by_source[C.index(srcn)][tgt] = k
     n = len(C)
     ordered = reversed if order == "reverse" else iter
 
@@ -347,17 +364,16 @@ def _kill_candidates(C: Complex, fspace: MapSpace,
                 dv = C.basis[xi].gr_v - C.basis[yi].gr_v
                 if du % 2:
                     continue
-                a, b = max(0, -du // 2), max(0, -dv // 2)
-                # f(U^a V^b x + U^(a + du/2) V^(b + dv/2) y) = 0, by slot
-                slots: dict[tuple[str, int, int], int] = {}
-                for g, ea, eb in ((xi, a, b), (yi, a + du // 2, b + dv // 2)):
-                    for k in by_source[g]:
-                        _, tgt, m = fspace.pairs[k]
-                        key = (tgt, ea + m.i, eb + m.j)
-                        slots[key] = slots.get(key, 0) | (1 << k)
-                yield list(slots.values())
+                # f(U^a V^b x + U^(a - du/2) V^(b - dv/2) y) = 0, a and b
+                # max(0, du/2) and max(0, dv/2): the terms share a grading,
+                # which fixes the monomial on each target: rows by target
+                sx, sy = by_source[xi], by_source[yi]
+                yield ([(k, sy[tgt]) if tgt in sy else (k,)
+                        for tgt, k in sx.items()]
+                       + [(k,) for tgt, k in sy.items() if tgt not in sx])
 
-    singles = ([1 << k for k in by_source[x]] for x in ordered(range(n)))
+    singles = ([(k,) for k in by_source[x].values()]
+               for x in ordered(range(n)))
     odd = sum(g.gr_u % 2 for g in C.basis)
     count = n + (odd * (odd - 1) + (n - odd) * (n - odd - 1)) // 2
     return count, (chain(pairs(), singles) if order == "reverse"
@@ -369,19 +385,27 @@ def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
     """The map and certificate note of `maximal_self_local_map`, kept on
     iota by (budget, order); iota must be a map of C itself.  One sweep
     suffices: equations only shrink the solution set, so a rejected
-    candidate stays rejected."""
+    candidate stays rejected.  A candidate's rows, each the XOR of the
+    `equations` of its unknowns, kept reduced by the accepted span (which
+    only grows), are added all together or not at all."""
     _iota_shape(C, iota)
     kept = iota._self_local.get((budget, order))
     if kept is not None:
         return kept
     sls = SelfLocalFamily(C, iota, budget)
-    inner = sls.inner
+    inner, table = sls.inner, list(sls.family.equations)
     count, candidates = _kill_candidates(C, sls.fspace, order)
     for rows in candidates:
-        trial = inner.copy()
-        if all(trial.add_equation(*sls.family.constraint(raw))
-               for raw in rows):
-            inner = trial
+        mask, eqs = inner.mask, []
+        for row in rows:
+            eq = 0
+            for k in row:
+                if table[k] & mask:
+                    table[k] = inner.reduce(table[k])
+                eq ^= table[k]
+            if eq:
+                eqs.append(eq)
+        inner.add_equations(eqs)
     f = sls.fspace.map_from_bits(
         sls.family.point(inner.particular_solution()))
     if not verify_almost_local(f, iota, iota):

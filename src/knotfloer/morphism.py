@@ -22,7 +22,8 @@ from typing import ClassVar, Iterator, Mapping, Sequence
 from .complexes import (Complex, _image_grading, _mask_rows,
                         _row_terms, kept_targets)
 from .errors import ResourceError, StructuralError
-from .linalg import GF2System, bits_of, complement_basis, rref_basis
+from .linalg import (Echelon, GF2System, bits_of, complement_basis, rref_basis,
+                     transpose)
 from .ring import Ideal, Mono, RingElt, render_mono
 
 Bidegree = tuple[int, int]
@@ -447,8 +448,8 @@ def _almost_reports(C: Complex,
 # -- exhaustive enumeration of almost involutions ---------------------------
 
 MAX_ENUM_GENERATORS = 64
-# Bound on the vertex cover of the cross-term graph: enumeration runs one
-# linear solve for each of the 2^|cover| assignments of the cover.
+# Bound on the vertex cover of the cross-term graph: the walk over the
+# cover's assignments runs at most 2^(|cover| + 1) - 1 linear solves.
 MAX_ENUM_CLASSES_LOG2 = 26
 
 
@@ -517,16 +518,18 @@ def _square_system(C: Complex) -> _SquareSystem | None:
     heq = MapSpace.build(C, C, "eq", (1, 1), C.ring)
     eq_boundaries = rref_basis(heq.d_commutator_columns(eq_slot))
 
-    # maps[0] is the base map, maps[k + 1] class direction k; after[g][k]
-    # is (unit k) o maps[g], so maps[f] o maps[g] sums after[g] over f
-    maps = [base_bits, *class_dirs]
-    after = [iota_space.precompose_columns(iota_space.map_from_bits(v),
-                                           eq_slot) for v in maps]
+    # maps[0] is the base map, maps[k + 1] class direction k, as rows, and
+    # the preimages of each: s -> the w with s in maps(w)
+    rows = [iota_space.map_from_bits(v).rows for v in (base_bits, *class_dirs)]
+    preimages = [transpose(m) for m in rows]
 
     def composite(f: int, g: int) -> int:
+        """maps[f] o maps[g] in eq_slot coordinates."""
         out = 0
-        for k in bits_of(maps[f]):
-            out ^= after[g][k]
+        for s, ws in preimages[g].items():
+            for t in bits_of(rows[f][s]):
+                for w in bits_of(ws):
+                    out ^= eq_slot.pair_bits[w, t]
         return out
 
     def reduced_square_vec(f: int, g: int) -> int:
@@ -580,8 +583,11 @@ def _square_solutions(
     """Every class t with z(t) = 0, as affine spaces (t0, null basis).
 
     No cross term joins two variables outside a vertex cover S, so fixing
-    t on S leaves z linear in the rest: each of the 2^|S| assignments is
-    one GF2System solve.
+    t on S leaves z linear in the rest.  S is fixed one variable at a
+    time, depth first, and each node solves its relaxation: z with every
+    product t_k t_l of two unset variables taken as an unknown of its
+    own.  An infeasible relaxation has no solution below it, so its
+    branch is dropped; at a leaf the relaxation is the exact system.
     """
     q = len(system.lin)
     cover = _vertex_cover(q, system.cross)
@@ -590,37 +596,36 @@ def _square_solutions(
             f"cross terms need a vertex cover of {len(cover)} of the {q} "
             f"class variables; 2^{len(cover)} linear solves exceed the "
             f"enumeration budget", len(cover))
-    in_cover = set(cover)
-    free = [k for k in range(q) if k not in in_cover]
-    touching: dict[int, list[tuple[int, int]]] = {k: [] for k in free}
-    inner: list[tuple[int, int, int]] = []
-    for (k, l), v in system.cross.items():
-        if k in in_cover and l in in_cover:
-            inner.append((k, l, v))
-        elif k in in_cover:
-            touching[l].append((k, v))
-        else:
-            touching[k].append((l, v))
+    free = [k for k in range(q) if k not in cover]
 
-    for assignment in range(1 << len(cover)):
-        fixed = _spread(assignment, cover)
-        const = system.z0
-        for k in bits_of(fixed):
-            const ^= system.lin[k]
-        for k, l, v in inner:
-            if (fixed >> k) & (fixed >> l) & 1:
-                const ^= v
-        cols = []
-        for k in free:
-            col = system.lin[k]
-            for l, v in touching[k]:
-                if (fixed >> l) & 1:
-                    col ^= v
-            cols.append(col)
-        solver = GF2System(len(free))
-        if solver.add_columns(cols, const):
-            x0, null = solver.solution_space()
-            yield fixed | _spread(x0, free), [_spread(v, free) for v in null]
+    def walk(depth: int, fixed: int, const: int, cols: dict[int, int],
+             cross: dict[tuple[int, int], int]):
+        # cols: each unset variable's column given `fixed`; cross: the
+        # cross terms joining two unset variables
+        columns = [cols[k] for k in cover[depth:] + free]
+        if depth == len(cover):  # no cross terms left: the exact system
+            solver = GF2System(len(free))
+            if solver.add_columns(columns, const):
+                x0, null = solver.solution_space()
+                yield (fixed | _spread(x0, free),
+                       [_spread(v, free) for v in null])
+            return
+        if Echelon(columns + list(cross.values())).reduce(const):
+            return  # const lies outside the relaxation's column span
+        k = cover[depth]
+        for value in (0, 1):
+            sub_cols, sub_cross = dict(cols), {}
+            for (a, b), v in cross.items():
+                if k not in (a, b):
+                    sub_cross[a, b] = v
+                elif value:
+                    sub_cols[a + b - k] ^= v
+            yield from walk(depth + 1, fixed | value << k,
+                            const ^ cols[k] if value else const,
+                            sub_cols, sub_cross)
+
+    yield from walk(0, 0, system.z0, dict(enumerate(system.lin)),
+                    dict(system.cross))
 
 
 def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
@@ -631,10 +636,11 @@ def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
     Homotopy classes of skew chain maps form a finite F2 space (monomials
     are grading-determined), and the squared condition is a quadratic
     system over it.  Its cross terms all touch a small greedy vertex
-    cover; for each assignment of the cover the system is linear in the
+    cover; on each assignment of the cover the system is linear in the
     other class variables and is solved exactly, giving an affine space
-    of solutions or none.  Each space is mapped to iota coordinates and
-    projected onto the unit monomials, which is the reduction mod (U,V);
+    of solutions or none; a walk pruned by a linear relaxation skips most
+    assignments that have none.  Each space is mapped to iota coordinates
+    and projected onto the unit monomials, which is the reduction mod (U,V);
     every point of the projected span is collected.  The reduction is a
     homotopy invariant on reduced complexes, so the returned list, sorted
     by rendering, is exactly the set of almost-involution actions that

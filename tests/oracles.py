@@ -19,6 +19,9 @@ coefficient in F2[U,V] from the `action` view, the way LinMap did before
 it stored bitset rows, and rebuilds each result through the validating
 constructor; `element_image_complex` builds the image of a chain map
 from such elements instead of bitsets over generators.
+`exhaustive_square_solutions` solves the squared condition of the
+involution enumeration once for every assignment of the vertex cover
+instead of walking the assignments with a pruning relaxation.
 `JointSelfLocalFamily` solves the chain-map and intertwining equations
 of the self-local maps together, leaving only locality for the
 parameters, and `fixpoint_maximal_self_local` repeats the kill-candidate
@@ -60,7 +63,8 @@ from knotfloer.homology import UHomology
 from knotfloer.linalg import GF2System, bits_of, rref_basis
 from knotfloer.localequiv import (_exponent_bound, _kill_candidates,
                                   _locality_bit)
-from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
+from knotfloer.morphism import (IotaData, LinMap, MapSpace, _spread,
+                                _vertex_cover, chain_defect,
                                 derivative_maps, differential_map,
                                 identity_map)
 from knotfloer.ring import Ideal, Mono
@@ -744,6 +748,50 @@ def element_image_complex(C: Complex, f: LinMap,
     return Complex(basis, diff, C.ring, name)
 
 
+# -- the squared condition, one solve per cover assignment --------------------
+
+def exhaustive_square_solutions(system):
+    """The affine solution spaces (t0, null basis) of a
+    `morphism._SquareSystem`: fixing t on the vertex cover leaves z linear
+    in the other variables, and each of the 2^|cover| assignments is one
+    GF2System solve."""
+    q = len(system.lin)
+    cover = _vertex_cover(q, system.cross)
+    in_cover = set(cover)
+    free = [k for k in range(q) if k not in in_cover]
+    touching: dict[int, list[tuple[int, int]]] = {k: [] for k in free}
+    inner: list[tuple[int, int, int]] = []
+    for (k, l), v in system.cross.items():
+        if k in in_cover and l in in_cover:
+            inner.append((k, l, v))
+        elif k in in_cover:
+            touching[l].append((k, v))
+        else:
+            touching[k].append((l, v))
+    out = []
+    for assignment in range(1 << len(cover)):
+        fixed = _spread(assignment, cover)
+        const = system.z0
+        for k in bits_of(fixed):
+            const ^= system.lin[k]
+        for k, l, v in inner:
+            if (fixed >> k) & (fixed >> l) & 1:
+                const ^= v
+        cols = []
+        for k in free:
+            col = system.lin[k]
+            for l, v in touching[k]:
+                if (fixed >> l) & 1:
+                    col ^= v
+            cols.append(col)
+        solver = GF2System(len(free))
+        if solver.add_columns(cols, const):
+            x0, null = solver.solution_space()
+            out.append((fixed | _spread(x0, free),
+                        [_spread(v, free) for v in null]))
+    return out
+
+
 # -- self-local maps from one joint chain-and-intertwining system -----------
 
 class JointSelfLocalFamily:
@@ -797,7 +845,8 @@ def fixpoint_maximal_self_local(C: Complex, iota: IotaData, order: str):
     """(map, note) of the kill-candidate greedy over `JointSelfLocalFamily`,
     sweeping the candidates again until a sweep accepts none."""
     fam = JointSelfLocalFamily(C, iota)
-    candidates = list(_kill_candidates(C, fam.fspace, order)[1])
+    candidates = [[sum(1 << k for k in row) for row in rows]
+                  for rows in _kill_candidates(C, fam.fspace, order)[1]]
     by_unknown = {}
     for k, v in enumerate(fam.null):
         for b in bits_of(v):
@@ -828,13 +877,23 @@ def fixpoint_maximal_self_local(C: Complex, iota: IotaData, order: str):
     return f, f"maximal over {len(candidates)} candidate vectors ({order} order)"
 
 
+def homogeneous_pair_exponents(x: Generator, y: Generator):
+    """((a, b), (a', b')), the least exponents with U^a V^b x and
+    U^a' V^b' y in one bigrading, for gradings differing by even amounts."""
+    du, dv = x.gr_u - y.gr_u, x.gr_v - y.gr_v
+    a, b = max(0, du // 2), max(0, dv // 2)
+    return (a, b), (a - du // 2, b - dv // 2)
+
+
 def kill_candidates_list(C: Complex, fspace: MapSpace, order: str):
     """Every kill candidate of `localequiv._kill_candidates`, built into
-    one list up front: singles, then same-parity pairs x < y."""
+    one list up front: singles, then same-parity pairs x < y, each row
+    keyed by the target and the exponents of its terms and listed as its
+    map-space coordinates."""
     by_source: dict[str, list[int]] = {}
     for k, (srcn, _, _) in enumerate(fspace.pairs):
         by_source.setdefault(srcn, []).append(k)
-    singles = [[1 << k for k in by_source.get(g.name, [])] for g in C.basis]
+    singles = [[(k,) for k in by_source.get(g.name, [])] for g in C.basis]
     pairs = []
     for xi in range(len(C)):
         for yi in range(xi + 1, len(C)):
@@ -842,14 +901,14 @@ def kill_candidates_list(C: Complex, fspace: MapSpace, order: str):
             du, dv = x.gr_u - y.gr_u, x.gr_v - y.gr_v
             if du % 2 or dv % 2:
                 continue
-            a, b = max(0, -du // 2), max(0, -dv // 2)
+            (a, b), (a2, b2) = homogeneous_pair_exponents(x, y)
             slots: dict[tuple[str, int, int], int] = {}
-            for g, ea, eb in ((x, a, b), (y, a + du // 2, b + dv // 2)):
+            for g, ea, eb in ((x, a, b), (y, a2, b2)):
                 for k in by_source.get(g.name, []):
                     _, tgt, m = fspace.pairs[k]
                     key = (tgt, ea + m.i, eb + m.j)
                     slots[key] = slots.get(key, 0) | (1 << k)
-            pairs.append(list(slots.values()))
+            pairs.append([tuple(bits_of(v)) for v in slots.values()])
     cands = singles + pairs
     return cands[::-1] if order == "reverse" else cands
 

@@ -311,7 +311,7 @@ def test_iota_enum_cable3_pinned(cables, capsys, fmt, pin):
            + "".join(f"map local variance eq : {g} -> {g}\n"
                      for g in "abcdefg")
            + "map local variance eq : b1_1 -> a\n"),
-])
+], ids=["unknot-cable2", "cable2-cable2"])
 def test_search_local_map_file_pinned(cables, tmp_path, capsys, src, tgt,
                                       text):
     if src == "u":

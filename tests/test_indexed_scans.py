@@ -75,6 +75,26 @@ def test_kept_targets_match_grading_scan(ideal):
                 assert kept((eu, ev)) == want((eu, ev)), (eu, ev)
 
 
+def test_kept_targets_match_grading_scan_at_random_lookups():
+    # the two-axis rule of nonzero ideals against the scan, at random
+    # gradings near the generators of the larger cables and of random
+    # bases, for the named ideals and every box(a, b) with a, b <= 4
+    rng = random.Random(600)
+    ideals = [IDEALS[k] for k in ("zero", "uv", "max", "principal_u",
+                                  "principal_v")]
+    ideals += [Ideal.box(a, b) for a in range(1, 5) for b in range(1, 5)]
+    bases = [list(C.basis) for C in CABLES[6:]]
+    bases += [_random_generators(rng, 40) for _ in range(4)]
+    for ideal in ideals:
+        for basis in bases:
+            kept = kept_targets(GradingIndex(basis), ideal)
+            want = scan_kept_targets(basis, ideal)
+            for _ in range(300):
+                g = rng.choice(basis)
+                e = (g.gr_u - rng.randint(-2, 9), g.gr_v - rng.randint(-2, 9))
+                assert kept(e) == want(e), (ideal, e)
+
+
 def test_grading_index_is_built_once_per_complex():
     C = build_cable(3)
     assert C.grading_index is C.grading_index

@@ -44,8 +44,9 @@ def _assert_same_span(span: Echelon, vectors: list[int]) -> None:
 
 class _Shadow:
     """While installed, every GF2System built gets a ListGF2System fed
-    the same equations, copied when it is copied; every rref_basis and
-    complement_basis call is kept with its result."""
+    the same equations, copied when it is copied; equations added all or
+    none go to a copy of the oracle, kept when they are all consistent.
+    Every rref_basis and complement_basis call is kept with its result."""
 
     def __init__(self, monkeypatch):
         self.oracles: dict[GF2System, ListGF2System] = {}
@@ -53,8 +54,9 @@ class _Shadow:
         self.mismatches: list[str] = []
         self.spans: list[tuple[list[int], Echelon]] = []
         self.complements: list[tuple[list[int], list[int], list[int]]] = []
-        init, add, copy = (GF2System.__init__, GF2System.add_equation,
-                           GF2System.copy)
+        init, add, add_all, copy = (
+            GF2System.__init__, GF2System.add_equation,
+            GF2System.add_equations, GF2System.copy)
         oracles = self.oracles
 
         def shadow_init(system, width):
@@ -69,6 +71,19 @@ class _Shadow:
                 self.mismatches.append(f"width {system.width}: {row} = {rhs}")
             return got
 
+        def shadow_add_all(system, equations):
+            got = add_all(system, equations)
+            low = (1 << system.width) - 1
+            trial = oracles[system].copy()
+            want = all(trial.add_equation(aug & low, aug >> system.width)
+                       for aug in equations)
+            if want:
+                oracles[system] = trial
+            self.equations += len(equations)
+            if got != want or len(system.rows) != system.rank:
+                self.mismatches.append(f"width {system.width}: {equations}")
+            return got
+
         def shadow_copy(system):
             other = copy(system)
             oracles[other] = oracles[system].copy()
@@ -76,6 +91,7 @@ class _Shadow:
 
         monkeypatch.setattr(GF2System, "__init__", shadow_init)
         monkeypatch.setattr(GF2System, "add_equation", shadow_add)
+        monkeypatch.setattr(GF2System, "add_equations", shadow_add_all)
         monkeypatch.setattr(GF2System, "copy", shadow_copy)
 
         def kept_rref(vectors):

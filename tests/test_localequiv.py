@@ -19,7 +19,8 @@ from knotfloer.morphism import (IotaData, MapSpace, enumerate_almost_iotas,
                                 validate_iota, zero_map)
 from knotfloer.ring import Ideal
 from knotfloer.tensorsum import tensor
-from oracles import RingElt, grading_fitting_pairs, kill_candidates_list
+from oracles import (RingElt, grading_fitting_pairs,
+                     homogeneous_pair_exponents, kill_candidates_list)
 
 ONE = RingElt.one()
 
@@ -476,6 +477,31 @@ def test_kill_candidates_match_the_list_reference(n, order):
     count, candidates = localequiv._kill_candidates(C, fspace, order)
     reference = kill_candidates_list(C, fspace, order)
     assert list(candidates) == reference and count == len(reference)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_pair_candidates_are_homogeneous(n):
+    # U^a V^b x + U^a' V^b' y lies in one bigrading, so each target gets
+    # one monomial: every row is one target, reached from x, y or both
+    C = build_cable(n)
+    fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
+    _, candidates = localequiv._kill_candidates(C, fspace, "forward")
+    pairs = [(x, y) for i, x in enumerate(C.basis) for y in C.basis[i + 1:]
+             if (x.gr_u - y.gr_u) % 2 == 0]
+    for (x, y), rows in zip(pairs, list(candidates)[len(C):], strict=True):
+        (a, b), (a2, b2) = homogeneous_pair_exponents(x, y)
+        assert (x.gr_u - 2 * a, x.gr_v - 2 * b) == (y.gr_u - 2 * a2,
+                                                     y.gr_v - 2 * b2)
+        assert min(a, a2) == min(b, b2) == 0
+        terms = [[fspace.pairs[k] for k in row] for row in rows]
+        targets = [{tgt for _, tgt, _ in row} for row in terms]
+        assert all(len(t) == 1 for t in targets)
+        assert len(set().union(*targets)) == len(rows)
+        for row in terms:
+            assert {src for src, _, _ in row} <= {x.name, y.name}
+            if len(row) == 2:  # U^a m x and U^a' m' y are one monomial
+                (_, _, m), (_, _, m2) = row
+                assert (a + m.i, b + m.j) == (a2 + m2.i, b2 + m2.j)
 
 
 def test_kill_candidates_are_built_on_demand():

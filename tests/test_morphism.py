@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import knotfloer.morphism as morphism
 from conftest import random_reduced_complex
 from knotfloer.complexes import Complex, dualize, quotient
 from knotfloer.errors import ResourceError, StructuralError
@@ -21,10 +22,10 @@ from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
                                 zero_map)
 from knotfloer.ring import Ideal, Mono
 from knotfloer.tensorsum import tensor
-from oracles import (RingElt, diff_items, grading_fitting_pairs,
-                     linmap_composition_columns, linmap_d_commutator_columns,
-                     linmap_intertwining_columns, map_of_action,
-                     solve_homotopy)
+from oracles import (RingElt, diff_items, exhaustive_square_solutions,
+                     grading_fitting_pairs, linmap_composition_columns,
+                     linmap_d_commutator_columns, linmap_intertwining_columns,
+                     map_of_action, solve_homotopy)
 
 U, V = RingElt.mono(1, 0), RingElt.mono(0, 1)
 ONE = RingElt.one()
@@ -326,6 +327,47 @@ def test_cable_completion_count(n):
         for gen, targets in forced_iota_constraints(n):
             assert set(data.map.of_gen(gen)) == set(targets)
         assert validate_iota(C, data).ok
+
+
+WALK_COMPLEXES = {"unknot": build_unknot, "fig8": build_figure_eight,
+                  **{f"cable{n}": functools.partial(build_cable, n)
+                     for n in range(2, 7)}}
+
+
+@pytest.mark.parametrize("name", [*WALK_COMPLEXES,
+                                  *(f"{k}*" for k in WALK_COMPLEXES)])
+def test_pruned_walk_matches_exhaustive_cover_loop(name):
+    C = WALK_COMPLEXES[name.rstrip("*")]()
+    system = morphism._square_system(dualize(C) if name.endswith("*") else C)
+    got, want = ({(t0, tuple(null)) for t0, null in solutions(system)}
+                 for solutions in (morphism._square_solutions,
+                                   exhaustive_square_solutions))
+    assert got == want and got
+
+
+def test_pruned_walk_solve_counts(monkeypatch):
+    # one relaxation per node the walk visits, an exact GF2System solve
+    # at each leaf; below the cover of 2n classes on cable n the whole
+    # tree has 2^(2n + 1) - 1 nodes
+    solves = []
+
+    def counting(cls):
+        class Counting(cls):
+            def __init__(self, *args):
+                solves.append(cls.__name__)
+                super().__init__(*args)
+        return Counting
+
+    systems = [morphism._square_system(build_cable(n)) for n in range(2, 7)]
+    monkeypatch.setattr(morphism, "Echelon", counting(morphism.Echelon))
+    monkeypatch.setattr(morphism, "GF2System", counting(morphism.GF2System))
+    counts = []
+    for system in systems:
+        solves.clear()
+        found = list(morphism._square_solutions(system))
+        counts.append((len(solves), solves.count("GF2System"), len(found)))
+    assert counts == [(11, 4, 2), (23, 8, 4), (51, 16, 8), (115, 32, 16),
+                      (259, 64, 32)]
 
 
 def test_fig8_square_exceeds_cover_budget():
