@@ -12,8 +12,8 @@ from .complexes import (Complex, Generator, ValidationReport, dualize,
 from .errors import CfkParseError, ResourceError, StructuralError
 from .homology import (FUDecomp, HatRanks, UHomology, hfk_hat, hfk_minus,
                        locality_rank, torsion_order)
-from .knotlib import (CableParams, build_cable, build_figure_eight,
-                      build_unknot, forced_iota_constraints)
+from .knotlib import (build_cable, build_figure_eight, build_unknot,
+                      forced_iota_constraints)
 from .localequiv import (KernelSpace, LocalCertificate, LocalSearchSpec,
                          NonexistenceToken, SelfLocalFamily,
                          concordance_unknotting_bound, connected_complex,

@@ -56,15 +56,6 @@ class HatRanks:
 VVector = tuple[int, int]
 
 
-def _v_reduced_rows(C: Complex) -> list[int]:
-    """Differential of C/(V) over F2[U]: bit s of row t is set when d(s)
-    has a term U^k t.  The degree k = (gr(t) + 1 - gr(s)) / 2 is fixed
-    by the grading law, so the bit is the whole entry: these are the
-    V-free rows of d, transposed, the rows `_cancel` eliminates."""
-    columns = transpose(C.rows_mod(Ideal.principal_v()))
-    return [columns.get(t, 0) for t in range(len(C))]
-
-
 def _cancel(cols: list[int], gr: list[int]):
     """Graded cancellation of the differential with columns `cols`.
 

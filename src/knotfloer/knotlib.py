@@ -9,21 +9,8 @@ basis is fixed here once and for all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import Complex, Generator
 from .ring import Ideal, Mono
-
-
-@dataclass(frozen=True)
-class CableParams:
-    """Cabling parameter n >= 2; the cable pattern is (2n-1, -1)."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"cable parameter must be >= 2, got {self.n}")
 
 
 def build_unknot() -> Complex:
@@ -52,16 +39,15 @@ def build_figure_eight() -> Complex:
     return Complex(basis, diff, Ideal.zero(), "fig8")
 
 
-def build_cable(params: CableParams | int) -> Complex:
+def build_cable(n: int) -> Complex:
     """Complex of the (2n-1,-1)-cable of the figure-eight knot.
 
     15 + 12(n-2) generators: a lone cycle a, a central 6-generator piece
     b..g, full 6-generator pieces indexed (0,i) and (1,i) for
     1 <= i <= n-2, and truncated 4-generator pieces at i = n-1.
     """
-    if isinstance(params, int):
-        params = CableParams(params)
-    n = params.n
+    if n < 2:
+        raise ValueError(f"cable parameter must be >= 2, got {n}")
 
     def mono(i: int, j: int) -> set[Mono]:
         return {Mono(i, j)}
@@ -132,15 +118,15 @@ def build_cable(params: CableParams | int) -> Complex:
     return Complex(basis, diff, Ideal.zero(), f"cable{n}")
 
 
-def forced_iota_constraints(params: CableParams | int) -> list[tuple[str, tuple[str, ...]]]:
+def forced_iota_constraints(n: int) -> list[tuple[str, tuple[str, ...]]]:
     """Values of any involution on build_cable(n), mod (U,V).
 
     The four constraints are forced by skew-grading together with the
     squared-involution condition; tests cross-check them against the
     exhaustive enumeration.
     """
-    if isinstance(params, int):
-        params = CableParams(params)
+    if n < 2:
+        raise ValueError(f"cable parameter must be >= 2, got {n}")
     return [
         ("a", ("a",)),
         ("b", ("a", "b")),

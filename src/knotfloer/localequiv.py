@@ -5,9 +5,10 @@ involutions up to skew homotopy and carry the free tower of the source
 to a generator of the target tower.  On reduced complexes the almost
 version turns the homotopy into an equality mod (U,V), so the whole
 search is affine-linear over F2: `_chain_maps` gives the chain maps as
-an affine family in parameters t with the locality equation over t, and
-`_local_system` adds the intertwining rows of one involution pair; the
-search runs it on every pair, `SelfLocalFamily` on (iota, iota).
+an affine family in parameters t with the locality row over t, and
+`_local_system` adds it to the intertwining rows of one involution pair,
+each a row over the map space rewritten in t; the search runs it on
+every pair, `SelfLocalFamily` on (iota, iota).
 
 Nonexistence answers are certificates: a map space holds every map of
 its shape, because the gradings fix the monomial on each pair of
@@ -91,38 +92,34 @@ def _locality_bit(f: LinMap, tower: int, grading: int,
 
 
 def _locality_equation(fspace: MapSpace, family: AffineSpace,
-                       src_hom: UHomology,
-                       tgt_hom: UHomology) -> tuple[int, int]:
-    """(t-row, rhs): the members of a family of chain maps in fspace
-    whose `_locality_bit` is 1.
+                       src_hom: UHomology, tgt_hom: UHomology) -> int:
+    """The augmented t-row of "`_locality_bit` is 1" over a family of
+    chain maps in fspace.
 
-    The image of the tower generator mod V is linear in the map: each
-    basis map (x, y, m) adds y when x is in the generator and m has no V.
+    With one target tower the bit is linear in the map: each basis map
+    (x, y, m) with x in the tower generator and no V in m adds y to the
+    image mod V, which counts when y has odd tower coefficient.  The row
+    XORs those maps' `equations` and asks for 1; it is 0 = 1 when the
+    tower lies in another grading.
     """
     tower, grading = src_hom.tower_generator()
-    images = []
-    for x, y, m in fspace.pairs:
-        hit = tower >> fspace.source.index(x) & 1 and m.j == 0
-        images.append(1 << fspace.target.index(y) if hit else 0)
-
-    def locality(bits: int) -> int:
-        vec = 0
-        for k in bits_of(bits & ((1 << fspace.dim) - 1)):
-            vec ^= images[k]
-        return int(tgt_hom.tower_unit_coefficient((vec, grading)))
-
-    row = 0
-    for idx, v in enumerate(family.null):
-        row |= locality(v) << idx
-    return row, 1 ^ locality(family.particular)
+    index, tindex = fspace.source.index, fspace.target.index
+    odd = sum(1 << y for y in range(len(fspace.target))
+              if tgt_hom.tower_unit_coefficient((1 << y, grading)))
+    row = 1 << len(family.null)
+    for k, (x, y, m) in enumerate(fspace.pairs):
+        if m.j == 0 and tower >> index(x) & odd >> tindex(y) & 1:
+            row ^= family.equations[k]
+    return row
 
 
 def _chain_maps(src_hom: UHomology, tgt_hom: UHomology, budget: int
-                ) -> tuple[MapSpace, AffineSpace, tuple[int, int], int]:
+                ) -> tuple[MapSpace, AffineSpace, int, int]:
     """(fspace, family, locality, chain equation count): the space of
     every equivariant map of bidegree (0,0) between the complexes of two
     one-tower homologies, its chain maps as an affine family in
-    parameters t, and the locality equation over t."""
+    parameters t, and the `_locality_equation` over t: one more row of
+    the route that rewrites the intertwining rows in t."""
     src, tgt = src_hom.C, tgt_hom.C
     fspace = MapSpace.build(src, tgt, "eq", (0, 0), src.ring)
     if fspace.dim > budget:
@@ -151,16 +148,17 @@ def _slot_rows(family: AffineSpace,
     return raw, eqs
 
 
-def _local_system(family: AffineSpace, locality: tuple[int, int], pre: tuple,
+def _local_system(family: AffineSpace, locality: int, pre: tuple,
                   post: tuple) -> tuple[GF2System | None, int]:
     """(system over t, intertwining row count) for one involution pair
     from the `_slot_rows` of u -> u i1 and u -> i2 u: their sum's nonzero
-    rows, then locality; the system is None if no local map exists."""
+    rows and the locality row, added in one call; the system is None if
+    no local map exists."""
     (raw1, eqs1), (raw2, eqs2) = pre, post
     rows = [eqs1.get(e, 0) ^ eqs2.get(e, 0) for e in raw1.keys() | raw2.keys()
             if raw1.get(e, 0) != raw2.get(e, 0)]
     system = GF2System(len(family.null))
-    feasible = system.add_equations(rows) and system.add_equation(*locality)
+    feasible = system.add_equations(rows + [locality])
     return (system if feasible else None), len(rows)
 
 
@@ -326,18 +324,18 @@ class SelfLocalFamily:
         """Whether <f(src), tgt> takes one value over the whole family.
 
         Returns (constant?, value at the particular solution).  The
-        coefficient is the unit-monomial coordinate, an affine functional
-        of the solution parameters, so constancy is decided exactly.
+        coefficient is the unit-monomial coordinate k, which is
+        `family.equations[k]` as a function of t: it is constant when its
+        parity with every null vector of `inner` is 0, and its value is
+        its parity with the particular solution plus its rhs.
         """
         if self.C.grading(src) != self.C.grading(tgt):
             return True, 0  # no unit-monomial pair
         bit = self.fspace.pair_bits[(self.C.index(src), self.C.index(tgt))]
-        t_part = self.inner.particular_solution()
-        value = int(bool(self.family.point(t_part) & bit))
-        for w in self.inner.nullspace_basis():
-            if (self.family.point(w) ^ self.family.particular) & bit:
-                return False, value
-        return True, value
+        eq = self.family.equations[bit.bit_length() - 1]
+        t_part, null = self.inner.solution_space()
+        value = (eq & t_part).bit_count() + (eq >> self.inner.width) & 1
+        return not any((eq & w).bit_count() & 1 for w in null), value
 
 
 def _kill_candidates(C: Complex, fspace: MapSpace,
@@ -451,13 +449,9 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
     generators: list[tuple[str, int, int, int]] = []
     used_names: set[str] = set()
     for (p, q) in sorted(set(gr), reverse=True):
-        span = GF2System(len(C))
-        for v in images(p + 2, q) + images(p, q + 2):
-            span.add_equation(v, 0)
+        span = Echelon(images(p + 2, q) + images(p, q + 2))
         for vec in images(p, q):
-            rank = span.rank
-            span.add_equation(vec, 0)
-            if span.rank == rank:
+            if not span.add(vec):
                 continue
             t = vec.bit_length() - 1
             label = C.basis[t].name

@@ -386,14 +386,13 @@ class IotaData:
 class IotaReport:
     """Outcome of the involution axioms."""
 
-    skew_graded: bool
     chain_map: bool
     squares: bool
     messages: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return self.skew_graded and self.chain_map and self.squares
+        return self.chain_map and self.squares
 
 
 def one_plus_psi_phi(C: Complex, ideal: Ideal | None = None) -> LinMap:
@@ -403,19 +402,19 @@ def one_plus_psi_phi(C: Complex, ideal: Ideal | None = None) -> LinMap:
 
 
 def validate_iota(C: Complex, iota: IotaData) -> IotaReport:
-    """Check skew-grading, the chain-map law, and the squared condition,
-    all mod (U,V): on reduced complexes homotopic maps agree there, so
-    iota^2 is compared with 1 + Psi Phi directly, with no homotopy to
-    search for."""
+    """Check the chain-map law and the squared condition, both mod (U,V);
+    `IotaData` is skew of bidegree (0,0) by construction.  On reduced
+    complexes homotopic maps agree mod (U,V), so iota^2 is compared with
+    1 + Psi Phi directly, with no homotopy to search for."""
     return next(_almost_reports(C, [iota]))
 
 
-def _iota_shape(C: Complex, iota: IotaData) -> bool:
-    """Whether iota is skew of bidegree (0,0); it must be a map of C itself,
-    not of a copy with the same names, or composites with C's maps fail."""
+def _iota_shape(C: Complex, iota: IotaData) -> None:
+    """Raise unless iota is a map of C itself, not of a copy with the same
+    names, or composites with C's maps fail; `IotaData` already holds it
+    skew of bidegree (0,0)."""
     if iota.map.source is not C or iota.map.target is not C:
         raise StructuralError("iota is defined on a different basis")
-    return iota.map.variance == "skew" and iota.map.bidegree == (0, 0)
 
 
 def _almost_reports(C: Complex,
@@ -428,7 +427,7 @@ def _almost_reports(C: Complex,
     """
     dmap = square_target = None
     for iota in iotas:
-        skew = _iota_shape(C, iota)
+        _iota_shape(C, iota)
         if iota._report is None:
             if dmap is None:
                 if not C.is_reduced:
@@ -441,7 +440,7 @@ def _almost_reports(C: Complex,
             squares = (iota.map.compose(iota.map) + square_target).is_zero()
             messages = () if squares else ("iota^2 != 1 + Psi Phi mod (U,V)",)
             object.__setattr__(iota, "_report",
-                               IotaReport(skew, chain, squares, messages))
+                               IotaReport(chain, squares, messages))
         yield iota._report
 
 
@@ -461,9 +460,12 @@ class _SquareSystem:
     over the k set in t.  Its square is homotopic to 1 + Psi Phi exactly
     when z(t) = z0 + sum t_k lin[k] + sum_{k<l} t_k t_l cross[k, l] is zero,
     a vector in the equivariant (0,0) slot reduced modulo boundaries.
+    `unit_mask` holds the coordinates of monomial 1: the enumeration
+    projects each class onto them, which is its reduction mod (U,V).
     """
 
     iota_space: MapSpace
+    unit_mask: int
     base_bits: int
     class_dirs: tuple[int, ...]
     z0: int
@@ -482,26 +484,22 @@ def _square_system(C: Complex) -> _SquareSystem | None:
     system = GF2System(u)
     system.add_columns(iota_space.d_commutator_columns(defect_slot))
 
-    # forced unit coordinates: if x and y are each other's only mod-(U,V)
-    # option and Psi Phi vanishes on both mod (U,V), any valid square
-    # forces both coefficients to 1
+    # unit coordinates: the targets of monomial 1, which the reduction mod
+    # (U,V) keeps; if s and t are each other's only unit target and Psi Phi
+    # vanishes on both mod (U,V), any valid square forces both to 1
+    unit = kept_targets(C.grading_index, _MAX)
+    units = [unit(_image_grading(x, "skew", (0, 0))) for x in C.basis]
+    unit_mask = 0
+    for s, ts in enumerate(units):
+        for t in bits_of(ts):
+            unit_mask |= iota_space.pair_bits[s, t]
     phi, psi = derivative_maps(C)
-    psiphi = psi.compose(phi).reduce_to(_MAX)
-    unit_slots: dict[str, list[int]] = {}
-    for k, (src, tgt, m) in enumerate(iota_space.pairs):
-        if m.i == 0 and m.j == 0:
-            unit_slots.setdefault(src, []).append(k)
-    for src, ks in unit_slots.items():
-        if len(ks) != 1:
-            continue
-        tgt = iota_space.pairs[ks[0]][1]
-        back = unit_slots.get(tgt, [])
-        if len(back) != 1 or iota_space.pairs[back[0]][1] != src:
-            continue
-        if psiphi.rows[C.index(src)] or psiphi.rows[C.index(tgt)]:
-            continue
-        system.add_equation(1 << ks[0], 1)
-        system.add_equation(1 << back[0], 1)
+    psiphi = psi.compose(phi).reduce_to(_MAX).rows
+    for s, ts in enumerate(units):
+        t = ts.bit_length() - 1
+        if (ts.bit_count() == 1 and units[t] == 1 << s
+                and not psiphi[s] | psiphi[t]):
+            system.add_equation(iota_space.pair_bits[s, t], 1)
     if not system.feasible:
         return None
     base_bits = system.particular_solution()
@@ -547,8 +545,8 @@ def _square_system(C: Complex) -> _SquareSystem | None:
             v = reduced_square_vec(k + 1, l + 1)
             if v:
                 cross[(k, l)] = v
-    return _SquareSystem(iota_space, base_bits, tuple(class_dirs), z0, lin,
-                         cross)
+    return _SquareSystem(iota_space, unit_mask, base_bits, tuple(class_dirs),
+                         z0, lin, cross)
 
 
 def _vertex_cover(q: int, edges) -> list[int]:
@@ -659,11 +657,7 @@ def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
     system = _square_system(C)
     if system is None:
         return []
-    space = system.iota_space
-    mask = 0
-    for k, (_, _, m) in enumerate(space.pairs):
-        if m.i == 0 and m.j == 0:
-            mask |= 1 << k
+    space, mask = system.iota_space, system.unit_mask
     unit_dirs = [d & mask for d in system.class_dirs]
 
     def project(t: int) -> int:

@@ -35,7 +35,8 @@ the way `Complex` did before it stored its differential as bitset rows.
 `kernel_space_oracle` solves one matrix over the whole truncated module
 instead of one block per bigrading.
 `scan_cancel` finds the rows to clear at each pivot of the cancellation
-pass by visiting every live row instead of reading a column index;
+pass by visiting every live row instead of reading a column index, on
+the transposed V-free rows of d (`v_reduced_rows`);
 `scan_kept_targets` decides each expected grading by a scan of every
 target bigrading instead of the two axes through it; `ringelt_validate`
 checks d^2 through the element views instead of XORing rows, or
@@ -60,7 +61,7 @@ from knotfloer.complexes import (Complex, Generator, ValidationReport,
                                  _image_grading, _row_terms)
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.homology import UHomology
-from knotfloer.linalg import GF2System, bits_of, rref_basis
+from knotfloer.linalg import GF2System, bits_of, rref_basis, transpose
 from knotfloer.localequiv import (_exponent_bound, _kill_candidates,
                                   _locality_bit)
 from knotfloer.morphism import (IotaData, LinMap, MapSpace, _spread,
@@ -1099,9 +1100,18 @@ def kernel_space_oracle(C: Complex, f: LinMap) -> tuple[tuple, tuple]:
 
 # -- the scans the indexes replaced ------------------------------------------
 
+def v_reduced_rows(C: Complex) -> list[int]:
+    """Differential of C/(V) over F2[U]: bit s of row t is set when d(s)
+    has a term U^k t.  The degree k = (gr(t) + 1 - gr(s)) / 2 is fixed
+    by the grading law, so the bit is the whole entry: these are the
+    V-free rows of d, transposed, the rows `scan_cancel` eliminates."""
+    columns = transpose(C.rows_mod(Ideal.principal_v()))
+    return [columns.get(t, 0) for t in range(len(C))]
+
+
 def scan_cancel(rows: list[int], gr: list[int]):
     """`homology._cancel` from the rows of the differential of C/(V)
-    (`_v_reduced_rows`), finding the rows that hit each pivot column by
+    (`v_reduced_rows`), finding the rows that hit each pivot column by
     visiting every live row, and keeping the live generators in a list."""
     n = len(gr)
     rows = list(rows)

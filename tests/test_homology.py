@@ -12,8 +12,8 @@ import pytest
 from conftest import (_apply_transvection, random_graded_transvection,
                       random_reduced_complex)
 from knotfloer.complexes import Complex, Generator, dualize
-from knotfloer.homology import (UHomology, _v_reduced_rows, hfk_hat,
-                                hfk_minus, locality_rank, torsion_order)
+from knotfloer.homology import (UHomology, hfk_hat, hfk_minus,
+                                locality_rank, torsion_order)
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
 from knotfloer.linalg import GF2System, bits_of
 from knotfloer.localequiv import _locality_bit
@@ -21,7 +21,7 @@ from knotfloer.morphism import MapSpace
 from knotfloer.tensorsum import tensor
 from oracles import (RingElt, hfk_minus_oracle, linmap_apply,
                      locality_rank_oracle, tower_unit_coefficient_oracle,
-                     vector_from_element)
+                     v_reduced_rows, vector_from_element)
 
 # expected values computed with the brute-force oracle and frozen
 FROZEN = {
@@ -196,7 +196,7 @@ TWISTED = [_twisted(name, seed) for name in ("cable2", "cable3", "fig8#cable2")
 
 def _columns(C: Complex) -> list[int]:
     """Column s of the differential of C/(V) as bits over the targets."""
-    return [sum(1 << t for t, row in enumerate(_v_reduced_rows(C))
+    return [sum(1 << t for t, row in enumerate(v_reduced_rows(C))
                 if row >> s & 1) for s in range(len(C))]
 
 

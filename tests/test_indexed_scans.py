@@ -8,12 +8,12 @@ import pytest
 
 from conftest import random_reduced_complex
 from oracles import (RingElt, diff_items, ringelt_validate, scan_cancel,
-                     scan_kept_targets)
+                     scan_kept_targets, v_reduced_rows)
 from test_homology import (LIBRARY, PRODUCT_SUMS, TWISTED, _complex,
                            _random_products)
 from knotfloer.complexes import (Complex, Generator, GradingIndex, dualize,
                                  kept_targets, quotient)
-from knotfloer.homology import _cancel, _v_reduced_rows
+from knotfloer.homology import _cancel
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
 from knotfloer.ring import Ideal, Mono
 
@@ -42,7 +42,7 @@ CANCEL_CASES = (KNOTS + [dualize(C) for C in KNOTS]
 def test_cancel_matches_row_scan(C):
     gr = [g.gr_u for g in C.basis]
     assert (_cancel(C.rows_mod(Ideal.principal_v()), gr)
-            == scan_cancel(_v_reduced_rows(C), gr))
+            == scan_cancel(v_reduced_rows(C), gr))
 
 
 # -- grading masks -----------------------------------------------------------

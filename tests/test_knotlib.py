@@ -2,8 +2,8 @@
 
 import pytest
 
-from knotfloer.knotlib import (CableParams, build_cable, build_figure_eight,
-                               build_unknot, forced_iota_constraints)
+from knotfloer.knotlib import (build_cable, build_figure_eight, build_unknot,
+                               forced_iota_constraints)
 from oracles import RingElt, d_of
 
 U, V = RingElt.mono(1, 0), RingElt.mono(0, 1)
@@ -29,10 +29,10 @@ def test_fig8_table(fig8):
 
 
 def test_cable_requires_n_at_least_two():
-    with pytest.raises(ValueError):
-        CableParams(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cable parameter must be >= 2, got 1"):
         build_cable(1)
+    with pytest.raises(ValueError, match="cable parameter must be >= 2, got 1"):
+        forced_iota_constraints(1)
 
 
 @pytest.mark.parametrize("n,count", [(2, 15), (3, 27), (4, 39), (5, 51),

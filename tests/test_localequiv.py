@@ -417,8 +417,45 @@ def test_maximal_self_local_matches_fixpoint_oracle(name):
                 assert f.rows == g.rows and note == oracle_note
         fam, joint = SelfLocalFamily(C, io, 2_000_000), JointSelfLocalFamily(C, io)
         for x in C.names():
-            assert (fam.unit_coefficient_constant(x, x)
-                    == joint.unit_coefficient_constant(x, x))
+            for y in C.names():
+                if C.grading(x) == C.grading(y):
+                    assert (fam.unit_coefficient_constant(x, y)
+                            == joint.unit_coefficient_constant(x, y))
+
+
+SWEEP_LIBRARY = ("unknot", "fig8", "fig8*", "cable2", "cable3", "cable2*",
+                 "cable3*")
+
+
+def test_locality_row_matches_locality_bit():
+    # the locality row, read as a functional of t, is `_locality_bit` of
+    # the family's member at t, on every ordered pair of the pair-sweep
+    # library; a target whose tower lies in another grading gives 0 = 1,
+    # and one whose maps from the unknot all carry V gives 0 there
+    from knotfloer.complexes import Complex, Generator
+
+    rng = random.Random("locality")
+    shifted, v_shifted = (Complex([Generator("a", u, v)], {}, Ideal.zero(),
+                                  f"unknot{u}{v}") for u, v in ((2, 2), (0, 2)))
+    targets = [_library(name) for name in SWEEP_LIBRARY] + [shifted, v_shifted]
+    seen = set()
+    for name in SWEEP_LIBRARY:
+        hom = _library(name).u_homology
+        tower, grading = hom.tower_generator()
+        for tgt in targets:
+            fspace, family, row, _ = localequiv._chain_maps(
+                hom, tgt.u_homology, 2_000_000)
+            width = len(family.null)
+            if tgt is shifted:
+                assert row == 1 << width
+            for _ in range(16):
+                t = rng.getrandbits(width)
+                f = fspace.map_from_bits(family.point(t))
+                holds = (row & t).bit_count() % 2 == row >> width & 1
+                assert holds == localequiv._locality_bit(f, tower, grading,
+                                                         tgt.u_homology)
+                seen.add(holds)
+    assert seen == {False, True}
 
 
 def test_iota_of_an_equal_copy_is_rejected(k2):
