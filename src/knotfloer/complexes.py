@@ -247,14 +247,15 @@ class Complex:
 
 class GradingIndex:
     """A basis as bitsets by bigrading (`cells`), by line of constant gr_V
-    (`u_axis`) or gr_U (`v_axis`), and its `kept_targets` masks (`kept`)."""
+    (`u_axis`) or gr_U (`v_axis`), its `kept_targets` masks (`kept`) and
+    the `MapSpace.ranks` tables of masks (`ranks`)."""
 
     def __init__(self, basis: Iterable[Generator]):
         self.cells: dict[tuple[int, int], int] = {}
         for t, y in enumerate(basis):
             key = (y.gr_u, y.gr_v)
             self.cells[key] = self.cells.get(key, 0) | 1 << t
-        self.u_axis, self.v_axis, self.kept = {}, {}, {}
+        self.u_axis, self.v_axis, self.kept, self.ranks = {}, {}, {}, {}
         for key, ys in self.cells.items():
             self.u_axis.setdefault(key[1], {})[key] = ys
             self.v_axis.setdefault(key[0], {})[key] = ys

@@ -3,24 +3,21 @@
 Local maps are grading-preserving chain maps that intertwine the
 involutions up to skew homotopy and carry the free tower of the source
 to a generator of the target tower.  On reduced complexes the almost
-version turns the homotopy into an equality mod (U,V), so the whole
-search is affine-linear over F2: `_chain_maps` gives the chain maps as
-an affine family in parameters t with the locality row over t, and
-`_local_system` adds it to the intertwining rows of one involution pair,
-each a row over the map space rewritten in t; the search runs it on
-every pair, `SelfLocalFamily` on (iota, iota).
-
-Nonexistence answers are certificates: a map space holds every map of
-its shape, because the gradings fix the monomial on each pair of
-generators, so an inconsistent system rules out every candidate,
-quantified over all enumerated involution completions.
+version turns the homotopy into an equality mod (U,V), so the search is
+affine-linear over F2: `_chain_maps` gives the chain maps as an affine
+family in parameters t with the locality row over t, and `_local_system`
+adds it to the intertwining rows of one involution pair, rewritten in t;
+the search runs it on every pair, `SelfLocalFamily` on (iota, iota).
+A map space holds every map of its shape, so an inconsistent system
+rules out every candidate over all enumerated involution completions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator
+from typing import Container, Iterator
 
 from .complexes import Complex, Generator, GradingIndex, kept_targets
 from .errors import ResourceError, StructuralError
@@ -97,19 +94,21 @@ def _locality_equation(fspace: MapSpace, family: AffineSpace,
     chain maps in fspace.
 
     With one target tower the bit is linear in the map: each basis map
-    (x, y, m) with x in the tower generator and no V in m adds y to the
-    image mod V, which counts when y has odd tower coefficient.  The row
-    XORs those maps' `equations` and asks for 1; it is 0 = 1 when the
-    tower lies in another grading.
+    (x, y) with x in the tower generator and gr_V(y) = gr_V(x) (no V in
+    its monomial) adds y to the image mod V, which counts when y has odd
+    tower coefficient.  The row XORs those maps' `equations` and asks
+    for 1; it is 0 = 1 when the tower lies in another grading.
     """
     tower, grading = src_hom.tower_generator()
-    index, tindex = fspace.source.index, fspace.target.index
-    odd = sum(1 << y for y in range(len(fspace.target))
+    targets = fspace.target.basis
+    odd = sum(1 << y for y in range(len(targets))
               if tgt_hom.tower_unit_coefficient((1 << y, grading)))
     row = 1 << len(family.null)
-    for k, (x, y, m) in enumerate(fspace.pairs):
-        if m.j == 0 and tower >> index(x) & odd >> tindex(y) & 1:
-            row ^= family.equations[k]
+    for x in bits_of(tower):
+        gr_v, rank = fspace.source.basis[x].gr_v, fspace.ranks[x]
+        for y in bits_of(fspace.masks[x] & odd):
+            if targets[y].gr_v == gr_v:
+                row ^= family.equations[fspace.starts[x] + rank[y]]
     return row
 
 
@@ -177,15 +176,10 @@ def _iota_candidates(C: Complex, data: IotaInput) -> list[IotaData]:
 def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     """Decide existence of an almost local map, or produce a certificate.
 
-    The chain maps form an affine family, in parameters t, solved from
-    the map space's d-commutator equations.  The intertwining condition
-    u i1 + i2 u mod (U,V) splits as A(i1) + B(i2) with A the
-    precomposition and B the postcomposition operator, so the rows of A,
-    rewritten in t, are built once per source completion and those of B
-    once per target completion; each involution pair gives a system over
-    t of the rows of A + B and the locality equation (the tower class
-    goes to a tower generator).  Any found map is re-verified by
-    `verify_almost_local`.
+    u i1 + i2 u mod (U,V) splits as A(i1) + B(i2), A the precomposition
+    and B the postcomposition operator, so the rows of A in t are built
+    once per source completion and those of B once per target completion.
+    Any found map is re-verified by `verify_almost_local`.
     """
     src, src_iota_in = spec.source
     tgt, tgt_iota_in = spec.target
@@ -295,14 +289,10 @@ def kernel_space(C: Complex, f: LinMap) -> KernelSpace:
 
 
 class SelfLocalFamily:
-    """Affine set of almost self-local maps of (C, iota).
-
-    `family` holds the chain maps of C in parameters t, and the system
-    `inner` over t holds the rows that make them intertwine iota and be
-    local.  Exposes exact certificates over the whole set, for example
-    that a diagonal coefficient is constantly 1, without listing its
-    members.
-    """
+    """Affine set of almost self-local maps of (C, iota): `family` holds
+    the chain maps of C in parameters t, and the system `inner` over t the
+    rows that make them intertwine iota and be local.  Exact certificates
+    over the whole set need no list of its members."""
 
     def __init__(self, C: Complex, iota: IotaData, budget: int):
         _iota_candidates(C, iota)  # raises unless iota validates
@@ -321,36 +311,34 @@ class SelfLocalFamily:
             raise StructuralError("no self-local equivalence exists at all")
 
     def unit_coefficient_constant(self, src: str, tgt: str) -> tuple[bool, int]:
-        """Whether <f(src), tgt> takes one value over the whole family.
-
-        Returns (constant?, value at the particular solution).  The
-        coefficient is the unit-monomial coordinate k, which is
-        `family.equations[k]` as a function of t: it is constant when its
-        parity with every null vector of `inner` is 0, and its value is
-        its parity with the particular solution plus its rhs.
-        """
+        """(whether <f(src), tgt> is constant over the family, its value
+        at the particular solution).  The unit-monomial coordinate k is
+        `family.equations[k]` in t: constant when its parity with every
+        null vector of `inner` is 0, valued its parity with the particular
+        solution plus its rhs."""
         if self.C.grading(src) != self.C.grading(tgt):
             return True, 0  # no unit-monomial pair
-        bit = self.fspace.pair_bits[(self.C.index(src), self.C.index(tgt))]
-        eq = self.family.equations[bit.bit_length() - 1]
+        s = self.C.index(src)
+        eq = self.family.equations[self.fspace.starts[s]
+                                   + self.fspace.ranks[s][self.C.index(tgt)]]
         t_part, null = self.inner.solution_space()
         value = (eq & t_part).bit_count() + (eq >> self.inner.width) & 1
         return not any((eq & w).bit_count() & 1 for w in null), value
 
 
-def _kill_candidates(C: Complex, fspace: MapSpace,
-                     order: str) -> tuple[int, Iterator[list[tuple]]]:
+def _kill_candidates(C: Complex, fspace: MapSpace, order: str,
+                     killed: Container[int] = ()
+                     ) -> tuple[int, Iterator[list[tuple]]]:
     """The number of candidates, and the candidates in `order`: per
     candidate, the rows r with r . f = 0 that kill it, each the tuple of
     its one or two map-space coordinates, ascending.  Singles first
     (killing any monomial multiple of a generator forces f(x) = 0 on the
     whole generator), then minimal two-term homogeneous combinations of
     each pair x < y whose gradings differ by even amounts; "reverse" is
-    the same sequence backwards.  There are about n^2 / 4 candidates, so
-    each is built when the sweep asks."""
-    by_source: list[dict[str, int]] = [{} for _ in C.basis]  # target: k
-    for k, (srcn, tgt, _) in enumerate(fspace.pairs):
-        by_source[C.index(srcn)][tgt] = k
+    the same sequence backwards.  The about n^2 / 4 candidates are built
+    when the sweep asks; a pair of two `killed` generators is skipped."""
+    by_source = [{t: start + r for t, r in rank.items()}  # target: k
+                 for start, rank in zip(fspace.starts, fspace.ranks)]
     n = len(C)
     ordered = reversed if order == "reverse" else iter
 
@@ -359,12 +347,11 @@ def _kill_candidates(C: Complex, fspace: MapSpace,
         for xi in ordered(range(n)):
             for yi in ordered(range(xi + 1, n)):
                 du = C.basis[xi].gr_u - C.basis[yi].gr_u
-                dv = C.basis[xi].gr_v - C.basis[yi].gr_v
-                if du % 2:
+                if du % 2 or xi in killed and yi in killed:
                     continue
-                # f(U^a V^b x + U^(a - du/2) V^(b - dv/2) y) = 0, a and b
-                # max(0, du/2) and max(0, dv/2): the terms share a grading,
-                # which fixes the monomial on each target: rows by target
+                # f(U^a V^b x + U^(a - du/2) V^(b - dv/2) y) = 0, (du, dv) =
+                # gr(x) - gr(y), a = max(0, du/2), b = max(0, dv/2): the terms
+                # share a grading, which fixes each target's monomial
                 sx, sy = by_source[xi], by_source[yi]
                 yield ([(k, sy[tgt]) if tgt in sy else (k,)
                         for tgt, k in sx.items()]
@@ -380,19 +367,20 @@ def _kill_candidates(C: Complex, fspace: MapSpace,
 
 def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
                         order: str) -> tuple[LinMap, str]:
-    """The map and certificate note of `maximal_self_local_map`, kept on
-    iota by (budget, order); iota must be a map of C itself.  One sweep
-    suffices: equations only shrink the solution set, so a rejected
-    candidate stays rejected.  A candidate's rows, each the XOR of the
-    `equations` of its unknowns, kept reduced by the accepted span (which
-    only grows), are added all together or not at all."""
+    """The map and note of `maximal_self_local_map`, kept on iota by
+    (budget, order); iota must be a map of C itself.  One sweep suffices:
+    a rejected candidate stays rejected.  A candidate's rows, each the XOR
+    of its unknowns' `equations` kept reduced by the accepted span, are
+    added all together or not at all; one accepted with one unknown per
+    row kills each generator it touches."""
     _iota_shape(C, iota)
     kept = iota._self_local.get((budget, order))
     if kept is not None:
         return kept
     sls = SelfLocalFamily(C, iota, budget)
     inner, table = sls.inner, list(sls.family.equations)
-    count, candidates = _kill_candidates(C, sls.fspace, order)
+    killed: set[int] = set()
+    count, candidates = _kill_candidates(C, sls.fspace, order, killed=killed)
     for rows in candidates:
         mask, eqs = inner.mask, []
         for row in rows:
@@ -403,7 +391,9 @@ def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
                 eq ^= table[k]
             if eq:
                 eqs.append(eq)
-        inner.add_equations(eqs)
+        if inner.add_equations(eqs) and all(len(row) == 1 for row in rows):
+            killed.update(bisect_right(sls.fspace.starts, k) - 1
+                          for k, in rows)
     f = sls.fspace.map_from_bits(
         sls.family.point(inner.particular_solution()))
     if not verify_almost_local(f, iota, iota):

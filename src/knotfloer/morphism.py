@@ -15,8 +15,10 @@ truncation artifacts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import ClassVar, Iterator, Mapping, Sequence
 
 from .complexes import (Complex, _image_grading, _mask_rows,
@@ -230,15 +232,15 @@ class MapSpace:
     """Basis of all maps of one shape: (source gen, target gen, monomial).
 
     The gradings fix the monomial on each (source, target) pair, so the
-    space is finite and holds every map of its shape: a map is an int
-    bitset over `pairs`.  The linear conditions of the solvers are
-    operators on this space, assembled column by column (one column per
-    basis map) by index arithmetic on the pairs and the rows of the maps
-    involved, without building maps: `d_commutator_columns`
-    (f -> d f + f d), `precompose_columns` (u -> u g) and
-    `postcompose_columns` (u -> g u) for a fixed map g.  Each writes its
-    columns in the coordinates of a slot space, which must have the
-    composite's shape.
+    space is finite and holds every map of its shape.  Source s keeps the
+    targets in `masks[s]`, one `kept_targets` lookup per bigrading, and
+    its coordinate of target t is `starts[s] + ranks[s][t]`: coordinates
+    run source by source, targets ascending, as `pairs` lists them (built
+    only when read).  The solvers' operators are assembled column by
+    column by index arithmetic on the masks and the rows of the maps
+    involved: `d_commutator_columns` (f -> d f + f d),
+    `precompose_columns` (u -> u g) and `postcompose_columns` (u -> g u),
+    each in the coordinates of a slot space of the composite's shape.
     """
 
     source: Complex
@@ -246,53 +248,62 @@ class MapSpace:
     variance: str
     bidegree: Bidegree
     ideal: Ideal
-    pairs: tuple[tuple[str, str, Mono], ...]
+    masks: tuple[int, ...]
+    starts: tuple[int, ...]  # one more than masks: the last is dim
 
     @staticmethod
     def build(source: Complex, target: Complex, variance: str,
               bidegree: Bidegree, ideal: Ideal) -> "MapSpace":
         kept = kept_targets(target.grading_index, ideal)
-        pairs, terms = [], {}  # terms: (target, monomial)s by bigrading
-        for x in source.basis:
-            gr = (x.gr_u, x.gr_v)
-            if gr not in terms:
-                e = _image_grading(x, variance, bidegree)
-                terms[gr] = [(tgt, Mono(i, j)) for tgt, i, j
-                             in _row_terms(target.basis, kept(e), e)]
-            pairs += [(x.name, tgt, m) for tgt, m in terms[gr]]
-        return MapSpace(source, target, variance, bidegree, ideal,
-                        tuple(pairs))
+        masks = tuple(kept(_image_grading(x, variance, bidegree))
+                      for x in source.basis)
+        starts = (0, *accumulate(m.bit_count() for m in masks))
+        return MapSpace(source, target, variance, bidegree, ideal, masks,
+                        starts)
 
     @property
     def dim(self) -> int:
-        return len(self.pairs)
+        return self.starts[-1]
 
     @cached_property
-    def pair_bits(self) -> dict[tuple[int, int], int]:
-        """(source index, target index) -> bit of the pair."""
-        return {(self.source.index(x), self.target.index(y)): 1 << k
-                for k, (x, y, _) in enumerate(self.pairs)}
+    def ranks(self) -> tuple[dict[int, int], ...]:
+        """ranks[s][t]: the place of t among the kept targets of s, one
+        table per mask, kept on the target's grading index."""
+        made = self.target.grading_index.ranks
+        return tuple(made[m] if m in made else made.setdefault(
+            m, {t: r for r, t in enumerate(bits_of(m))}) for m in self.masks)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, str, Mono], ...]:
+        """(source, target, monomial) of each coordinate, in order."""
+        return tuple((x.name, tgt, Mono(i, j)) for x, m in zip(
+            self.source.basis, self.masks) for tgt, i, j in _row_terms(
+            self.target.basis, m, _image_grading(x, self.variance,
+                                                 self.bidegree)))
+
+    def row_bits(self, s: int, row: int) -> int:
+        """The targets of `row` that source s keeps, as bits over the space."""
+        rank = self.ranks[s]
+        return sum(1 << rank[t] for t in bits_of(row & self.masks[s])
+                   ) << self.starts[s]
 
     def map_from_bits(self, bits: int) -> LinMap:
-        rows = [0] * len(self.source)
-        index, tindex = self.source._index, self.target._index
+        rows, starts, s = [0] * len(self.masks), self.starts, -1
         for k in bits_of(bits):
-            src, tgt, _ = self.pairs[k]
-            rows[index[src]] ^= 1 << tindex[tgt]
+            if s < 0 or k >= starts[s + 1]:
+                s = bisect_right(starts, k) - 1
+                targets = list(self.ranks[s])
+            rows[s] |= 1 << targets[k - starts[s]]
         return LinMap(self.source, self.target, self.variance,
                       self.bidegree, self.ideal, rows)
 
     def bits_from_map(self, f: LinMap) -> int:
         """f, a map of this space's shape, reduced modulo the space's
-        ideal, as bits over `pairs`."""
+        ideal, as bits over the coordinates."""
         if (f.source is not self.source or f.target is not self.target
                 or (f.variance, f.bidegree) != (self.variance, self.bidegree)):
             raise StructuralError("map falls outside the map space")
-        bits = 0
-        for s, row in enumerate(f.reduce_to(self.ideal).rows):
-            for t in bits_of(row):
-                bits ^= self.pair_bits[(s, t)]
-        return bits
+        return sum(map(self.row_bits, range(len(f.rows)), f.rows))
 
     # -- operators, one column per basis map ------------------------------
 
@@ -313,31 +324,36 @@ class MapSpace:
                  pre: LinMap | None = None) -> list[int]:
         """Columns of u -> post u + u pre over the basis maps u.
 
-        The basis map (x, y) sends x to y times its pair's monomial; post u
-        sends x to post(y), and u pre sends each w with x in pre(w) to y.
-        The slot holds every map of the composite's shape, and the
-        gradings fix the monomial of each term, so a term without a slot
-        pair is one whose monomial lies in the slot's ideal.
+        The basis map (s, t) sends s to t times its monomial: post u sends
+        s to post(t), and u pre sends each w with s in pre(w) to t, each
+        kept where the slot's mask of its source allows; the gradings fix
+        every monomial, so the rest lies in the slot's ideal.  Both masks
+        of s depend only on s's bigrading: post(t) is packed once per
+        bigrading.
         """
         for outer, inner in ((post, self), (self, pre)):
             if outer is not None and inner is not None:
                 _check_slot(slot, outer, inner)
-        hit = slot.pair_bits
-        preimages: list[list[int]] = [[] for _ in self.source.basis]
-        if pre is not None:
-            for w, row in enumerate(pre.rows):
-                for x in bits_of(row):
-                    preimages[x].append(w)
-        cols = []
-        for x, y, _ in self.pairs:
-            s, t = self.source.index(x), self.target.index(y)
-            col = 0
-            if post is not None:
-                for z in bits_of(post.rows[t]):
-                    col ^= hit.get((s, z), 0)
-            for w in preimages[s]:
-                col ^= hit.get((w, t), 0)
-            cols.append(col)
+        cols, starts, ranks = [0] * self.dim, self.starts, self.ranks
+        if post is not None:
+            for members in self.source.grading_index.cells.values():
+                s = members.bit_length() - 1
+                mask, rank = slot.masks[s], slot.ranks[s]
+                packed = [post.rows[t] & mask for t in ranks[s]]
+                if not any(packed):
+                    continue
+                for r, row in enumerate(packed):
+                    if row:
+                        packed[r] = sum(1 << rank[z] for z in bits_of(row))
+                for s in bits_of(members):
+                    start = slot.starts[s]
+                    cols[starts[s]:starts[s + 1]] = [v << start for v in packed]
+        for w, row in enumerate(pre.rows if pre is not None else ()):
+            mask, rank, start = slot.masks[w], slot.ranks[w], slot.starts[w]
+            for s in bits_of(row):
+                base, srank = starts[s], ranks[s]
+                for t in bits_of(self.masks[s] & mask):
+                    cols[base + srank[t]] ^= 1 << start + rank[t]
         return cols
 
 
@@ -487,19 +503,15 @@ def _square_system(C: Complex) -> _SquareSystem | None:
     # unit coordinates: the targets of monomial 1, which the reduction mod
     # (U,V) keeps; if s and t are each other's only unit target and Psi Phi
     # vanishes on both mod (U,V), any valid square forces both to 1
-    unit = kept_targets(C.grading_index, _MAX)
-    units = [unit(_image_grading(x, "skew", (0, 0))) for x in C.basis]
-    unit_mask = 0
-    for s, ts in enumerate(units):
-        for t in bits_of(ts):
-            unit_mask |= iota_space.pair_bits[s, t]
+    units = MapSpace.build(C, C, "skew", (0, 0), _MAX).masks
+    unit_mask = sum(map(iota_space.row_bits, range(len(C)), units))
     phi, psi = derivative_maps(C)
     psiphi = psi.compose(phi).reduce_to(_MAX).rows
     for s, ts in enumerate(units):
         t = ts.bit_length() - 1
         if (ts.bit_count() == 1 and units[t] == 1 << s
                 and not psiphi[s] | psiphi[t]):
-            system.add_equation(iota_space.pair_bits[s, t], 1)
+            system.add_equation(iota_space.row_bits(s, ts), 1)
     if not system.feasible:
         return None
     base_bits = system.particular_solution()
@@ -520,6 +532,7 @@ def _square_system(C: Complex) -> _SquareSystem | None:
     # the preimages of each: s -> the w with s in maps(w)
     rows = [iota_space.map_from_bits(v).rows for v in (base_bits, *class_dirs)]
     preimages = [transpose(m) for m in rows]
+    starts, ranks = eq_slot.starts, eq_slot.ranks
 
     def composite(f: int, g: int) -> int:
         """maps[f] o maps[g] in eq_slot coordinates."""
@@ -527,7 +540,7 @@ def _square_system(C: Complex) -> _SquareSystem | None:
         for s, ws in preimages[g].items():
             for t in bits_of(rows[f][s]):
                 for w in bits_of(ws):
-                    out ^= eq_slot.pair_bits[w, t]
+                    out ^= 1 << starts[w] + ranks[w][t]
         return out
 
     def reduced_square_vec(f: int, g: int) -> int:
@@ -631,19 +644,15 @@ def enumerate_almost_iotas(C: Complex) -> list[IotaData]:
     by a skew-equivariant skew-graded chain map whose square is
     equivariantly homotopic to 1 + Psi Phi.
 
-    Homotopy classes of skew chain maps form a finite F2 space (monomials
-    are grading-determined), and the squared condition is a quadratic
-    system over it.  Its cross terms all touch a small greedy vertex
-    cover; on each assignment of the cover the system is linear in the
-    other class variables and is solved exactly, giving an affine space
-    of solutions or none; a walk pruned by a linear relaxation skips most
-    assignments that have none.  Each space is mapped to iota coordinates
-    and projected onto the unit monomials, which is the reduction mod (U,V);
-    every point of the projected span is collected.  The reduction is a
-    homotopy invariant on reduced complexes, so the returned list, sorted
-    by rendering, is exactly the set of almost-involution actions that
-    lift; forced values like the ones on cable complexes emerge from the
-    enumeration rather than being assumed.
+    Homotopy classes of skew chain maps form a finite F2 space, and the
+    squared condition is a quadratic system over it.  Its cross terms all
+    touch a small greedy vertex cover; on each assignment of the cover
+    the system is linear in the other class variables and solved exactly
+    (a walk pruned by a linear relaxation skips most assignments without
+    solutions).  Each affine space of solutions is projected onto the
+    unit coordinates, its reduction mod (U,V), a homotopy invariant on
+    reduced complexes: the returned list, sorted by rendering, is exactly
+    the set of almost-involution actions that lift.
     """
     if len(C.basis) > MAX_ENUM_GENERATORS:
         raise ResourceError(

@@ -541,6 +541,56 @@ def test_pair_candidates_are_homogeneous(n):
                 assert (a + m.i, b + m.j) == (a2 + m2.i, b2 + m2.j)
 
 
+def _killing_complex(name):
+    """(C, its involutions): a cable, or cable2 x cable2 with the variant-1
+    product of the first completions."""
+    if name != "cable2#cable2":
+        C = _library(name)
+        return C, enumerate_almost_iotas(C)
+    from knotfloer.tensorsum import product_iota
+
+    k2 = build_cable(2)
+    i2 = enumerate_almost_iotas(k2)[0]
+    T = tensor(k2, k2)
+    return T, [product_iota(k2, i2, k2, i2, 1, T)]
+
+
+@pytest.mark.parametrize("name", ["cable2", "cable3", "cable4",
+                                  "cable2#cable2"])
+def test_sweep_skips_pairs_of_killed_generators(monkeypatch, name):
+    # a candidate accepted with one unknown per row kills its generators,
+    # and the sweep skips the pairs of two killed generators: it builds
+    # the list reference less some pairs, and the same sweep over the
+    # whole list gives the same map and note
+    C, iotas = _killing_complex(name)
+    fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
+    forward = kill_candidates_list(C, fspace, "forward")
+    references = {"forward": forward, "reverse": forward[::-1]}
+    kill_candidates, swept = localequiv._kill_candidates, []
+
+    def recording(C, fspace, order, killed=()):
+        count, candidates = kill_candidates(C, fspace, order, killed=killed)
+        return count, (swept.append(rows) or rows for rows in candidates)
+
+    def whole_list(C, fspace, order, killed=()):
+        return len(references[order]), iter(references[order])
+
+    skipped = 0
+    for io in iotas:
+        for order, reference in references.items():
+            swept.clear()
+            monkeypatch.setattr(localequiv, "_kill_candidates", recording)
+            f, note = localequiv._maximal_self_local(C, io, 2_000_000, order)
+            monkeypatch.setattr(localequiv, "_kill_candidates", whole_list)
+            g, whole_note = localequiv._maximal_self_local(C, io, 2_000_001,
+                                                           order)
+            assert f.rows == g.rows and note == whole_note
+            rest = iter(reference)
+            assert all(rows in rest for rows in swept)  # in order
+            skipped += len(reference) - len(swept)
+    assert skipped > 0
+
+
 def test_kill_candidates_are_built_on_demand():
     # cable2 x cable3: 405 generators, 22,573 map-space coordinates and
     # 41,209 candidates, which, built as one list, exhaust 1.5 GB

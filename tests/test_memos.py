@@ -90,9 +90,9 @@ def test_bound_reuses_the_connected_map(monkeypatch):
     iota = enumerate_almost_iotas(C)[0]
     kill_candidates, sweeps = localequiv._kill_candidates, []
 
-    def counting_candidates(C, fspace, order):
+    def counting_candidates(C, fspace, order, **kw):
         sweeps.append(order)
-        return kill_candidates(C, fspace, order)
+        return kill_candidates(C, fspace, order, **kw)
 
     monkeypatch.setattr(localequiv, "_kill_candidates", counting_candidates)
     conn = connected_complex(C, iota)

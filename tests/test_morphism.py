@@ -21,7 +21,7 @@ from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
                                 identity_map, is_chain_map, validate_iota,
                                 zero_map)
 from knotfloer.ring import Ideal, Mono
-from knotfloer.tensorsum import tensor
+from knotfloer.tensorsum import product_iota, tensor
 from oracles import (RingElt, diff_items, exhaustive_square_solutions,
                      grading_fitting_pairs, linmap_composition_columns,
                      linmap_d_commutator_columns, linmap_intertwining_columns,
@@ -420,6 +420,40 @@ def test_map_space_is_grading_complete():
     assert largest >= 5
 
 
+def _layout_shapes():
+    """(A, B, variance, bidegree, ideal) over the library grid of
+    `test_map_space_is_grading_complete`, and over random reduced
+    complexes and their duals."""
+    lib = [build_unknot(), build_figure_eight(), build_cable(2), build_cable(3)]
+    lib += [dualize(C) for C in lib]
+    rng = random.Random("layout")
+    randoms = [random_reduced_complex(rng, max_pieces=3) for _ in range(4)]
+    randoms += [dualize(C) for C in randoms]
+    shapes = itertools.product(("eq", "skew"),
+                               itertools.product((-1, 0, 1), repeat=2),
+                               (Ideal.zero(), Ideal.max_ideal(), Ideal.uv()))
+    for (A, B), (variance, bi, ideal) in itertools.product(
+            itertools.chain(itertools.product(lib, repeat=2),
+                            zip(randoms, randoms[1:] + randoms[:1])),
+            list(shapes)):
+        yield A, B, variance, bi, ideal
+
+
+def test_map_space_coordinate_layout():
+    # coordinates run source by source, targets ascending: basis map k is
+    # the single term pairs[k], and bits survive a trip through a map
+    rng = random.Random("layout bits")
+    for A, B, variance, bi, ideal in _layout_shapes():
+        space = MapSpace.build(A, B, variance, bi, ideal)
+        assert space.dim == len(space.pairs)
+        for k, (x, y, m) in enumerate(space.pairs):
+            f = space.map_from_bits(1 << k)
+            assert f.action == {x: {y: RingElt.mono(m.i, m.j)}}
+        for _ in range(3):
+            bits = rng.getrandbits(space.dim) if space.dim else 0
+            assert space.bits_from_map(space.map_from_bits(bits)) == bits
+
+
 # -- map-space operators against composed LinMaps ----------------------------
 
 @functools.cache
@@ -490,6 +524,27 @@ def test_intertwining_columns_match_linmap_oracle(src, tgt):
             post = fspace.postcompose_columns(i2.map, slot)
             assert ([a ^ b for a, b in zip(pre, post)]
                     == linmap_intertwining_columns(fspace, slot, i1, i2))
+
+
+def test_operator_columns_match_linmap_oracle_on_a_product():
+    # fig8 x cable2, both product involutions: many sources share a
+    # bigrading, and with it their masks and packed rows
+    A, B = _oracle_complex("fig8"), _oracle_complex("cable2")
+    T = tensor(A, B)
+    iotas = [product_iota(A, _oracle_iotas("fig8")[0], B,
+                          _oracle_iotas("cable2")[0], variant, T)
+             for variant in (1, 2)]
+    space = MapSpace.build(T, T, "eq", (0, 0), T.ring)
+    assert len(set(space.masks)) <= len(T.grading_index.cells) < len(T)
+    slot = MapSpace.build(T, T, "eq", (-1, -1), T.ring)
+    assert (space.d_commutator_columns(slot)
+            == linmap_d_commutator_columns(space, slot))
+    int_slot = MapSpace.build(T, T, "skew", (0, 0), Ideal.max_ideal())
+    for i1, i2 in itertools.product(iotas, repeat=2):
+        pre = space.precompose_columns(i1.map, int_slot)
+        post = space.postcompose_columns(i2.map, int_slot)
+        assert ([a ^ b for a, b in zip(pre, post)]
+                == linmap_intertwining_columns(space, int_slot, i1, i2))
 
 
 @pytest.mark.parametrize("src,tgt", [("cable2", "cable3"), ("cable3*", "cable2"),
