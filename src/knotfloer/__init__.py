@@ -14,11 +14,10 @@ from .homology import (FUDecomp, HatRanks, UHomology, hfk_hat, hfk_minus,
                        locality_rank, torsion_order)
 from .knotlib import (build_cable, build_figure_eight, build_unknot,
                       forced_iota_constraints)
-from .localequiv import (KernelSpace, LocalCertificate, LocalSearchSpec,
-                         NonexistenceToken, SelfLocalFamily,
-                         concordance_unknotting_bound, connected_complex,
-                         kernel_space, maximal_self_local_map,
-                         search_local_map, verify_almost_local)
+from .localequiv import (LocalCertificate, LocalSearchSpec, NonexistenceToken,
+                         SelfLocalFamily, concordance_unknotting_bound,
+                         connected_complex, search_local_map,
+                         verify_almost_local)
 from .morphism import (IotaData, IotaReport, LinMap, MapSpace, chain_defect,
                        derivative_maps, enumerate_almost_iotas, identity_map,
                        is_chain_map, validate_iota, zero_map)

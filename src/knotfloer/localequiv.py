@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Container, Iterator
 
 from .complexes import Complex, Generator, GradingIndex, kept_targets
 from .errors import ResourceError, StructuralError
 from .homology import UHomology, hfk_minus, torsion_order
-from .linalg import AffineSpace, Echelon, GF2System, bits_of, rref_basis
+from .linalg import AffineSpace, Echelon, GF2System, bits_of
 from .morphism import (IotaData, LinMap, MapSpace, _almost_reports,
                        _iota_shape, chain_defect, enumerate_almost_iotas)
 from .ring import Ideal
@@ -231,63 +232,6 @@ def verify_almost_local(f: LinMap, i1: IotaData, i2: IotaData) -> bool:
 
 # -- self-local equivalences and the connected complex ----------------------
 
-@dataclass(frozen=True)
-class KernelSpace:
-    """Kernel of an equivariant map on the exponent-truncated module."""
-
-    terms: tuple[tuple[str, int, int], ...]
-    rows: tuple[int, ...]  # reduced basis over the term index space
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def contains(self, other: "KernelSpace") -> bool:
-        if self.terms != other.terms:
-            raise StructuralError("kernel spaces over different truncations")
-        span = Echelon(self.rows)
-        return not any(span.reduce(v) for v in other.rows)
-
-
-def _exponent_bound(C: Complex) -> int:
-    """1 + half the largest U or V grading span of C's generators."""
-    span = 0
-    if len(C):
-        us = [g.gr_u for g in C.basis]
-        vs = [g.gr_v for g in C.basis]
-        span = max(max(us) - min(us), max(vs) - min(vs))
-    return 1 + span // 2
-
-
-def kernel_space(C: Complex, f: LinMap) -> KernelSpace:
-    """Kernel of f on the module truncated at U and V exponents up to
-    `_exponent_bound(C)`; F2[U,V]-modules are infinite, so this is the
-    one place a truncation is needed.
-
-    f has bidegree (0,0), so its matrix is block-diagonal by the
-    bigrading of each term U^a V^b x.  In one bigrading a term is fixed
-    by its generator x, and f sends it to the terms of the generators in
-    row x of f; each block is solved on its own, and the union of the
-    blocks' reduced kernel bases is the reduced basis of the kernel.
-    """
-    if f.variance != "eq" or f.bidegree != (0, 0):
-        raise StructuralError("kernel spaces need an eq map of bidegree (0,0)")
-    span = range(_exponent_bound(C) + 1)
-    terms = [(g.name, a, b) for g in C.basis for a in span for b in span]
-    per_gen = len(span) ** 2  # term k is a multiple of generator k // per_gen
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for k, (_, a, b) in enumerate(terms):
-        g = C.basis[k // per_gen]
-        blocks.setdefault((g.gr_u - 2 * a, g.gr_v - 2 * b), []).append(k)
-    rows = []
-    for members in blocks.values():
-        block = GF2System(len(members))
-        block.add_columns([f.rows[k // per_gen] for k in members])
-        for v in rref_basis(block.nullspace_basis()).rows.values():
-            rows.append(sum(1 << members[i] for i in bits_of(v)))
-    return KernelSpace(tuple(terms), tuple(sorted(rows)))
-
-
 class SelfLocalFamily:
     """Affine set of almost self-local maps of (C, iota): `family` holds
     the chain maps of C in parameters t, and the system `inner` over t the
@@ -310,6 +254,12 @@ class SelfLocalFamily:
         if self.inner is None:
             raise StructuralError("no self-local equivalence exists at all")
 
+    @cached_property
+    def _inner_solution(self) -> tuple[int, list[int]]:
+        # solved once per family: the sweep of `_maximal_self_local` adds
+        # rows to its own family's `inner` but never reads unit coefficients
+        return self.inner.solution_space()
+
     def unit_coefficient_constant(self, src: str, tgt: str) -> tuple[bool, int]:
         """(whether <f(src), tgt> is constant over the family, its value
         at the particular solution).  The unit-monomial coordinate k is
@@ -321,31 +271,28 @@ class SelfLocalFamily:
         s = self.C.index(src)
         eq = self.family.equations[self.fspace.starts[s]
                                    + self.fspace.ranks[s][self.C.index(tgt)]]
-        t_part, null = self.inner.solution_space()
+        t_part, null = self._inner_solution
         value = (eq & t_part).bit_count() + (eq >> self.inner.width) & 1
         return not any((eq & w).bit_count() & 1 for w in null), value
 
 
-def _kill_candidates(C: Complex, fspace: MapSpace, order: str,
-                     killed: Container[int] = ()
-                     ) -> tuple[int, Iterator[list[tuple]]]:
-    """The number of candidates, and the candidates in `order`: per
-    candidate, the rows r with r . f = 0 that kill it, each the tuple of
-    its one or two map-space coordinates, ascending.  Singles first
-    (killing any monomial multiple of a generator forces f(x) = 0 on the
-    whole generator), then minimal two-term homogeneous combinations of
-    each pair x < y whose gradings differ by even amounts; "reverse" is
-    the same sequence backwards.  The about n^2 / 4 candidates are built
-    when the sweep asks; a pair of two `killed` generators is skipped."""
+def _kill_candidates(C: Complex, fspace: MapSpace,
+                     killed: Container[int]) -> Iterator[list[tuple]]:
+    """Per candidate, the rows r with r . f = 0 that kill it, each the
+    tuple of its one or two map-space coordinates, ascending.  Singles
+    first (killing any monomial multiple of a generator forces f(x) = 0
+    on the whole generator), then minimal two-term homogeneous
+    combinations of each pair x < y whose gradings differ by even
+    amounts.  The about n^2 / 4 candidates are built when the sweep asks;
+    a pair of two `killed` generators is skipped."""
     by_source = [{t: start + r for t, r in rank.items()}  # target: k
                  for start, rank in zip(fspace.starts, fspace.ranks)]
     n = len(C)
-    ordered = reversed if order == "reverse" else iter
 
     def pairs() -> Iterator[list[int]]:
         # gr_U - gr_V is even on every generator, so gr_U's parity decides
-        for xi in ordered(range(n)):
-            for yi in ordered(range(xi + 1, n)):
+        for xi in range(n):
+            for yi in range(xi + 1, n):
                 du = C.basis[xi].gr_u - C.basis[yi].gr_u
                 if du % 2 or xi in killed and yi in killed:
                     continue
@@ -357,31 +304,25 @@ def _kill_candidates(C: Complex, fspace: MapSpace, order: str,
                         for tgt, k in sx.items()]
                        + [(k,) for tgt, k in sy.items() if tgt not in sx])
 
-    singles = ([(k,) for k in by_source[x].values()]
-               for x in ordered(range(n)))
-    odd = sum(g.gr_u % 2 for g in C.basis)
-    count = n + (odd * (odd - 1) + (n - odd) * (n - odd - 1)) // 2
-    return count, (chain(pairs(), singles) if order == "reverse"
-                   else chain(singles, pairs()))
+    return chain(([(k,) for k in targets.values()] for targets in by_source),
+                 pairs())
 
 
-def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
-                        order: str) -> tuple[LinMap, str]:
-    """The map and note of `maximal_self_local_map`, kept on iota by
-    (budget, order); iota must be a map of C itself.  One sweep suffices:
-    a rejected candidate stays rejected.  A candidate's rows, each the XOR
-    of its unknowns' `equations` kept reduced by the accepted span, are
-    added all together or not at all; one accepted with one unknown per
-    row kills each generator it touches."""
+def _maximal_self_local(C: Complex, iota: IotaData, budget: int) -> LinMap:
+    """The map of `connected_complex`, kept on iota by budget; iota must
+    be a map of C itself.  One sweep suffices: a rejected candidate stays
+    rejected.  A candidate's rows, each the XOR of its unknowns'
+    `equations` kept reduced by the accepted span, are added all together
+    or not at all; one accepted with one unknown per row kills each
+    generator it touches."""
     _iota_shape(C, iota)
-    kept = iota._self_local.get((budget, order))
+    kept = iota._self_local.get(budget)
     if kept is not None:
         return kept
     sls = SelfLocalFamily(C, iota, budget)
     inner, table = sls.inner, list(sls.family.equations)
     killed: set[int] = set()
-    count, candidates = _kill_candidates(C, sls.fspace, order, killed=killed)
-    for rows in candidates:
+    for rows in _kill_candidates(C, sls.fspace, killed):
         mask, eqs = inner.mask, []
         for row in rows:
             eq = 0
@@ -398,22 +339,8 @@ def _maximal_self_local(C: Complex, iota: IotaData, budget: int,
         sls.family.point(inner.particular_solution()))
     if not verify_almost_local(f, iota, iota):
         raise StructuralError("maximal candidate fails re-verification")
-    note = f"maximal over {count} candidate vectors ({order} order)"
-    iota._self_local[budget, order] = f, note
-    return f, note
-
-
-def maximal_self_local_map(C: Complex, iota: IotaData,
-                           budget: int = DEFAULT_BUDGET,
-                           order: str = "forward") -> tuple[LinMap, KernelSpace, str]:
-    """Greedy kernel-maximal self-local equivalence, with its kernel.
-
-    Grows the kernel over a deterministic family of candidate vectors
-    until no candidate can be added; the certificate string records that
-    maximality is relative to the candidate family.
-    """
-    f, note = _maximal_self_local(C, iota, budget, order)
-    return f, kernel_space(C, f), note
+    iota._self_local[budget] = f
+    return f
 
 
 def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
@@ -446,7 +373,10 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
             t = vec.bit_length() - 1
             label = C.basis[t].name
             if vec != 1 << t or gr[t] != (p, q) or label in used_names:
-                label = f"x{len(generators)}"
+                k = len(generators)
+                while f"x{k}" in used_names:
+                    k += 1
+                label = f"x{k}"
             used_names.add(label)
             generators.append((label, p, q, vec))
 
@@ -477,15 +407,12 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
 
 
 def connected_complex(C: Complex, iota: IotaData,
-                      budget: int = DEFAULT_BUDGET,
-                      order: str = "forward") -> Complex:
-    """Image of a kernel-maximal self-local equivalence.
-
-    Takes the map from the same greedy search as `maximal_self_local_map`
-    but never computes its kernel: the image is built from the map alone.
-    """
-    f, _ = _maximal_self_local(C, iota, budget, order)
-    return image_complex(C, f, name=f"{C.name}_conn")
+                      budget: int = DEFAULT_BUDGET) -> Complex:
+    """Image of a kernel-maximal self-local equivalence: the greedy sweep
+    of `_maximal_self_local`, whose map is maximal among the
+    `_kill_candidates`, not over every vector of the module."""
+    return image_complex(C, _maximal_self_local(C, iota, budget),
+                         name=f"{C.name}_conn")
 
 
 def concordance_unknotting_bound(C: Complex, iota: IotaData,

@@ -378,7 +378,7 @@ class IotaData:
     """A candidate almost involution: a skew map mod (U,V).
 
     It keeps what depends on it alone: its `validate_iota` report, and
-    the maximal self-local maps of `localequiv` by (budget, order).
+    the maximal self-local map of `localequiv`, one per budget.
     """
 
     map: LinMap

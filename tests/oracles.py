@@ -32,8 +32,10 @@ visiting every row, instead of only the rows of the pivots it hits.
 `dict_tensor`, `dict_dualize`, `dict_quotient` and `dict_rename` build
 complexes from coefficient dicts through the validating constructor,
 the way `Complex` did before it stored its differential as bitset rows.
-`kernel_space_oracle` solves one matrix over the whole truncated module
-instead of one block per bigrading.
+`kernel_space_oracle` is the kernel of a map on the exponent-truncated
+module, the tests' evidence that a self-local map is maximal; the
+package computes no kernel, and the oracle solves one matrix over the
+whole truncated module.
 `scan_cancel` finds the rows to clear at each pivot of the cancellation
 pass by visiting every live row instead of reading a column index, on
 the transposed V-free rows of d (`v_reduced_rows`);
@@ -62,8 +64,7 @@ from knotfloer.complexes import (Complex, Generator, ValidationReport,
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.homology import UHomology
 from knotfloer.linalg import GF2System, bits_of, rref_basis, transpose
-from knotfloer.localequiv import (_exponent_bound, _kill_candidates,
-                                  _locality_bit)
+from knotfloer.localequiv import _locality_bit
 from knotfloer.morphism import (IotaData, LinMap, MapSpace, _spread,
                                 _vertex_cover, chain_defect,
                                 derivative_maps, differential_map,
@@ -843,11 +844,12 @@ class JointSelfLocalFamily:
 
 
 def fixpoint_maximal_self_local(C: Complex, iota: IotaData, order: str):
-    """(map, note) of the kill-candidate greedy over `JointSelfLocalFamily`,
-    sweeping the candidates again until a sweep accepts none."""
+    """The map of the kill-candidate greedy over `JointSelfLocalFamily`,
+    sweeping `kill_candidates_list` in `order` again until a sweep
+    accepts none."""
     fam = JointSelfLocalFamily(C, iota)
     candidates = [[sum(1 << k for k in row) for row in rows]
-                  for rows in _kill_candidates(C, fam.fspace, order)[1]]
+                  for rows in kill_candidates_list(C, fam.fspace, order)]
     by_unknown = {}
     for k, v in enumerate(fam.null):
         for b in bits_of(v):
@@ -874,8 +876,7 @@ def fixpoint_maximal_self_local(C: Complex, iota: IotaData, order: str):
                 inner = trial
                 accepted.add(label)
                 changed = True
-    f = fam.fspace.map_from_bits(fam.point(inner.particular_solution()))
-    return f, f"maximal over {len(candidates)} candidate vectors ({order} order)"
+    return fam.fspace.map_from_bits(fam.point(inner.particular_solution()))
 
 
 def homogeneous_pair_exponents(x: Generator, y: Generator):
@@ -890,7 +891,7 @@ def kill_candidates_list(C: Complex, fspace: MapSpace, order: str):
     """Every kill candidate of `localequiv._kill_candidates`, built into
     one list up front: singles, then same-parity pairs x < y, each row
     keyed by the target and the exponents of its terms and listed as its
-    map-space coordinates."""
+    map-space coordinates; "reverse" is the same list backwards."""
     by_source: dict[str, list[int]] = {}
     for k, (srcn, _, _) in enumerate(fspace.pairs):
         by_source.setdefault(srcn, []).append(k)
@@ -1073,9 +1074,21 @@ def dict_rename(C: Complex, mapping, name=None) -> Complex:
 
 # -- the kernel of a map by one truncated matrix -----------------------------
 
+def _exponent_bound(C: Complex) -> int:
+    """1 + half the largest U or V grading span of C's generators."""
+    span = 0
+    if len(C):
+        us = [g.gr_u for g in C.basis]
+        vs = [g.gr_v for g in C.basis]
+        span = max(max(us) - min(us), max(vs) - min(vs))
+    return 1 + span // 2
+
+
 def kernel_space_oracle(C: Complex, f: LinMap) -> tuple[tuple, tuple]:
-    """(terms, rows) of `kernel_space`, from one matrix over every term
-    of the truncated module at once instead of one block per bigrading."""
+    """(terms, rows): the kernel of an eq map f of bidegree (0,0) on the
+    module truncated at U and V exponents up to `_exponent_bound(C)`, as
+    the terms U^a V^b x and a reduced basis over their index space, from
+    one matrix over every term of the truncated module at once."""
     bound = _exponent_bound(C)
     terms = [(g.name, a, b) for g in C.basis
              for a in range(bound + 1) for b in range(bound + 1)]

@@ -348,6 +348,23 @@ def test_connected_and_bound_every_completion_pinned(tmp_path, capsys, n,
     assert text == (PINNED / f"connected_bound_{label}.txt").read_text()
 
 
+def test_connected_label_skips_used_x_names(tmp_path, capsys):
+    # completion 1 of the dual of cable 2 synthesizes a label for its
+    # second generator; with e* renamed x1, x1 is taken and x2 is used
+    from knotfloer.cfk import render_cfk
+    from knotfloer.complexes import dualize
+    from knotfloer.knotlib import build_cable
+
+    path = tmp_path / "kd.cfk"
+    path.write_text(render_cfk(dualize(build_cable(2)).rename({"e*": "x1"})))
+    code, out, err = run(capsys, "connected", str(path), "--iota-index", "1")
+    names = [line.split()[1] for line in out.splitlines()
+             if line.startswith("gen ")]
+    assert (code, err, len(names), len(set(names))) == (0, "", 7, 7)
+    assert run(capsys, "bound", str(path), "--iota-index", "1") == (0, "2\n",
+                                                                     "")
+
+
 def test_self_local_two_towers_exit_2(tmp_path, capsys):
     path = tmp_path / "two.cfk"
     path.write_text("complex two ring full\ngen a gr 0 0\ngen b gr 0 0\n")

@@ -1,5 +1,5 @@
 """The differential as bitset rows: agreement with the coefficient-dict
-constructions, terms off the grading law, and the block-wise kernel."""
+constructions and terms off the grading law."""
 
 import random
 
@@ -7,15 +7,12 @@ import pytest
 
 from conftest import random_reduced_complex
 from oracles import (RingElt, apply_d, d_of, dict_dualize, dict_quotient,
-                     dict_rename, dict_tensor, diff_items, kernel_space_oracle)
+                     dict_rename, dict_tensor, diff_items)
 from knotfloer.complexes import Complex, Generator, dualize, quotient
 from knotfloer.errors import StructuralError
 from knotfloer.homology import UHomology, hfk_hat
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
-from knotfloer.linalg import GF2System
-from knotfloer.localequiv import kernel_space, maximal_self_local_map
-from knotfloer.morphism import (MapSpace, derivative_maps, differential_map,
-                                enumerate_almost_iotas, identity_map)
+from knotfloer.morphism import derivative_maps, differential_map
 from knotfloer.ring import Ideal
 from knotfloer.tensorsum import tensor
 
@@ -95,38 +92,3 @@ def test_stray_terms_are_kept_aside_and_computations_raise():
 def test_validate_report_is_computed_once():
     C = build_cable(2)
     assert C.validate() is C.validate()
-
-
-# -- the kernel by bigrading blocks ------------------------------------------
-
-@pytest.mark.parametrize("n", (2, 3, 4))
-def test_kernel_space_matches_oracle_on_every_completion(n):
-    C = LIBRARY[f"cable{n}"]
-    for io in enumerate_almost_iotas(C):
-        f, ker, _ = maximal_self_local_map(C, io)
-        assert (ker.terms, ker.rows) == kernel_space_oracle(C, f)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_kernel_space_matches_oracle_on_random_chain_maps(seed):
-    rng = random.Random(500 + seed)
-    C = random_reduced_complex(rng)
-    fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
-    system = GF2System(fspace.dim)
-    system.add_columns(fspace.d_commutator_columns(
-        MapSpace.build(C, C, "eq", (-1, -1), C.ring)))
-    for _ in range(3):
-        bits = 0
-        for v in system.nullspace_basis():
-            if rng.getrandbits(1):
-                bits ^= v
-        f = fspace.map_from_bits(bits)
-        ker = kernel_space(C, f)
-        assert (ker.terms, ker.rows) == kernel_space_oracle(C, f)
-    assert kernel_space(C, identity_map(C)).dim == 0
-
-
-def test_kernel_space_needs_an_eq_map_of_bidegree_zero():
-    C = LIBRARY["cable2"]
-    with pytest.raises(StructuralError):
-        kernel_space(C, differential_map(C))

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import knotfloer.homology
-import knotfloer.localequiv
 import knotfloer.morphism
 from knotfloer.linalg import Echelon, GF2System, complement_basis, rref_basis
 from oracles import ListGF2System, list_complement_basis, list_rref_basis
@@ -104,8 +103,7 @@ class _Shadow:
             self.complements.append((*_oracle_basis(sub), list(space), comp))
             return comp
 
-        for module in (knotfloer.morphism, knotfloer.homology,
-                       knotfloer.localequiv):
+        for module in (knotfloer.morphism, knotfloer.homology):
             monkeypatch.setattr(module, "rref_basis", kept_rref)
         monkeypatch.setattr(knotfloer.morphism, "complement_basis",
                             kept_complement)

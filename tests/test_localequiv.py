@@ -10,17 +10,17 @@ from knotfloer.homology import hfk_minus, torsion_order
 from knotfloer.complexes import dualize
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
 import knotfloer.localequiv as localequiv
-from knotfloer.localequiv import (KernelSpace, LocalSearchSpec,
+from knotfloer.localequiv import (DEFAULT_BUDGET, LocalSearchSpec,
                                   SelfLocalFamily, concordance_unknotting_bound,
                                   connected_complex, image_complex,
-                                  kernel_space, maximal_self_local_map,
                                   search_local_map, verify_almost_local)
 from knotfloer.morphism import (IotaData, MapSpace, enumerate_almost_iotas,
                                 validate_iota, zero_map)
 from knotfloer.ring import Ideal
 from knotfloer.tensorsum import tensor
-from oracles import (RingElt, grading_fitting_pairs,
-                     homogeneous_pair_exponents, kill_candidates_list)
+from oracles import (RingElt, fixpoint_maximal_self_local,
+                     grading_fitting_pairs, homogeneous_pair_exponents,
+                     kernel_space_oracle, kill_candidates_list)
 
 ONE = RingElt.one()
 
@@ -255,20 +255,15 @@ def test_identity_is_self_local(k2, k2_iotas):
 
 
 def test_maximality_restriction_injective(k2, k2_iotas):
-    # for a maximal f and sampled self-local g, g restricted to im f is
-    # injective: ker g meets im f trivially
+    # for the maximal f of the connected complex and sampled self-local g,
+    # g restricted to im f is injective: ker(g o f) = ker f on the
+    # truncated module
     io = k2_iotas[0]
-    f, ker_f, note = maximal_self_local_map(k2, io)
+    f = localequiv._maximal_self_local(k2, io, DEFAULT_BUDGET)
+    ker_f = kernel_space_oracle(k2, f)
     fam = SelfLocalFamily(k2, io, 2_000_000)
-    conn = connected_complex(k2, io)
-    im_names = {g.name for g in conn.basis}
     for g in _sample_members(fam, 6, seed=11):
-        ker_g = kernel_space(k2, g)
-        # intersect: vectors of ker g supported on im f generators only
-        # must be zero; approximate via kernel dim comparison after
-        # composing: ker(g o f) = ker f for maximal f
-        gf = g.compose(f)
-        assert kernel_space(k2, gf).rows == ker_f.rows
+        assert kernel_space_oracle(k2, g.compose(f)) == ker_f
 
 
 # -- connected complex -------------------------------------------------------
@@ -290,10 +285,12 @@ def test_connected_k2_torsion_survives(k2, k2_iotas):
 
 
 def test_connected_k2_independent_of_order(k2, k2_iotas):
+    # the sweep runs forward; the oracle's reverse sweep gives the same
+    # homology
     for io in k2_iotas:
-        a = connected_complex(k2, io, order="forward")
-        b = connected_complex(k2, io, order="reverse")
-        assert hfk_minus(a) == hfk_minus(b)
+        reverse = fixpoint_maximal_self_local(k2, io, "reverse")
+        assert hfk_minus(connected_complex(k2, io)) == hfk_minus(
+            image_complex(k2, reverse))
 
 
 def test_bound_values(unknot, fig8, fig8_iotas, k2, k2_iotas):
@@ -307,34 +304,12 @@ def test_bound_values(unknot, fig8, fig8_iotas, k2, k2_iotas):
 
 
 def test_kernel_space_basics(k2, k2_iotas):
-    io = k2_iotas[0]
-    f, ker, note = maximal_self_local_map(k2, io)
-    assert note.startswith("maximal over ")
     from knotfloer.morphism import identity_map
-    ker_id = kernel_space(k2, identity_map(k2))
-    assert ker_id.dim == 0
-    assert ker.contains(ker_id)
-    assert ker.dim > 0
-
-
-def test_connected_and_bound_never_compute_a_kernel(monkeypatch, k2, k2_iotas,
-                                                    k3, k3_iotas):
-    cases = [(k2, k2_iotas, 2), (k3, k3_iotas, 3)]
-    # the answers through maximal_self_local_map, which does compute kernels
-    expected = [[image_complex(C, maximal_self_local_map(C, io)[0],
-                               name=f"{C.name}_conn") for io in iotas]
-                for C, iotas, _ in cases]
-
-    def no_kernel(*args):
-        raise AssertionError("kernel_space called")
-
-    monkeypatch.setattr(localequiv, "kernel_space", no_kernel)
-    for (C, iotas, bound), images in zip(cases, expected):
-        for io, image in zip(iotas, images):
-            conn = connected_complex(C, io)
-            assert conn == image and conn.name == image.name
-            assert len(conn) == 7
-            assert concordance_unknotting_bound(C, io) == bound
+    io = k2_iotas[0]
+    f = localequiv._maximal_self_local(k2, io, DEFAULT_BUDGET)
+    terms, ker = kernel_space_oracle(k2, f)
+    assert kernel_space_oracle(k2, identity_map(k2)) == (terms, ())
+    assert len(ker) > 0
 
 
 IMAGE_SOURCES = ("unknot", "fig8", "k2", "k3", "k2*", "k2 mod UV",
@@ -401,26 +376,38 @@ SELF_LOCAL_LIBRARY = ("unknot", "fig8", "cable2", "cable3", "cable4",
 @pytest.mark.parametrize("name", SELF_LOCAL_LIBRARY)
 def test_maximal_self_local_matches_fixpoint_oracle(name):
     # chain maps first, intertwining and locality over their parameters,
-    # one greedy sweep: the same map and note as the joint family swept
-    # to a fixpoint, on every completion in both orders
-    from oracles import JointSelfLocalFamily, fixpoint_maximal_self_local
+    # one greedy sweep: the same map as the joint family swept forward to
+    # a fixpoint, on every completion
+    from oracles import JointSelfLocalFamily
 
     C = _library(name)
     for io in enumerate_almost_iotas(C):
-        for order in ("forward", "reverse"):
-            f, note = localequiv._maximal_self_local(C, io, 2_000_000, order)
-            g, oracle_note = fixpoint_maximal_self_local(C, io, order)
-            assert f.rows == g.rows and note == oracle_note
-            if not name.startswith(("cable3", "cable4")):
-                # the public entry point too, where its kernel is cheap
-                f, _, note = maximal_self_local_map(C, io, order=order)
-                assert f.rows == g.rows and note == oracle_note
+        f = localequiv._maximal_self_local(C, io, 2_000_000)
+        assert f.rows == fixpoint_maximal_self_local(C, io, "forward").rows
         fam, joint = SelfLocalFamily(C, io, 2_000_000), JointSelfLocalFamily(C, io)
         for x in C.names():
             for y in C.names():
                 if C.grading(x) == C.grading(y):
                     assert (fam.unit_coefficient_constant(x, y)
                             == joint.unit_coefficient_constant(x, y))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_connected_complex_is_the_image_of_the_fixpoint_map(n):
+    # on every completion of cable n and of its dual: the image of the
+    # oracle's forward fixpoint, and the reverse fixpoint's image has the
+    # same gradings and homology
+    for C in (build_cable(n), dualize(build_cable(n))):
+        for io in enumerate_almost_iotas(C):
+            conn = connected_complex(C, io)
+            forward, reverse = (
+                image_complex(C, fixpoint_maximal_self_local(C, io, order),
+                              name=conn.name)
+                for order in ("forward", "reverse"))
+            assert conn == forward and len(conn) == 7
+            assert (sorted((g.gr_u, g.gr_v) for g in reverse.basis)
+                    == sorted((g.gr_u, g.gr_v) for g in conn.basis))
+            assert hfk_minus(reverse) == hfk_minus(conn)
 
 
 SWEEP_LIBRARY = ("unknot", "fig8", "fig8*", "cable2", "cable3", "cable2*",
@@ -491,9 +478,7 @@ def test_self_local_outputs_independent_of_hash_seed():
               "    for C in (build_cable(n), dualize(build_cable(n))):\n"
               "        for io in enumerate_almost_iotas(C):\n"
               "            print(render_cfk(connected_complex(C, io)))\n"
-              "            f, note = _maximal_self_local(C, io, 10**6,\n"
-              "                                          'reverse')\n"
-              "            print(f.rows, note)\n")
+              "            print(_maximal_self_local(C, io, 2_000_000).rows)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     outs = []
     for seed in ("0", "1"):
@@ -509,11 +494,13 @@ def test_self_local_outputs_independent_of_hash_seed():
 @pytest.mark.parametrize("order", ["forward", "reverse"])
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_kill_candidates_match_the_list_reference(n, order):
+    # the oracle's reverse sweep reads the same candidates backwards
     C = build_cable(n)
     fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
-    count, candidates = localequiv._kill_candidates(C, fspace, order)
-    reference = kill_candidates_list(C, fspace, order)
-    assert list(candidates) == reference and count == len(reference)
+    candidates = list(localequiv._kill_candidates(C, fspace, ()))
+    if order == "reverse":
+        candidates.reverse()
+    assert candidates == kill_candidates_list(C, fspace, order)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -522,7 +509,7 @@ def test_pair_candidates_are_homogeneous(n):
     # one monomial: every row is one target, reached from x, y or both
     C = build_cable(n)
     fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
-    _, candidates = localequiv._kill_candidates(C, fspace, "forward")
+    candidates = localequiv._kill_candidates(C, fspace, ())
     pairs = [(x, y) for i, x in enumerate(C.basis) for y in C.basis[i + 1:]
              if (x.gr_u - y.gr_u) % 2 == 0]
     for (x, y), rows in zip(pairs, list(candidates)[len(C):], strict=True):
@@ -561,52 +548,46 @@ def test_sweep_skips_pairs_of_killed_generators(monkeypatch, name):
     # a candidate accepted with one unknown per row kills its generators,
     # and the sweep skips the pairs of two killed generators: it builds
     # the list reference less some pairs, and the same sweep over the
-    # whole list gives the same map and note
+    # whole list gives the same map
     C, iotas = _killing_complex(name)
     fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
-    forward = kill_candidates_list(C, fspace, "forward")
-    references = {"forward": forward, "reverse": forward[::-1]}
+    reference = kill_candidates_list(C, fspace, "forward")
     kill_candidates, swept = localequiv._kill_candidates, []
 
-    def recording(C, fspace, order, killed=()):
-        count, candidates = kill_candidates(C, fspace, order, killed=killed)
-        return count, (swept.append(rows) or rows for rows in candidates)
-
-    def whole_list(C, fspace, order, killed=()):
-        return len(references[order]), iter(references[order])
+    def recording(C, fspace, killed):
+        return (swept.append(rows) or rows
+                for rows in kill_candidates(C, fspace, killed))
 
     skipped = 0
     for io in iotas:
-        for order, reference in references.items():
-            swept.clear()
-            monkeypatch.setattr(localequiv, "_kill_candidates", recording)
-            f, note = localequiv._maximal_self_local(C, io, 2_000_000, order)
-            monkeypatch.setattr(localequiv, "_kill_candidates", whole_list)
-            g, whole_note = localequiv._maximal_self_local(C, io, 2_000_001,
-                                                           order)
-            assert f.rows == g.rows and note == whole_note
-            rest = iter(reference)
-            assert all(rows in rest for rows in swept)  # in order
-            skipped += len(reference) - len(swept)
+        swept.clear()
+        monkeypatch.setattr(localequiv, "_kill_candidates", recording)
+        f = localequiv._maximal_self_local(C, io, 2_000_000)
+        monkeypatch.setattr(localequiv, "_kill_candidates",
+                            lambda C, fspace, killed: iter(reference))
+        g = localequiv._maximal_self_local(C, io, 2_000_001)
+        assert f.rows == g.rows
+        rest = iter(reference)
+        assert all(rows in rest for rows in swept)  # in order
+        skipped += len(reference) - len(swept)
     assert skipped > 0
 
 
 def test_kill_candidates_are_built_on_demand():
     # cable2 x cable3: 405 generators, 22,573 map-space coordinates and
-    # 41,209 candidates, which, built as one list, exhaust 1.5 GB
+    # 41,209 candidates, which, built as one list, exhaust 1.5 GB; the
+    # first pairs come past the 405 singles
     import itertools
     import tracemalloc
 
     C = tensor(build_cable(2), build_cable(3))
     fspace = MapSpace.build(C, C, "eq", (0, 0), C.ring)
-    for order in ("forward", "reverse"):  # singles first, then pairs first
-        tracemalloc.start()
-        try:
-            count, candidates = localequiv._kill_candidates(C, fspace, order)
-            first = list(itertools.islice(candidates, 10))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (len(C), fspace.dim, count, len(first)) == (405, 22_573,
-                                                           41_209, 10)
-        assert peak < 32 * 2**20
+    tracemalloc.start()
+    try:
+        candidates = localequiv._kill_candidates(C, fspace, ())
+        first = list(itertools.islice(candidates, len(C), len(C) + 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(C), fspace.dim, len(first)) == (405, 22_573, 10)
+    assert peak < 32 * 2**20

@@ -90,16 +90,16 @@ def test_bound_reuses_the_connected_map(monkeypatch):
     iota = enumerate_almost_iotas(C)[0]
     kill_candidates, sweeps = localequiv._kill_candidates, []
 
-    def counting_candidates(C, fspace, order, **kw):
-        sweeps.append(order)
-        return kill_candidates(C, fspace, order, **kw)
+    def counting_candidates(C, fspace, killed):
+        sweeps.append(C.name)
+        return kill_candidates(C, fspace, killed)
 
     monkeypatch.setattr(localequiv, "_kill_candidates", counting_candidates)
     conn = connected_complex(C, iota)
     assert concordance_unknotting_bound(C, iota) == 3
     assert connected_complex(C, iota) == conn
-    connected_complex(C, iota, order="reverse")
-    assert sweeps == ["forward", "reverse"]
+    connected_complex(C, iota, budget=10**6)
+    assert sweeps == [C.name, C.name]  # one sweep per (iota, budget)
 
 
 def test_budget_below_the_map_space_still_raises(k2):
