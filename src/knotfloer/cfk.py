@@ -10,24 +10,28 @@ Grammar (UTF-8, LF line endings, `#` starts a comment):
 
 A monomial renders as `U^i V^j` with `^1` omitted and absent factors
 dropped; a bare generator name means coefficient 1.  Rendering is
-canonical (basis order, then target order, then lexicographic monomial
-order), so parse/render round trips are byte-identical.
+canonical (lines, then targets, in basis order, each target with the one
+monomial its gradings fix), so round trips are byte-identical.  One
+scanner reads `d`, `iota` and map lines straight into bitset rows: terms
+spelled as rendered are matched token by token, and any other spelling
+(`V U`, `U^1`, `1 a`, off the grading rule, an unknown name) goes
+through `parse_mono`, with the same result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .complexes import (Complex, Generator, _bidegree_error, _graded_row,
-                        _image_grading)
+from .complexes import Complex, Generator, _bidegree_error, _image_grading
 from .errors import CfkParseError, StructuralError
 from .morphism import IotaData, LinMap, differential_map
-from .ring import Ideal, Mono, parse_mono
+from .ring import Ideal, Mono, mono_words, parse_mono
 
 _RING_TAGS = {"zero": "full", "uv": "modUV"}
 _TAG_RINGS = {"full": Ideal.zero(), "modUV": Ideal.uv()}
 _MAX = Ideal.max_ideal()
+_SHAPES = {"d": ("eq", (-1, -1)), "iota": ("skew", (0, 0))}
 
 
 def render_cfk(C: Complex, iota: IotaData | None = None) -> str:
@@ -44,37 +48,50 @@ def render_cfk(C: Complex, iota: IotaData | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_sum(tokens: list[str], lineno: int,
-               index: Mapping[str, int]) -> dict[str, set[Mono]]:
-    """Parse `[mono] name + [mono] name + ...`, over the generators in
-    `index`, into each target's monomials; repeated terms cancel."""
+def _scan(tokens: list[str], lineno: int, index: Mapping[str, int],
+          basis: Sequence[Generator],
+          e: tuple[int, int] | None) -> tuple[int, list[tuple[str, Mono]]]:
+    """The sum `[mono] name + ...` over the generators of `index` as (row,
+    off), repeated terms cancelled and no ideal applied: bit t of row for
+    the terms U^i V^j t with gr(t) - (2i, 2j) = e, and off the other terms
+    (all of them if e is None) as (target, monomial), targets in the order
+    they first appear, then monomials in order.  An empty term or a bad
+    monomial raises where it stands; after the whole sum, so does the
+    first unknown name whose terms do not cancel."""
     if tokens == ["0"]:
-        return {}
-    monos: dict[str, set[Mono]] = {}
-    term: list[str] = []
-
-    def flush():
-        if not term:
+        return 0, []
+    words, row, odd, start = (*tokens, "+"), 0, {}, 0
+    eu, ev = e or (0, 0)
+    while start < len(words):
+        end = words.index("+", start)
+        if end == start:
             raise CfkParseError("empty term in sum", lineno)
-        name = term[-1]
+        name, monomial = words[end - 1], words[start:end - 1]
+        start, t = end + 1, index.get(name)
+        if t is not None and e is not None:
+            du, dv = basis[t].gr_u - eu, basis[t].gr_v - ev
+            if monomial == mono_words(du, dv):
+                row ^= 1 << t
+                continue
         try:
-            mono = parse_mono(term[:-1])
+            m = parse_mono(monomial)
         except ValueError as err:
             raise CfkParseError(str(err), lineno) from None
-        monos.setdefault(name, set()).symmetric_difference_update((mono,))
-        term.clear()
-
-    for tok in tokens:
-        if tok == "+":
-            flush()
+        if t is not None and e is not None and (2 * m.i, 2 * m.j) == (du, dv):
+            row ^= 1 << t
         else:
-            term.append(tok)
-    flush()
-    row = {k: v for k, v in monos.items() if v}
-    for name in row:
+            odd.setdefault(name, set()).symmetric_difference_update((m,))
+    if not odd:
+        return row, []
+    odd = {name: monos for name, monos in odd.items() if monos}
+    for name in odd:
         if name not in index:
             raise CfkParseError(f"unknown generator {name!r}", lineno)
-    return row
+    if len(odd) > 1:  # in the order the targets first appear
+        names = (w for w, nxt in zip(words, words[1:]) if nxt == "+")
+        odd = {name: odd[name] for name in dict.fromkeys(names) if name in odd}
+    return row, [(name, m) for name, monos in odd.items()
+                 for m in sorted(monos)]
 
 
 @dataclass(frozen=True)
@@ -85,18 +102,16 @@ class CfkFile:
 
 def parse_cfk(text: str) -> CfkFile:
     """The complex and involution of a .cfk text.  Terms of d off the
-    grading rule are kept for `validate`; iota terms off it raise."""
+    grading rule are kept for `validate`; iota terms off it raise.  The
+    ring's ideal is applied to d at the end: the header may come last."""
     name = ring = None
     gens: list[Generator] = []
     index: dict[str, int] = {}
-    actions: dict[str, dict[str, dict[str, set[Mono]]]] = {"d": {}, "iota": {}}
-    iota_rows: dict[int, int] = {}
-
+    rows: dict[str, dict[int, int]] = {"d": {}, "iota": {}}
+    stray: list[tuple[int, str, str, Mono]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not (tokens := raw.split("#", 1)[0].split()):
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "complex":
             if name is not None:
@@ -117,33 +132,34 @@ def parse_cfk(text: str) -> CfkFile:
                 raise CfkParseError("duplicate generator names", lineno)
             index[g.name] = len(gens)
             gens.append(g)
-        elif kind in actions:
+        elif kind in rows:
             if len(tokens) < 4 or tokens[2] != "=":
                 raise CfkParseError(f"malformed {kind} line", lineno)
             src = tokens[1]
-            if src not in index:
+            s = index.get(src)
+            if s is None:
                 raise CfkParseError(f"unknown generator {src!r}", lineno)
-            if src in actions[kind]:
+            if s in rows[kind]:
                 raise CfkParseError(f"repeated {kind} line for {src!r}", lineno)
-            terms = actions[kind][src] = _parse_sum(tokens[3:], lineno, index)
-            if kind == "iota":
-                s = index[src]
-                iota_rows[s], off = _graded_row(
-                    terms, _image_grading(gens[s], "skew", (0, 0)), _MAX, gens,
-                    index.__getitem__)
-                if off:
-                    err = _bidegree_error(src, *off[0], (0, 0))
-                    raise CfkParseError(f"bad iota data: {err}", lineno)
+            rows[kind][s], off = _scan(tokens[3:], lineno, index, gens,
+                                       _image_grading(gens[s], *_SHAPES[kind]))
+            if kind == "d":
+                stray += [(s, src, tgt, m) for tgt, m in off]
+            elif off := [term for term in off if not _MAX.contains(term[1])]:
+                err = _bidegree_error(src, *off[0], (0, 0))
+                raise CfkParseError(f"bad iota data: {err}", lineno)
         else:
             raise CfkParseError(f"unknown directive {kind!r}", lineno)
     if name is None or ring is None:
         raise CfkParseError("missing complex header", 1)
-    C = Complex(gens, actions["d"], ring, name)
-    iota = None
-    if actions["iota"]:
-        rows = [iota_rows.get(s, 0) for s in range(len(gens))]
-        iota = IotaData(LinMap(C, C, "skew", (0, 0), _MAX, rows))
-    return CfkFile(C, iota)
+    d, iota = ([table.get(s, 0) for s in range(len(gens))]
+               for table in rows.values())
+    stray.sort(key=lambda term: term[0])
+    C = Complex.of_rows(
+        gens, Complex.of_rows(gens, d).rows_mod(ring), ring, name,
+        [term[1:] for term in stray if not ring.contains(term[3])])
+    iota = LinMap(C, C, "skew", (0, 0), Ideal.zero(), iota)
+    return CfkFile(C, IotaData(iota.reduce_to(_MAX)) if rows["iota"] else None)
 
 
 def render_map_file(f: LinMap, name: str = "f") -> str:
@@ -160,10 +176,8 @@ def parse_map_file(text: str, source: Complex, target: Complex) -> LinMap:
     seen: set[str] = set()
     variance = bidegree = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not (tokens := raw.split("#", 1)[0].split()):
             continue
-        tokens = line.split()
         if (len(tokens) < 7 or tokens[0] != "map" or tokens[2] != "variance"
                 or tokens[4] != ":" or tokens[6] != "->"):
             raise CfkParseError("malformed map line", lineno)
@@ -180,19 +194,17 @@ def parse_map_file(text: str, source: Complex, target: Complex) -> LinMap:
         if src in seen:
             raise CfkParseError(f"repeated map line for {src!r}", lineno)
         seen.add(src)
-        terms = _parse_sum(tokens[7:], lineno, target._index)
-        if not terms:
-            continue
+        args = (tokens[7:], lineno, target._index, target.basis)
         if bidegree is None:
-            tgt, monos = next(iter(terms.items()))
-            y, m = target.generator(tgt), min(monos)
+            if not (off := _scan(*args, None)[1]):
+                continue
+            m, y = off[0][1], target.generator(off[0][0])
             eu, ev = _image_grading(source.basis[s], variance, (0, 0))
             bidegree = (y.gr_u - 2 * m.i - eu, y.gr_v - 2 * m.j - ev)
-        rows[s], off = _graded_row(
-            terms, _image_grading(source.basis[s], variance, bidegree),
-            source.ring, target.basis, target.index)
-        if off:
+        rows[s], off = _scan(*args, _image_grading(source.basis[s], variance,
+                                                   bidegree))
+        if off := [term for term in off if not source.ring.contains(term[1])]:
             raise CfkParseError(
                 str(_bidegree_error(src, *off[0], bidegree)), lineno)
     return LinMap(source, target, variance or "eq", bidegree or (0, 0),
-                  source.ring, rows)
+                  Ideal.zero(), rows).reduce_to(source.ring)

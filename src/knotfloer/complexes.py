@@ -9,10 +9,11 @@ carry a monomial outside an ideal, by the complex's bigrading index;
 quotients, the V-free and unit parts of d, d^2, map spaces and map
 reductions all mask by it.  The rule itself, that a term U^i V^j y of
 f(x) has gr(y) - (2i, 2j) = gr_v(x) + b for f of variance v and
-bidegree b, is coded here once for complexes and maps alike, from
-`_image_grading` to `_mask_rows`.  The constructor takes d as monomial
-sets, {source: {target: monomials}}; terms that break the rule are kept
-aside for `validate`, and asking such a complex for its rows raises.
+bidegree b, is coded here for complexes, maps and the .cfk scanner,
+from `_image_grading` to `_mask_rows`.  The constructor takes d as
+monomial sets, {source: {target: monomials}}, `of_rows` as rows; terms
+off the rule are kept aside for `validate` (`of_rows` is handed them),
+and asking such a complex for its rows raises.
 """
 
 from __future__ import annotations
@@ -92,10 +93,14 @@ class Complex:
                 raise StructuralError(f"differential of {src!r} references "
                                       f"unknown generator {tgt!r}")
             s = index[src]
-            rows[s], off = _graded_row(
-                targets, _image_grading(basis[s], "eq", (-1, -1)), ring,
-                basis, index.__getitem__)
-            stray += [(s, src, tgt, m) for tgt, m in off]
+            eu, ev = _image_grading(basis[s], "eq", (-1, -1))
+            for tgt, monos in targets.items():
+                y = basis[index[tgt]]
+                for m in sorted(m for m in monos if not ring.contains(m)):
+                    if (y.gr_u - 2 * m.i, y.gr_v - 2 * m.j) == (eu, ev):
+                        rows[s] |= 1 << index[tgt]
+                    else:
+                        stray.append((s, src, tgt, m))
         stray.sort(key=lambda term: term[0])
         for slot, value in (("name", name), ("basis", basis), ("ring", ring),
                             ("_rows", tuple(rows)), ("_index", index),
@@ -106,11 +111,14 @@ class Complex:
 
     @classmethod
     def of_rows(cls, basis: Iterable[Generator], rows: Sequence[int],
-                ring: Ideal = Ideal.zero(), name: str = "C") -> "Complex":
+                ring: Ideal = Ideal.zero(), name: str = "C",
+                stray: Iterable[tuple[str, str, Mono]] = ()) -> "Complex":
         """The complex with these rows; every set bit must be a pair whose
-        grading-fixed monomial lies outside the ring's ideal."""
+        grading-fixed monomial lies outside the ring's ideal.  `stray`: the
+        terms (source, target, monomial) off the rule, in source order."""
         C = cls(basis, {}, ring, name)
         object.__setattr__(C, "_rows", tuple(rows))
+        object.__setattr__(C, "_stray", tuple(stray))
         return C
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
@@ -297,27 +305,6 @@ def _image_grading(x: Generator, variance: str,
     of f(x); gr_eq(x) is gr(x), gr_skew(x) exchanges its two gradings."""
     gu, gv = (x.gr_v, x.gr_u) if variance == "skew" else (x.gr_u, x.gr_v)
     return (gu + bidegree[0], gv + bidegree[1])
-
-
-def _graded_row(terms: Mapping[str, Iterable[Mono]], e: tuple[int, int],
-                ideal: Ideal, basis: Sequence[Generator],
-                locate: Callable[[str], int]) -> tuple[int, list]:
-    """The row of the terms {target: monomials} of a generator of image
-    grading e, and its terms off the rule as (target, monomial), in input
-    target order, then monomial order.  Terms in `ideal` are dropped;
-    `locate` gives a target's index in `basis`, or raises."""
-    eu, ev = e
-    row, off = 0, []
-    for tgt, monos in terms.items():
-        t = locate(tgt)
-        du, dv = basis[t].gr_u - eu, basis[t].gr_v - ev
-        for m in sorted(monos):
-            if not ideal.contains(m):
-                if 2 * m.i == du and 2 * m.j == dv:
-                    row |= 1 << t
-                else:
-                    off.append((tgt, m))
-    return row, off
 
 
 def _row_terms(basis: Sequence[Generator], row: int,

@@ -309,16 +309,16 @@ def _kill_candidates(C: Complex, fspace: MapSpace,
 
 
 def _maximal_self_local(C: Complex, iota: IotaData, budget: int) -> LinMap:
-    """The map of `connected_complex`, kept on iota by budget; iota must
-    be a map of C itself.  One sweep suffices: a rejected candidate stays
-    rejected.  A candidate's rows, each the XOR of its unknowns'
-    `equations` kept reduced by the accepted span, are added all together
-    or not at all; one accepted with one unknown per row kills each
-    generator it touches."""
+    """The map of `connected_complex`, kept on iota with the dimension of
+    its map space: a budget below it goes on to raise in `_chain_maps`.
+    iota must be a map of C itself.  One sweep suffices: a rejected
+    candidate stays rejected.  A candidate's rows, each the XOR of its
+    unknowns' `equations` kept reduced by the accepted span, are added
+    all together or not at all; one accepted with one unknown per row
+    kills each generator it touches."""
     _iota_shape(C, iota)
-    kept = iota._self_local.get(budget)
-    if kept is not None:
-        return kept
+    if iota._self_local is not None and iota._self_local[0] <= budget:
+        return iota._self_local[1]
     sls = SelfLocalFamily(C, iota, budget)
     inner, table = sls.inner, list(sls.family.equations)
     killed: set[int] = set()
@@ -339,7 +339,7 @@ def _maximal_self_local(C: Complex, iota: IotaData, budget: int) -> LinMap:
         sls.family.point(inner.particular_solution()))
     if not verify_almost_local(f, iota, iota):
         raise StructuralError("maximal candidate fails re-verification")
-    iota._self_local[budget] = f
+    object.__setattr__(iota, "_self_local", (sls.fspace.dim, f))
     return f
 
 

@@ -26,7 +26,7 @@ from .complexes import (Complex, _image_grading, _mask_rows,
 from .errors import ResourceError, StructuralError
 from .linalg import (Echelon, GF2System, bits_of, complement_basis, rref_basis,
                      transpose)
-from .ring import Ideal, Mono, RingElt, render_mono
+from .ring import Ideal, Mono, RingElt, mono_words
 
 Bidegree = tuple[int, int]
 
@@ -124,8 +124,9 @@ class LinMap:
             return self.rows == other.rows
         return _named_terms(self) == _named_terms(other)
 
-    def __hash__(self) -> int:
-        return hash(self.render())
+    def __hash__(self) -> int:  # equal on reordered bases, as `==` is
+        return hash((self.variance, self.bidegree, self.ideal,
+                     sum(row.bit_count() for row in self.rows)))
 
     # -- serialization ------------------------------------------------------
 
@@ -136,12 +137,17 @@ class LinMap:
     def render_rows(self, head: str, arrow: str) -> str:
         """One line `<head><x> <arrow> <terms>` per nonzero row x, terms
         `U^i V^j y` in target order: map files, iota lines and .cfk
-        differentials all render through here."""
-        lines = []
-        for s, x in enumerate(self.source.basis):
-            if self.rows[s]:
-                terms = [tgt if i == j == 0 else f"{render_mono(i, j)} {tgt}"
-                         for tgt, i, j in self.row_terms(s)]
+        differentials all render through here.  Each term's monomial is
+        the `mono_words` of its grading shift gr(y) - gr_v(x) - b."""
+        lines, basis = [], self.target.basis
+        for x, row in zip(self.source.basis, self.rows):
+            if row:
+                eu, ev = _image_grading(x, self.variance, self.bidegree)
+                terms = []
+                for y in map(basis.__getitem__, bits_of(row)):
+                    words = mono_words(y.gr_u - eu, y.gr_v - ev)
+                    terms.append(" ".join(words) + " " + y.name if words
+                                 else y.name)
                 lines.append(f"{head}{x.name} {arrow} " + " + ".join(terms))
         return "\n".join(lines)
 
@@ -378,15 +384,15 @@ class IotaData:
     """A candidate almost involution: a skew map mod (U,V).
 
     It keeps what depends on it alone: its `validate_iota` report, and
-    the maximal self-local map of `localequiv`, one per budget.
+    the maximal self-local map of `localequiv` and its map-space size.
     """
 
     map: LinMap
     mode: ClassVar[str] = "almost"  # a constant; perfbench's tracer reads it
     _report: IotaReport | None = field(default=None, init=False,
                                        repr=False, compare=False)
-    _self_local: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    _self_local: tuple[int, LinMap] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.map.variance != "skew" or self.map.bidegree != (0, 0):

@@ -13,6 +13,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf
 from typing import Iterable, Iterator
 
@@ -49,6 +50,15 @@ def render_mono(i: int, j: int) -> str:
     elif j > 1:
         parts.append(f"V^{j}")
     return " ".join(parts)
+
+
+@lru_cache(maxsize=4096)  # bounded: the shifts come from input gradings
+def mono_words(du: int, dv: int) -> tuple[str, ...] | None:
+    """The tokens of U^(du/2) V^(dv/2) as written before a generator name
+    (none for 1), or None when no monomial has the grading shift (du, dv)."""
+    if du < 0 or dv < 0 or du % 2 or dv % 2:
+        return None
+    return tuple(render_mono(du // 2, dv // 2).split()) if du or dv else ()
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,13 @@ the transposed V-free rows of d (`v_reduced_rows`);
 target bigrading instead of the two axes through it; `ringelt_validate`
 checks d^2 through the element views instead of XORing rows, or
 instead of the monomial sets of a complex with stray terms.
+`parse_cfk_oracle` and `parse_map_file_oracle` read every term of a
+.cfk or map line through `parse_mono` into per-target monomial sets
+(`parse_sum`) and grade the sets with `graded_row`, or build the
+complex from them through the validating constructor, instead of
+matching canonical spellings straight into bitset rows.  `graded_row`,
+which `map_of_action` uses too, grades a generator's monomial sets into
+a row and the terms off the rule, as the package's parsers did.
 
 The reference algebra comes first: `RingElt` with its arithmetic, `mul`
 and `reduce` on F2[U,V] and its quotients, the element views of a
@@ -58,10 +65,10 @@ from __future__ import annotations
 from itertools import product
 
 from knotfloer import ring
+from knotfloer.cfk import _TAG_RINGS, CfkFile
 from knotfloer.complexes import (Complex, Generator, ValidationReport,
-                                 _bidegree_error, _graded_row,
-                                 _image_grading, _row_terms)
-from knotfloer.errors import ResourceError, StructuralError
+                                 _bidegree_error, _image_grading, _row_terms)
+from knotfloer.errors import CfkParseError, ResourceError, StructuralError
 from knotfloer.homology import UHomology
 from knotfloer.linalg import GF2System, bits_of, rref_basis, transpose
 from knotfloer.localequiv import _locality_bit
@@ -69,7 +76,7 @@ from knotfloer.morphism import (IotaData, LinMap, MapSpace, _spread,
                                 _vertex_cover, chain_defect,
                                 derivative_maps, differential_map,
                                 identity_map)
-from knotfloer.ring import Ideal, Mono
+from knotfloer.ring import Ideal, Mono, parse_mono
 from knotfloer.tensorsum import pair_name
 
 
@@ -192,6 +199,26 @@ def linmap_apply(f: LinMap, elt: Element) -> Element:
     return out
 
 
+def graded_row(terms, e: tuple[int, int], ideal: Ideal, basis,
+               locate) -> tuple[int, list]:
+    """The row of the terms {target: monomials} of a generator of image
+    grading e, and its terms off the rule as (target, monomial), in input
+    target order, then monomial order.  Terms in `ideal` are dropped;
+    `locate` gives a target's index in `basis`, or raises."""
+    eu, ev = e
+    row, off = 0, []
+    for tgt, monos in terms.items():
+        t = locate(tgt)
+        du, dv = basis[t].gr_u - eu, basis[t].gr_v - ev
+        for m in sorted(monos):
+            if not ideal.contains(m):
+                if 2 * m.i == du and 2 * m.j == dv:
+                    row |= 1 << t
+                else:
+                    off.append((tgt, m))
+    return row, off
+
+
 def map_of_action(source: Complex, target: Complex, variance: str,
                   bidegree: tuple[int, int], terms_of,
                   ideal: Ideal | None = None) -> LinMap:
@@ -202,7 +229,7 @@ def map_of_action(source: Complex, target: Complex, variance: str,
     rows = [0] * len(source)
     for src, terms in terms_of.items():
         s = source.index(src)
-        rows[s], off = _graded_row(
+        rows[s], off = graded_row(
             terms, _image_grading(source.basis[s], variance, bidegree),
             ideal, target.basis, target.index)
         if off:
@@ -1201,3 +1228,144 @@ def ringelt_validate(C: Complex) -> ValidationReport:
                   for coeff in row.values() for m in coeff)
     return ValidationReport(ok_d2, not stray, reduced, symmetric,
                             tuple(messages))
+
+
+def parse_sum(tokens: list[str], lineno: int,
+              index) -> dict[str, set[Mono]]:
+    """Parse `[mono] name + [mono] name + ...`, over the generators in
+    `index`, into each target's monomials; repeated terms cancel."""
+    if tokens == ["0"]:
+        return {}
+    monos: dict[str, set[Mono]] = {}
+    term: list[str] = []
+
+    def flush():
+        if not term:
+            raise CfkParseError("empty term in sum", lineno)
+        name = term[-1]
+        try:
+            mono = parse_mono(term[:-1])
+        except ValueError as err:
+            raise CfkParseError(str(err), lineno) from None
+        monos.setdefault(name, set()).symmetric_difference_update((mono,))
+        term.clear()
+
+    for tok in tokens:
+        if tok == "+":
+            flush()
+        else:
+            term.append(tok)
+    flush()
+    row = {k: v for k, v in monos.items() if v}
+    for name in row:
+        if name not in index:
+            raise CfkParseError(f"unknown generator {name!r}", lineno)
+    return row
+
+
+def parse_cfk_oracle(text: str) -> CfkFile:
+    """`cfk.parse_cfk` through monomial sets: d goes to the validating
+    constructor, each iota line to `graded_row` mod (U,V)."""
+    max_ideal = Ideal.max_ideal()
+    name = ring_ = None
+    gens: list[Generator] = []
+    index: dict[str, int] = {}
+    actions: dict = {"d": {}, "iota": {}}
+    iota_rows: dict[int, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "complex":
+            if name is not None:
+                raise CfkParseError("repeated complex header", lineno)
+            if len(tokens) != 4 or tokens[2] != "ring":
+                raise CfkParseError("malformed complex header", lineno)
+            if tokens[3] not in _TAG_RINGS:
+                raise CfkParseError(f"unknown ring tag {tokens[3]!r}", lineno)
+            name, ring_ = tokens[1], _TAG_RINGS[tokens[3]]
+        elif kind == "gen":
+            if len(tokens) != 5 or tokens[2] != "gr":
+                raise CfkParseError("malformed gen line", lineno)
+            try:
+                g = Generator(tokens[1], int(tokens[3]), int(tokens[4]))
+            except (ValueError, StructuralError) as err:
+                raise CfkParseError(str(err), lineno) from None
+            if g.name in index:
+                raise CfkParseError("duplicate generator names", lineno)
+            index[g.name] = len(gens)
+            gens.append(g)
+        elif kind in actions:
+            if len(tokens) < 4 or tokens[2] != "=":
+                raise CfkParseError(f"malformed {kind} line", lineno)
+            src = tokens[1]
+            if src not in index:
+                raise CfkParseError(f"unknown generator {src!r}", lineno)
+            if src in actions[kind]:
+                raise CfkParseError(f"repeated {kind} line for {src!r}", lineno)
+            terms = actions[kind][src] = parse_sum(tokens[3:], lineno, index)
+            if kind == "iota":
+                s = index[src]
+                iota_rows[s], off = graded_row(
+                    terms, _image_grading(gens[s], "skew", (0, 0)),
+                    max_ideal, gens, index.__getitem__)
+                if off:
+                    err = _bidegree_error(src, *off[0], (0, 0))
+                    raise CfkParseError(f"bad iota data: {err}", lineno)
+        else:
+            raise CfkParseError(f"unknown directive {kind!r}", lineno)
+    if name is None or ring_ is None:
+        raise CfkParseError("missing complex header", 1)
+    C = Complex(gens, actions["d"], ring_, name)
+    iota = None
+    if actions["iota"]:
+        rows = [iota_rows.get(s, 0) for s in range(len(gens))]
+        iota = IotaData(LinMap(C, C, "skew", (0, 0), max_ideal, rows))
+    return CfkFile(C, iota)
+
+
+def parse_map_file_oracle(text: str, source: Complex,
+                          target: Complex) -> LinMap:
+    """`cfk.parse_map_file` through monomial sets and `graded_row`."""
+    rows = [0] * len(source)
+    seen: set[str] = set()
+    variance = bidegree = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if (len(tokens) < 7 or tokens[0] != "map" or tokens[2] != "variance"
+                or tokens[4] != ":" or tokens[6] != "->"):
+            raise CfkParseError("malformed map line", lineno)
+        tag, src = tokens[3], tokens[5]
+        if tag not in ("eq", "skew"):
+            raise CfkParseError(f"unknown variance {tag!r}", lineno)
+        if variance is None:
+            variance = tag
+        elif variance != tag:
+            raise CfkParseError("mixed variances in one map file", lineno)
+        s = source._index.get(src)
+        if s is None:
+            raise CfkParseError(f"unknown generator {src!r}", lineno)
+        if src in seen:
+            raise CfkParseError(f"repeated map line for {src!r}", lineno)
+        seen.add(src)
+        terms = parse_sum(tokens[7:], lineno, target._index)
+        if not terms:
+            continue
+        if bidegree is None:
+            tgt, monos = next(iter(terms.items()))
+            y, m = target.generator(tgt), min(monos)
+            eu, ev = _image_grading(source.basis[s], variance, (0, 0))
+            bidegree = (y.gr_u - 2 * m.i - eu, y.gr_v - 2 * m.j - ev)
+        rows[s], off = graded_row(
+            terms, _image_grading(source.basis[s], variance, bidegree),
+            source.ring, target.basis, target.index)
+        if off:
+            raise CfkParseError(
+                str(_bidegree_error(src, *off[0], bidegree)), lineno)
+    return LinMap(source, target, variance or "eq", bidegree or (0, 0),
+                  source.ring, rows)

@@ -99,7 +99,12 @@ def test_bound_reuses_the_connected_map(monkeypatch):
     assert concordance_unknotting_bound(C, iota) == 3
     assert connected_complex(C, iota) == conn
     connected_complex(C, iota, budget=10**6)
-    assert sweeps == [C.name, C.name]  # one sweep per (iota, budget)
+    dim = MapSpace.build(C, C, "eq", (0, 0), C.ring).dim
+    with pytest.raises(ResourceError) as err:
+        connected_complex(C, iota, budget=dim - 1)
+    assert err.value.size == dim
+    assert connected_complex(C, iota, budget=dim) == conn
+    assert sweeps == [C.name]  # one sweep per iota, whatever the budget
 
 
 def test_budget_below_the_map_space_still_raises(k2):

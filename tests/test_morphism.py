@@ -17,9 +17,9 @@ from knotfloer.knotlib import (build_cable, build_figure_eight, build_unknot,
                                forced_iota_constraints)
 from knotfloer.localequiv import LocalSearchSpec, search_local_map
 from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
-                                derivative_maps, enumerate_almost_iotas,
-                                identity_map, is_chain_map, validate_iota,
-                                zero_map)
+                                derivative_maps, differential_map,
+                                enumerate_almost_iotas, identity_map,
+                                is_chain_map, validate_iota, zero_map)
 from knotfloer.ring import Ideal, Mono
 from knotfloer.tensorsum import product_iota, tensor
 from oracles import (RingElt, diff_items, exhaustive_square_solutions,
@@ -137,6 +137,16 @@ def test_maps_on_equal_but_distinct_complexes_compare_by_rows(fig8):
                        {s: dict(r) for s, r in diff_items(fig8)})
     assert identity_map(fig8) == identity_map(shuffled)
     assert derivative_maps(fig8)[1] == derivative_maps(shuffled)[1]
+
+
+def test_equal_maps_on_a_reordered_basis_hash_equal():
+    k2 = build_cable(2)
+    reversed_k2 = Complex(list(k2.basis)[::-1],
+                          {s: dict(r) for s, r in diff_items(k2)})
+    d, d_reversed = differential_map(k2), differential_map(reversed_k2)
+    assert d.rows != d_reversed.rows and d.render() != d_reversed.render()
+    assert d == d_reversed and hash(d) == hash(d_reversed)
+    assert len({d, d_reversed}) == 1
 
 
 @pytest.mark.parametrize("outer_ideal,inner_ideal", [
