@@ -5,11 +5,13 @@ unknown k, so every row operation is one XOR.  `Echelon` is the one
 echelon kernel: a semi-echelon basis keyed by pivot, so inserting a row
 clears nothing and reducing a vector costs one XOR per pivot it meets,
 not a pass over every row.  GF2System extends it to affine systems
-A x = b over F2, solved one equation at a time; `rref_basis` and
-`complement_basis` reduce spans, and AffineSpace parameterizes a
-solution set and rewrites each unknown in its parameters.
-Graded modules over F2[U] reduce to this too: homogeneity fixes every
-monomial, so `homology` eliminates over the same bitsets.
+A x = b over F2, fed equation rows one at a time or all at once;
+`rref_basis` and `complement_basis` reduce spans, and AffineSpace reads
+the solution set off a solved system: its parameters t are the unknowns
+themselves, read at the free ones, and each unknown is its fully
+reduced row in them.  Graded modules over F2[U] reduce to this too:
+homogeneity fixes every monomial, so `homology` eliminates over the
+same bitsets.
 """
 
 from __future__ import annotations
@@ -141,18 +143,13 @@ class GF2System(Echelon):
                 self.insert(aug, added[-1])
         return True
 
-    def add_columns(self, columns: list[int], rhs: int = 0) -> bool:
-        """Add `M x = rhs` for the matrix M whose k-th column is columns[k].
-
-        Stops at the first inconsistent equation; returns feasibility.
-        """
-        rows = transpose(columns)
-        for t in bits_of(rhs):
-            rows.setdefault(t, 0)
-        for t, row in rows.items():
-            if not self.add_equation(row, (rhs >> t) & 1):
-                return False
-        return self.feasible
+    def add_rows(self, rows: Mapping[int, int], rhs: int = 0) -> bool:
+        """Add `row . x = bit t of rhs` for each row t of `rows`, and
+        `0 = 1` for each other bit t of rhs, as `add_equations` does;
+        `transpose` gives the rows of a matrix held by columns."""
+        rhs_bit = 1 << self.width
+        return self.add_equations([rows.get(t, 0) | rhs_bit * (rhs >> t & 1)
+                                   for t in rows.keys() | set(bits_of(rhs))])
 
     def particular_solution(self) -> int:
         """One solution with all free unknowns set to zero."""
@@ -200,21 +197,23 @@ def complement_basis(sub: Echelon, space: list[int]) -> list[int]:
 
 
 class AffineSpace:
-    """The points x = particular + sum of t_i null[i] over F2.  Unknown
-    k of x (of `width`) in the parameters t is `equations[k]`, its t-row
-    with bit k of particular as rhs, so row . x = 0 is the XOR of the
-    equations[k] over the k in row."""
+    """The solutions of a feasible GF2System in parameters t: the unknowns
+    themselves, read only at the free ones.  Unknown k in t is
+    `equations[k]`, a t-row with its constant at bit `width`: 1 << k for
+    a free unknown, the fully reduced row of a pivot masked to the free
+    bits and the rhs bit.  So row . x = 0 is the XOR of the equations[k]
+    over the k in row, a row over the same `width`."""
 
-    def __init__(self, particular: int, null: list[int], width: int):
-        self.particular = particular
-        self.null = null
-        by_unknown = transpose(null)  # unknown k -> the i with bit k
-        self.equations = [by_unknown.get(k, 0)
-                          | (particular >> k & 1) << len(null)
+    def __init__(self, system: GF2System):
+        self.width = width = system.width
+        keep = ((1 << width) - 1) & ~system.mask | 1 << width
+        rows = system._back_substituted()
+        self.equations = [rows[k] & keep if k in rows else 1 << k
                           for k in range(width)]
 
     def point(self, t: int) -> int:
-        x = self.particular
-        for i in bits_of(t):
-            x ^= self.null[i]
+        """The solution at t, whose bits at pivot unknowns are ignored."""
+        x, width = 0, self.width
+        for k, eq in enumerate(self.equations):
+            x |= (((eq & t).bit_count() ^ eq >> width) & 1) << k
         return x

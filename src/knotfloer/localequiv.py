@@ -5,7 +5,8 @@ involutions up to skew homotopy and carry the free tower of the source
 to a generator of the target tower.  On reduced complexes the almost
 version turns the homotopy into an equality mod (U,V), so the search is
 affine-linear over F2: `_chain_maps` gives the chain maps as an affine
-family in parameters t with the locality row over t, and `_local_system`
+family in parameters t, the free unknowns of the solved chain system,
+with the locality row over t, and `_local_system`
 adds it to the intertwining rows of one involution pair, rewritten in t;
 the search runs it on every pair, `SelfLocalFamily` on (iota, iota).
 A map space holds every map of its shape, so an inconsistent system
@@ -16,16 +17,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Container, Iterator
 
 from .complexes import Complex, Generator, GradingIndex, kept_targets
 from .errors import ResourceError, StructuralError
 from .homology import UHomology, hfk_minus, torsion_order
-from .linalg import AffineSpace, Echelon, GF2System, bits_of
+from .linalg import AffineSpace, Echelon, GF2System, bits_of, transpose
 from .morphism import (IotaData, LinMap, MapSpace, _almost_reports,
-                       _iota_shape, chain_defect, enumerate_almost_iotas)
+                       _iota_shape, chain_defect, differential_map,
+                       enumerate_almost_iotas)
 from .ring import Ideal
 
 DEFAULT_BUDGET = 2_000_000
@@ -104,7 +105,7 @@ def _locality_equation(fspace: MapSpace, family: AffineSpace,
     targets = fspace.target.basis
     odd = sum(1 << y for y in range(len(targets))
               if tgt_hom.tower_unit_coefficient((1 << y, grading)))
-    row = 1 << len(family.null)
+    row = 1 << family.width
     for x in bits_of(tower):
         gr_v, rank = fspace.source.basis[x].gr_v, fspace.ranks[x]
         for y in bits_of(fspace.masks[x] & odd):
@@ -127,25 +128,26 @@ def _chain_maps(src_hom: UHomology, tgt_hom: UHomology, budget: int
             f"{fspace.dim} unknowns exceed the budget {budget}", fspace.dim)
     chain_slot = MapSpace.build(src, tgt, "eq", (-1, -1), src.ring)
     base = GF2System(fspace.dim)
-    base.add_columns(fspace.d_commutator_columns(chain_slot))
-    family = AffineSpace(*base.solution_space(), fspace.dim)
+    base.add_equations(fspace.operator_rows(
+        chain_slot, differential_map(tgt), differential_map(src)))
+    family = AffineSpace(base)
     locality = _locality_equation(fspace, family, src_hom, tgt_hom)
     return fspace, family, locality, chain_slot.dim
 
 
 def _slot_rows(family: AffineSpace,
-               columns: list[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """The rows of an operator on the map space with these columns, by
-    slot coordinate: as rows over the map space, and rewritten in the
-    parameters t of the family."""
-    raw: dict[int, int] = {}
-    eqs: dict[int, int] = {}
-    for k, col in enumerate(columns):
-        bit, eq = 1 << k, family.equations[k]
-        for e in bits_of(col):
-            raw[e] = raw.get(e, 0) | bit
-            eqs[e] = eqs.get(e, 0) ^ eq
-    return raw, eqs
+               rows: list[int]) -> tuple[list[int], list[int]]:
+    """An operator's equation rows over the map space, one per slot
+    coordinate (`MapSpace.operator_rows`), and the same rows rewritten in
+    the parameters t of the family: the XOR of `equations[k]` over the
+    bits k of each."""
+    equations, eqs = family.equations, []
+    for row in rows:
+        eq = 0
+        for k in bits_of(row):
+            eq ^= equations[k]
+        eqs.append(eq)
+    return rows, eqs
 
 
 def _local_system(family: AffineSpace, locality: int, pre: tuple,
@@ -155,9 +157,8 @@ def _local_system(family: AffineSpace, locality: int, pre: tuple,
     rows and the locality row, added in one call; the system is None if
     no local map exists."""
     (raw1, eqs1), (raw2, eqs2) = pre, post
-    rows = [eqs1.get(e, 0) ^ eqs2.get(e, 0) for e in raw1.keys() | raw2.keys()
-            if raw1.get(e, 0) != raw2.get(e, 0)]
-    system = GF2System(len(family.null))
+    rows = [eqs1[e] ^ eqs2[e] for e in range(len(raw1)) if raw1[e] != raw2[e]]
+    system = GF2System(family.width)
     feasible = system.add_equations(rows + [locality])
     return (system if feasible else None), len(rows)
 
@@ -199,11 +200,11 @@ def search_local_map(spec: LocalSearchSpec) -> LocalCertificate:
     int_slot = MapSpace.build(src, tgt, "skew", (0, 0), Ideal.max_ideal())
     post_rows: dict[int, tuple] = {}
     for i1 in src_iotas:
-        pre = _slot_rows(family, fspace.precompose_columns(i1.map, int_slot))
+        pre = _slot_rows(family, fspace.operator_rows(int_slot, pre=i1.map))
         for n2, i2 in enumerate(tgt_iotas):
             if n2 not in post_rows:
                 post_rows[n2] = _slot_rows(
-                    family, fspace.postcompose_columns(i2.map, int_slot))
+                    family, fspace.operator_rows(int_slot, post=i2.map))
             system, n_rows = _local_system(family, locality, pre,
                                            post_rows[n2])
             n_equations += n_rows
@@ -248,32 +249,23 @@ class SelfLocalFamily:
         self.fspace, self.family, locality, _ = _chain_maps(hom, hom, budget)
         slot = MapSpace.build(C, C, "skew", (0, 0), Ideal.max_ideal())
         self.inner, _ = _local_system(self.family, locality, *(
-            _slot_rows(self.family, columns(iota.map, slot)) for columns
-            in (self.fspace.precompose_columns,
-                self.fspace.postcompose_columns)))
+            _slot_rows(self.family, self.fspace.operator_rows(slot, **side))
+            for side in ({"pre": iota.map}, {"post": iota.map})))
         if self.inner is None:
             raise StructuralError("no self-local equivalence exists at all")
-
-    @cached_property
-    def _inner_solution(self) -> tuple[int, list[int]]:
-        # solved once per family: the sweep of `_maximal_self_local` adds
-        # rows to its own family's `inner` but never reads unit coefficients
-        return self.inner.solution_space()
 
     def unit_coefficient_constant(self, src: str, tgt: str) -> tuple[bool, int]:
         """(whether <f(src), tgt> is constant over the family, its value
         at the particular solution).  The unit-monomial coordinate k is
-        `family.equations[k]` in t: constant when its parity with every
-        null vector of `inner` is 0, valued its parity with the particular
-        solution plus its rhs."""
+        `family.equations[k]` in t; `inner` reduces it to a row with no
+        pivot bit, so it is constant when that row is its rhs alone, and
+        the rhs is its value where the free unknowns of `inner` are 0."""
         if self.C.grading(src) != self.C.grading(tgt):
             return True, 0  # no unit-monomial pair
         s = self.C.index(src)
-        eq = self.family.equations[self.fspace.starts[s]
-                                   + self.fspace.ranks[s][self.C.index(tgt)]]
-        t_part, null = self._inner_solution
-        value = (eq & t_part).bit_count() + (eq >> self.inner.width) & 1
-        return not any((eq & w).bit_count() & 1 for w in null), value
+        eq = self.inner.reduce(self.family.equations[
+            self.fspace.starts[s] + self.fspace.ranks[s][self.C.index(tgt)]])
+        return not eq & ((1 << self.inner.width) - 1), eq >> self.inner.width
 
 
 def _kill_candidates(C: Complex, fspace: MapSpace,
@@ -396,8 +388,8 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
         if boundary:
             meta = list(bits_of(new_reach(e)))
             sysq = GF2System(len(meta))
-            if not sysq.add_columns([generators[k][3] for k in meta],
-                                    boundary):
+            if not sysq.add_rows(transpose([generators[k][3] for k in meta]),
+                                 boundary):
                 raise StructuralError("image is not closed under d in the "
                                       "computed generating set")
             row = sum(1 << meta[k]

@@ -242,11 +242,11 @@ class MapSpace:
     targets in `masks[s]`, one `kept_targets` lookup per bigrading, and
     its coordinate of target t is `starts[s] + ranks[s][t]`: coordinates
     run source by source, targets ascending, as `pairs` lists them (built
-    only when read).  The solvers' operators are assembled column by
-    column by index arithmetic on the masks and the rows of the maps
-    involved: `d_commutator_columns` (f -> d f + f d),
-    `precompose_columns` (u -> u g) and `postcompose_columns` (u -> g u),
-    each in the coordinates of a slot space of the composite's shape.
+    only when read).  `operator_rows` assembles the solvers' operators
+    (f -> d f + f d, u -> u g and u -> g u) as equation rows, one per
+    coordinate of a slot space of the composite's shape, each a bitset
+    over this space, by index arithmetic on the masks and the rows of
+    the maps involved.
     """
 
     source: Complex
@@ -311,56 +311,47 @@ class MapSpace:
             raise StructuralError("map falls outside the map space")
         return sum(map(self.row_bits, range(len(f.rows)), f.rows))
 
-    # -- operators, one column per basis map ------------------------------
+    # -- operators, one equation row per slot coordinate -------------------
 
-    def d_commutator_columns(self, slot: "MapSpace") -> list[int]:
-        """Columns of f -> d f + f d, reduced modulo the slot's ideal."""
-        return self._columns(slot, post=differential_map(self.target),
-                             pre=differential_map(self.source))
-
-    def precompose_columns(self, g: LinMap, slot: "MapSpace") -> list[int]:
-        """Columns of u -> u g, reduced modulo the slot's ideal."""
-        return self._columns(slot, pre=g)
-
-    def postcompose_columns(self, g: LinMap, slot: "MapSpace") -> list[int]:
-        """Columns of u -> g u, reduced modulo the slot's ideal."""
-        return self._columns(slot, post=g)
-
-    def _columns(self, slot: "MapSpace", post: LinMap | None = None,
-                 pre: LinMap | None = None) -> list[int]:
-        """Columns of u -> post u + u pre over the basis maps u.
+    def operator_rows(self, slot: "MapSpace", post: LinMap | None = None,
+                      pre: LinMap | None = None) -> list[int]:
+        """The rows of u -> post u + u pre, reduced modulo the slot's
+        ideal: row e holds the basis maps u whose image has slot
+        coordinate e, as bits over this space; post = pre = d gives
+        f -> d f + f d.
 
         The basis map (s, t) sends s to t times its monomial: post u sends
         s to post(t), and u pre sends each w with s in pre(w) to t, each
         kept where the slot's mask of its source allows; the gradings fix
         every monomial, so the rest lies in the slot's ideal.  Both masks
-        of s depend only on s's bigrading: post(t) is packed once per
-        bigrading.
+        of s depend only on s's bigrading: the rows of post u over the
+        targets of s are packed once per bigrading.
         """
         for outer, inner in ((post, self), (self, pre)):
             if outer is not None and inner is not None:
                 _check_slot(slot, outer, inner)
-        cols, starts, ranks = [0] * self.dim, self.starts, self.ranks
+        rows, starts, ranks = [0] * slot.dim, self.starts, self.ranks
         if post is not None:
             for members in self.source.grading_index.cells.values():
                 s = members.bit_length() - 1
                 mask, rank = slot.masks[s], slot.ranks[s]
-                packed = [post.rows[t] & mask for t in ranks[s]]
+                packed = [0] * mask.bit_count()
+                for r, t in enumerate(ranks[s]):
+                    for z in bits_of(post.rows[t] & mask):
+                        packed[rank[z]] |= 1 << r
                 if not any(packed):
                     continue
-                for r, row in enumerate(packed):
-                    if row:
-                        packed[r] = sum(1 << rank[z] for z in bits_of(row))
                 for s in bits_of(members):
-                    start = slot.starts[s]
-                    cols[starts[s]:starts[s + 1]] = [v << start for v in packed]
+                    start = starts[s]
+                    rows[slot.starts[s]:slot.starts[s + 1]] = [
+                        v << start for v in packed]
         for w, row in enumerate(pre.rows if pre is not None else ()):
             mask, rank, start = slot.masks[w], slot.ranks[w], slot.starts[w]
             for s in bits_of(row):
                 base, srank = starts[s], ranks[s]
                 for t in bits_of(self.masks[s] & mask):
-                    cols[base + srank[t]] ^= 1 << start + rank[t]
-        return cols
+                    rows[start + rank[t]] ^= 1 << base + srank[t]
+        return rows
 
 
 def _check_slot(slot: MapSpace, outer, inner) -> None:
@@ -503,8 +494,9 @@ def _square_system(C: Complex) -> _SquareSystem | None:
 
     # chain-map condition: linear system over the iota coordinates
     defect_slot = MapSpace.build(C, C, "skew", (-1, -1), C.ring)
+    d = differential_map(C)
     system = GF2System(u)
-    system.add_columns(iota_space.d_commutator_columns(defect_slot))
+    system.add_equations(iota_space.operator_rows(defect_slot, d, d))
 
     # unit coordinates: the targets of monomial 1, which the reduction mod
     # (U,V) keeps; if s and t are each other's only unit target and Psi Phi
@@ -525,14 +517,15 @@ def _square_system(C: Complex) -> _SquareSystem | None:
 
     # null-homotopic skew maps: the subgroup to quotient out
     hskew = MapSpace.build(C, C, "skew", (1, 1), C.ring)
-    class_dirs = complement_basis(
-        rref_basis(hskew.d_commutator_columns(iota_space)), null_basis)
+    class_dirs = complement_basis(rref_basis(
+        transpose(hskew.operator_rows(iota_space, d, d)).values()), null_basis)
     q = len(class_dirs)
 
     # equivariant homotopy images, for the squared-condition membership test
     eq_slot = MapSpace.build(C, C, "eq", (0, 0), C.ring)
     heq = MapSpace.build(C, C, "eq", (1, 1), C.ring)
-    eq_boundaries = rref_basis(heq.d_commutator_columns(eq_slot))
+    eq_boundaries = rref_basis(
+        transpose(heq.operator_rows(eq_slot, d, d)).values())
 
     # maps[0] is the base map, maps[k + 1] class direction k, as rows, and
     # the preimages of each: s -> the w with s in maps(w)
@@ -622,7 +615,7 @@ def _square_solutions(
         columns = [cols[k] for k in cover[depth:] + free]
         if depth == len(cover):  # no cross terms left: the exact system
             solver = GF2System(len(free))
-            if solver.add_columns(columns, const):
+            if solver.add_rows(transpose(columns), const):
                 x0, null = solver.solution_space()
                 yield (fixed | _spread(x0, free),
                        [_spread(v, free) for v in null])

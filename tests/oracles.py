@@ -22,10 +22,13 @@ from such elements instead of bitsets over generators.
 `exhaustive_square_solutions` solves the squared condition of the
 involution enumeration once for every assignment of the vertex cover
 instead of walking the assignments with a pruning relaxation.
-`JointSelfLocalFamily` solves the chain-map and intertwining equations
-of the self-local maps together, leaving only locality for the
-parameters, and `fixpoint_maximal_self_local` repeats the kill-candidate
-sweep until nothing more is accepted, instead of sweeping once.
+`NullBasisAffineSpace` parameterizes a solution set by a null basis,
+one vector per free unknown, instead of by the free unknowns of the
+solved system.  `JointSelfLocalFamily` solves the chain-map and
+intertwining equations of the self-local maps together, leaving only
+locality for the parameters, and `fixpoint_maximal_self_local` repeats
+the kill-candidate sweep until nothing more is accepted, instead of
+sweeping once.
 `ListGF2System`, `list_rref_basis` and `list_complement_basis` keep an
 echelon basis in parallel row and pivot lists and reduce a vector by
 visiting every row, instead of only the rows of the pivots it hits.
@@ -507,9 +510,10 @@ def solve_homotopy(f: LinMap, g: LinMap) -> LinMap | None:
                           f.ideal)
     hspace = MapSpace.build(f.source, f.target, f.variance,
                             (f.bidegree[0] + 1, f.bidegree[1] + 1), f.ideal)
+    rows = hspace.operator_rows(slot, differential_map(f.target),
+                                differential_map(f.source))
     system = GF2System(hspace.dim)
-    if not system.add_columns(hspace.d_commutator_columns(slot),
-                              slot.bits_from_map(diff)):
+    if not system.add_rows(dict(enumerate(rows)), slot.bits_from_map(diff)):
         return None
     return hspace.map_from_bits(system.particular_solution())
 
@@ -764,7 +768,7 @@ def element_image_complex(C: Complex, f: LinMap,
             unknown_cols.append(vec_of_element(moved, terms, index))
             unknown_meta.append((lbl2, m))
         sysq = GF2System(len(unknown_cols))
-        if not sysq.add_columns(unknown_cols, target_vec):
+        if not sysq.add_rows(transpose(unknown_cols), target_vec):
             raise StructuralError("image is not closed under d in the "
                                   "computed generating set")
         sol = sysq.particular_solution()
@@ -814,11 +818,41 @@ def exhaustive_square_solutions(system):
                     col ^= v
             cols.append(col)
         solver = GF2System(len(free))
-        if solver.add_columns(cols, const):
+        if solver.add_rows(transpose(cols), const):
             x0, null = solver.solution_space()
             out.append((fixed | _spread(x0, free),
                         [_spread(v, free) for v in null]))
     return out
+
+
+# -- affine solution sets by their null basis --------------------------------
+
+class NullBasisAffineSpace:
+    """The points x = particular + sum of t_i null[i] over F2, i running
+    over the free unknowns in ascending order, as `AffineSpace` held them
+    before it read the parameters off the solved system.  Unknown k of x
+    (of `width` unknowns) in the t_i is `equations[k]`, its t-row with
+    bit k of particular as rhs at bit `len(null)`, which is this space's
+    `width`, the parameter count."""
+
+    def __init__(self, particular: int, null: list[int], width: int):
+        self.particular = particular
+        self.null = null
+        by_unknown = transpose(null)  # unknown k -> the i with bit k
+        self.equations = [by_unknown.get(k, 0)
+                          | (particular >> k & 1) << len(null)
+                          for k in range(width)]
+        self.width = len(null)
+
+    @classmethod
+    def of_system(cls, system: GF2System) -> "NullBasisAffineSpace":
+        return cls(*system.solution_space(), system.width)
+
+    def point(self, t: int) -> int:
+        x = self.particular
+        for i in bits_of(t):
+            x ^= self.null[i]
+        return x
 
 
 # -- self-local maps from one joint chain-and-intertwining system -----------
@@ -834,10 +868,10 @@ class JointSelfLocalFamily:
         chain_slot = MapSpace.build(C, C, "eq", (-1, -1), C.ring)
         int_slot = MapSpace.build(C, C, "skew", (0, 0), Ideal.max_ideal())
         base = GF2System(self.fspace.dim)
-        base.add_columns(self.fspace.d_commutator_columns(chain_slot))
-        icols = zip(self.fspace.precompose_columns(iota.map, int_slot),
-                    self.fspace.postcompose_columns(iota.map, int_slot))
-        base.add_columns([a ^ b for a, b in icols])
+        d = differential_map(C)
+        base.add_equations(self.fspace.operator_rows(chain_slot, d, d))
+        base.add_equations(self.fspace.operator_rows(int_slot, iota.map,
+                                                     iota.map))
         self.particular, self.null = base.solution_space()
         hom = UHomology(C)
         tower, grading = hom.tower_generator()
@@ -1133,7 +1167,7 @@ def kernel_space_oracle(C: Complex, f: LinMap) -> tuple[tuple, tuple]:
             col ^= 1 << out_index[(tgt, a + i, b + j)]
         columns.append(col)
     system = GF2System(len(terms))
-    system.add_columns(columns)
+    system.add_rows(transpose(columns))
     reduced = rref_basis(system.nullspace_basis()).rows.values()
     return tuple(terms), tuple(sorted(reduced))
 

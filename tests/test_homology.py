@@ -17,7 +17,7 @@ from knotfloer.homology import (UHomology, hfk_hat, hfk_minus,
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
 from knotfloer.linalg import GF2System, bits_of
 from knotfloer.localequiv import _locality_bit
-from knotfloer.morphism import MapSpace
+from knotfloer.morphism import MapSpace, differential_map
 from knotfloer.tensorsum import tensor
 from oracles import (RingElt, hfk_minus_oracle, linmap_apply,
                      locality_rank_oracle, tower_unit_coefficient_oracle,
@@ -224,7 +224,8 @@ def _random_chain_maps(A: Complex, B: Complex, count: int, rng):
     space = MapSpace.build(A, B, "eq", (0, 0), A.ring)
     slot = MapSpace.build(A, B, "eq", (-1, -1), A.ring)
     system = GF2System(space.dim)
-    assert system.add_columns(space.d_commutator_columns(slot))
+    assert system.add_equations(space.operator_rows(
+        slot, differential_map(B), differential_map(A)))
     null = system.nullspace_basis()
     for _ in range(count):
         bits = 0

@@ -1,6 +1,7 @@
 """The pivot-indexed echelon kernel against the list-based one it
 replaced (`tests/oracles.py`): on every system the benchmark workloads
-build, and on random systems and spans."""
+build, and on random systems and spans; the affine solution sets read
+off it against their null-basis oracle."""
 
 import random
 import sys
@@ -10,8 +11,11 @@ import pytest
 
 import knotfloer.homology
 import knotfloer.morphism
-from knotfloer.linalg import Echelon, GF2System, complement_basis, rref_basis
-from oracles import ListGF2System, list_complement_basis, list_rref_basis
+from knotfloer.linalg import (AffineSpace, Echelon, GF2System, bits_of,
+                              complement_basis, rref_basis, transpose)
+from knotfloer.morphism import _spread
+from oracles import (ListGF2System, NullBasisAffineSpace,
+                     list_complement_basis, list_rref_basis)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -272,3 +276,60 @@ def test_copy_then_insert_leaves_the_reduced_view():
                 trial_oracle.add_equation(row, rhs)
             _assert_same_system(trial, trial_oracle)
             _assert_same_system(system, oracle)
+
+
+@pytest.mark.parametrize("seed,width,dense", [(s, w, d) for s, w, d, c
+                                              in RANDOM_CASES if c])
+def test_affine_space_matches_null_basis_oracle(seed, width, dense):
+    # the parameters read off the echelon against the null basis they
+    # replaced: the oracle's parameter i is the i-th free unknown, each
+    # unknown's t-row moves with it, and a point solves every equation
+    # whatever its bits off the free unknowns
+    rng = random.Random(9400 + 2 * seed + dense)
+    for _ in range(5):
+        eqs = _random_equations(rng, width, dense, True)
+        system = GF2System(width)
+        for row, rhs in eqs:
+            system.add_equation(row, rhs)
+        family = AffineSpace(system)
+        oracle = NullBasisAffineSpace.of_system(system)
+        free = [k for k, eq in enumerate(family.equations) if eq == 1 << k]
+        assert family.width == width
+        assert len(free) == oracle.width == width - system.rank
+        assert sum(1 << k for k in free) == ((1 << width) - 1) & ~system.mask
+        t_bits = (1 << oracle.width) - 1
+        assert family.equations == [
+            _spread(eq & t_bits, free) | (eq >> oracle.width) << width
+            for eq in oracle.equations]
+        for _ in range(4):
+            t = rng.getrandbits(oracle.width) if oracle.width else 0
+            junk = rng.getrandbits(width) & system.mask if width else 0
+            x = family.point(_spread(t, free) | junk)
+            assert x == oracle.point(t)
+            assert all((row & x).bit_count() % 2 == rhs for row, rhs in eqs)
+
+
+@pytest.mark.parametrize("seed,width,dense", [(s, w, d) for s, w, d, c
+                                              in RANDOM_CASES if c])
+def test_add_rows_solves_the_columns_or_adds_nothing(seed, width, dense):
+    rng = random.Random(9500 + 2 * seed + dense)
+    for _ in range(8):
+        columns = [_random_vector(rng, width, dense)
+                   for _ in range(rng.randint(0, 12))]
+        rhs = 0
+        if rng.random() < 0.5:
+            for col in columns:
+                rhs ^= col if rng.getrandbits(1) else 0
+        elif width:
+            rhs = rng.getrandbits(width)
+        system = GF2System(len(columns))
+        feasible = system.add_rows(transpose(columns), rhs)
+        assert feasible == (not Echelon(columns).reduce(rhs))
+        assert system.feasible
+        if feasible:
+            image = 0
+            for k in bits_of(system.particular_solution()):
+                image ^= columns[k]
+            assert image == rhs
+        else:
+            assert system.rank == 0

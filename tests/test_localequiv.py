@@ -1,6 +1,7 @@
 """Local-map search, self-local families, connected complexes."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -319,12 +320,13 @@ IMAGE_SOURCES = ("unknot", "fig8", "k2", "k3", "k2*", "k2 mod UV",
 def _random_chain_maps(C, rng, count):
     """The identity and random grading-preserving chain maps C -> C."""
     from knotfloer.linalg import GF2System
-    from knotfloer.morphism import MapSpace, identity_map
+    from knotfloer.morphism import MapSpace, differential_map, identity_map
 
     space = MapSpace.build(C, C, "eq", (0, 0), C.ring)
     slot = MapSpace.build(C, C, "eq", (-1, -1), C.ring)
+    d = differential_map(C)
     system = GF2System(space.dim)
-    assert system.add_columns(space.d_commutator_columns(slot))
+    assert system.add_equations(space.operator_rows(slot, d, d))
     null = system.nullspace_basis()
     maps = [identity_map(C)]
     for _ in range(count):
@@ -432,7 +434,7 @@ def test_locality_row_matches_locality_bit():
         for tgt in targets:
             fspace, family, row, _ = localequiv._chain_maps(
                 hom, tgt.u_homology, 2_000_000)
-            width = len(family.null)
+            width = family.width
             if tgt is shifted:
                 assert row == 1 << width
             for _ in range(16):
@@ -443,6 +445,60 @@ def test_locality_row_matches_locality_bit():
                                                          tgt.u_homology)
                 seen.add(holds)
     assert seen == {False, True}
+
+
+def test_chain_map_families_match_null_basis_oracle(monkeypatch):
+    # the family read off the solved chain system against the null-basis
+    # family it replaced, on every ordered pair of the pair-sweep library:
+    # the same free count, dim - rank; the same points and locality row
+    # once the oracle's parameter i is moved to the i-th free unknown;
+    # and the same certificate from the whole search run on either family
+    from knotfloer.linalg import Echelon
+    from knotfloer.morphism import _spread, differential_map, is_chain_map
+    from oracles import NullBasisAffineSpace
+
+    rng = random.Random("families")
+    lib = {name: _library(name) for name in SWEEP_LIBRARY}
+    iotas = {name: enumerate_almost_iotas(C) for name, C in lib.items()}
+    verdicts = set()
+    for a, b in itertools.product(SWEEP_LIBRARY, repeat=2):
+        A, B = lib[a], lib[b]
+        homs = (A.u_homology, B.u_homology, DEFAULT_BUDGET)
+        spec = LocalSearchSpec((A, iotas[a]), (B, iotas[b]))
+        fspace, family, row, n_chain = localequiv._chain_maps(*homs)
+        cert = search_local_map(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(localequiv, "AffineSpace",
+                          NullBasisAffineSpace.of_system)
+            _, oracle, oracle_row, oracle_n = localequiv._chain_maps(*homs)
+            oracle_cert = search_local_map(spec)
+
+        chain_slot = MapSpace.build(A, B, "eq", (-1, -1), A.ring)
+        rank = Echelon(fspace.operator_rows(
+            chain_slot, differential_map(B), differential_map(A))).rank
+        free = [k for k, eq in enumerate(family.equations) if eq == 1 << k]
+        free_mask = sum(1 << k for k in free)
+        assert len(free) == len(oracle.null) == fspace.dim - rank
+        assert family.width == fspace.dim and n_chain == oracle_n
+        t_bits = (1 << oracle.width) - 1
+        assert row == (_spread(oracle_row & t_bits, free)
+                       | (oracle_row >> oracle.width) << family.width)
+        for _ in range(6):
+            t = rng.getrandbits(oracle.width)
+            x = family.point(_spread(t, free))
+            assert x == oracle.point(t)
+            pivots = rng.getrandbits(fspace.dim) & ~free_mask
+            assert family.point(_spread(t, free) | pivots) == x
+            assert is_chain_map(fspace.map_from_bits(x))
+
+        assert cert.token == oracle_cert.token
+        assert cert.exists == oracle_cert.exists
+        if cert.exists:
+            assert cert.found.rows == oracle_cert.found.rows
+            assert all(x is y for x, y in zip(cert.iota_pair,
+                                              oracle_cert.iota_pair))
+        verdicts.add(cert.exists)
+    assert verdicts == {False, True}
 
 
 def test_iota_of_an_equal_copy_is_rejected(k2):

@@ -15,6 +15,7 @@ from knotfloer.complexes import Complex, dualize, quotient
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.knotlib import (build_cable, build_figure_eight, build_unknot,
                                forced_iota_constraints)
+from knotfloer.linalg import transpose
 from knotfloer.localequiv import LocalSearchSpec, search_local_map
 from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
                                 derivative_maps, differential_map,
@@ -486,6 +487,17 @@ def _outcome(columns):
         return f"error: {err}"
 
 
+def _columns(space, rows):
+    """An operator's columns, one per basis map of space, from its rows."""
+    by_map = transpose(rows)
+    return [by_map.get(k, 0) for k in range(space.dim)]
+
+
+def _d_commutator_rows(space, slot):
+    return space.operator_rows(slot, differential_map(space.target),
+                               differential_map(space.source))
+
+
 ORDERED_PAIRS = list(itertools.product(ORACLE_COMPLEXES, repeat=2))
 
 
@@ -497,7 +509,8 @@ def test_d_commutator_columns_match_linmap_oracle(src, tgt):
             space = MapSpace.build(A, B, variance, bi, A.ring)
             slot = MapSpace.build(A, B, variance, (bi[0] - 1, bi[1] - 1),
                                   A.ring)
-            assert (_outcome(lambda: space.d_commutator_columns(slot))
+            assert (_outcome(lambda: _columns(
+                space, _d_commutator_rows(space, slot)))
                     == _outcome(lambda: linmap_d_commutator_columns(space, slot)))
 
 
@@ -506,13 +519,13 @@ def test_d_commutator_outside_slot_message():
     A, B = _oracle_complex("cable2*"), _oracle_complex("cable2")
     space = MapSpace.build(A, B, "eq", (0, 0), A.ring)
     slot = MapSpace.build(A, B, "eq", (-1, -1), A.ring)
-    assert (space.d_commutator_columns(slot)
+    assert (_columns(space, _d_commutator_rows(space, slot))
             == linmap_d_commutator_columns(space, slot))
     assert ("c0_1*", "f0_1", Mono(5, 0)) in slot.pairs
     # a slot of another shape, or over a smaller ideal, cannot hold them
     wrong = MapSpace.build(A, B, "eq", (0, 0), A.ring)
     with pytest.raises(StructuralError) as err:
-        space.d_commutator_columns(wrong)
+        _d_commutator_rows(space, wrong)
     assert str(err.value) == (
         "slot cable2* -> cable2 (eq, bidegree (0, 0), ideal zero) cannot "
         "hold the composite cable2* -> cable2 (eq, bidegree (-1, -1), "
@@ -520,7 +533,7 @@ def test_d_commutator_outside_slot_message():
     mod_uv = MapSpace.build(A, B, "eq", (0, 0), Ideal.max_ideal())
     with pytest.raises(StructuralError, match=r"ideal zero\) cannot hold .* "
                                               r"ideal max\)$"):
-        mod_uv.d_commutator_columns(slot)
+        _d_commutator_rows(mod_uv, slot)
 
 
 @pytest.mark.parametrize("src,tgt", ORDERED_PAIRS)
@@ -529,10 +542,12 @@ def test_intertwining_columns_match_linmap_oracle(src, tgt):
     fspace = MapSpace.build(A, B, "eq", (0, 0), A.ring)
     slot = MapSpace.build(A, B, "skew", (0, 0), Ideal.max_ideal())
     for i1 in _oracle_iotas(src):
-        pre = fspace.precompose_columns(i1.map, slot)
+        pre = fspace.operator_rows(slot, pre=i1.map)
         for i2 in _oracle_iotas(tgt):
-            post = fspace.postcompose_columns(i2.map, slot)
-            assert ([a ^ b for a, b in zip(pre, post)]
+            post = fspace.operator_rows(slot, post=i2.map)
+            rows = [a ^ b for a, b in zip(pre, post)]
+            assert rows == fspace.operator_rows(slot, i2.map, i1.map)
+            assert (_columns(fspace, rows)
                     == linmap_intertwining_columns(fspace, slot, i1, i2))
 
 
@@ -547,13 +562,12 @@ def test_operator_columns_match_linmap_oracle_on_a_product():
     space = MapSpace.build(T, T, "eq", (0, 0), T.ring)
     assert len(set(space.masks)) <= len(T.grading_index.cells) < len(T)
     slot = MapSpace.build(T, T, "eq", (-1, -1), T.ring)
-    assert (space.d_commutator_columns(slot)
+    assert (_columns(space, _d_commutator_rows(space, slot))
             == linmap_d_commutator_columns(space, slot))
     int_slot = MapSpace.build(T, T, "skew", (0, 0), Ideal.max_ideal())
     for i1, i2 in itertools.product(iotas, repeat=2):
-        pre = space.precompose_columns(i1.map, int_slot)
-        post = space.postcompose_columns(i2.map, int_slot)
-        assert ([a ^ b for a, b in zip(pre, post)]
+        rows = space.operator_rows(int_slot, i2.map, i1.map)
+        assert (_columns(space, rows)
                 == linmap_intertwining_columns(space, int_slot, i1, i2))
 
 
@@ -570,9 +584,8 @@ def test_composition_columns_match_linmap_oracle(src, tgt):
         for side, C in (("pre", A), ("post", B)):
             gspace = MapSpace.build(C, C, g_var, (0, 0), C.ring)
             g = gspace.map_from_bits(rng.getrandbits(gspace.dim))
-            columns = (space.precompose_columns if side == "pre"
-                       else space.postcompose_columns)
-            assert (_outcome(lambda: columns(g, slot)) == _outcome(
+            assert (_outcome(lambda: _columns(
+                space, space.operator_rows(slot, **{side: g}))) == _outcome(
                 lambda: linmap_composition_columns(space, g, slot, side)))
 
 
@@ -581,6 +594,7 @@ def test_operator_columns_independent_of_hash_seed():
         "from knotfloer import MapSpace, build_cable, build_figure_eight\n"
         "from knotfloer import enumerate_almost_iotas\n"
         "from knotfloer.complexes import dualize\n"
+        "from knotfloer.morphism import differential_map\n"
         "from knotfloer.ring import Ideal\n"
         "lib = [build_figure_eight(), build_cable(2), build_cable(3),\n"
         "       dualize(build_cable(2))]\n"
@@ -589,13 +603,14 @@ def test_operator_columns_independent_of_hash_seed():
         "        for var in ('eq', 'skew'):\n"
         "            f = MapSpace.build(A, B, var, (0, 0), A.ring)\n"
         "            s = MapSpace.build(A, B, var, (-1, -1), A.ring)\n"
-        "            print(f.d_commutator_columns(s))\n"
+        "            d = (differential_map(B), differential_map(A))\n"
+        "            print(f.operator_rows(s, *d))\n"
         "        f = MapSpace.build(A, B, 'eq', (0, 0), A.ring)\n"
         "        s = MapSpace.build(A, B, 'skew', (0, 0), Ideal.max_ideal())\n"
         "        for i in enumerate_almost_iotas(A):\n"
-        "            print(f.precompose_columns(i.map, s))\n"
+        "            print(f.operator_rows(s, pre=i.map))\n"
         "        for i in enumerate_almost_iotas(B):\n"
-        "            print(f.postcompose_columns(i.map, s))\n")
+        "            print(f.operator_rows(s, post=i.map))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     outs = []
     for seed in ("0", "1"):
