@@ -19,12 +19,15 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 
-def bits_of(x: int):
-    """Iterate over set bit positions of x, ascending."""
+def bits_of(x: int) -> list[int]:
+    """The set bit positions of x, ascending.  Taken from the top, so
+    clearing a bit shortens x instead of copying it whole."""
+    out = []
     while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+        out.append(k := x.bit_length() - 1)
+        x ^= 1 << k
+    out.reverse()
+    return out
 
 
 class Echelon:

@@ -103,8 +103,9 @@ class LinMap:
                 acc ^= outer[low.bit_length() - 1]
                 r ^= low
             rows.append(acc)
-        rows = _mask_rows(inner.source, self.target, variance, bidegree,
-                          ideal, rows)
+        if not self.ideal == inner.ideal == _MAX:  # else 1 * 1 = 1 is kept
+            rows = _mask_rows(inner.source, self.target, variance, bidegree,
+                              ideal, rows)
         return LinMap(inner.source, self.target, variance, bidegree,
                       ideal, rows)
 
@@ -205,16 +206,23 @@ def derivative_maps(C: Complex) -> tuple[LinMap, LinMap]:
     """
     if C.ring.kind != "zero":
         raise StructuralError("derivative maps need the full coefficient ring")
-    def odd(gr: list[int]) -> list[int]:
-        # the exponent on (s, t) is (gr[t] - gr[s] + 1) / 2
-        return [sum(1 << t for t in bits_of(row) if (gr[t] - gr[s] + 1) & 2)
-                for s, row in enumerate(C.rows)]
+    gr = [(g.gr_u, g.gr_v) for g in C.basis]
+    # exponent of U, V (a = 0, 1) on (s, t): (gr[t][a] - gr[s][a] + 1) / 2
+    return tuple(LinMap(C, C, "eq", (1 - 2 * a, 2 * a - 1), C.ring, [
+        sum(1 << t for t in bits_of(row) if (gr[t][a] - gr[s][a] + 1) & 2)
+        for s, row in enumerate(C.rows)]) for a in (0, 1))
 
-    phi = LinMap(C, C, "eq", (1, -1), C.ring,
-                 odd([g.gr_u for g in C.basis]))
-    psi = LinMap(C, C, "eq", (-1, 1), C.ring,
-                 odd([g.gr_v for g in C.basis]))
-    return phi, psi
+
+def unit_derivative_maps(C: Complex) -> tuple[LinMap, LinMap]:
+    """`derivative_maps(C)` mod (U,V), from the unit parts of d: Phi's unit
+    terms are the terms of d with monomial U, Psi's those with monomial V,
+    so row s keeps the targets of grading gr(s) + (1,-1), resp. (-1,+1)."""
+    rows, cells = C.rows, C.grading_index.cells
+    if C.ring.kind != "zero":
+        raise StructuralError("derivative maps need the full coefficient ring")
+    return tuple(LinMap(C, C, "eq", (du, -du), _MAX, [
+        row & cells.get((x.gr_u + du, x.gr_v - du), 0)
+        for x, row in zip(C.basis, rows)]) for du in (1, -1))
 
 
 def chain_defect(f: LinMap) -> LinMap:
@@ -397,7 +405,8 @@ class IotaData:
 
 @dataclass(frozen=True)
 class IotaReport:
-    """Outcome of the involution axioms."""
+    """Outcome of the involution axioms.  `chain_map` holds by construction:
+    d mod (U,V) is zero on the reduced complexes that reports are made for."""
 
     chain_map: bool
     squares: bool
@@ -408,17 +417,12 @@ class IotaReport:
         return self.chain_map and self.squares
 
 
-def one_plus_psi_phi(C: Complex, ideal: Ideal | None = None) -> LinMap:
-    phi, psi = derivative_maps(C)
-    out = identity_map(C) + psi.compose(phi)
-    return out.reduce_to(ideal) if ideal is not None else out
-
-
 def validate_iota(C: Complex, iota: IotaData) -> IotaReport:
-    """Check the chain-map law and the squared condition, both mod (U,V);
+    """Check the squared condition mod (U,V), on a reduced complex;
     `IotaData` is skew of bidegree (0,0) by construction.  On reduced
     complexes homotopic maps agree mod (U,V), so iota^2 is compared with
-    1 + Psi Phi directly, with no homotopy to search for."""
+    1 + Psi Phi mod (U,V) directly, with no homotopy to search for, and
+    that is read from the U- and V-terms of d (`unit_derivative_maps`)."""
     return next(_almost_reports(C, [iota]))
 
 
@@ -435,25 +439,23 @@ def _almost_reports(C: Complex,
     """The `validate_iota` report of each iota, in order.
 
     Each iota is checked to be a map of C itself on every call; its report
-    is computed once and kept on it.  d and 1 + Psi Phi mod (U,V) depend
-    only on C, so they are built once, when the first report is computed.
+    is computed once and kept on it.  1 + Psi Phi mod (U,V) depends only
+    on C, so it is built once, when the first report is computed.
     """
-    dmap = square_target = None
+    square_target = None
     for iota in iotas:
         _iota_shape(C, iota)
         if iota._report is None:
-            if dmap is None:
+            if square_target is None:
                 if not C.is_reduced:
                     raise StructuralError(
                         "almost iota validation needs a reduced complex")
-                dmap = differential_map(C).reduce_to(_MAX)
-                square_target = one_plus_psi_phi(C, _MAX)
-            chain = (dmap.compose(iota.map)
-                     + iota.map.compose(dmap)).is_zero()
+                phi, psi = unit_derivative_maps(C)
+                square_target = identity_map(C, _MAX) + psi.compose(phi)
             squares = (iota.map.compose(iota.map) + square_target).is_zero()
             messages = () if squares else ("iota^2 != 1 + Psi Phi mod (U,V)",)
             object.__setattr__(iota, "_report",
-                               IotaReport(chain, squares, messages))
+                               IotaReport(True, squares, messages))
         yield iota._report
 
 
@@ -504,11 +506,12 @@ def _square_system(C: Complex) -> _SquareSystem | None:
     units = MapSpace.build(C, C, "skew", (0, 0), _MAX).masks
     unit_mask = sum(map(iota_space.row_bits, range(len(C)), units))
     phi, psi = derivative_maps(C)
-    psiphi = psi.compose(phi).reduce_to(_MAX).rows
+    square = identity_map(C) + psi.compose(phi)  # what iota^2 is homotopic to
+    unit_square = square.reduce_to(_MAX).rows
     for s, ts in enumerate(units):
         t = ts.bit_length() - 1
         if (ts.bit_count() == 1 and units[t] == 1 << s
-                and not psiphi[s] | psiphi[t]):
+                and unit_square[s] == 1 << s and unit_square[t] == 1 << t):
             system.add_equation(iota_space.row_bits(s, ts), 1)
     if not system.feasible:
         return None
@@ -546,7 +549,7 @@ def _square_system(C: Complex) -> _SquareSystem | None:
         vec = composite(f, f) if f == g else composite(f, g) ^ composite(g, f)
         return eq_boundaries.reduce(vec)
 
-    target = eq_boundaries.reduce(eq_slot.bits_from_map(one_plus_psi_phi(C)))
+    target = eq_boundaries.reduce(eq_slot.bits_from_map(square))
 
     z0 = reduced_square_vec(0, 0) ^ target
     lin = tuple(reduced_square_vec(0, k + 1) ^ reduced_square_vec(k + 1, k + 1)

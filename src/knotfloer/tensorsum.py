@@ -4,12 +4,12 @@ Generators of a tensor product are ordered pairs serialized as `x|y`, in
 the order x-major, so pair (x, y) has index x * len(C2) + y, and gradings
 add.  The differential d tensor 1 + 1 tensor d and every tensor of maps
 are outer products of bitset rows on that index.  The product involutions
-and their exchange maps are row sums and compositions of such tensors,
-reduced mod (U,V) by a grading mask.  The two involution products differ
-by a correction term built from the derivative maps of the factors; on
-reduced complexes they are exchanged by the explicit unit
-1 + (derivative tensor), which `product_equivalence` constructs and
-verifies.
+(Zemke's connected-sum formula) live mod (U,V), where a product of
+monomials is 1 only when each factor is, so they are read from the
+factors' involutions and the U- and V-terms of d (`unit_derivative_maps`)
+with no full-ring map and no mask.  The two variants differ by a
+correction term; on reduced complexes they are exchanged by the unit
+1 + (derivative tensor), which `product_equivalence` builds and checks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Sequence
 from .complexes import Complex, Generator
 from .errors import StructuralError
 from .linalg import bits_of
-from .morphism import IotaData, LinMap, derivative_maps, identity_map
+from .morphism import (IotaData, LinMap, derivative_maps, identity_map,
+                       unit_derivative_maps)
 from .ring import Ideal
 
 PAIR_SEP = "|"
@@ -66,7 +67,7 @@ def map_tensor(f: LinMap, g: LinMap, T: Complex | None = None) -> LinMap:
     bidegrees add.  Pass T to reuse tensor(f.source, g.source).  The
     rows are the outer product of the factors' rows; the monomial of
     each term is the product of the factors' monomials, so only the
-    ideal mask remains.
+    ideal mask remains, and none over (U,V), where 1 * 1 = 1.
     """
     if f.variance != g.variance:
         raise StructuralError("tensor of maps needs matching eq/skew variance")
@@ -77,15 +78,9 @@ def map_tensor(f: LinMap, g: LinMap, T: Complex | None = None) -> LinMap:
     if T is None:
         T = tensor(f.source, g.source)
     bidegree = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
-    return LinMap(T, T, f.variance, bidegree, Ideal.zero(),
-                  _outer(f.rows, g.rows, len(g.source))
-                  ).reduce_to(f.ideal)
-
-
-def _lift_mod_uv(i: IotaData) -> LinMap:
-    """View an almost involution's basis-level action over the full ring."""
-    return LinMap(i.map.source, i.map.target, "skew", (0, 0),
-                  Ideal.zero(), i.map.rows)
+    out = LinMap(T, T, f.variance, bidegree, f.ideal,
+                 _outer(f.rows, g.rows, len(g.source)))
+    return out if f.ideal == Ideal.max_ideal() else out.reduce_to(f.ideal)
 
 
 def product_iota(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
@@ -93,19 +88,18 @@ def product_iota(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
     """Involution of the tensor product, variant 1 or 2.
 
     Variant 1 adds the correction (Phi_1 tensor Psi_2) after the raw
-    tensor involution, variant 2 uses (Psi_1 tensor Phi_2).  The formula
-    is evaluated literally with the basis-level lift of the factors and
-    then reduced mod (U,V).
+    tensor involution, variant 2 uses (Psi_1 tensor Phi_2).  All of it is
+    mod (U,V), from the involutions' rows and the U- and V-terms of d, and
+    a composite of tensors is the tensor of the composites of the factors.
     """
     if variant not in (1, 2):
         raise StructuralError(f"unknown product variant {variant}")
     if T is None:
         T = tensor(C1, C2)
-    phi1, psi1 = derivative_maps(C1)
-    phi2, psi2 = derivative_maps(C2)
-    raw = map_tensor(_lift_mod_uv(i1), _lift_mod_uv(i2), T)
-    corr = map_tensor(phi1, psi2, T) if variant == 1 else map_tensor(psi1, phi2, T)
-    return IotaData((raw + corr.compose(raw)).reduce_to(Ideal.max_ideal()))
+    (phi1, psi1), (phi2, psi2) = map(unit_derivative_maps, (C1, C2))
+    a, b = (phi1, psi2) if variant == 1 else (psi1, phi2)
+    return IotaData(map_tensor(i1.map, i2.map, T) + map_tensor(
+        a.compose(i1.map), b.compose(i2.map), T))
 
 
 def product_equivalence(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
@@ -114,23 +108,22 @@ def product_equivalence(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
 
     Returns (f, g) with f intertwining variant 1 into variant 2 and g
     the other way; both are the identity plus a derivative-map tensor,
-    hence chain maps fixing the tower.  Raises if the intertwining
-    fails, which only happens for involutions violating the exchange
-    relations iota Phi = Psi iota mod (U,V).
+    hence chain maps fixing the tower.  Raises if the intertwining, checked
+    with the tensors of the factors' U- and V-terms of d, fails: only for
+    involutions violating the exchange relations iota Phi = Psi iota.
     """
     if T is None:
         T = tensor(C1, C2)
-    phi1, psi1 = derivative_maps(C1)
-    phi2, psi2 = derivative_maps(C2)
+    (phi1, psi1), (phi2, psi2) = map(derivative_maps, (C1, C2))
     one = identity_map(T)
     f = one + map_tensor(psi1, phi2, T)
     g = one + map_tensor(phi1, psi2, T)
-    ia = product_iota(C1, i1, C2, i2, 1, T)
-    ib = product_iota(C1, i1, C2, i2, 2, T)
-    max_ideal = Ideal.max_ideal()
-    for u, before, after in ((f, ia, ib), (g, ib, ia)):
-        u = u.reduce_to(max_ideal)
-        if not (u.compose(before.map) + after.map.compose(u)).is_zero():
+    (phi1, psi1), (phi2, psi2) = map(unit_derivative_maps, (C1, C2))
+    c1, c2 = map_tensor(phi1, psi2, T), map_tensor(psi1, phi2, T)
+    ia, ib = (product_iota(C1, i1, C2, i2, v, T).map for v in (1, 2))
+    # (1 + c) x = y (1 + c): f (c = c2) takes ia to ib, g (c = c1) ib to ia
+    for c, x, y in ((c2, ia, ib), (c1, ib, ia)):
+        if not (x + y + c.compose(x) + y.compose(c)).is_zero():
             raise StructuralError("variant exchange map fails to intertwine")
     return f, g
 

@@ -1,5 +1,6 @@
 """CLI pipelines and the exit-code contract."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -294,6 +295,30 @@ def test_tensor_with_iota_pinned(k2i, capsys, variant):
     assert run(capsys, "tensor", str(k2i), str(k2i), "--variant",
                variant) == (
         0, (PINNED / f"tensor_k2i_k2i_v{variant}.cfk").read_text(), "")
+
+
+def _pinned_digests(name):
+    return dict(line.split()[::-1]
+                for line in (PINNED / name).read_text().splitlines())
+
+
+@pytest.mark.parametrize("pair", ["k2i_k3i", "k3i_k3i"])
+def test_product_involutions_match_pinned_digests(cables, tmp_path, capsys,
+                                                  pair):
+    """`tensor` of cable 2 and 3 with their first completions, both
+    variants, has the pinned sha256 digests (the CI step checks the same
+    files built from the shell)."""
+    for n in (2, 3):
+        run(capsys, "iota-enum", str(cables[n]), "--index", "0", "-o",
+            str(tmp_path / f"k{n}i.cfk"))
+    a, b = pair.split("_")
+    pinned = _pinned_digests("tensor_products.sha256")
+    for variant in ("1", "2"):
+        code, out, _ = run(capsys, "tensor", str(tmp_path / f"{a}.cfk"),
+                           str(tmp_path / f"{b}.cfk"), "--variant", variant)
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == pinned[f"tensor_{pair}_v{variant}.cfk"])
 
 
 @pytest.mark.parametrize("fmt,pin", [("text", "iota_enum_cable3.txt"),

@@ -20,6 +20,19 @@ from oracles import (ListGF2System, NullBasisAffineSpace,
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_bits_of_matches_a_naive_walk(seed):
+    """Ascending set-bit positions of random ints from 0 to 20,000 bits,
+    sparse and dense, against testing each bit in turn."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        width = rng.choice((0, 1, 2, 63, 64, 65, 1000, 11_000, 20_000))
+        density = rng.choice((0.0, 0.001, 0.05, 0.5, 1.0))
+        x = sum(1 << k for k in range(width) if rng.random() < density)
+        assert bits_of(x) == [k for k in range(x.bit_length()) if x >> k & 1]
+    assert bits_of(0) == [] and bits_of(1 << 19_999) == [19_999]
+
+
 def _oracle_basis(span: Echelon) -> tuple[list[int], list[int]]:
     """An Echelon as the oracle's (rows, pivots), by descending pivot."""
     pivots = sorted(span.rows, reverse=True)

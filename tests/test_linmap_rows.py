@@ -16,10 +16,11 @@ import pytest
 from conftest import random_reduced_complex
 from knotfloer.complexes import dualize
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
-from knotfloer.morphism import (MapSpace, chain_defect,
+from knotfloer.errors import StructuralError
+from knotfloer.morphism import (IotaData, MapSpace, chain_defect,
                                 derivative_maps, differential_map,
                                 enumerate_almost_iotas, identity_map,
-                                validate_iota)
+                                unit_derivative_maps, validate_iota)
 from knotfloer.ring import Ideal
 from knotfloer.tensorsum import (map_tensor, product_equivalence, product_iota,
                                  tensor)
@@ -108,6 +109,31 @@ def test_library_maps_match_dict_oracle(name):
                     == dict_map_tensor(iota.map, iota.map, T))
 
 
+# every library complex (duals included) and every product of two of them
+UNIT_PART_NAMES = sorted(LIBRARY) + [
+    f"{a}#{b}" for a, b in itertools.combinations_with_replacement(
+        sorted(LIBRARY), 2)]
+
+
+@pytest.mark.parametrize("name", UNIT_PART_NAMES)
+def test_unit_derivative_maps_are_derivative_maps_mod_uv(name):
+    """Phi and Psi mod (U,V) read from the U- and V-terms of d equal the
+    full-ring derivative maps reduced mod (U,V), and all composites and
+    tensors of them agree with the reduced full-ring ones."""
+    C = _complex(name)
+    units = unit_derivative_maps(C)
+    full = derivative_maps(C)
+    assert units == tuple(f.reduce_to(MAX) for f in full)
+    assert units == tuple(dict_reduce_to(f, MAX) for f in full)
+    (phi, psi), (uphi, upsi) = full, units
+    assert upsi.compose(uphi) == psi.compose(phi).reduce_to(MAX)
+    assert uphi.compose(upsi) == phi.compose(psi).reduce_to(MAX)
+    if "#" not in name and len(C) <= 7:
+        T = tensor(C, C)
+        assert map_tensor(uphi, upsi, T) == map_tensor(phi, psi, T).reduce_to(
+            MAX)
+
+
 # the connected sums of the homology-products benchmark workload
 PRODUCT_SUMS = (("cable2", "cable2"), ("cable3", "cable2"),
                 ("cable3", "cable3"), ("fig8", "cable3"),
@@ -181,3 +207,35 @@ def test_random_maps_match_dict_oracle(seed):
     e2 = _random_map(rng, E, E, var, rng.choice(BIDEGREES), ideal)
     T = tensor(D, E)
     assert map_tensor(e1, e2, T) == dict_map_tensor(e1, e2, T)
+
+
+def test_exchange_check_matches_dict_oracle_on_random_maps():
+    """`product_equivalence` raises exactly when its full-ring exchange
+    maps, reduced mod (U,V), fail to intertwine the oracle's product
+    involutions, on fig8 tensor cable2: with every completion of fig8,
+    and with random skew unit maps of fig8, among them maps that break
+    the check of f alone and maps that break the check of g alone."""
+    C1, C2, T = _complex("fig8"), _complex("cable2"), _complex("fig8#cable2")
+    space = MapSpace.build(C1, C1, "skew", (0, 0), MAX)
+    (phi1, psi1), (phi2, psi2) = derivative_maps(C1), derivative_maps(C2)
+    one = identity_map(T)
+    units = [dict_reduce_to(dict_add(one, dict_map_tensor(a, b, T)), MAX)
+             for a, b in ((psi1, phi2), (phi1, psi2))]
+    rng = random.Random(3)
+    i2 = _iotas("cable2")[0]
+    seen = set()
+    for i1 in enumerate_almost_iotas(C1) + [
+            IotaData(space.map_from_bits(rng.getrandbits(space.dim)))
+            for _ in range(50)]:
+        ia, ib = (dict_product_iota(C1, i1, C2, i2, v, T) for v in (1, 2))
+        checks = tuple(dict_add(dict_compose(u, x), dict_compose(y, u)
+                                ).is_zero()
+                       for u, x, y in ((units[0], ia, ib), (units[1], ib, ia)))
+        seen.add(checks)
+        try:
+            product_equivalence(C1, i1, C2, i2, T)
+            assert all(checks)
+        except StructuralError as err:
+            assert str(err) == "variant exchange map fails to intertwine"
+            assert not all(checks)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

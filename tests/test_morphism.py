@@ -11,7 +11,7 @@ import pytest
 
 import knotfloer.morphism as morphism
 from conftest import random_reduced_complex
-from knotfloer.complexes import Complex, dualize, quotient
+from knotfloer.complexes import Complex, Generator, dualize, quotient
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.knotlib import (build_cable, build_figure_eight, build_unknot,
                                forced_iota_constraints)
@@ -295,6 +295,32 @@ def test_fig8_identity_not_a_valid_involution(fig8):
             search_local_map(LocalSearchSpec((fig8, iota), (fig8, None)))
         assert str(err.value) == ("involution fails validation: "
                                   "iota^2 != 1 + Psi Phi mod (U,V)")
+
+
+def _zero_iota(C):
+    return IotaData(LinMap(C, C, "skew", (0, 0), Ideal.max_ideal(),
+                           [0] * len(C)))
+
+
+def test_validate_iota_needs_a_reduced_complex():
+    # d(x) = y with monomial 1: an acyclic pair, not reduced
+    C = Complex([Generator("x", 0, 0), Generator("y", -1, -1)],
+                {"x": {"y": {Mono(0, 0)}}})
+    assert not C.is_reduced
+    with pytest.raises(StructuralError) as err:
+        validate_iota(C, _zero_iota(C))
+    assert str(err.value) == "almost iota validation needs a reduced complex"
+
+
+def test_validate_iota_raises_on_stray_terms():
+    # U y on x breaks the grading rule: gr(y) - (2, 0) != gr(x) - (1, 1)
+    C = Complex([Generator("x", 0, 0), Generator("y", -1, -1)],
+                {"x": {"y": {Mono(1, 0)}}})
+    assert C.is_reduced and not C.validate().grading_law
+    with pytest.raises(StructuralError) as err:
+        validate_iota(C, _zero_iota(C))
+    assert str(err.value) == ("map entry U y on x breaks declared bidegree "
+                              "(-1, -1)")
 
 
 def test_iota_over_the_full_ring_is_rejected(unknot):
