@@ -217,12 +217,12 @@ def unit_derivative_maps(C: Complex) -> tuple[LinMap, LinMap]:
     """`derivative_maps(C)` mod (U,V), from the unit parts of d: Phi's unit
     terms are the terms of d with monomial U, Psi's those with monomial V,
     so row s keeps the targets of grading gr(s) + (1,-1), resp. (-1,+1)."""
-    rows, cells = C.rows, C.grading_index.cells
     if C.ring.kind != "zero":
         raise StructuralError("derivative maps need the full coefficient ring")
+    cells = C.grading_index.cells
     return tuple(LinMap(C, C, "eq", (du, -du), _MAX, [
         row & cells.get((x.gr_u + du, x.gr_v - du), 0)
-        for x, row in zip(C.basis, rows)]) for du in (1, -1))
+        for x, row in zip(C.basis, C.rows)]) for du in (1, -1))
 
 
 def chain_defect(f: LinMap) -> LinMap:
