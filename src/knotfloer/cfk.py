@@ -20,13 +20,12 @@ through `parse_mono`, with the same result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .complexes import Complex, Generator, _bidegree_error, _image_grading
 from .errors import CfkParseError, StructuralError
 from .morphism import IotaData, LinMap, differential_map
-from .ring import Ideal, Mono, mono_words, parse_mono
+from .ring import Ideal, Mono, Record, mono_words, parse_mono
 
 _RING_TAGS = {"zero": "full", "uv": "modUV"}
 _TAG_RINGS = {"full": Ideal.zero(), "modUV": Ideal.uv()}
@@ -94,10 +93,14 @@ def _scan(tokens: list[str], lineno: int, index: Mapping[str, int],
                  for m in sorted(monos)]
 
 
-@dataclass(frozen=True)
-class CfkFile:
-    complex: Complex
-    iota: IotaData | None
+class CfkFile(Record):
+    """The complex of a .cfk text and its involution, if it has one."""
+
+    __slots__ = ("complex", "iota")
+
+    def __init__(self, complex: Complex, iota: IotaData | None):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "iota", iota)
 
 
 def parse_cfk(text: str) -> CfkFile:

@@ -18,40 +18,33 @@ and asking such a complex for its rows raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import inf
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .errors import ResourceError, StructuralError
+from .errors import StructuralError
 from .linalg import bits_of, transpose
-from .ring import Ideal, Mono
+from .ring import Ideal, Mono, Record
 
 if TYPE_CHECKING:
     from .homology import UHomology
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """A named basis element with bigrading (gr_u, gr_v)."""
 
-    name: str
-    gr_u: int
-    gr_v: int
+    __slots__ = ("name", "gr_u", "gr_v")
 
-    def __post_init__(self) -> None:
-        if (self.gr_u - self.gr_v) % 2:
-            raise StructuralError(
-                f"generator {self.name}: gr_U - gr_V must be even, "
-                f"got ({self.gr_u}, {self.gr_v})")
-
-    @property
-    def alexander(self) -> int:
-        return (self.gr_u - self.gr_v) // 2
+    def __init__(self, name: str, gr_u: int, gr_v: int):
+        if (gr_u - gr_v) % 2:
+            raise StructuralError(f"generator {name}: gr_U - gr_V must be "
+                                  f"even, got ({gr_u}, {gr_v})")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "gr_u", gr_u)
+        object.__setattr__(self, "gr_v", gr_v)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Pass/fail record for the structural checks on a complex.
 
     Grading-multiset symmetry is informational: it holds for complexes
@@ -59,11 +52,16 @@ class ValidationReport:
     makes `ok` false.
     """
 
-    d_squared: bool
-    grading_law: bool
-    reduced: bool
-    grading_symmetric: bool
-    messages: tuple[str, ...] = ()
+    __slots__ = ("d_squared", "grading_law", "reduced", "grading_symmetric",
+                 "messages")
+
+    def __init__(self, d_squared: bool, grading_law: bool, reduced: bool,
+                 grading_symmetric: bool, messages: tuple[str, ...] = ()):
+        object.__setattr__(self, "d_squared", d_squared)
+        object.__setattr__(self, "grading_law", grading_law)
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "grading_symmetric", grading_symmetric)
+        object.__setattr__(self, "messages", messages)
 
     @property
     def ok(self) -> bool:
@@ -236,20 +234,6 @@ class Complex:
     def __hash__(self) -> int:
         return hash((self.basis, self.ring))
 
-    def equal_up_to_reorder(self, other: "Complex") -> bool:
-        """Equality up to the order of the basis: with the gradings equal,
-        each generator's target names fix its row."""
-        if (self.ring != other.ring or set(self.basis) != set(other.basis)
-                or set(self._stray) != set(other._stray)):
-            return False
-        return _named_rows(self) == _named_rows(other)
-
-    def rename(self, mapping: Mapping[str, str],
-               name: str | None = None) -> "Complex":
-        basis = [Generator(mapping.get(g.name, g.name), g.gr_u, g.gr_v)
-                 for g in self.basis]
-        return Complex.of_rows(basis, self.rows, self.ring, name or self.name)
-
 
 # -- grading-fixed monomials -----------------------------------------------
 
@@ -316,12 +300,6 @@ def _row_terms(basis: Sequence[Generator], row: int,
             for y in map(basis.__getitem__, bits_of(row))]
 
 
-def _named_rows(C: Complex) -> dict[str, frozenset[str]]:
-    """The target names of each generator's row, by generator name."""
-    return {x.name: frozenset(C.basis[t].name for t in bits_of(row))
-            for x, row in zip(C.basis, C._rows)}
-
-
 def _mask_rows(source: Complex, target: Complex, variance: str,
                bidegree: tuple[int, int], ideal: Ideal,
                rows: Sequence[int]) -> Sequence[int]:
@@ -370,58 +348,3 @@ def quotient(C: Complex, ideal: Ideal) -> Complex:
         raise StructuralError(
             f"cannot quotient a complex over {C.ring.kind} by {ideal.kind}")
     return Complex.of_rows(C.basis, C.rows_mod(ideal), ideal, C.name)
-
-
-# -- brute-force isomorphism over graded bijections -----------------------
-
-def find_isomorphism(C1: Complex, C2: Complex,
-                     node_budget: int = 1_000_000) -> dict[str, str] | None:
-    """Search for a grading-preserving bijection carrying d to d.
-
-    This checks literal equality of complexes up to renaming, nothing
-    homotopical.  Returns a name mapping or None.
-    """
-    if len(C1) != len(C2) or C1.ring != C2.ring:
-        return None
-    rows1, rows2 = C1.rows, C2.rows
-    cells1, cells2 = C1.grading_index.cells, C2.grading_index.cells
-    if ({k: v.bit_count() for k, v in cells1.items()}
-            != {k: v.bit_count() for k, v in cells2.items()}):
-        return None
-    order = [s for key in sorted(cells1) for s in bits_of(cells1[key])]
-    image: dict[int, int] = {}  # generator of C1 -> generator of C2
-    used: set[int] = set()
-    nodes = 0
-
-    def compatible() -> bool:
-        """Whether every row of C1 whose targets are all mapped goes to the
-        row of C2 of its image."""
-        for s, t in image.items():
-            targets = list(bits_of(rows1[s]))
-            if (all(x in image for x in targets)
-                    and sum(1 << image[x] for x in targets) != rows2[t]):
-                return False
-        return True
-
-    def backtrack(k: int):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceError("isomorphism search exceeded node budget",
-                                nodes)
-        if k == len(order):
-            return {C1.basis[s].name: C2.basis[t].name
-                    for s, t in image.items()}
-        g = C1.basis[order[k]]
-        for t in bits_of(cells2[(g.gr_u, g.gr_v)]):
-            if t in used:
-                continue
-            image[order[k]] = t
-            used.add(t)
-            if compatible() and (found := backtrack(k + 1)) is not None:
-                return found
-            used.discard(t)
-            del image[order[k]]
-        return None
-
-    return backtrack(0)

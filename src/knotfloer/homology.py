@@ -14,25 +14,26 @@ ranks the unit-monomial rows of d one bigrading at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import Complex
 from .errors import StructuralError
 from .linalg import bits_of, rref_basis, transpose
-from .ring import Ideal
+from .ring import Ideal, Record
 
 
-@dataclass(frozen=True)
-class FUDecomp:
+class FUDecomp(Record):
     """An F2[U]-module: free towers plus U-power torsion summands.
 
     torsion entries are (order k, Maslov grading of the generator),
     meaning a summand F2[U]/(U^k) generated in that grading.
     """
 
-    tower_count: int
-    tower_gradings: tuple[int, ...]
-    torsion: tuple[tuple[int, int], ...]
+    __slots__ = ("tower_count", "tower_gradings", "torsion")
+
+    def __init__(self, tower_count: int, tower_gradings: tuple[int, ...],
+                 torsion: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "tower_count", tower_count)
+        object.__setattr__(self, "tower_gradings", tower_gradings)
+        object.__setattr__(self, "torsion", torsion)
 
     def render(self) -> str:
         parts = [f"tower gr={g}" for g in self.tower_gradings]
@@ -40,11 +41,13 @@ class FUDecomp:
         return "; ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class HatRanks:
+class HatRanks(Record):
     """F2 ranks of the fully reduced homology by (Maslov, Alexander)."""
 
-    ranks: tuple[tuple[int, int, int], ...]
+    __slots__ = ("ranks",)
+
+    def __init__(self, ranks: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def total(self) -> int:

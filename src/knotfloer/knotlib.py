@@ -116,20 +116,3 @@ def build_cable(n: int) -> Complex:
     diff[e1] = {g1: mono(1, 0)}
 
     return Complex(basis, diff, Ideal.zero(), f"cable{n}")
-
-
-def forced_iota_constraints(n: int) -> list[tuple[str, tuple[str, ...]]]:
-    """Values of any involution on build_cable(n), mod (U,V).
-
-    The four constraints are forced by skew-grading together with the
-    squared-involution condition; tests cross-check them against the
-    exhaustive enumeration.
-    """
-    if n < 2:
-        raise ValueError(f"cable parameter must be >= 2, got {n}")
-    return [
-        ("a", ("a",)),
-        ("b", ("a", "b")),
-        ("f", ("g",)),
-        ("g", ("f",)),
-    ]

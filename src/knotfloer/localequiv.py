@@ -16,7 +16,6 @@ rules out every candidate over all enumerated involution completions.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain
 from typing import Container, Iterator
 
@@ -27,45 +26,55 @@ from .linalg import AffineSpace, Echelon, GF2System, bits_of, transpose
 from .morphism import (IotaData, LinMap, MapSpace, _almost_reports,
                        _iota_shape, chain_defect, differential_map,
                        enumerate_almost_iotas)
-from .ring import Ideal
+from .ring import Ideal, Record
 
 DEFAULT_BUDGET = 2_000_000
 
 IotaInput = IotaData | list[IotaData] | None
 
 
-@dataclass(frozen=True)
-class LocalSearchSpec:
+class LocalSearchSpec(Record):
     """One local-map existence question: each side is a complex with its
     involutions (one, a list, or None to enumerate them all); budget
     bounds the number of unknowns."""
 
-    source: tuple[Complex, IotaInput]
-    target: tuple[Complex, IotaInput]
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ("source", "target", "budget")
+
+    def __init__(self, source: tuple[Complex, IotaInput],
+                 target: tuple[Complex, IotaInput],
+                 budget: int = DEFAULT_BUDGET):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "budget", budget)
 
 
-@dataclass(frozen=True)
-class NonexistenceToken:
+class NonexistenceToken(Record):
     """Dimensions of the exhausted F2 search space."""
 
-    unknowns: int
-    equations: int
-    iota_pairs: int
+    __slots__ = ("unknowns", "equations", "iota_pairs")
+
+    def __init__(self, unknowns: int, equations: int, iota_pairs: int):
+        object.__setattr__(self, "unknowns", unknowns)
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "iota_pairs", iota_pairs)
 
     def render(self) -> str:
         return (f"nonexistence mode=almost unknowns={self.unknowns} "
                 f"equations={self.equations} iota_pairs={self.iota_pairs}")
 
 
-@dataclass(frozen=True)
-class LocalCertificate:
+class LocalCertificate(Record):
     """Either a re-verified map or a nonexistence token covering the
     whole map space."""
 
-    found: LinMap | None = None
-    iota_pair: tuple[IotaData, IotaData] | None = None
-    token: NonexistenceToken | None = None
+    __slots__ = ("found", "iota_pair", "token")
+
+    def __init__(self, found: LinMap | None = None,
+                 iota_pair: tuple[IotaData, IotaData] | None = None,
+                 token: NonexistenceToken | None = None):
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "iota_pair", iota_pair)
+        object.__setattr__(self, "token", token)
 
     @property
     def exists(self) -> bool:
@@ -253,19 +262,6 @@ class SelfLocalFamily:
             for side in ({"pre": iota.map}, {"post": iota.map})))
         if self.inner is None:
             raise StructuralError("no self-local equivalence exists at all")
-
-    def unit_coefficient_constant(self, src: str, tgt: str) -> tuple[bool, int]:
-        """(whether <f(src), tgt> is constant over the family, its value
-        at the particular solution).  The unit-monomial coordinate k is
-        `family.equations[k]` in t; `inner` reduces it to a row with no
-        pivot bit, so it is constant when that row is its rhs alone, and
-        the rhs is its value where the free unknowns of `inner` are 0."""
-        if self.C.grading(src) != self.C.grading(tgt):
-            return True, 0  # no unit-monomial pair
-        s = self.C.index(src)
-        eq = self.inner.reduce(self.family.equations[
-            self.fspace.starts[s] + self.fspace.ranks[s][self.C.index(tgt)]])
-        return not eq & ((1 << self.inner.width) - 1), eq >> self.inner.width
 
 
 def _kill_candidates(C: Complex, fspace: MapSpace,

@@ -16,17 +16,16 @@ truncation artifacts.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import ClassVar, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .complexes import (Complex, _image_grading, _mask_rows,
                         _row_terms, kept_targets)
 from .errors import ResourceError, StructuralError
 from .linalg import (Echelon, GF2System, bits_of, complement_basis, rref_basis,
                      transpose)
-from .ring import Ideal, Mono, RingElt, mono_words
+from .ring import Ideal, Mono, Record, RingElt, mono_words
 
 Bidegree = tuple[int, int]
 
@@ -184,12 +183,6 @@ def identity_map(C: Complex, ideal: Ideal | None = None) -> LinMap:
                   [1 << k for k in range(len(C))])
 
 
-def zero_map(source: Complex, target: Complex, variance: str = "eq",
-             bidegree: Bidegree = (0, 0), ideal: Ideal | None = None) -> LinMap:
-    return LinMap(source, target, variance, bidegree, ideal or source.ring,
-                  [0] * len(source))
-
-
 def differential_map(C: Complex) -> LinMap:
     return LinMap(C, C, "eq", (-1, -1), C.ring, C.rows)
 
@@ -241,8 +234,7 @@ def is_chain_map(f: LinMap) -> bool:
 
 # -- finite map spaces ------------------------------------------------------
 
-@dataclass(frozen=True)
-class MapSpace:
+class MapSpace(Record):
     """Basis of all maps of one shape: (source gen, target gen, monomial).
 
     The gradings fix the monomial on each (source, target) pair, so the
@@ -257,13 +249,21 @@ class MapSpace:
     the maps involved.
     """
 
-    source: Complex
-    target: Complex
-    variance: str
-    bidegree: Bidegree
-    ideal: Ideal
-    masks: tuple[int, ...]
-    starts: tuple[int, ...]  # one more than masks: the last is dim
+    # starts has one more entry than masks: the last is dim; __dict__
+    # holds the cached views
+    __slots__ = ("source", "target", "variance", "bidegree", "ideal", "masks",
+                 "starts", "__dict__")
+
+    def __init__(self, source: Complex, target: Complex, variance: str,
+                 bidegree: Bidegree, ideal: Ideal, masks: tuple[int, ...],
+                 starts: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "variance", variance)
+        object.__setattr__(self, "bidegree", bidegree)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "starts", starts)
 
     @staticmethod
     def build(source: Complex, target: Complex, variance: str,
@@ -378,43 +378,44 @@ def _check_slot(slot: MapSpace, outer, inner) -> None:
 
 # -- involutions ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IotaData:
+class IotaData(Record):
     """A candidate almost involution: a skew map mod (U,V).
 
-    It keeps what depends on it alone: its `validate_iota` report, and
-    the maximal self-local map of `localequiv` and its map-space size.
+    It keeps what depends on it alone, in its memo slots: its
+    `validate_iota` report, and the maximal self-local map of
+    `localequiv` with its map-space size.
     """
 
-    map: LinMap
-    mode: ClassVar[str] = "almost"  # a constant; perfbench's tracer reads it
-    _report: IotaReport | None = field(default=None, init=False,
-                                       repr=False, compare=False)
-    _self_local: tuple[int, LinMap] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("map", "_report", "_self_local")
+    mode = "almost"  # a constant; perfbench's tracer reads it
 
-    def __post_init__(self) -> None:
-        if self.map.variance != "skew" or self.map.bidegree != (0, 0):
+    def __init__(self, map: LinMap):
+        if map.variance != "skew" or map.bidegree != (0, 0):
             raise StructuralError("iota must be skew of bidegree (0,0)")
-        if self.map.ideal != _MAX:
+        if map.ideal != _MAX:
             raise StructuralError("almost iota must be reduced mod (U,V)")
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "_report", None)
+        object.__setattr__(self, "_self_local", None)
 
     def render(self) -> str:
         return self.map.render_rows("iota ", "=")
 
 
-@dataclass(frozen=True)
-class IotaReport:
-    """Outcome of the involution axioms.  `chain_map` holds by construction:
-    d mod (U,V) is zero on the reduced complexes that reports are made for."""
+class IotaReport(Record):
+    """Outcome of the involution axioms mod (U,V): whether iota^2 = 1 +
+    Psi Phi.  iota is a chain map mod (U,V) by construction: d mod (U,V)
+    is zero on the reduced complexes that reports are made for."""
 
-    chain_map: bool
-    squares: bool
-    messages: tuple[str, ...] = ()
+    __slots__ = ("squares", "messages")
+
+    def __init__(self, squares: bool, messages: tuple[str, ...] = ()):
+        object.__setattr__(self, "squares", squares)
+        object.__setattr__(self, "messages", messages)
 
     @property
     def ok(self) -> bool:
-        return self.chain_map and self.squares
+        return self.squares
 
 
 def validate_iota(C: Complex, iota: IotaData) -> IotaReport:
@@ -455,7 +456,7 @@ def _almost_reports(C: Complex,
             squares = (iota.map.compose(iota.map) + square_target).is_zero()
             messages = () if squares else ("iota^2 != 1 + Psi Phi mod (U,V)",)
             object.__setattr__(iota, "_report",
-                               IotaReport(True, squares, messages))
+                               IotaReport(squares, messages))
         yield iota._report
 
 
@@ -467,8 +468,7 @@ MAX_ENUM_GENERATORS = 64
 MAX_ENUM_CLASSES_LOG2 = 26
 
 
-@dataclass(frozen=True)
-class _SquareSystem:
+class _SquareSystem(Record):
     """The squared condition over homotopy classes of skew chain maps.
 
     Class t in F2^q is the map with bits base_bits + sum of class_dirs[k]
@@ -479,13 +479,20 @@ class _SquareSystem:
     projects each class onto them, which is its reduction mod (U,V).
     """
 
-    iota_space: MapSpace
-    unit_mask: int
-    base_bits: int
-    class_dirs: tuple[int, ...]
-    z0: int
-    lin: tuple[int, ...]
-    cross: Mapping[tuple[int, int], int]  # keys k < l, nonzero terms only
+    # cross: keys k < l, nonzero terms only
+    __slots__ = ("iota_space", "unit_mask", "base_bits", "class_dirs", "z0",
+                 "lin", "cross")
+
+    def __init__(self, iota_space: MapSpace, unit_mask: int, base_bits: int,
+                 class_dirs: tuple[int, ...], z0: int, lin: tuple[int, ...],
+                 cross: Mapping[tuple[int, int], int]):
+        object.__setattr__(self, "iota_space", iota_space)
+        object.__setattr__(self, "unit_mask", unit_mask)
+        object.__setattr__(self, "base_bits", base_bits)
+        object.__setattr__(self, "class_dirs", class_dirs)
+        object.__setattr__(self, "z0", z0)
+        object.__setattr__(self, "lin", lin)
+        object.__setattr__(self, "cross", cross)
 
 
 def _square_system(C: Complex) -> _SquareSystem | None:

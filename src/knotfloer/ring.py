@@ -12,22 +12,72 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import inf
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, order=True)
-class Mono:
-    """A monomial U^i V^j.  Contributes (-2i, -2j) to the bigrading."""
+class Record:
+    """Base of the immutable value records of the package.
 
-    i: int
-    j: int
+    A record's fields are its `__slots__`, base-class slots first; each
+    class sets them in its own `__init__` with `object.__setattr__`.
+    `==`, hash and repr read the fields in order, and only between
+    records of one class.  Slots named with a leading `_` are memos,
+    outside all three.  Assignment and deletion raise.  Making a record
+    class compiles no code.
+    """
 
-    def __post_init__(self) -> None:
-        if self.i < 0 or self.j < 0:
-            raise ValueError(f"negative exponent in monomial ({self.i}, {self.j})")
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(f for c in reversed(cls.__mro__)
+                       for f in c.__dict__.get("__slots__", ())
+                       if not f.startswith("_"))
+        get = attrgetter(*fields)
+        cls._fields = fields
+        cls._key = staticmethod(get if len(fields) > 1
+                                else lambda rec: (get(rec),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._fields, self._key(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):  # copy and pickle through __init__, not setattr
+        return type(self), self._key(self)
+
+
+@total_ordering
+class Mono(Record):
+    """A monomial U^i V^j.  Contributes (-2i, -2j) to the bigrading.
+    Monomials are ordered by (i, j)."""
+
+    __slots__ = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        if i < 0 or j < 0:
+            raise ValueError(f"negative exponent in monomial ({i}, {j})")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+
+    def __lt__(self, other: "Mono") -> bool:
+        return ((self.i, self.j) < (other.i, other.j)
+                if other.__class__ is Mono else NotImplemented)
 
     def __mul__(self, other: "Mono") -> "Mono":
         return Mono(self.i + other.i, self.j + other.j)
@@ -61,8 +111,7 @@ def mono_words(du: int, dv: int) -> tuple[str, ...] | None:
     return tuple(render_mono(du // 2, dv // 2).split()) if du or dv else ()
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Record):
     """The zero ideal (bounds None), or the monomial ideal (U^a, V^b, UV)
     of F2[U,V] with bounds 1 <= a, b <= inf.
 
@@ -70,12 +119,13 @@ class Ideal:
     (V) has (inf, 1).  `kind` names an ideal in messages and .cfk tags.
     """
 
-    a: float | None = None
-    b: float | None = None
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a is not None and min(self.a, self.b) < 1:
+    def __init__(self, a: float | None = None, b: float | None = None):
+        if a is not None and min(a, b) < 1:
             raise ValueError("box ideal needs exponents >= 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @staticmethod
     def zero() -> "Ideal":

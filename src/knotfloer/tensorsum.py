@@ -96,7 +96,15 @@ def product_iota(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
         raise StructuralError(f"unknown product variant {variant}")
     if T is None:
         T = tensor(C1, C2)
-    (phi1, psi1), (phi2, psi2) = map(unit_derivative_maps, (C1, C2))
+    return _product_iota(i1, i2, *map(unit_derivative_maps, (C1, C2)),
+                         variant, T)
+
+
+def _product_iota(i1: IotaData, i2: IotaData, units1: tuple[LinMap, LinMap],
+                  units2: tuple[LinMap, LinMap], variant: int,
+                  T: Complex) -> IotaData:
+    """`product_iota` from the factors' `unit_derivative_maps`."""
+    (phi1, psi1), (phi2, psi2) = units1, units2
     a, b = (phi1, psi2) if variant == 1 else (psi1, phi2)
     return IotaData(map_tensor(i1.map, i2.map, T) + map_tensor(
         a.compose(i1.map), b.compose(i2.map), T))
@@ -118,9 +126,10 @@ def product_equivalence(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
     one = identity_map(T)
     f = one + map_tensor(psi1, phi2, T)
     g = one + map_tensor(phi1, psi2, T)
-    (phi1, psi1), (phi2, psi2) = map(unit_derivative_maps, (C1, C2))
+    units = [unit_derivative_maps(C) for C in (C1, C2)]
+    (phi1, psi1), (phi2, psi2) = units
     c1, c2 = map_tensor(phi1, psi2, T), map_tensor(psi1, phi2, T)
-    ia, ib = (product_iota(C1, i1, C2, i2, v, T).map for v in (1, 2))
+    ia, ib = (_product_iota(i1, i2, *units, v, T).map for v in (1, 2))
     # (1 + c) x = y (1 + c): f (c = c2) takes ia to ib, g (c = c1) ib to ia
     for c, x, y in ((c2, ia, ib), (c1, ib, ia)):
         if not (x + y + c.compose(x) + y.compose(c)).is_zero():

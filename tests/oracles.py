@@ -643,16 +643,13 @@ def dict_product_iota(C1: Complex, i1: IotaData, C2: Complex, i2: IotaData,
                           Ideal.max_ideal())
 
 
-def dict_almost_iota_checks(C: Complex, iota: IotaData) -> tuple[bool, bool]:
-    """(chain map, iota^2 = 1 + Psi Phi) mod (U,V)."""
-    dmap = dict_reduce_to(differential_map(C), Ideal.max_ideal())
-    defect = dict_add(dict_compose(dmap, iota.map),
-                      dict_compose(iota.map, dmap))
+def dict_almost_iota_checks(C: Complex, iota: IotaData) -> bool:
+    """Whether iota^2 = 1 + Psi Phi mod (U,V)."""
     phi, psi = derivative_maps(C)
     target = dict_reduce_to(dict_add(identity_map(C), dict_compose(psi, phi)),
                             Ideal.max_ideal())
     square = dict_add(dict_compose(iota.map, iota.map), target)
-    return defect.is_zero(), square.is_zero()
+    return square.is_zero()
 
 
 # -- the image complex on F2[U,V] elements ---------------------------------

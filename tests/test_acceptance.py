@@ -11,12 +11,13 @@ import time
 import pytest
 
 from conftest import random_reduced_complex
+from helpers import (alexander, find_isomorphism, forced_iota_constraints,
+                     rename, unit_coefficient_constant)
 from knotfloer.cfk import parse_cfk, render_cfk
-from knotfloer.complexes import dualize, find_isomorphism
+from knotfloer.complexes import dualize
 from knotfloer.errors import ResourceError
 from knotfloer.homology import hfk_minus, torsion_order
-from knotfloer.knotlib import (build_cable, build_figure_eight, build_unknot,
-                               forced_iota_constraints)
+from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
 from knotfloer.localequiv import (LocalSearchSpec, SelfLocalFamily,
                                   concordance_unknotting_bound,
                                   connected_complex, search_local_map,
@@ -56,7 +57,7 @@ def test_criterion_1_builder_fidelity():
                 "d": (-1, 1, -1), "e": (0, 0, 0)}
     for name, (gu, gv, alex) in gradings.items():
         g = C.generator(name)
-        assert (g.gr_u, g.gr_v, g.alexander) == (gu, gv, alex)
+        assert (g.gr_u, g.gr_v, alexander(g)) == (gu, gv, alex)
     for n in range(2, 7):
         r = build_cable(n).validate()
         assert r.d_squared and r.grading_law and r.reduced
@@ -124,8 +125,8 @@ def test_criterion_5_connected_complex():
         # self-local equivalence
         for io in iotas:
             fam = SelfLocalFamily(k2, io, 2_000_000)
-            assert fam.unit_coefficient_constant("b", "b") == (True, 1)
-            assert fam.unit_coefficient_constant("c", "c") == (True, 1)
+            assert unit_coefficient_constant(fam, "b", "b") == (True, 1)
+            assert unit_coefficient_constant(fam, "c", "c") == (True, 1)
     report(5, t0, 600.0)
 
 
@@ -175,7 +176,7 @@ def test_criterion_7_property_suites():
     for builder in ALL_BUILDERS:
         C = builder()
         DD = dualize(dualize(C))
-        assert DD.rename({g.name: g.name[:-2] for g in DD.basis}) == C
+        assert rename(DD, {g.name: g.name[:-2] for g in DD.basis}) == C
     # serialization round trips, byte for byte
     for builder in ALL_BUILDERS:
         C = builder()

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import rename
 from knotfloer.cli import main
 
 
@@ -381,7 +382,7 @@ def test_connected_label_skips_used_x_names(tmp_path, capsys):
     from knotfloer.knotlib import build_cable
 
     path = tmp_path / "kd.cfk"
-    path.write_text(render_cfk(dualize(build_cable(2)).rename({"e*": "x1"})))
+    path.write_text(render_cfk(rename(dualize(build_cable(2)), {"e*": "x1"})))
     code, out, err = run(capsys, "connected", str(path), "--iota-index", "1")
     names = [line.split()[1] for line in out.splitlines()
              if line.startswith("gen ")]

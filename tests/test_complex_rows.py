@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import random_reduced_complex
+from helpers import rename
 from oracles import (RingElt, apply_d, d_of, dict_dualize, dict_quotient,
                      dict_rename, dict_tensor, diff_items)
 from knotfloer.complexes import Complex, Generator, dualize, quotient
@@ -39,7 +40,7 @@ def test_library_and_duals_match_dict_versions(name):
     for X in (C, D):
         assert_same(dualize(X), dict_dualize(X))
         back = {g.name: g.name.rstrip("*") for g in X.basis}
-        assert_same(X.rename(back, "back"), dict_rename(X, back, "back"))
+        assert_same(rename(X, back, "back"), dict_rename(X, back, "back"))
         for ideal in IDEALS:
             assert_same(quotient(X, ideal), dict_quotient(X, ideal))
         fig8 = LIBRARY["fig8"]
@@ -84,7 +85,7 @@ def test_stray_terms_are_kept_aside_and_computations_raise():
     message = r"^map entry V b on a breaks declared bidegree \(-1, -1\)$"
     for compute in (differential_map, derivative_maps, UHomology, hfk_hat,
                     dualize, lambda C: quotient(C, Ideal.uv()),
-                    lambda C: tensor(C, C), lambda C: C.rename({})):
+                    lambda C: tensor(C, C), lambda C: rename(C, {})):
         with pytest.raises(StructuralError, match=message):
             compute(C)
 

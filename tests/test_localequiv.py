@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from helpers import unit_coefficient_constant, zero_map
 from knotfloer.errors import ResourceError, StructuralError
 from knotfloer.homology import hfk_minus, torsion_order
 from knotfloer.complexes import dualize
@@ -16,7 +17,7 @@ from knotfloer.localequiv import (DEFAULT_BUDGET, LocalSearchSpec,
                                   connected_complex, image_complex,
                                   search_local_map, verify_almost_local)
 from knotfloer.morphism import (IotaData, MapSpace, enumerate_almost_iotas,
-                                validate_iota, zero_map)
+                                validate_iota)
 from knotfloer.ring import Ideal
 from knotfloer.tensorsum import tensor
 from oracles import (RingElt, fixpoint_maximal_self_local,
@@ -236,8 +237,8 @@ def test_k2_diagonal_coefficients_forced(k2, k2_iotas):
     # from the affine structure rather than by sampling
     for io in k2_iotas:
         fam = SelfLocalFamily(k2, io, 2_000_000)
-        assert fam.unit_coefficient_constant("b", "b") == (True, 1)
-        assert fam.unit_coefficient_constant("c", "c") == (True, 1)
+        assert unit_coefficient_constant(fam, "b", "b") == (True, 1)
+        assert unit_coefficient_constant(fam, "c", "c") == (True, 1)
 
 
 def test_k2_sampled_members_verify(k2, k2_iotas):
@@ -390,7 +391,7 @@ def test_maximal_self_local_matches_fixpoint_oracle(name):
         for x in C.names():
             for y in C.names():
                 if C.grading(x) == C.grading(y):
-                    assert (fam.unit_coefficient_constant(x, y)
+                    assert (unit_coefficient_constant(fam, x, y)
                             == joint.unit_coefficient_constant(x, y))
 
 

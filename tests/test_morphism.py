@@ -11,16 +11,16 @@ import pytest
 
 import knotfloer.morphism as morphism
 from conftest import random_reduced_complex
+from helpers import forced_iota_constraints, zero_map
 from knotfloer.complexes import Complex, Generator, dualize, quotient
 from knotfloer.errors import ResourceError, StructuralError
-from knotfloer.knotlib import (build_cable, build_figure_eight, build_unknot,
-                               forced_iota_constraints)
+from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
 from knotfloer.linalg import transpose
 from knotfloer.localequiv import LocalSearchSpec, search_local_map
 from knotfloer.morphism import (IotaData, LinMap, MapSpace, chain_defect,
                                 derivative_maps, differential_map,
                                 enumerate_almost_iotas, identity_map,
-                                is_chain_map, validate_iota, zero_map)
+                                is_chain_map, validate_iota)
 from knotfloer.ring import Ideal, Mono
 from knotfloer.tensorsum import product_iota, tensor
 from oracles import (RingElt, diff_items, exhaustive_square_solutions,
