@@ -158,9 +158,8 @@ def parse_cfk(text: str) -> CfkFile:
     d, iota = ([table.get(s, 0) for s in range(len(gens))]
                for table in rows.values())
     stray.sort(key=lambda term: term[0])
-    C = Complex.of_rows(
-        gens, Complex.of_rows(gens, d).rows_mod(ring), ring, name,
-        [term[1:] for term in stray if not ring.contains(term[3])])
+    C = Complex(gens, Complex(gens, d).rows_mod(ring), ring, name,
+                [term[1:] for term in stray if not ring.contains(term[3])])
     iota = LinMap(C, C, "skew", (0, 0), Ideal.zero(), iota)
     return CfkFile(C, IotaData(iota.reduce_to(_MAX)) if rows["iota"] else None)
 

@@ -10,17 +10,17 @@ quotients, the V-free and unit parts of d, d^2, map spaces and map
 reductions all mask by it.  The rule itself, that a term U^i V^j y of
 f(x) has gr(y) - (2i, 2j) = gr_v(x) + b for f of variance v and
 bidegree b, is coded here for complexes, maps and the .cfk scanner,
-from `_image_grading` to `_mask_rows`.  The constructor takes d as
-monomial sets, {source: {target: monomials}}, `of_rows` as rows; terms
-off the rule are kept aside for `validate` (`of_rows` is handed them),
-and asking such a complex for its rows raises.
+from `_image_grading` to `_mask_rows`.  The one constructor takes d as
+rows and the terms off the rule as given: only the .cfk scanner reads
+monomial terms, so only it finds such terms.  They are kept aside for
+`validate`, and asking such a complex for its rows raises.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from math import inf
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import StructuralError
 from .linalg import bits_of, transpose
@@ -74,50 +74,25 @@ class Complex:
     __slots__ = ("name", "basis", "ring", "_rows", "_stray", "_index",
                  "_report", "_grading_index", "_u_homology")
 
-    def __init__(self, basis: Iterable[Generator],
-                 diff: Mapping[str, Mapping[str, Iterable[Mono]]],
-                 ring: Ideal = Ideal.zero(), name: str = "C"):
+    def __init__(self, basis: Iterable[Generator], rows: Sequence[int],
+                 ring: Ideal = Ideal.zero(), name: str = "C",
+                 stray: Iterable[tuple[str, str, Mono]] = ()):
+        """The complex with these rows; every set bit must be a pair whose
+        grading-fixed monomial lies outside the ring's ideal.  `stray`: the
+        terms (source, target, monomial) off the rule, in source order."""
         basis = tuple(basis)
         index = {g.name: k for k, g in enumerate(basis)}
         if len(index) != len(basis):
             raise StructuralError("duplicate generator names")
-        rows = [0] * len(basis)
-        stray: list[tuple[int, str, str, Mono]] = []
-        for src, targets in diff.items():
-            if src not in index:
-                raise StructuralError(f"differential source {src!r} unknown")
-            if not targets.keys() <= index.keys():
-                tgt = next(tgt for tgt in targets if tgt not in index)
-                raise StructuralError(f"differential of {src!r} references "
-                                      f"unknown generator {tgt!r}")
-            s = index[src]
-            eu, ev = _image_grading(basis[s], "eq", (-1, -1))
-            for tgt, monos in targets.items():
-                y = basis[index[tgt]]
-                for m in sorted(m for m in monos if not ring.contains(m)):
-                    if (y.gr_u - 2 * m.i, y.gr_v - 2 * m.j) == (eu, ev):
-                        rows[s] |= 1 << index[tgt]
-                    else:
-                        stray.append((s, src, tgt, m))
-        stray.sort(key=lambda term: term[0])
         for slot, value in (("name", name), ("basis", basis), ("ring", ring),
                             ("_rows", tuple(rows)), ("_index", index),
-                            ("_stray", tuple(term[1:] for term in stray)),
-                            ("_report", None), ("_grading_index", None),
-                            ("_u_homology", None)):
+                            ("_stray", tuple(stray)), ("_report", None),
+                            ("_grading_index", None), ("_u_homology", None)):
             object.__setattr__(self, slot, value)
 
-    @classmethod
-    def of_rows(cls, basis: Iterable[Generator], rows: Sequence[int],
-                ring: Ideal = Ideal.zero(), name: str = "C",
-                stray: Iterable[tuple[str, str, Mono]] = ()) -> "Complex":
-        """The complex with these rows; every set bit must be a pair whose
-        grading-fixed monomial lies outside the ring's ideal.  `stray`: the
-        terms (source, target, monomial) off the rule, in source order."""
-        C = cls(basis, {}, ring, name)
-        object.__setattr__(C, "_rows", tuple(rows))
-        object.__setattr__(C, "_stray", tuple(stray))
-        return C
+    def __reduce__(self):  # copy and pickle; the memos are rebuilt on use
+        return Complex, (self.basis, self._rows, self.ring, self.name,
+                         self._stray)
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("Complex is immutable")
@@ -336,8 +311,8 @@ def dualize(C: Complex) -> Complex:
     negated gradings fix the monomial of (x, y) on (y*, x*))."""
     basis = [Generator(g.name + "*", -g.gr_u, -g.gr_v) for g in C.basis]
     columns = transpose(C.rows)
-    return Complex.of_rows(basis, [columns.get(t, 0) for t in range(len(C))],
-                           C.ring, C.name + "*")
+    return Complex(basis, [columns.get(t, 0) for t in range(len(C))],
+                   C.ring, C.name + "*")
 
 
 def quotient(C: Complex, ideal: Ideal) -> Complex:
@@ -347,4 +322,4 @@ def quotient(C: Complex, ideal: Ideal) -> Complex:
     if not C.ring <= ideal:
         raise StructuralError(
             f"cannot quotient a complex over {C.ring.kind} by {ideal.kind}")
-    return Complex.of_rows(C.basis, C.rows_mod(ideal), ideal, C.name)
+    return Complex(C.basis, C.rows_mod(ideal), ideal, C.name)

@@ -1,21 +1,41 @@
 """Ground-truth builders for the complexes the test suite revolves around.
 
-`build_cable(n)` encodes the bigraded complex of the (2n-1,-1)-cable of
-the figure-eight knot literally, generator by generator; `validate`
-independently corroborates d^2 = 0 and the grading law.  Other diagonal
-arrows are excluded only up to a possible change of basis, so the stated
-basis is fixed here once and for all.
+Each library complex is written as its canonical .cfk text and read by
+the .cfk scanner: `build_cable(n)` spells the complex of the
+(2n-1,-1)-cable of the figure-eight knot literally, generator by
+generator, each term with its monomial, so `validate` independently
+corroborates d^2 = 0 and the grading law, and `render_cfk` gives the
+text back.  Other diagonal arrows are excluded only up to a possible
+change of basis, so the stated basis is fixed here once and for all.
 """
 
 from __future__ import annotations
 
-from .complexes import Complex, Generator
-from .ring import Ideal, Mono
+from .cfk import parse_cfk
+from .complexes import Complex
+from .ring import render_mono
+
+_UNKNOT = """\
+complex unknot ring full
+gen a gr 0 0
+"""
+
+_FIG8 = """\
+complex fig8 ring full
+gen a gr 0 0
+gen b gr 0 0
+gen c gr 1 -1
+gen d gr -1 1
+gen e gr 0 0
+d b = U c + V d
+d c = V e
+d d = U e
+"""
 
 
 def build_unknot() -> Complex:
     """One generator in bigrading (0,0) with zero differential."""
-    return Complex([Generator("a", 0, 0)], {}, Ideal.zero(), "unknot")
+    return parse_cfk(_UNKNOT).complex
 
 
 def build_figure_eight() -> Complex:
@@ -23,20 +43,42 @@ def build_figure_eight() -> Complex:
 
     d(b) = U c + V d, d(c) = V e, d(d) = U e; a and e are cycles.
     """
-    U, V = {Mono(1, 0)}, {Mono(0, 1)}
-    basis = [
-        Generator("a", 0, 0),
-        Generator("b", 0, 0),
-        Generator("c", 1, -1),
-        Generator("d", -1, 1),
-        Generator("e", 0, 0),
-    ]
-    diff = {
-        "b": {"c": U, "d": V},
-        "c": {"e": V},
-        "d": {"e": U},
-    }
-    return Complex(basis, diff, Ideal.zero(), "fig8")
+    return parse_cfk(_FIG8).complex
+
+
+def _cable_text(n: int) -> str:
+    """The canonical .cfk text of `build_cable(n)`."""
+    if n < 2:
+        raise ValueError(f"cable parameter must be >= 2, got {n}")
+    gens, diff = ["a gr 0 0"], []
+
+    def piece(s: str, uc: int, ve: int) -> None:
+        # b -> U^uc c + UV d + V^ve e; c -> V f; d -> U^(uc-1) f +
+        # V^(ve-1) g; e -> U g; f, g cycles.  The ends of the family
+        # (uc = 1 or ve = 1) lose d and one of f, g: c -> V^ve g when f
+        # is gone, e -> U^uc f when g is.
+        b, c, d, e, f, g = (x + s for x in "bcdefg")
+        table = [(b, 0, 0, [(uc, 0, c), (1, 1, d), (0, ve, e)]),
+                 (c, 2 * uc - 1, -1, [(0, 1, f) if uc > 1 else (0, ve, g)]),
+                 (d, 1, 1, [(uc - 1, 0, f), (0, ve - 1, g)]),
+                 (e, -1, 2 * ve - 1, [(1, 0, g) if ve > 1 else (uc, 0, f)]),
+                 (f, 2 * uc - 2, 0, []), (g, 0, 2 * ve - 2, [])]
+        gone = set() if min(uc, ve) > 1 else {d, f if uc == 1 else g}
+        for x, gu, gv, terms in table:
+            if x not in gone:
+                gens.append(f"{x} gr {gu} {gv}")
+                if terms := [f"{render_mono(i, j)} {y}" for i, j, y in terms
+                             if y not in gone]:
+                    diff.append(f"{x} = " + " + ".join(terms))
+
+    piece("", n, n)
+    for ks in range(1, n - 1), (n - 1,):  # the full pieces, then the ends
+        for side, sign in ("0", 1), ("1", -1):
+            for k in ks:
+                piece(f"{side}_{k}", n + sign * k, n - sign * k)
+    return "".join([f"complex cable{n} ring full\n"]
+                   + [f"gen {line}\n" for line in gens]
+                   + [f"d {line}\n" for line in diff])
 
 
 def build_cable(n: int) -> Complex:
@@ -46,73 +88,4 @@ def build_cable(n: int) -> Complex:
     b..g, full 6-generator pieces indexed (0,i) and (1,i) for
     1 <= i <= n-2, and truncated 4-generator pieces at i = n-1.
     """
-    if n < 2:
-        raise ValueError(f"cable parameter must be >= 2, got {n}")
-
-    def mono(i: int, j: int) -> set[Mono]:
-        return {Mono(i, j)}
-
-    basis: list[Generator] = [Generator("a", 0, 0)]
-    diff: dict[str, dict[str, set[Mono]]] = {}
-
-    def add_full_piece(b, c, d, e, f, g, uc: int, ve: int,
-                       cu: int, cv: int, eu: int, ev: int,
-                       fu: int, gv: int) -> None:
-        # b -> U^uc c + UV d + V^ve e; c -> V f; d -> U^(uc-1) f + V^(ve-1) g;
-        # e -> U g; f, g cycles.  Gradings passed explicitly.
-        basis.extend([
-            Generator(b, 0, 0),
-            Generator(c, cu, cv),
-            Generator(d, 1, 1),
-            Generator(e, eu, ev),
-            Generator(f, fu, 0),
-            Generator(g, 0, gv),
-        ])
-        diff[b] = {c: mono(uc, 0), d: mono(1, 1), e: mono(0, ve)}
-        diff[c] = {f: mono(0, 1)}
-        diff[d] = {f: mono(uc - 1, 0), g: mono(0, ve - 1)}
-        diff[e] = {g: mono(1, 0)}
-
-    add_full_piece("b", "c", "d", "e", "f", "g",
-                   uc=n, ve=n,
-                   cu=2 * n - 1, cv=-1, eu=-1, ev=2 * n - 1,
-                   fu=2 * n - 2, gv=2 * n - 2)
-    for i in range(1, n - 1):
-        add_full_piece(f"b0_{i}", f"c0_{i}", f"d0_{i}", f"e0_{i}",
-                       f"f0_{i}", f"g0_{i}",
-                       uc=n + i, ve=n - i,
-                       cu=2 * n + 2 * i - 1, cv=-1,
-                       eu=-1, ev=2 * n - 2 * i - 1,
-                       fu=2 * n + 2 * i - 2, gv=2 * n - 2 * i - 2)
-    for i in range(1, n - 1):
-        add_full_piece(f"b1_{i}", f"c1_{i}", f"d1_{i}", f"e1_{i}",
-                       f"f1_{i}", f"g1_{i}",
-                       uc=n - i, ve=n + i,
-                       cu=2 * n - 2 * i - 1, cv=-1,
-                       eu=-1, ev=2 * n + 2 * i - 1,
-                       fu=2 * n - 2 * i - 2, gv=2 * n + 2 * i - 2)
-
-    k = n - 1
-    b0, c0, e0, f0 = f"b0_{k}", f"c0_{k}", f"e0_{k}", f"f0_{k}"
-    basis.extend([
-        Generator(b0, 0, 0),
-        Generator(c0, 4 * n - 3, -1),
-        Generator(e0, -1, 1),
-        Generator(f0, 4 * n - 4, 0),
-    ])
-    diff[b0] = {c0: mono(2 * n - 1, 0), e0: mono(0, 1)}
-    diff[c0] = {f0: mono(0, 1)}
-    diff[e0] = {f0: mono(2 * n - 1, 0)}
-
-    b1, c1, e1, g1 = f"b1_{k}", f"c1_{k}", f"e1_{k}", f"g1_{k}"
-    basis.extend([
-        Generator(b1, 0, 0),
-        Generator(c1, 1, -1),
-        Generator(e1, -1, 4 * n - 3),
-        Generator(g1, 0, 4 * n - 4),
-    ])
-    diff[b1] = {c1: mono(1, 0), e1: mono(0, 2 * n - 1)}
-    diff[c1] = {g1: mono(0, 2 * n - 1)}
-    diff[e1] = {g1: mono(1, 0)}
-
-    return Complex(basis, diff, Ideal.zero(), f"cable{n}")
+    return parse_cfk(_cable_text(n)).complex

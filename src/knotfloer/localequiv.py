@@ -391,7 +391,7 @@ def image_complex(C: Complex, f: LinMap, name: str = "conn") -> Complex:
             row = sum(1 << meta[k]
                       for k in bits_of(sysq.particular_solution()))
         rows.append(row & new_kept(e))
-    return Complex.of_rows(basis, rows, C.ring, name)
+    return Complex(basis, rows, C.ring, name)
 
 
 def connected_complex(C: Complex, iota: IotaData,

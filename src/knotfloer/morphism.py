@@ -33,13 +33,14 @@ _VARIANCES = ("eq", "skew")
 _MAX = Ideal.max_ideal()
 
 
-class LinMap:
+class LinMap(Record):
     """A module map, one bitset row per source generator.
 
     variance "eq" extends F2[U,V]-linearly and "skew" exchanges U and
     V; either way the gradings fix the monomial of every term.  Every set
     bit of `rows` must be a pair whose fixed monomial lies outside the
     ideal.  `of_gen` and `action` read the rows back as monomial sets.
+    `==` and hash are its own: they compare terms by generator name.
     """
 
     __slots__ = ("source", "target", "variance", "bidegree", "ideal", "rows")
@@ -53,9 +54,6 @@ class LinMap:
                             ("bidegree", tuple(bidegree)), ("ideal", ideal),
                             ("rows", tuple(rows))):
             object.__setattr__(self, slot, value)
-
-    def __setattr__(self, *args):  # pragma: no cover - immutability guard
-        raise AttributeError("LinMap is immutable")
 
     # -- views ----------------------------------------------------------------
 

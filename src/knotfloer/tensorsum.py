@@ -42,8 +42,7 @@ def tensor(C1: Complex, C2: Complex) -> Complex:
     ones1, ones2 = [1 << k for k in range(n1)], [1 << k for k in range(n2)]
     rows = [a ^ b for a, b in zip(_outer(C1.rows, ones2, n2),
                                   _outer(ones1, C2.rows, n2))]
-    return Complex.of_rows(basis, rows, C1.ring,
-                           f"{C1.name}{PAIR_SEP}{C2.name}")
+    return Complex(basis, rows, C1.ring, f"{C1.name}{PAIR_SEP}{C2.name}")
 
 
 def _outer(frows: Sequence[int], grows: Sequence[int], n2: int) -> list[int]:

@@ -10,7 +10,7 @@ from knotfloer.complexes import Complex, Generator
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
 from knotfloer.morphism import LinMap, enumerate_almost_iotas
 from knotfloer.ring import Ideal, Mono
-from oracles import RingElt, apply_d, map_of_action
+from oracles import RingElt, apply_d, map_of_action, terms_complex
 
 
 @pytest.fixture(scope="session")
@@ -94,7 +94,7 @@ def random_reduced_complex(rng: random.Random, max_pieces: int = 4,
             diff[c] = {e: RingElt.mono(0, l)}
             diff[d] = {e: RingElt.mono(k, 0)}
 
-    C = Complex(gens, diff, Ideal.zero(), "random")
+    C = terms_complex(gens, diff, Ideal.zero(), "random")
     for _ in range(transvections):
         C = _random_transvection(rng, C) or C
     return C
@@ -141,7 +141,7 @@ def _apply_transvection(C: Complex, x: str, y: str, m: Mono) -> Complex:
         de = {k: v for k, v in de.items() if not v.is_zero()}
         if de:
             diff[g.name] = de
-    return Complex(C.basis, diff, C.ring, C.name)
+    return terms_complex(C.basis, diff, C.ring, C.name)
 
 
 def random_graded_transvection(rng: random.Random, C: Complex,

@@ -23,7 +23,7 @@ def rename(C: Complex, mapping: Mapping[str, str],
            name: str | None = None) -> Complex:
     basis = [Generator(mapping.get(g.name, g.name), g.gr_u, g.gr_v)
              for g in C.basis]
-    return Complex.of_rows(basis, C.rows, C.ring, name or C.name)
+    return Complex(basis, C.rows, C.ring, name or C.name)
 
 
 def _named_rows(C: Complex) -> dict[str, frozenset[str]]:

@@ -33,8 +33,8 @@ sweeping once.
 echelon basis in parallel row and pivot lists and reduce a vector by
 visiting every row, instead of only the rows of the pivots it hits.
 `dict_tensor`, `dict_dualize`, `dict_quotient` and `dict_rename` build
-complexes from coefficient dicts through the validating constructor,
-the way `Complex` did before it stored its differential as bitset rows.
+complexes from coefficient dicts through `terms_complex`, the way
+`Complex` did before it stored its differential as bitset rows.
 `kernel_space_oracle` is the kernel of a map on the exponent-truncated
 module, the tests' evidence that a self-local map is maximal; the
 package computes no kernel, and the oracle solves one matrix over the
@@ -49,10 +49,14 @@ instead of the monomial sets of a complex with stray terms.
 `parse_cfk_oracle` and `parse_map_file_oracle` read every term of a
 .cfk or map line through `parse_mono` into per-target monomial sets
 (`parse_sum`) and grade the sets with `graded_row`, or build the
-complex from them through the validating constructor, instead of
-matching canonical spellings straight into bitset rows.  `graded_row`,
-which `map_of_action` uses too, grades a generator's monomial sets into
-a row and the terms off the rule, as the package's parsers did.
+complex from them through `terms_complex`, instead of matching
+canonical spellings straight into bitset rows.  `graded_row`, which
+`map_of_action` uses too, grades a generator's monomial sets into a row
+and the terms off the rule, as the package's parsers did.
+`terms_complex` is the complex of such sets, with the checks and
+messages `Complex` had when it took them: the tests write complexes
+with it, while the package builds each of its complexes from rows, and
+the library from its .cfk text.
 
 The reference algebra comes first: `RingElt` with its arithmetic, `mul`
 and `reduce` on F2[U,V] and its quotients, the element views of a
@@ -220,6 +224,32 @@ def graded_row(terms, e: tuple[int, int], ideal: Ideal, basis,
                 else:
                     off.append((tgt, m))
     return row, off
+
+
+def terms_complex(basis, diff, ring: Ideal = Ideal.zero(),
+                  name: str = "C") -> Complex:
+    """The complex with d given as monomial sets {source: {target:
+    monomials}} (a RingElt is one), as `Complex` took it before it took
+    rows: each source graded by `graded_row`, terms in `ring` dropped and
+    the terms off the rule kept as strays, in source order."""
+    basis = tuple(basis)  # `Complex` rejects duplicate names
+    index = {g.name: k for k, g in enumerate(basis)}
+    rows = [0] * len(basis)
+    stray = []
+    for src, targets in diff.items():
+        if src not in index:
+            raise StructuralError(f"differential source {src!r} unknown")
+        if not targets.keys() <= index.keys():
+            tgt = next(tgt for tgt in targets if tgt not in index)
+            raise StructuralError(f"differential of {src!r} references "
+                                  f"unknown generator {tgt!r}")
+        s = index[src]
+        rows[s], off = graded_row(
+            targets, _image_grading(basis[s], "eq", (-1, -1)), ring, basis,
+            index.__getitem__)
+        stray += [(s, src, tgt, m) for tgt, m in off]
+    stray.sort(key=lambda term: term[0])
+    return Complex(basis, rows, ring, name, [term[1:] for term in stray])
 
 
 def map_of_action(source: Complex, target: Complex, variance: str,
@@ -775,7 +805,7 @@ def element_image_complex(C: Complex, f: LinMap,
             add_term(row_out, lbl2, RingElt((m,)))
         if row_out:
             diff[lbl] = row_out
-    return Complex(basis, diff, C.ring, name)
+    return terms_complex(basis, diff, C.ring, name)
 
 
 # -- the squared condition, one solve per cover assignment --------------------
@@ -1099,7 +1129,7 @@ def dict_tensor(C1: Complex, C2: Complex) -> Complex:
                 add_term(row, pair_name(x.name, tgt), coeff)
             if row:
                 diff[pair_name(x.name, y.name)] = row
-    return Complex(basis, diff, C1.ring, f"{C1.name}|{C2.name}")
+    return terms_complex(basis, diff, C1.ring, f"{C1.name}|{C2.name}")
 
 
 def dict_dualize(C: Complex) -> Complex:
@@ -1109,15 +1139,15 @@ def dict_dualize(C: Complex) -> Complex:
     for src, row in diff_items(C):
         for tgt, coeff in row.items():
             diff.setdefault(tgt + "*", {})[src + "*"] = coeff
-    return Complex(basis, diff, C.ring, C.name + "*")
+    return terms_complex(basis, diff, C.ring, C.name + "*")
 
 
 def dict_quotient(C: Complex, ideal: Ideal) -> Complex:
-    """The coefficient dict reduced modulo the ideal by the constructor."""
+    """The coefficient dict reduced modulo the ideal by `terms_complex`."""
     if not C.ring <= ideal:
         raise StructuralError(
             f"cannot quotient a complex over {C.ring.kind} by {ideal.kind}")
-    return Complex(C.basis, dict(diff_items(C)), ideal, C.name)
+    return terms_complex(C.basis, dict(diff_items(C)), ideal, C.name)
 
 
 def dict_rename(C: Complex, mapping, name=None) -> Complex:
@@ -1127,7 +1157,7 @@ def dict_rename(C: Complex, mapping, name=None) -> Complex:
     basis = [Generator(nm(g.name), g.gr_u, g.gr_v) for g in C.basis]
     diff = {nm(src): {nm(t): c for t, c in row.items()}
             for src, row in diff_items(C)}
-    return Complex(basis, diff, C.ring, name or C.name)
+    return terms_complex(basis, diff, C.ring, name or C.name)
 
 
 # -- the kernel of a map by one truncated matrix -----------------------------
@@ -1295,8 +1325,8 @@ def parse_sum(tokens: list[str], lineno: int,
 
 
 def parse_cfk_oracle(text: str) -> CfkFile:
-    """`cfk.parse_cfk` through monomial sets: d goes to the validating
-    constructor, each iota line to `graded_row` mod (U,V)."""
+    """`cfk.parse_cfk` through monomial sets: d goes to `terms_complex`,
+    each iota line to `graded_row` mod (U,V)."""
     max_ideal = Ideal.max_ideal()
     name = ring_ = None
     gens: list[Generator] = []
@@ -1349,7 +1379,7 @@ def parse_cfk_oracle(text: str) -> CfkFile:
             raise CfkParseError(f"unknown directive {kind!r}", lineno)
     if name is None or ring_ is None:
         raise CfkParseError("missing complex header", 1)
-    C = Complex(gens, actions["d"], ring_, name)
+    C = terms_complex(gens, actions["d"], ring_, name)
     iota = None
     if actions["iota"]:
         rows = [iota_rows.get(s, 0) for s in range(len(gens))]

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_reduced_complex
 from helpers import rename
 from oracles import (RingElt, apply_d, d_of, dict_dualize, dict_quotient,
-                     dict_rename, dict_tensor, diff_items)
+                     dict_rename, dict_tensor, diff_items, terms_complex)
 from knotfloer.complexes import Complex, Generator, dualize, quotient
 from knotfloer.errors import StructuralError
 from knotfloer.homology import UHomology, hfk_hat
@@ -67,21 +67,24 @@ def test_random_quotients_duals_tensors_match_dict_versions(seed):
         assert_same(tensor(Q, Q), dict_tensor(Q, Q))
 
 
-def test_of_rows_equals_dict_constructor():
+def test_rows_constructor_equals_terms_complex():
     fig8 = LIBRARY["fig8"]
-    rows = Complex.of_rows(fig8.basis, fig8.rows, fig8.ring, fig8.name)
-    assert rows == fig8 and rows.rows == (0, 12, 16, 16, 0) and rows.is_reduced
+    rows = Complex(fig8.basis, fig8.rows, fig8.ring, fig8.name)
+    terms = terms_complex(fig8.basis, dict(diff_items(fig8)), fig8.ring,
+                          fig8.name)
+    assert rows == fig8 == terms and rows.rows == (0, 12, 16, 16, 0)
+    assert rows.is_reduced and terms.rows == rows.rows
 
 
 def test_stray_terms_are_kept_aside_and_computations_raise():
     # U b is the monomial the gradings fix on (a, b); V b breaks the law
-    C = Complex([Generator("a", 0, 0), Generator("b", 1, -1)],
-                {"a": {"b": U + V}})
+    C = terms_complex([Generator("a", 0, 0), Generator("b", 1, -1)],
+                      {"a": {"b": U + V}})
     assert d_of(C, "a") == {"b": U + V}
     assert dict(diff_items(C)) == {"a": {"b": U + V}}
     assert apply_d(C, {"a": V}) == {"b": U * V + V * V}
     assert not C.validate().grading_law and C.is_reduced
-    assert C != Complex(C.basis, {"a": {"b": U}})
+    assert C != terms_complex(C.basis, {"a": {"b": U}})
     message = r"^map entry V b on a breaks declared bidegree \(-1, -1\)$"
     for compute in (differential_map, derivative_maps, UHomology, hfk_hat,
                     dualize, lambda C: quotient(C, Ideal.uv()),

@@ -10,7 +10,7 @@ from knotfloer.complexes import Complex, Generator, dualize, quotient
 from knotfloer.errors import StructuralError
 from knotfloer.knotlib import build_cable, build_figure_eight, build_unknot
 from knotfloer.ring import Ideal, Mono
-from oracles import RingElt, d_of, diff_items
+from oracles import RingElt, d_of, diff_items, terms_complex
 
 U, V = RingElt.mono(1, 0), RingElt.mono(0, 1)
 
@@ -29,22 +29,30 @@ def test_fig8_alexander_gradings(fig8):
     assert [alexander(fig8.generator(n)) for n in "abcde"] == [0, 0, 1, -1, 0]
 
 
-def test_unknown_generator_is_structural_error():
-    with pytest.raises(StructuralError):
-        Complex([Generator("a", 0, 0)], {"a": {"zz": U}})
+def test_unknown_generator_is_structural_error(unknot):
+    with pytest.raises(StructuralError, match="unknown generator 'zz'"):
+        unknot.generator("zz")
+
+
+def test_duplicate_generator_names_are_structural_error():
+    a = Generator("a", 0, 0)
+    with pytest.raises(StructuralError, match="^duplicate generator names$"):
+        Complex([a, Generator("b", 0, 0), a], [0, 0, 0])
+    with pytest.raises(StructuralError, match="^duplicate generator names$"):
+        terms_complex([a, a], {"a": {}})
 
 
 def test_truncated_fig8_passes_d_squared_only():
     # dropping the V d arrow keeps d^2 = 0 and the grading law
     gens = build_figure_eight().basis
-    C = Complex(gens, {"b": {"c": U}}, Ideal.zero())
+    C = terms_complex(gens, {"b": {"c": U}}, Ideal.zero())
     r = C.validate()
     assert r.d_squared and r.grading_law
 
 
 def test_grading_mutation_fails_grading_check():
     gens = build_figure_eight().basis
-    C = Complex(gens, {"c": {"e": U}}, Ideal.zero())
+    C = terms_complex(gens, {"c": {"e": U}}, Ideal.zero())
     r = C.validate()
     assert r.d_squared and not r.grading_law
 
@@ -133,9 +141,9 @@ def test_alexander_preserved_termwise(seed):
 
 
 def test_equality_is_strict_but_reorder_aware(fig8):
-    shuffled = Complex(list(fig8.basis)[::-1],
-                       {s: dict(r) for s, r in diff_items(fig8)},
-                       fig8.ring, fig8.name)
+    shuffled = terms_complex(list(fig8.basis)[::-1],
+                             {s: dict(r) for s, r in diff_items(fig8)},
+                             fig8.ring, fig8.name)
     assert shuffled != fig8
     assert equal_up_to_reorder(shuffled, fig8)
 
@@ -145,11 +153,11 @@ def test_reorder_equality_reads_stray_terms():
     basis = [Generator("a", 0, 0), Generator("b", 1, -1),
              Generator("c", 0, -2)]
     diff = {"a": {"b": {Mono(1, 0), Mono(0, 1)}}, "b": {"c": {Mono(0, 1)}}}
-    C = Complex(basis, diff)
-    shuffled = Complex(basis[::-1], diff)
+    C = terms_complex(basis, diff)
+    shuffled = terms_complex(basis[::-1], diff)
     assert shuffled != C and equal_up_to_reorder(shuffled, C)
     other = {**diff, "b": {"c": {Mono(1, 0)}}}
-    D = Complex(basis, other)
+    D = terms_complex(basis, other)
     assert D._rows == C._rows  # only the stray term of d(b) differs
     assert not equal_up_to_reorder(D, C) and not equal_up_to_reorder(C, D)
-    assert not equal_up_to_reorder(Complex(basis[::-1], other), C)
+    assert not equal_up_to_reorder(terms_complex(basis[::-1], other), C)

@@ -91,7 +91,7 @@ def test_locality_rank(unknot, k2, k3):
 
 
 def test_two_towers():
-    C = Complex([Generator("a", 0, 0), Generator("b", 0, 0)], {})
+    C = Complex([Generator("a", 0, 0), Generator("b", 0, 0)], [0, 0])
     assert locality_rank(C) == 2
 
 
@@ -136,7 +136,7 @@ def test_tower_generator_class(k2):
 
 
 def test_far_apart_gradings():
-    C = Complex([Generator("a", 0, 0), Generator("b", 10**9, 10**9)], {})
+    C = Complex([Generator("a", 0, 0), Generator("b", 10**9, 10**9)], [0, 0])
     assert hfk_minus(C).tower_gradings == (0, 10**9)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_reduced_complex
 from oracles import (RingElt, diff_items, ringelt_validate, scan_cancel,
-                     scan_kept_targets, v_reduced_rows)
+                     scan_kept_targets, terms_complex, v_reduced_rows)
 from test_homology import (LIBRARY, PRODUCT_SUMS, TWISTED, _complex,
                            _random_products)
 from knotfloer.complexes import (Complex, Generator, GradingIndex, dualize,
@@ -116,18 +116,18 @@ def _random_graded_complex(rng: random.Random, count: int) -> Complex:
                     and rng.random() < 0.3):
                 row |= 1 << t
         rows.append(row)
-    return Complex.of_rows(basis, rows, name="random")
+    return Complex(basis, rows, name="random")
 
 
 def _fresh(C: Complex) -> Complex:
     """The same complex without a kept report."""
-    return Complex.of_rows(C.basis, C.rows, C.ring, C.name)
+    return Complex(C.basis, C.rows, C.ring, C.name)
 
 
 U, V = RingElt.mono(1, 0), RingElt.mono(0, 1)
-STRAY = Complex([Generator("a", 0, 0), Generator("b", 1, -1),
-                 Generator("c", 0, -2)],
-                {"a": {"b": U + V}, "b": {"c": V}})
+STRAY = terms_complex([Generator("a", 0, 0), Generator("b", 1, -1),
+                       Generator("c", 0, -2)],
+                      {"a": {"b": U + V}, "b": {"c": V}})
 
 D2_CASES = (KNOTS[:8] + [_complex("cable3#cable2"), _complex("fig8#cable3")]
             + [random_reduced_complex(random.Random(600 + s))
@@ -173,7 +173,7 @@ def _random_stray_complex(rng: random.Random, ring: Ideal) -> Complex:
                 targets[y.name] = monos
         if targets:
             diff[x.name] = targets
-    return Complex(basis, diff, ring, "stray")
+    return terms_complex(basis, diff, ring, "stray")
 
 
 def test_stray_d_squared_matches_ringelt_report():
@@ -209,7 +209,7 @@ def test_stray_d_squared_cases():
                                   (through, Ideal.uv(), True),
                                   (mod_uv, Ideal.zero(), False),
                                   (mod_uv, Ideal.uv(), True)):
-        C = Complex(basis, diff, ring)
+        C = terms_complex(basis, diff, ring)
         report = C.validate()
         assert report == ringelt_validate(C)
         assert report.d_squared == d_squared and not report.grading_law

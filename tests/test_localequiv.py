@@ -425,7 +425,7 @@ def test_locality_row_matches_locality_bit():
     from knotfloer.complexes import Complex, Generator
 
     rng = random.Random("locality")
-    shifted, v_shifted = (Complex([Generator("a", u, v)], {}, Ideal.zero(),
+    shifted, v_shifted = (Complex([Generator("a", u, v)], [0], Ideal.zero(),
                                   f"unknot{u}{v}") for u, v in ((2, 2), (0, 2)))
     targets = [_library(name) for name in SWEEP_LIBRARY] + [shifted, v_shifted]
     seen = set()

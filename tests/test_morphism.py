@@ -26,7 +26,7 @@ from knotfloer.tensorsum import product_iota, tensor
 from oracles import (RingElt, diff_items, exhaustive_square_solutions,
                      grading_fitting_pairs, linmap_composition_columns,
                      linmap_d_commutator_columns, linmap_intertwining_columns,
-                     map_of_action, solve_homotopy)
+                     map_of_action, solve_homotopy, terms_complex)
 
 U, V = RingElt.mono(1, 0), RingElt.mono(0, 1)
 ONE = RingElt.one()
@@ -134,16 +134,16 @@ def test_maps_on_equal_but_distinct_complexes_compare_by_rows(fig8):
         assert sum(a != b for a, b in zip(changed.rows, phi_b.rows)) == 1
         assert phi_a != changed and changed != phi_a
     # a reordered basis: the rows differ, the terms by name do not
-    shuffled = Complex(list(fig8.basis)[::-1],
-                       {s: dict(r) for s, r in diff_items(fig8)})
+    shuffled = terms_complex(list(fig8.basis)[::-1],
+                             {s: dict(r) for s, r in diff_items(fig8)})
     assert identity_map(fig8) == identity_map(shuffled)
     assert derivative_maps(fig8)[1] == derivative_maps(shuffled)[1]
 
 
 def test_equal_maps_on_a_reordered_basis_hash_equal():
     k2 = build_cable(2)
-    reversed_k2 = Complex(list(k2.basis)[::-1],
-                          {s: dict(r) for s, r in diff_items(k2)})
+    reversed_k2 = terms_complex(list(k2.basis)[::-1],
+                                {s: dict(r) for s, r in diff_items(k2)})
     d, d_reversed = differential_map(k2), differential_map(reversed_k2)
     assert d.rows != d_reversed.rows and d.render() != d_reversed.render()
     assert d == d_reversed and hash(d) == hash(d_reversed)
@@ -304,8 +304,8 @@ def _zero_iota(C):
 
 def test_validate_iota_needs_a_reduced_complex():
     # d(x) = y with monomial 1: an acyclic pair, not reduced
-    C = Complex([Generator("x", 0, 0), Generator("y", -1, -1)],
-                {"x": {"y": {Mono(0, 0)}}})
+    C = terms_complex([Generator("x", 0, 0), Generator("y", -1, -1)],
+                      {"x": {"y": {Mono(0, 0)}}})
     assert not C.is_reduced
     with pytest.raises(StructuralError) as err:
         validate_iota(C, _zero_iota(C))
@@ -314,8 +314,8 @@ def test_validate_iota_needs_a_reduced_complex():
 
 def test_validate_iota_raises_on_stray_terms():
     # U y on x breaks the grading rule: gr(y) - (2, 0) != gr(x) - (1, 1)
-    C = Complex([Generator("x", 0, 0), Generator("y", -1, -1)],
-                {"x": {"y": {Mono(1, 0)}}})
+    C = terms_complex([Generator("x", 0, 0), Generator("y", -1, -1)],
+                      {"x": {"y": {Mono(1, 0)}}})
     assert C.is_reduced and not C.validate().grading_law
     with pytest.raises(StructuralError) as err:
         validate_iota(C, _zero_iota(C))
@@ -338,7 +338,7 @@ def test_linear_variance_is_rejected(unknot):
 
 def test_enumeration_size_guard():
     from knotfloer.complexes import Generator
-    big = Complex([Generator(f"x{k}", 0, 0) for k in range(65)], {})
+    big = Complex([Generator(f"x{k}", 0, 0) for k in range(65)], [0] * 65)
     with pytest.raises(ResourceError):
         enumerate_almost_iotas(big)
 

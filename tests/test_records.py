@@ -7,13 +7,15 @@ from math import inf
 
 import pytest
 
-from knotfloer.cfk import CfkFile
-from knotfloer.complexes import Generator, ValidationReport
+from knotfloer.cfk import CfkFile, parse_cfk, render_cfk
+from knotfloer.complexes import (Complex, Generator, ValidationReport,
+                                 quotient)
 from knotfloer.errors import StructuralError
 from knotfloer.homology import FUDecomp, HatRanks
 from knotfloer.knotlib import build_cable, build_unknot
 from knotfloer.localequiv import (DEFAULT_BUDGET, LocalCertificate,
-                                  LocalSearchSpec, NonexistenceToken)
+                                  LocalSearchSpec, NonexistenceToken,
+                                  search_local_map)
 from knotfloer.morphism import (IotaData, IotaReport, LinMap, MapSpace,
                                 _SquareSystem, enumerate_almost_iotas,
                                 identity_map, validate_iota)
@@ -96,17 +98,38 @@ def test_record_behaviour(cls, fields, values, other, hashable):
         cls(*values, None)
 
 
+def _clones(obj):
+    return (copy.copy(obj), copy.deepcopy(obj),
+            pickle.loads(pickle.dumps(obj)))
+
+
 def test_records_of_plain_values_copy_and_pickle():
-    # records that hold a Complex do not: Complex itself cannot be copied
     for rec in (Mono(1, 2), Ideal(1, inf), Generator("a", 2, 0),
                 ValidationReport(True, False, True, True, ("m",)),
                 FUDecomp(1, (0,), ((2, -2),)), HatRanks(((0, 0, 1),)),
                 IotaReport(False, ("bad",)), TOKEN,
                 LocalCertificate(token=TOKEN)):
-        for clone in (copy.copy(rec), copy.deepcopy(rec),
-                      pickle.loads(pickle.dumps(rec))):
+        for clone in _clones(rec):
             assert type(clone) is type(rec) and clone == rec
             assert repr(clone) == repr(rec)
+
+
+def test_complexes_maps_and_the_records_holding_them_copy_and_pickle():
+    stray = parse_cfk("complex s ring full\ngen a gr 0 0\ngen b gr 1 -1\n"
+                      "d a = V b\n").complex
+    found = search_local_map(LocalSearchSpec((UNKNOT, None), (K2, IOTAS[0])))
+    assert found.exists
+    for C in (K2, UNKNOT, quotient(K2, Ideal.uv()), stray):
+        for clone in _clones(C):
+            assert type(clone) is Complex and clone == C
+            assert (clone.name, clone._stray) == (C.name, C._stray)
+            assert clone.validate() == C.validate()
+    assert not stray.validate().grading_law
+    for rec in (identity_map(K2), IOTAS[0], SPACE,
+                parse_cfk(render_cfk(K2, IOTAS[0])),
+                LocalSearchSpec((K2, IOTAS[0]), (UNKNOT, None)), found):
+        for clone in _clones(rec):
+            assert type(clone) is type(rec) and clone == rec
 
 
 def test_record_defaults():
